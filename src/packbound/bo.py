@@ -379,10 +379,6 @@ def fit_surrogate(
     return fitted
 
 
-def posterior(s: Surrogate, x: GeometricParams) -> Tuple[float, float]:
-    return s.posterior(x)
-
-
 # ---------------------------------------------------------------------------
 # Acquisition functions (all written for minimization)
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 A campaign is a sequence of rounds.  Each round fits the surrogate on the
 converged history, proposes the next (r, R), runs the tree search at the
-cheap degree, re-solves the winning sentence at the final degree, verifies
-the certificate independently, and appends one immutable round record.  Any
+cheap degree with its finalists solved at the final degree, verifies the
+winner's final-degree certificate independently (or, with an external solver,
+hands the winner's final-degree instance to it), and appends one immutable
+round record.  Each (sentence, degree) is solved at most once a round.  Any
 stage failure is recorded with its status and the campaign continues; state
 is flushed to disk after every round, so a killed process loses at most the
 in-flight round.  Per-round seeds derive from (base seed, round index), so
@@ -27,12 +29,13 @@ import numpy as np
 
 from .bo import Observation, SearchBox, fit_surrogate, propose_next
 from .compiler import assemble_sdp, compute_bound, emit_sdpa
-from .mcts import RewardCache, SearchCaps, SearchFailedError, run_search
+from .grammar import render
+from .mcts import RewardCache, SearchCaps, SearchFailedError, make_sdp_evaluator, run_search
 from .polys import GeometricParams
 from .solver import (
     SolverStatus,
     parse_external_output,
-    solve_embedded,
+    solve_embedded,  # not called here; perfbench/tracing.py wraps this name
     verify_certificate,
 )
 
@@ -255,27 +258,12 @@ def _round_seed(base: int, round_idx: int, salt: int = 0) -> int:
     return int(np.random.SeedSequence([base, round_idx, salt]).generate_state(1)[0])
 
 
-def _solve_final(sentence, params, config: CampaignConfig):
-    """Re-solve the finalist at d_final with full blocks for verification."""
-    inst = assemble_sdp(
-        sentence, params, n=config.dimension, d=config.d_final,
-        K=config.pivots, seed=config.seed, pivot_scheme=config.pivot_scheme,
-    )
-    if config.solver == "external":
-        res = solve_external(inst, config.solver_cmd)
-    else:
-        res = solve_embedded(
-            inst, tol_eq=config.tol_eq, tol_psd=config.tol_psd,
-            max_iterations=config.solver_max_iterations,
-        )
-    return inst, res
-
-
 def solve_external(inst, solver_cmd: str, digits: int = 40):
     """Emit the instance, run the configured solver command, parse its output.
 
     The command receives the .dat-s path as its final argument; binary and
-    arguments come from configuration only.
+    arguments come from configuration only.  A nonzero exit code raises
+    subprocess.CalledProcessError.
     """
     with tempfile.NamedTemporaryFile("w", suffix=".dat-s", delete=False) as fh:
         fh.write(emit_sdpa(inst, digits=digits))
@@ -283,7 +271,7 @@ def solve_external(inst, solver_cmd: str, digits: int = 40):
     try:
         proc = subprocess.run(
             shlex.split(solver_cmd) + [path],
-            capture_output=True, text=True, timeout=3600,
+            capture_output=True, text=True, timeout=3600, check=True,
         )
         return parse_external_output(proc.stdout)
     finally:
@@ -313,8 +301,11 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
     search_start = time.monotonic()
     best_outcome = None
     best_sentence = None
-    fail_reason = "search-failed"
-    cache = RewardCache()
+    evaluator = make_sdp_evaluator(
+        params, n=config.dimension, K=config.pivots, seed=seed, cache=RewardCache(),
+        tol_eq=config.tol_eq, tol_psd=config.tol_psd,
+        max_iterations=config.solver_max_iterations, pivot_scheme=config.pivot_scheme,
+    )
     for restart in range(config.mcts_restarts):
         try:
             out = run_search(
@@ -325,13 +316,11 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
                 K=config.pivots,
                 caps=caps,
                 seed=_round_seed(config.seed, round_idx, salt=restart + 1),
-                n=config.dimension,
                 c_explore=config.c_explore,
                 rollouts=config.mcts_rollouts,
                 top_k=config.top_k,
                 eos_bias=config.eos_bias,
-                cache=cache,
-                solver_max_iterations=config.solver_max_iterations,
+                evaluator=evaluator,
             )
         except SearchFailedError:
             continue
@@ -343,7 +332,7 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
         state.append(RoundRecord(
             round=round_idx, r=params.r, R=params.R, sentence=None,
             d_search=config.d_search, d_final=config.d_final, K=config.pivots,
-            objective=None, bound=None, status=fail_reason,
+            objective=None, bound=None, status="search-failed",
             eq_residual=None, psd_residual=None,
             search_seconds=search_seconds, solve_seconds=0.0, seed=seed,
         ))
@@ -353,7 +342,14 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
     status = "converged"
     objective = bound = eq_res = psd_res = None
     try:
-        inst, res = _solve_final(best_sentence, params, config)
+        inst = assemble_sdp(
+            best_sentence, params, n=config.dimension, d=config.d_final,
+            K=config.pivots, seed=seed, pivot_scheme=config.pivot_scheme,
+        )
+        if config.solver == "external":
+            res = solve_external(inst, config.solver_cmd)
+        else:
+            res = best_outcome.result  # the search's own d_final solve of this instance
         if res.status is SolverStatus.CONVERGED:
             report = verify_certificate(inst, res) if res.primal_blocks else None
             objective = res.objective_value
@@ -369,8 +365,6 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
     except Exception as exc:
         status = f"solve-error: {type(exc).__name__}"
     solve_seconds = time.monotonic() - solve_start
-
-    from .grammar import render
 
     state.append(RoundRecord(
         round=round_idx, r=params.r, R=params.R,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +36,7 @@ from .grammar import (
     tokenize_and_parse,
 )
 from .polys import GeometricParams
-from .solver import SolverStatus, solve_embedded
+from .solver import SolverResult, SolverStatus, solve_embedded
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,11 @@ class SearchCaps:
 
 @dataclass(frozen=True)
 class EvalOutcome:
-    """Summary of one sentence evaluation at a given degree."""
+    """Summary of one sentence evaluation at a given degree.
+
+    result is the solve the outcome was scored from (None for failed
+    compiles and stand-in evaluators); the instance itself is not kept.
+    """
 
     sentence: str
     d: int
@@ -55,6 +59,7 @@ class EvalOutcome:
     objective: float
     bound: float
     status: str
+    result: Optional[SolverResult] = field(default=None, compare=False, repr=False)
 
     def reward(self) -> float:
         """Bounded reward in [0, 1]: monotone decreasing in the bound.
@@ -128,7 +133,7 @@ def make_sdp_evaluator(
             converged = res.status is SolverStatus.CONVERGED
             bound = compute_bound(res.objective_value, params, n).bound if converged else math.inf
             outcome = EvalOutcome(text, d, converged, res.objective_value, bound,
-                                  res.status.value)
+                                  res.status.value, res)
         except Exception as exc:  # failed compiles become penalty rewards
             outcome = EvalOutcome(text, d, False, math.nan, math.inf, f"error: {exc}")
         if key is not None:
@@ -334,15 +339,16 @@ def run_search(
     cache: Optional[RewardCache] = None,
     seed_sentences: Optional[Sequence[Sentence]] = None,
     tree_dump_path: Optional[str] = None,
-    solver_max_iterations: int = 20000,
 ) -> SearchOutcome:
     """Search for the sentence minimizing the solved bound at fixed (r, R).
 
     Runs the four-phase loop at degree d_search for the iteration budget,
-    then re-evaluates the top_k best converged terminal sentences at the
-    more expressive degree d_final and returns the one with the smallest
-    converged bound (ties prefer fewer monomials, then the lexicographically
-    smaller canonical text).  Deterministic given all inputs.
+    then evaluates the top_k best converged terminal sentences at the more
+    expressive degree d_final and returns the one with the smallest converged
+    bound (ties prefer fewer monomials, then the lexicographically smaller
+    canonical text).  The returned outcome carries that d_final solve, so a
+    caller can verify it without solving again.  Deterministic given all
+    inputs.
 
     seed_sentences optionally pre-inserts known-good sentences at the root
     (one evaluation each) so searches can warm-start from earlier runs.
@@ -356,20 +362,20 @@ def run_search(
     if cache is None:
         cache = RewardCache()
     if evaluator is None:
-        evaluator = make_sdp_evaluator(
-            params, n=n, K=K, seed=seed, cache=cache,
-            max_iterations=solver_max_iterations,
-        )
+        evaluator = make_sdp_evaluator(params, n=n, K=K, seed=seed, cache=cache)
 
     caps = SearchCaps(min(caps.degree_cap, d_search), caps.max_monomials)
     root = SearchNode((), caps)
     evaluations: List[EvalOutcome] = []
     seen_keys = set()
 
-    def record(outcome: EvalOutcome) -> None:
+    def evaluate(s: Sentence, d: int) -> EvalOutcome:
+        """The evaluator, logging each distinct (sentence, degree) once."""
+        outcome = evaluator(s, d)
         if (outcome.sentence, outcome.d) not in seen_keys:
             seen_keys.add((outcome.sentence, outcome.d))
             evaluations.append(outcome)
+        return outcome
 
     if seed_sentences:
         for s in seed_sentences:
@@ -385,9 +391,7 @@ def run_search(
                     node.children[token] = child
                     node = child
                 path.append(node)
-            outcome = evaluator(s, d_search)
-            record(outcome)
-            backpropagate(path, outcome.reward())
+            backpropagate(path, evaluate(s, d_search).reward())
 
     for _ in range(iterations):
         path = select_path(root, c_explore)
@@ -396,19 +400,7 @@ def run_search(
             child = expand_node(leaf, caps, rng)
             path.append(child)
             leaf = child
-        if leaf.terminal:
-            sentence = prefix_sentence(analyze_prefix(leaf.state))
-            outcome = evaluator(sentence, d_search)
-            record(outcome)
-            reward = outcome.reward()
-        else:
-            total = 0.0
-            for _ in range(rollouts):
-                sentence = rollout_completion(leaf.state, caps, rng, eos_bias)
-                outcome = evaluator(sentence, d_search)
-                record(outcome)
-                total += outcome.reward()
-            reward = total / rollouts
+        reward = simulate_rollout(leaf, evaluate, d_search, rollouts, caps, rng, eos_bias)
         backpropagate(path, reward)
 
     if tree_dump_path:
@@ -430,8 +422,7 @@ def run_search(
     final_results = []
     for e in finalists:
         sentence = tokenize_and_parse(e.sentence)
-        outcome = evaluator(sentence, d_final) if d_final != e.d else e
-        record(outcome)
+        outcome = evaluate(sentence, d_final) if d_final != e.d else e
         if outcome.converged:
             final_results.append((rank_key(outcome), sentence, outcome))
     if not final_results:

@@ -159,17 +159,56 @@ class TestPlayRound:
         assert (rec.r, rec.R) == (expected.r, expected.R)
 
     def test_failed_round_appends_and_continues(self):
-        # the full-dimensional pivot scheme renders every instance infeasible,
-        # so the search cannot converge and the round records the failure
+        # the search assembles with the configured full-dimensional pivot
+        # scheme, which renders every instance infeasible, so no sentence
+        # converges and the round records a failed search
         config = dataclasses.replace(
             CampaignConfig(**FAST), pivot_scheme="grid3d", mcts_iterations=4
         )
         state = play_round(GameState(), config)
         assert len(state.rounds) == 1
+        assert state.rounds[0].status == "search-failed"
         assert not state.rounds[0].converged
         assert state.best is None
         state = play_round(state, config)
         assert len(state.rounds) == 2
+
+    @pytest.mark.parametrize("pivot_scheme", ["plane", "grid3d"])
+    def test_round_solves_each_instance_once_with_config_settings(
+        self, monkeypatch, pivot_scheme
+    ):
+        import packbound.campaign as campaign
+        import packbound.mcts as mcts
+
+        config = dataclasses.replace(
+            CampaignConfig(**FAST), tol_eq=2e-8, tol_psd=3e-8, pivot_scheme=pivot_scheme
+        )
+        assembled, solved, campaign_solves = [], [], []
+        original_assemble, original_solve = mcts.assemble_sdp, mcts.solve_embedded
+
+        def spy_assemble(*args, **kwargs):
+            assembled.append(kwargs["pivot_scheme"])
+            return original_assemble(*args, **kwargs)
+
+        def spy_solve(inst, **kwargs):
+            solved.append(((inst.meta.sentence, inst.meta.d), kwargs))
+            return original_solve(inst, **kwargs)
+
+        monkeypatch.setattr(mcts, "assemble_sdp", spy_assemble)
+        monkeypatch.setattr(mcts, "solve_embedded", spy_solve)
+        monkeypatch.setattr(campaign, "solve_embedded", lambda *a, **k: campaign_solves.append(a))
+        state = play_round(GameState(), config)
+
+        assert campaign_solves == []
+        assert solved and assembled == [pivot_scheme] * len(assembled)
+        settings = dict(tol_eq=2e-8, tol_psd=3e-8, max_iterations=5000)
+        assert all(kwargs == settings for _, kwargs in solved)
+        keys = [key for key, _ in solved]
+        assert len(keys) == len(set(keys))
+        if pivot_scheme == "plane":
+            rec = state.rounds[0]
+            assert rec.converged
+            assert (rec.sentence, config.d_final) in keys
 
 
 class TestRunCampaign:
@@ -287,3 +326,28 @@ class TestExternalSolverPath:
         assert res.status is SolverStatus.CONVERGED
         assert res.objective_value == 1.0
         assert [b.shape for b in res.primal_blocks] == [(7, 7)]
+
+    def test_external_round_verifies_the_fake_certificate(self):
+        # the fake's identity blocks violate the instance's equality rows, so
+        # verification rejects the claimed optimum
+        cmd = f"{sys.executable} {os.path.join(FIXTURES, 'fake_sdpa.py')}"
+        config = CampaignConfig(solver="external", solver_cmd=cmd, **FAST)
+        rec = play_round(GameState(), config).rounds[0]
+        assert rec.status == "verification-failed"
+        assert rec.eq_residual == 1.0201017033129607
+        assert rec.psd_residual == 0.0
+        assert rec.objective is None and rec.bound is None
+
+    def test_external_nonzero_exit_is_a_solve_error(self, tmp_path):
+        stub = tmp_path / "exit3_sdpa.py"
+        stub.write_text(
+            "import sys\n"
+            f"sys.path.insert(0, {FIXTURES!r})\n"
+            "import fake_sdpa\n"
+            "fake_sdpa.main()\n"
+            "sys.exit(3)\n"
+        )
+        config = CampaignConfig(solver="external", solver_cmd=f"{sys.executable} {stub}", **FAST)
+        rec = play_round(GameState(), config).rounds[0]
+        assert rec.status == "solve-error: CalledProcessError"
+        assert rec.objective is None and rec.bound is None
