@@ -1,16 +1,23 @@
-"""Play the full search game: propose (r, R), search sentences, solve, verify, log.
+"""Play the full search game: propose (r, R), search sentences, decide, verify, log.
 
 A campaign is a sequence of rounds.  Each round fits the surrogate on the
 converged history, proposes the next (r, R), runs the tree search at the
-cheap degree with its finalists solved at the final degree, verifies the
-winner's final-degree certificate independently (or, with an external solver,
-hands the winner's final-degree instance to it), and appends one immutable
-round record.  Each (sentence, degree) is solved at most once a round.  Any
-stage failure is recorded with its status and the campaign continues; state
-is flushed to disk after every round, so a killed process loses at most the
-in-flight round.  Per-round seeds derive from (base seed, round index), so
-identical configurations replay identically and resumed campaigns match
-uninterrupted ones.
+cheap degree with its finalists decided at the final degree (every
+evaluation is solver.solve_exact on one pivot table for the round),
+re-assembles the winner's final-degree instance from scratch and checks the
+winner's certificate on it with verify_certificate (or, with an external
+solver, hands that instance to it and checks what comes back), and appends
+one immutable round record.  A converged result is recorded as
+"verification-failed" when it has no certificate or when the recomputed
+equality or PSD residual misses tol_eq (times 10) or tol_psd.  Each
+(sentence, degree) is decided at most once a round.  Any stage failure is
+recorded with its status and the campaign continues; state is flushed to
+disk after every round, so a killed process loses at most the in-flight
+round.  Per-round seeds derive from (base seed, round index), so identical
+configurations replay identically and resumed campaigns match uninterrupted
+ones.  The embedded ADMM solver stays available to the CLI and the scripts;
+the campaign's search does not use it, so solver_max_iterations is not read
+here.
 """
 
 from __future__ import annotations
@@ -278,6 +285,22 @@ def solve_external(inst, solver_cmd: str, digits: int = 40):
         os.unlink(path)
 
 
+def _check_certificate(inst, res, config: CampaignConfig):
+    """(status, eq_residual, psd_residual) of a converged result, checked on inst.
+
+    verify_certificate recomputes both residuals from the instance; the
+    result is "verification-failed" when either misses its tolerance, or
+    when there is no certificate to check (residuals None).
+    """
+    if not res.primal_blocks:
+        return "verification-failed", None, None
+    report = verify_certificate(inst, res)
+    eq_res, psd_res = report.equality_residual, report.psd_residual
+    if eq_res > 10 * config.tol_eq or psd_res < -config.tol_psd:
+        return "verification-failed", eq_res, psd_res
+    return "converged", eq_res, psd_res
+
+
 def play_round(state: GameState, config: CampaignConfig) -> GameState:
     """Run one round and append its record; stage failures append a failed record."""
     config.validate()
@@ -303,8 +326,7 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
     best_sentence = None
     evaluator = make_sdp_evaluator(
         params, n=config.dimension, K=config.pivots, seed=seed, cache=RewardCache(),
-        tol_eq=config.tol_eq, tol_psd=config.tol_psd,
-        max_iterations=config.solver_max_iterations, pivot_scheme=config.pivot_scheme,
+        pivot_scheme=config.pivot_scheme,
     )
     for restart in range(config.mcts_restarts):
         try:
@@ -339,7 +361,6 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
         return state
 
     solve_start = time.monotonic()
-    status = "converged"
     objective = bound = eq_res = psd_res = None
     try:
         inst = assemble_sdp(
@@ -349,16 +370,12 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
         if config.solver == "external":
             res = solve_external(inst, config.solver_cmd)
         else:
-            res = best_outcome.result  # the search's own d_final solve of this instance
+            res = best_outcome.result  # the search's own d_final decision of this instance
         if res.status is SolverStatus.CONVERGED:
-            report = verify_certificate(inst, res) if res.primal_blocks else None
-            objective = res.objective_value
-            bound = compute_bound(objective, params, config.dimension).bound
-            eq_res = report.equality_residual if report else res.equality_residual
-            psd_res = report.psd_residual if report else res.psd_residual
-            if report and report.equality_residual > 10 * config.tol_eq:
-                status = "verification-failed"
-                objective = bound = None
+            status, eq_res, psd_res = _check_certificate(inst, res, config)
+            if status == "converged":
+                objective = res.objective_value
+                bound = compute_bound(objective, params, config.dimension).bound
         else:
             status = res.status.value
             eq_res, psd_res = res.equality_residual, res.psd_residual

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.stats import qmc
@@ -76,14 +76,18 @@ def region_membership(point: Sequence[Number], params: GeometricParams) -> bool:
     return all(val >= 0 for val in base_values_at(point, params)[:6])
 
 
-def monomial_value_at(m: Monomial, point: Sequence[Number], params: GeometricParams) -> Fraction:
-    """Exact value of the monomial's polynomial at a point."""
-    vals = base_values_at(point, params)
+def _monomial_value(values: Sequence[Fraction], m: Monomial) -> Fraction:
+    """The monomial's value from the base polynomial values (P1, ..., P7) at a point."""
     out = Fraction(1)
-    for val, exp in zip(vals, m.alpha):
+    for val, exp in zip(values, m.alpha):
         if exp:
             out *= val**exp
     return out
+
+
+def monomial_value_at(m: Monomial, point: Sequence[Number], params: GeometricParams) -> Fraction:
+    """Exact value of the monomial's polynomial at a point."""
+    return _monomial_value(base_values_at(point, params), m)
 
 
 def _chebyshev_nodes(lo: float, hi: float, count: int) -> List[float]:
@@ -180,6 +184,32 @@ def generate_pivots(
                     return picked[:K]
 
     raise PivotGenerationError(K, len(picked))
+
+
+class PivotTable:
+    """One set of pivots with their base polynomial values and basis vectors.
+
+    generate_pivots runs once and base_values_at once per pivot, when the
+    table is built; the basis evaluation vectors of each degree k are
+    computed on first use and kept.  Everything is exact, and equal to what
+    assemble_sdp computes for the same (params, K, seed, scheme).
+    """
+
+    def __init__(self, params: GeometricParams, K: int, seed: int, scheme: str = "plane"):
+        self.pivots = generate_pivots(params, K, seed, scheme=scheme)
+        self.base_values = [base_values_at(p.as_tuple(), params) for p in self.pivots]
+        self._basis: Dict[int, List[Tuple[Fraction, ...]]] = {}
+
+    def monomial_values(self, m: Monomial) -> List[Fraction]:
+        """m(p) for every pivot p, in pivot order."""
+        return [_monomial_value(values, m) for values in self.base_values]
+
+    def basis_vectors(self, k: int) -> List[Tuple[Fraction, ...]]:
+        """evaluate_basis(basis_enumerate(k), p) for every pivot p, in pivot order."""
+        if k not in self._basis:
+            elems = basis_enumerate(k)
+            self._basis[k] = [evaluate_basis(elems, p.as_tuple()) for p in self.pivots]
+        return self._basis[k]
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +429,37 @@ def ball_volume(n: int, radius: float = 1.0) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * radius**n
 
 
+# pi to 64 significant digits, so pi lies in [_PI_LO, _PI_LO + 1e-63].
+_PI_LO = Fraction("3.141592653589793238462643383279502884197169399375105820974944592")
+_PI_HI = _PI_LO + Fraction(1, 10**63)
+
+
+def _half_ball_volume_bounds(n: int) -> Tuple[Fraction, Fraction]:
+    """Rational bounds lo <= ball_volume(n, 1/2) <= hi, exact but for pi.
+
+    V_n(1) = pi^k / k! for n = 2k and 2^(k+1) pi^k / n!! for n = 2k + 1.
+    """
+    k = n // 2
+    if n % 2 == 0:
+        rational = Fraction(1, math.factorial(k))
+    else:
+        rational = Fraction(2 ** (k + 1), math.prod(range(n, 0, -2)))
+    rational /= 2**n
+    return rational * _PI_LO**k, rational * _PI_HI**k
+
+
+def _round_up(q: Fraction) -> float:
+    """The smallest float >= q."""
+    f = float(q)  # int / int division, correctly rounded
+    return math.nextafter(f, math.inf) if Fraction(f) < q else f
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Density upper bound derived from a solved objective value.
 
-    bound = scaling_constant * objective_value * r^n.  The default scaling
+    bound = scaling_constant * objective_value * r^n, rounded upward (see
+    compute_bound).  The default scaling
     constant is the volume of the n-ball of radius 1/2; it is configurable
     because the exact proportionality constant is a normalization choice.
     The bound is dimensionless and lands in (0, 1] when meaningful.
@@ -421,12 +477,26 @@ def compute_bound(
     n: int,
     scaling_constant: Optional[float] = None,
 ) -> BoundReport:
+    """The bound, rounded upward so that rounding never understates it.
+
+    bound is the smallest float at or above the exact real value of
+    scale * objective_value * r^n, with r and objective_value taken as the
+    exact values of their floats and the default scale as the exact volume
+    of the radius-1/2 ball (pi bounded to 63 digits); it lies within one
+    ulp of that value.
+    """
     if not math.isfinite(objective_value):
         raise ValueError(f"objective value must be finite, got {objective_value}")
-    scale = ball_volume(n, 0.5) if scaling_constant is None else scaling_constant
+    if scaling_constant is None:
+        scale = ball_volume(n, 0.5)
+        scale_bounds = _half_ball_volume_bounds(n)
+    else:
+        scale = scaling_constant
+        scale_bounds = (Fraction(scale), Fraction(scale))
+    rest = Fraction(objective_value) * Fraction(params.r) ** n
     return BoundReport(
         objective_value=objective_value,
-        bound=scale * objective_value * float(params.r) ** n,
+        bound=_round_up(max(rest * s for s in scale_bounds)),
         dimension=n,
         scaling_constant=scale,
     )

@@ -6,8 +6,8 @@ loop (UCB selection, single-child expansion, rollout evaluation,
 backpropagation) is deterministic given the seed; rollouts complete a prefix
 by seeded uniform draws with a configurable bias toward terminating once a
 monomial is complete, and every completed sentence is evaluated through a
-pluggable evaluator (by default: compile the SDP at the search degree and
-solve it with the embedded solver).  Evaluations are cached by canonical
+pluggable evaluator (by default: decide the sentence's SDP at the search
+degree exactly, with solver.solve_exact).  Evaluations are cached by canonical
 sentence, so permuted factor orders and constant padding share solver calls;
 visit statistics live on the token-prefix tree itself.
 
@@ -24,7 +24,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compiler import assemble_sdp, compute_bound
+from .compiler import PivotTable, compute_bound
+from .compiler import assemble_sdp  # not called here; perfbench/tracing.py wraps this name
 from .grammar import (
     Monomial,
     Sentence,
@@ -36,7 +37,8 @@ from .grammar import (
     tokenize_and_parse,
 )
 from .polys import GeometricParams
-from .solver import SolverResult, SolverStatus, solve_embedded
+from .solver import SolverResult, SolverStatus, solve_exact
+from .solver import solve_embedded  # not called here; perfbench/tracing.py wraps this name
 
 
 @dataclass(frozen=True)
@@ -110,14 +112,22 @@ def make_sdp_evaluator(
     K: int,
     seed: int,
     cache: Optional[RewardCache] = None,
-    tol_eq: float = 1e-8,
-    tol_psd: float = 1e-8,
-    max_iterations: int = 20000,
     pivot_scheme: str = "plane",
 ) -> Evaluator:
-    """Default evaluator: assemble at the requested degree, solve, compute bound."""
+    """Default evaluator: decide each sentence's instance exactly, compute its bound.
+
+    The instance of (sentence, d) is the one assemble_sdp builds with the
+    default origin_objective_blocks and first_block_normalization builders;
+    solver.solve_exact decides it in rational arithmetic, so a converged
+    outcome has objective exactly 1 and a checked rank-one certificate.  All
+    evaluations share one PivotTable for (params, K, seed, pivot_scheme),
+    built on the first evaluation; a failure to build it, like any failed
+    decision, becomes an "error: ..." outcome.
+    """
+    table: Optional[PivotTable] = None
 
     def evaluate(s: Sentence, d: int) -> EvalOutcome:
+        nonlocal table
         canon = s.canonical()
         text = render(canon)
         key = cache.key(text, params, d, K, seed) if cache is not None else None
@@ -126,10 +136,9 @@ def make_sdp_evaluator(
             if hit is not None:
                 return hit
         try:
-            inst = assemble_sdp(canon, params, n=n, d=d, K=K, seed=seed,
-                                pivot_scheme=pivot_scheme)
-            res = solve_embedded(inst, tol_eq=tol_eq, tol_psd=tol_psd,
-                                 max_iterations=max_iterations)
+            if table is None:
+                table = PivotTable(params, K, seed, pivot_scheme)
+            res = solve_exact(canon, d, params, table)
             converged = res.status is SolverStatus.CONVERGED
             bound = compute_bound(res.objective_value, params, n).bound if converged else math.inf
             outcome = EvalOutcome(text, d, converged, res.objective_value, bound,

@@ -1,5 +1,13 @@
 """Solve block SDP instances and verify the resulting certificates.
 
+Instances built with the default origin objective and first-block
+normalization are decided exactly by solve_exact: every block is rank one
+with nonnegative pivot values, so feasibility, boundedness and the optimum
+(always 1) follow from fraction-free elimination on each block's active
+pivot rows, and the rank-one certificate is checked in rational arithmetic.
+The tree search uses it for every evaluation.  The ADMM solver below handles
+any instance, such as those from pluggable builders, the CLI and the scripts.
+
 The embedded solver is a first-order operator-splitting scheme (ADMM):
 alternate between projection onto the affine subspace of the equality rows
 (one Cholesky factorization of the row Gram matrix, reused every iteration)
@@ -21,11 +29,21 @@ import re
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compiler import SdpInstance, block_arrays
+from .compiler import (
+    ORIGIN,
+    PivotTable,
+    SdpInstance,
+    block_arrays,
+    designated_block_index,
+    monomial_value_at,
+)
+from .grammar import Sentence
+from .polys import GeometricParams, basis_enumerate
 
 
 class SolverStatus(str, Enum):
@@ -33,6 +51,7 @@ class SolverStatus(str, Enum):
     MAX_ITERATIONS = "max_iterations"
     INFEASIBLE = "infeasible-detected"
     NUMERIC_FAILURE = "numeric-failure"
+    UNBOUNDED = "unbounded"
 
 
 @dataclass
@@ -330,6 +349,135 @@ def solve_embedded(
 
     checkpoints.append(best_res)
     return result(status, best_z, best_res, iterations, message, checkpoints)
+
+
+# ---------------------------------------------------------------------------
+# Exact decision of the default-builder instances
+# ---------------------------------------------------------------------------
+
+def _kernel_vector(rows: Sequence[Sequence[Fraction]], dim: int) -> Optional[List[int]]:
+    """An integer q with u . q = 0 for every row u and q[0] != 0, or None.
+
+    None means e_0 lies in the span of the rows.  Fraction-free elimination
+    on the rows scaled to integers, with the columns taken in the order
+    1, ..., dim - 1, 0: column 0 holds a pivot exactly when e_0 is in the
+    span; otherwise q[0] = 1 (before clearing denominators), the other free
+    coordinates are 0 and back substitution gives the pivot coordinates.
+    The returned q is checked against every row.
+    """
+    order = list(range(1, dim)) + [0]
+    scaled = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    echelon: Dict[int, List[int]] = {}  # pivot position -> row, in column order
+    for row in scaled:
+        r = [row[c] for c in order]
+        for pos in range(dim):
+            if r[pos] == 0:
+                continue
+            b = echelon.get(pos)
+            if b is None:
+                g = math.gcd(*r)
+                echelon[pos] = [x // g for x in r]
+                break
+            f, s = b[pos], r[pos]
+            r = [f * x - s * y for x, y in zip(r, b)]
+        if dim - 1 in echelon:
+            return None
+    q = [Fraction(0)] * dim
+    q[dim - 1] = Fraction(1)
+    for pos in sorted(echelon, reverse=True):
+        b = echelon[pos]
+        q[pos] = Fraction(-sum(b[t] * q[t] for t in range(pos + 1, dim)), b[pos])
+    den = math.lcm(*(x.denominator for x in q))
+    out = [0] * dim
+    for pos, c in enumerate(order):
+        out[c] = q[pos].numerator * (den // q[pos].denominator)
+    if any(sum(a * b for a, b in zip(row, out)) for row in scaled):
+        raise RuntimeError("kernel vector fails its own rows")
+    return out
+
+
+def solve_exact(
+    sentence: Sentence, d: int, params: GeometricParams, table: PivotTable
+) -> SolverResult:
+    """Decide the default-builder instance of (sentence, d) exactly.
+
+    The instance is the one assemble_sdp builds on the table's pivots with
+    origin_objective_blocks and first_block_normalization.  Its row for
+    pivot p reads sum_i m_i(p) u_p^T X_i u_p = 0 with every m_i(p) >= 0, so
+    each term vanishes on its own: X_i u_p = 0 wherever m_i(p) > 0 (the
+    facial-reduction argument).  The basis vector at the origin is e_0, so
+    the normalization reads m_j(0) X_j[0, 0] = 1 on the designated block j
+    and the objective is sum_i m_i(0) X_i[0, 0].  With q_i a null vector of
+    block i's active rows with q_i[0] != 0, where one exists:
+
+    * infeasible-detected when block j has no q_j or m_j(0) <= 0;
+    * unbounded when another block i has q_i and m_i(0) < 0, because
+      X_i = t q_i q_i^T drives the objective to minus infinity;
+    * otherwise converged with objective exactly 1, certified by
+      X_j = c q_j q_j^T with c = 1 / (m_j(0) q_j[0]^2) and zero blocks
+      elsewhere.
+
+    The certificate is checked exactly before it is returned; primal_blocks
+    hold its float image, and the residual fields are those of the exact
+    certificate (0).  Raises ValueError if a pivot lies outside the region
+    where the six nonconstant base polynomials are nonnegative, since the
+    argument needs m_i(p) >= 0.
+    """
+    start = time.monotonic()
+    if any(v < 0 for values in table.base_values for v in values[:6]):
+        raise ValueError("a pivot lies outside the region where P1..P6 are nonnegative")
+    canon = sentence.canonical()
+    for m in canon.monomials:
+        if m.degree > d:
+            raise ValueError(f"monomial {m.render()!r} has degree {m.degree} > cap d={d}")
+    monomials = canon.monomials
+    dims = [len(basis_enumerate(d - m.degree)) for m in monomials]
+
+    def kernel(i: int) -> Optional[List[int]]:
+        m = monomials[i]
+        basis = table.basis_vectors(d - m.degree)
+        active = [u for u, value in zip(basis, table.monomial_values(m)) if value > 0]
+        return _kernel_vector(active, dims[i])
+
+    def result(status, message, objective=math.nan, blocks=(), residual=math.nan):
+        return SolverResult(
+            status=status,
+            objective_value=objective,
+            primal_blocks=list(blocks),
+            equality_residual=residual,
+            psd_residual=0.0 if blocks else math.nan,
+            iterations=0,
+            wall_time=time.monotonic() - start,
+            message=message,
+        )
+
+    j = designated_block_index(canon, params)
+    label = f"block {j} ({monomials[j].render()})"
+    m_j0 = monomial_value_at(monomials[j], ORIGIN, params)
+    if m_j0 <= 0:
+        return result(SolverStatus.INFEASIBLE, f"{label} is not positive at the origin")
+    q = kernel(j)
+    if q is None:
+        return result(SolverStatus.INFEASIBLE,
+                      f"{label}: e_0 lies in the span of its active pivot rows")
+    for i, m in enumerate(monomials):
+        if i != j and monomial_value_at(m, ORIGIN, params) < 0 and kernel(i) is not None:
+            return result(SolverStatus.UNBOUNDED,
+                          f"block {i} ({m.render()}) is negative at the origin and can "
+                          "grow along its kernel: unbounded below",
+                          objective=-math.inf)
+
+    c = 1 / (m_j0 * q[0] ** 2)
+    if m_j0 * c * q[0] ** 2 != 1:
+        raise RuntimeError("certificate fails its normalization")
+    num, den = c.numerator, c.denominator
+    blocks = [np.zeros((dim, dim)) for dim in dims]
+    blocks[j] = np.array([[(num * a * b) / den for b in q] for a in q])
+    return result(SolverStatus.CONVERGED, f"{label} carries the certificate",
+                  objective=1.0, blocks=blocks, residual=0.0)
 
 
 # ---------------------------------------------------------------------------

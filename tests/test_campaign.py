@@ -3,6 +3,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from packbound.campaign import (
@@ -11,15 +12,17 @@ from packbound.campaign import (
     GameState,
     RoundRecord,
     SchemaError,
+    _check_certificate,
     load,
     persist,
     play_round,
     run_campaign,
     solve_external,
 )
-from packbound.compiler import assemble_sdp
-from packbound.grammar import tokenize_and_parse
-from packbound.solver import SolverStatus
+from packbound.compiler import assemble_sdp, make_instance
+from packbound.grammar import render, tokenize_and_parse
+from packbound.polys import GeometricParams
+from packbound.solver import SolverResult, SolverStatus, verify_certificate
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -178,37 +181,56 @@ class TestPlayRound:
         self, monkeypatch, pivot_scheme
     ):
         import packbound.campaign as campaign
+        import packbound.compiler as compiler
         import packbound.mcts as mcts
 
-        config = dataclasses.replace(
-            CampaignConfig(**FAST), tol_eq=2e-8, tol_psd=3e-8, pivot_scheme=pivot_scheme
-        )
-        assembled, solved, campaign_solves = [], [], []
-        original_assemble, original_solve = mcts.assemble_sdp, mcts.solve_embedded
+        config = dataclasses.replace(CampaignConfig(**FAST), pivot_scheme=pivot_scheme)
+        schemes, verified, decided, admm = [], [], [], []
+        original_pivots, original_assemble = compiler.generate_pivots, campaign.assemble_sdp
+        original_decide = mcts.solve_exact
+
+        def spy_pivots(*args, **kwargs):
+            schemes.append(kwargs["scheme"])
+            return original_pivots(*args, **kwargs)
 
         def spy_assemble(*args, **kwargs):
-            assembled.append(kwargs["pivot_scheme"])
+            verified.append(args)
             return original_assemble(*args, **kwargs)
 
-        def spy_solve(inst, **kwargs):
-            solved.append(((inst.meta.sentence, inst.meta.d), kwargs))
-            return original_solve(inst, **kwargs)
+        def spy_decide(sentence, d, params, table):
+            decided.append((render(sentence.canonical()), d))
+            return original_decide(sentence, d, params, table)
 
-        monkeypatch.setattr(mcts, "assemble_sdp", spy_assemble)
-        monkeypatch.setattr(mcts, "solve_embedded", spy_solve)
-        monkeypatch.setattr(campaign, "solve_embedded", lambda *a, **k: campaign_solves.append(a))
+        monkeypatch.setattr(compiler, "generate_pivots", spy_pivots)
+        monkeypatch.setattr(campaign, "assemble_sdp", spy_assemble)
+        monkeypatch.setattr(mcts, "solve_exact", spy_decide)
+        monkeypatch.setattr(mcts, "solve_embedded", lambda *a, **k: admm.append(a))
+        monkeypatch.setattr(campaign, "solve_embedded", lambda *a, **k: admm.append(a))
         state = play_round(GameState(), config)
 
-        assert campaign_solves == []
-        assert solved and assembled == [pivot_scheme] * len(assembled)
-        settings = dict(tol_eq=2e-8, tol_psd=3e-8, max_iterations=5000)
-        assert all(kwargs == settings for _, kwargs in solved)
-        keys = [key for key, _ in solved]
-        assert len(keys) == len(set(keys))
+        assert admm == []
+        # one pivot table for the search, plus the campaign's own assembly
+        # of the winner's instance for verification
+        assert schemes == [pivot_scheme] * (1 + len(verified))
+        assert decided and len(decided) == len(set(decided))
+        rec = state.rounds[0]
         if pivot_scheme == "plane":
-            rec = state.rounds[0]
-            assert rec.converged
-            assert (rec.sentence, config.d_final) in keys
+            assert rec.converged and len(verified) == 1
+            assert (rec.sentence, config.d_final) in decided
+        else:
+            assert rec.status == "search-failed" and verified == []
+
+    def test_certificate_with_a_negative_eigenvalue_fails_verification(self):
+        # X = diag(1, -1e-6) meets the only row exactly, so the equality
+        # residual is 0 and only the PSD gate can reject it
+        inst = make_instance([2], [], [[[1.0, 0.0], [0.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]]])
+        config = CampaignConfig()
+        good = SolverResult(SolverStatus.CONVERGED, 1.0, [np.diag([1.0, 0.0])], 0.0, 0.0, 0, 0.0)
+        bad = dataclasses.replace(good, primal_blocks=[np.diag([1.0, -1e-6])])
+        assert _check_certificate(inst, good, config) == ("converged", 0.0, 0.0)
+        status, eq_res, psd_res = _check_certificate(inst, bad, config)
+        assert status == "verification-failed"
+        assert eq_res == 0.0 and psd_res == pytest.approx(-1e-6, rel=1e-9)
 
 
 class TestRunCampaign:
@@ -333,9 +355,29 @@ class TestExternalSolverPath:
         cmd = f"{sys.executable} {os.path.join(FIXTURES, 'fake_sdpa.py')}"
         config = CampaignConfig(solver="external", solver_cmd=cmd, **FAST)
         rec = play_round(GameState(), config).rounds[0]
+        inst = assemble_sdp(
+            tokenize_and_parse(rec.sentence), GeometricParams(rec.r, rec.R),
+            n=config.dimension, d=config.d_final, K=config.pivots, seed=rec.seed,
+        )
+        identity = SolverResult(SolverStatus.CONVERGED, 1.0,
+                                [np.eye(dim) for dim in inst.block_dims], 0.0, 0.0, 7, 0.0)
         assert rec.status == "verification-failed"
-        assert rec.eq_residual == 1.0201017033129607
+        assert rec.eq_residual == verify_certificate(inst, identity).equality_residual
+        assert rec.eq_residual > 10 * config.tol_eq
         assert rec.psd_residual == 0.0
+        assert rec.objective is None and rec.bound is None
+
+    def test_external_result_without_certificate_fails_verification(self, tmp_path):
+        stub = tmp_path / "no_xmat_sdpa.py"
+        stub.write_text(
+            "print('phase.value  = pdOPT')\n"
+            "print('   objValPrimal = +1.0000000000000000e+00')\n"
+            "print('   objValDual   = +1.0000000000000000e+00')\n"
+        )
+        config = CampaignConfig(solver="external", solver_cmd=f"{sys.executable} {stub}", **FAST)
+        rec = play_round(GameState(), config).rounds[0]
+        assert rec.status == "verification-failed"
+        assert rec.eq_residual is None and rec.psd_residual is None
         assert rec.objective is None and rec.bound is None
 
     def test_external_nonzero_exit_is_a_solve_error(self, tmp_path):

@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from packbound.campaign import CampaignConfig
 from packbound.compiler import (
     PivotGenerationError,
     PivotPoint,
+    PivotTable,
     assemble_sdp,
     block_arrays,
     build_constraint_blocks,
@@ -22,6 +24,22 @@ from packbound.grammar import tokenize_and_parse
 from packbound.polys import GeometricParams
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+# pi to 100 decimals: pi lies in [PI_100, PI_100 + 1e-100]
+PI_100 = Fraction(
+    "3.1415926535897932384626433832795028841971693993751058209749445923078164062862089986280348253421170679"
+)
+
+
+def half_ball_volume_bounds(n):
+    """Bounds on the volume of the radius-1/2 n-ball by V_n = 2 pi / n V_(n-2)."""
+    bounds = []
+    for pi in (PI_100, PI_100 + Fraction(1, 10**100)):
+        volume = [Fraction(1), Fraction(2)]
+        for k in range(2, n + 1):
+            volume.append(2 * pi / k * volume[k - 2])
+        bounds.append(volume[n] / 2**n)
+    return tuple(bounds)
 
 
 class TestRegionMembership:
@@ -192,6 +210,20 @@ class TestAssemble:
         assert a == b
 
 
+class TestPivotTable:
+    def test_matches_assembly(self, params):
+        table = PivotTable(params, 12, 3)
+        assert table.pivots == generate_pivots(params, 12, 3)
+        assert table.basis_vectors(4) is table.basis_vectors(4)
+        p1 = tokenize_and_parse("P1 <EOS>").monomials[0]
+        inst = assemble_sdp(tokenize_and_parse("P7 <ES> P1 <EOS>"), params, n=8, d=4, K=12, seed=3)
+        rows = zip(inst.constraints, table.basis_vectors(4), table.basis_vectors(2),
+                   table.monomial_values(p1))
+        for (p7_block, p1_block), u4, u2, value in rows:
+            assert p7_block[0] == u4  # u[0] = 1, so the first row of u u^T is u
+            assert p1_block[0] == tuple(value * x for x in u2)
+
+
 class TestComputeBound:
     def test_unit_everything(self):
         report = compute_bound(1.0, GeometricParams(1.0, 2.0), 1)
@@ -211,6 +243,27 @@ class TestComputeBound:
     def test_rejects_non_finite(self, params):
         with pytest.raises(ValueError):
             compute_bound(math.inf, params, 8)
+
+    def test_rounded_upward_within_two_ulps(self):
+        for n in range(1, 17):
+            lo, hi = half_ball_volume_bounds(n)
+            for r in (CampaignConfig().r_lo, 1.45, 1.5, 1.6, 0.7, 2.6):
+                for objective in (1.0, 0.9999999979, 3.0):
+                    bound = compute_bound(objective, GeometricParams(r, 3.0), n).bound
+                    rest = Fraction(objective) * Fraction(r) ** n
+                    assert Fraction(bound) >= hi * rest, (n, r, objective)
+                    assert Fraction(bound) - lo * rest <= 2 * Fraction(math.ulp(bound))
+
+    def test_custom_scaling_rounded_upward(self):
+        bound = compute_bound(1.0, GeometricParams(1.1, 2.0), 7, scaling_constant=0.3).bound
+        exact = Fraction(0.3) * Fraction(1.1) ** 7
+        assert exact <= Fraction(bound) <= exact + Fraction(math.ulp(bound))
+
+    def test_box_floor_bound_is_at_least_e8_density(self):
+        # at r = r_lo (the float just above sqrt 2) the bound for objective 1
+        # is pi^4 / 384 times r_lo^8 / 16 > 1, rounded upward
+        bound = compute_bound(1.0, GeometricParams(CampaignConfig().r_lo, 2.0), 8).bound
+        assert Fraction(bound) >= (PI_100 + Fraction(1, 10**100)) ** 4 / 384
 
 
 class TestEmitSdpa:

@@ -168,8 +168,7 @@ class TestSimulate:
 
     def test_cache_prevents_repeat_solves(self, params):
         cache = RewardCache()
-        evaluator = make_sdp_evaluator(params, n=8, K=20, seed=0, cache=cache,
-                                       max_iterations=5000)
+        evaluator = make_sdp_evaluator(params, n=8, K=20, seed=0, cache=cache)
         s = tokenize_and_parse("P7 <EOS>")
         first = evaluator(s, 2)
         second = evaluator(s, 2)
@@ -186,8 +185,7 @@ class TestRunSearch:
     def test_matches_exhaustive_enumeration_with_real_solves(self, params):
         caps = SearchCaps(2, 1)
         cache = RewardCache()
-        evaluator = make_sdp_evaluator(params, n=8, K=20, seed=0, cache=cache,
-                                       max_iterations=5000)
+        evaluator = make_sdp_evaluator(params, n=8, K=20, seed=0, cache=cache)
         best_bound = math.inf
         for s in enumerate_sentences(2, 1):
             out = evaluator(s, 2)

@@ -1,10 +1,15 @@
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from packbound.compiler import assemble_sdp, emit_sdpa, make_instance
-from packbound.grammar import tokenize_and_parse
+from packbound.campaign import CampaignConfig
+from packbound.compiler import PivotTable, assemble_sdp, emit_sdpa, make_instance
+from packbound.grammar import Sentence, enumerate_monomials, tokenize_and_parse
+from packbound.polys import GeometricParams
 from packbound.solver import (
     FormatError,
     SolverResult,
@@ -12,9 +17,18 @@ from packbound.solver import (
     parse_external_output,
     read_sdpa_instance,
     solve_embedded,
+    _kernel_vector,
+    solve_exact,
     system_to_instance,
     verify_certificate,
 )
+
+BOX = CampaignConfig().box
+
+# canonical sentences of up to three monomials of degree <= 2
+SEARCH_SENTENCES = st.lists(
+    st.sampled_from(enumerate_monomials(2)), min_size=1, max_size=3, unique=True
+).map(lambda ms: Sentence(tuple(ms)).canonical())
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -105,6 +119,90 @@ class TestEmbeddedSolver:
                     objs[d] = res.objective_value
             if len(objs) == 2:
                 assert objs[4] <= objs[2] + 10 * (1e-8 + 1e-8) + 1e-9
+
+
+class TestKernelVector:
+    @pytest.mark.parametrize("rows, in_span", [
+        ([], False),
+        ([[1, 2]], False),
+        ([[1, 0], [1, 1]], True),
+        ([[1, 1, 0], [0, 1, 0]], True),   # rank 2 of 3, e_0 = row 0 - row 1
+        ([[0, 0, 1]], False),
+        ([[0, 1, 1], [0, 2, 2], [0, 0, 3]], False),
+        ([[Fraction(1, 2), Fraction(3, 4), 0], [Fraction(1, 8), 0, Fraction(-5, 16)]], False),
+    ])
+    def test_null_vector_with_nonzero_first_coordinate(self, rows, in_span):
+        rows = [[Fraction(x) for x in row] for row in rows]
+        q = _kernel_vector(rows, 3 if not rows else len(rows[0]))
+        if in_span:
+            assert q is None
+        else:
+            assert q[0] != 0
+            assert all(sum(u * x for u, x in zip(row, q)) == 0 for row in rows)
+
+
+class TestExactSolver:
+    def decide(self, text, params, d=2, K=20):
+        s = tokenize_and_parse(text)
+        exact = solve_exact(s, d, params, PivotTable(params, K, 0))
+        return exact, assemble_sdp(s, params, n=8, d=d, K=K, seed=0)
+
+    def test_converged_sentence_carries_a_verified_certificate(self, params):
+        res, inst = self.decide("P7 <ES> P1 <EOS>", params)
+        assert res.status is SolverStatus.CONVERGED
+        assert res.objective_value == 1.0 and res.iterations == 0
+        assert res.message == "block 0 (P7) carries the certificate"
+        assert [b.shape for b in res.primal_blocks] == [(7, 7), (1, 1)]
+        assert not res.primal_blocks[1].any()
+        report = verify_certificate(inst, res)
+        assert report.equality_residual <= 1e-12
+        assert report.psd_residual >= -1e-12
+        assert report.objective_recomputed == pytest.approx(1.0, abs=1e-12)
+
+    def test_infeasible_sentence(self, params):
+        # P1's 1x1 block at d = 2 is pinned to zero by the rows and to a
+        # positive value by the normalization
+        res, _ = self.decide("P1 <EOS>", params)
+        assert res.status is SolverStatus.INFEASIBLE
+        assert res.primal_blocks == []
+        assert "block 0 (P1)" in res.message
+
+    def test_unbounded_sentence(self, params):
+        # P2 is negative at the origin, and on the plane pivots its block has
+        # a kernel vector with a nonzero constant coordinate
+        res, inst = self.decide("P7 <ES> P2 <EOS>", params)
+        assert res.status is SolverStatus.UNBOUNDED
+        assert res.objective_value == -float("inf")
+        assert "block 1 (P2)" in res.message
+        assert solve_embedded(inst, max_iterations=5000).status is not SolverStatus.CONVERGED
+
+    def test_pivot_outside_the_region_rejected(self, params):
+        table = PivotTable(params, 20, 0)
+        table.base_values[3] = (-1,) + table.base_values[3][1:]
+        with pytest.raises(ValueError, match="outside the region"):
+            solve_exact(tokenize_and_parse("P7 <EOS>"), 2, params, table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s=SEARCH_SENTENCES,
+        r=st.floats(BOX.r_lo, BOX.r_hi),
+        R=st.floats(BOX.R_lo, BOX.R_hi),
+    )
+    def test_agrees_with_admm(self, s, r, R):
+        params = GeometricParams(r, R)
+        exact = solve_exact(s, 2, params, PivotTable(params, 20, 0))
+        inst = assemble_sdp(s, params, n=8, d=2, K=20, seed=0)
+        admm = solve_embedded(inst, max_iterations=5000)
+        if admm.status is SolverStatus.CONVERGED:
+            assert exact.status is SolverStatus.CONVERGED
+            assert abs(admm.objective_value - 1.0) <= 1e-6
+        if exact.status in (SolverStatus.INFEASIBLE, SolverStatus.UNBOUNDED):
+            assert admm.status is not SolverStatus.CONVERGED
+        if exact.status is SolverStatus.CONVERGED:
+            assert exact.objective_value == 1.0
+            report = verify_certificate(inst, exact)
+            assert report.equality_residual <= 1e-12
+            assert report.psd_residual >= -1e-12
 
 
 class TestVerifyCertificate:
