@@ -9,7 +9,8 @@ winner's certificate on it with verify_certificate (or, with an external
 solver, hands that instance to it and checks what comes back), and appends
 one immutable round record.  A converged result is recorded as
 "verification-failed" when it has no certificate or when the recomputed
-equality or PSD residual misses tol_eq (times 10) or tol_psd.  Each
+equality or PSD residual misses tol_eq (times 10) or tol_psd.  Only
+verified residuals are recorded: an unconverged round has none.  Each
 (sentence, degree) is decided at most once a round.  Any stage failure is
 recorded with its status and the campaign continues; state is flushed to
 disk after every round, so a killed process loses at most the in-flight
@@ -377,8 +378,7 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
                 objective = res.objective_value
                 bound = compute_bound(objective, params, config.dimension).bound
         else:
-            status = res.status.value
-            eq_res, psd_res = res.equality_residual, res.psd_residual
+            status = res.status.value  # nothing verified, so no residuals recorded
     except Exception as exc:
         status = f"solve-error: {type(exc).__name__}"
     solve_seconds = time.monotonic() - solve_start

@@ -14,16 +14,28 @@ C_i are built by the same outer-product construction evaluated at the
 origin.  Both the objective and the normalization builders are pluggable;
 the defaults here are documented stand-ins, not canonical constructions.
 
+Every block m(p) * u u^T is built from the moment pattern of its basis
+degree k (moment_pattern): entry (i, j) of u u^T is w^A (hv)^B (h+v)^C,
+where (A, B, C) is the sum of the exponents of basis elements i and j, so
+the block has one distinct value per distinct sum (252 for k = 6, against
+1275 upper-triangle entries).  Each distinct value costs one multiply of
+m(p) u_i by u_j; equal entries share one Fraction, and m(p) = 0 gives one
+shared all-zero block.  assemble_sdp evaluates the pivots once through a
+PivotTable: base values once per pivot, basis vectors once per pivot at
+the largest block degree, which the smaller blocks slice.
+
 All matrix entries are exact rationals so that emission to solver files is
 deterministic at any requested precision.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -190,9 +202,12 @@ class PivotTable:
     """One set of pivots with their base polynomial values and basis vectors.
 
     generate_pivots runs once and base_values_at once per pivot, when the
-    table is built; the basis evaluation vectors of each degree k are
-    computed on first use and kept.  Everything is exact, and equal to what
-    assemble_sdp computes for the same (params, K, seed, scheme).
+    table is built.  The basis evaluation vectors of degree k are computed
+    on first use and kept; since basis_enumerate(k) is a prefix of
+    basis_enumerate(k') for k <= k', a degree below the largest one computed
+    so far slices those vectors instead of evaluating the basis again.
+    Everything is exact.  assemble_sdp builds one table per instance, and
+    the tree search's exact evaluator one per round.
     """
 
     def __init__(self, params: GeometricParams, K: int, seed: int, scheme: str = "plane"):
@@ -207,8 +222,13 @@ class PivotTable:
     def basis_vectors(self, k: int) -> List[Tuple[Fraction, ...]]:
         """evaluate_basis(basis_enumerate(k), p) for every pivot p, in pivot order."""
         if k not in self._basis:
-            elems = basis_enumerate(k)
-            self._basis[k] = [evaluate_basis(elems, p.as_tuple()) for p in self.pivots]
+            top = max(self._basis, default=-1)
+            if k < top:
+                size = len(basis_enumerate(k))
+                self._basis[k] = [u[:size] for u in self._basis[top]]
+            else:
+                elems = basis_enumerate(k)
+                self._basis[k] = [evaluate_basis(elems, p.as_tuple()) for p in self.pivots]
         return self._basis[k]
 
 
@@ -216,11 +236,80 @@ class PivotTable:
 # Block construction
 # ---------------------------------------------------------------------------
 
-def _outer_scaled(u: Sequence[Fraction], scale: Fraction) -> FracMatrix:
-    return tuple(
-        tuple(scale * ui * uj for uj in u)
-        for ui in u
+def _row_getter(row: Tuple[int, ...]) -> Callable[[Sequence[Fraction]], Tuple[Fraction, ...]]:
+    if len(row) == 1:
+        (t,) = row
+        return lambda values: (values[t],)
+    return itemgetter(*row)
+
+
+@dataclass(frozen=True)
+class MomentPattern:
+    """Where the distinct entries of u u^T sit, for u over basis(k).
+
+    Entry (i, j) of u u^T is w^A (hv)^B (h+v)^C, with (A, B, C) the sum of
+    the exponents of basis elements i and j, so it depends on that sum
+    alone.  `pairs` holds one representative (i, j), i <= j, per distinct
+    sum, in row-major order of first appearance in the upper triangle;
+    `index[i][j]` is the position of the sum of (i, j) in `pairs`, and is
+    symmetric.
+    """
+
+    pairs: Tuple[Tuple[int, int], ...]
+    index: Tuple[Tuple[int, ...], ...]
+    # row i of a block, gathered from its distinct values by index[i]
+    rows: Tuple[Callable[[Sequence[Fraction]], Tuple[Fraction, ...]], ...] = field(
+        repr=False, compare=False
     )
+
+
+@functools.lru_cache(maxsize=None)
+def moment_pattern(k: int) -> MomentPattern:
+    """The moment pattern of basis degree k, computed once per k."""
+    elems = basis_enumerate(k)
+    size = len(elems)
+    position: Dict[Tuple[int, int, int], int] = {}
+    pairs: List[Tuple[int, int]] = []
+    index = [[0] * size for _ in range(size)]
+    for i, ei in enumerate(elems):
+        for j in range(i, size):
+            ej = elems[j]
+            total = (ei.a + ej.a, ei.b + ej.b, ei.c + ej.c)
+            if total not in position:
+                position[total] = len(pairs)
+                pairs.append((i, j))
+            index[i][j] = index[j][i] = position[total]
+    frozen = tuple(tuple(row) for row in index)
+    return MomentPattern(tuple(pairs), frozen, tuple(_row_getter(row) for row in frozen))
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_block(size: int) -> FracMatrix:
+    row = (Fraction(0),) * size
+    return (row,) * size
+
+
+def _rank_one_block(u: Sequence[Fraction], scale: Fraction, k: int) -> FracMatrix:
+    """scale * u u^T for u, the basis(k) vector at some point, exactly.
+
+    One multiply per basis element (scale * u_i) and one per distinct entry
+    of the moment pattern; equal entries share one Fraction.
+    """
+    pattern = moment_pattern(k)
+    if len(u) != len(pattern.index):
+        raise ValueError(f"basis degree {k} has {len(pattern.index)} elements, got {len(u)} values")
+    if scale == 0:
+        return _zero_block(len(u))
+    su = [scale * x for x in u]
+    values = [su[i] * u[j] for i, j in pattern.pairs]
+    return tuple([row(values) for row in pattern.rows])
+
+
+def _block_at(m: Monomial, d: int, point: Sequence[Fraction], params: GeometricParams) -> FracMatrix:
+    """m(point) * u u^T with u the basis(d - deg m) vector at the point."""
+    k = d - m.degree
+    u = evaluate_basis(basis_enumerate(k), point)
+    return _rank_one_block(u, monomial_value_at(m, point, params), k)
 
 
 def _check_degrees(s: Sentence, d: int) -> None:
@@ -237,12 +326,21 @@ def build_constraint_blocks(
     """Per-monomial matrices m_i(pivot) * u u^T with u over basis(d - deg m_i)."""
     _check_degrees(s, d)
     point = pivot.as_tuple()
-    blocks = []
-    for m in s.monomials:
-        elems = basis_enumerate(d - m.degree)
-        u = evaluate_basis(elems, point)
-        blocks.append(_outer_scaled(u, monomial_value_at(m, point, params)))
-    return blocks
+    return [_block_at(m, d, point, params) for m in s.monomials]
+
+
+def _constraint_rows(s: Sentence, d: int, table: PivotTable) -> Tuple[Tuple[FracMatrix, ...], ...]:
+    """build_constraint_blocks for every pivot of the table, in pivot order."""
+    degrees = [d - m.degree for m in s.monomials]
+    table.basis_vectors(max(degrees))  # evaluated once; the smaller degrees slice it
+    columns = [
+        [
+            _rank_one_block(u, value, k)
+            for u, value in zip(table.basis_vectors(k), table.monomial_values(m))
+        ]
+        for m, k in zip(s.monomials, degrees)
+    ]
+    return tuple(zip(*columns))
 
 
 ObjectiveBuilder = Callable[[Sentence, int, GeometricParams], List[FracMatrix]]
@@ -260,12 +358,7 @@ def origin_objective_blocks(
     the rest of the pipeline.
     """
     _check_degrees(s, d)
-    blocks = []
-    for m in s.monomials:
-        elems = basis_enumerate(d - m.degree)
-        u0 = evaluate_basis(elems, ORIGIN)
-        blocks.append(_outer_scaled(u0, monomial_value_at(m, ORIGIN, params)))
-    return blocks
+    return [_block_at(m, d, ORIGIN, params) for m in s.monomials]
 
 
 def designated_block_index(s: Sentence, params: GeometricParams) -> int:
@@ -293,17 +386,11 @@ def first_block_normalization(
     """
     _check_degrees(s, d)
     idx = designated_block_index(s, params)
-    blocks: List[FracMatrix] = []
-    for i, m in enumerate(s.monomials):
-        elems = basis_enumerate(d - m.degree)
-        size = len(elems)
-        if i == idx:
-            u0 = evaluate_basis(elems, ORIGIN)
-            blocks.append(_outer_scaled(u0, monomial_value_at(m, ORIGIN, params)))
-        else:
-            zero = Fraction(0)
-            blocks.append(tuple(tuple(zero for _ in range(size)) for _ in range(size)))
-    return blocks
+    return [
+        _block_at(m, d, ORIGIN, params) if i == idx
+        else _zero_block(len(basis_enumerate(d - m.degree)))
+        for i, m in enumerate(s.monomials)
+    ]
 
 
 @dataclass(frozen=True)
@@ -389,16 +476,14 @@ def assemble_sdp(
     """Full instance for a sentence: K homogeneous rows plus one normalization row.
 
     The sentence is canonicalized first (constant padding and duplicate
-    monomials produce identical blocks and are dropped).
+    monomials produce identical blocks and are dropped).  The pivots come
+    from a PivotTable built for this call alone.
     """
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
     canon = s.canonical()
     _check_degrees(canon, d)
-    pivots = generate_pivots(params, K, seed, scheme=pivot_scheme)
-    rows = tuple(
-        tuple(build_constraint_blocks(canon, d, p, params)) for p in pivots
-    )
+    rows = _constraint_rows(canon, d, PivotTable(params, K, seed, pivot_scheme))
     dims = tuple(len(basis_enumerate(d - m.degree)) for m in canon.monomials)
     from .grammar import render as render_sentence
 
@@ -522,6 +607,7 @@ def emit_sdpa(inst: SdpInstance, digits: int = 40) -> str:
     as "row block i j value" with 1-based block and matrix indices.  Row 0
     denotes the objective matrices; the normalization row comes last.
     Ordering is (row, block, i, j), so re-emission is byte-identical.
+    Each distinct value is formatted once per call.
     """
     K = len(inst.constraints)
     lines = [
@@ -530,16 +616,23 @@ def emit_sdpa(inst: SdpInstance, digits: int = 40) -> str:
         " ".join(str(dim) for dim in inst.block_dims),
         " ".join(["0"] * K + ["1"]),
     ]
+    # Keyed by (numerator, denominator), which names the value as uniquely
+    # as the Fraction does: hashing a Fraction takes a modular inverse of
+    # its denominator, which costs more than formatting it.
+    texts: Dict[Tuple[int, int], str] = {}
 
     def emit_row(row_idx: int, blocks: Tuple[FracMatrix, ...]) -> None:
         for b, mat in enumerate(blocks):
-            for i in range(len(mat)):
-                for j in range(i, len(mat)):
-                    if mat[i][j] != 0:
-                        lines.append(
-                            f"{row_idx} {b + 1} {i + 1} {j + 1} "
-                            f"{format_fraction(mat[i][j], digits)}"
-                        )
+            for i, line in enumerate(mat):
+                prefix = f"{row_idx} {b + 1} {i + 1}"
+                for j in range(i, len(line)):
+                    x = line[j]
+                    if x != 0:
+                        key = (x.numerator, x.denominator)
+                        text = texts.get(key)
+                        if text is None:
+                            text = texts[key] = format_fraction(x, digits)
+                        lines.append(f"{prefix} {j + 1} {text}")
 
     emit_row(0, inst.objective)
     for j, row in enumerate(inst.constraints):

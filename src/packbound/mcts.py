@@ -321,13 +321,17 @@ def audit_counts(root: SearchNode) -> bool:
 
 
 def dump_tree(root: SearchNode, path: str) -> None:
-    """One node per line: state hash, visit count, value sum (debug aid)."""
+    """One node per line: token prefix, visit count, value sum (debug aid).
+
+    The prefix is the node's token names joined by "/" (e.g. P7/ES/P1), and
+    "<root>" for the root, so dumps of the same search are identical.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         stack = [root]
         while stack:
             node = stack.pop()
-            key = " ".join(t.name for t in node.state)
-            fh.write(f"{hash(key) & 0xFFFFFFFFFFFF:012x} {node.N} {node.W!r}\n")
+            prefix = "/".join(t.name for t in node.state) or "<root>"
+            fh.write(f"{prefix} {node.N} {node.W!r}\n")
             stack.extend(node.children.values())
 
 

@@ -593,31 +593,37 @@ def system_to_instance(sys: SparseSystem) -> SdpInstance:
     """Reconstruct an SdpInstance from a parsed sparse system.
 
     The last row is taken as the normalization row (the emitter's layout);
-    its right-hand side must be 1.
+    its right-hand side must be 1.  Each distinct parsed value becomes a
+    Fraction once, and every absent entry is one shared zero.
     """
-    from .compiler import make_instance
-
     if sys.n_rows < 1:
         raise ValueError("need at least the normalization row")
     if sys.rhs[-1] != 1.0 or any(x != 0.0 for x in sys.rhs[:-1]):
         raise ValueError("expected right-hand sides of K zeros then 1")
 
-    def empty_rows():
-        return [
-            [[0.0] * dim for _ in range(dim)]
-            for dim in sys.block_dims
-        ]
-
-    rows = [empty_rows() for _ in range(sys.n_rows + 1)]  # index 0 = objective
+    dims = tuple(int(dim) for dim in sys.block_dims)
+    zero = Fraction(0)
+    exact: Dict[float, Fraction] = {}
+    rows = [  # index 0 = objective
+        [[[zero] * dim for _ in range(dim)] for dim in dims]
+        for _ in range(sys.n_rows + 1)
+    ]
     for row, block, i, j, val in sys.entries:
+        q = exact.get(val)
+        if q is None:
+            q = exact[val] = Fraction(val)
         mat = rows[row][block - 1]
-        mat[i - 1][j - 1] = val
-        mat[j - 1][i - 1] = val
-    return make_instance(
-        block_dims=sys.block_dims,
-        constraints=rows[1:-1],
-        objective=rows[0],
-        normalization=rows[-1],
+        mat[i - 1][j - 1] = q
+        mat[j - 1][i - 1] = q
+
+    def frozen(blocks):
+        return tuple(tuple(map(tuple, mat)) for mat in blocks)
+
+    return SdpInstance(
+        block_dims=dims,
+        constraints=tuple(frozen(blocks) for blocks in rows[1:-1]),
+        objective=frozen(rows[0]),
+        normalization=frozen(rows[-1]),
     )
 
 
@@ -640,12 +646,15 @@ def parse_external_output(text: str) -> SolverResult:
     "xMat" section is present, the primal blocks.  Status mapping is
     conservative: only an explicitly optimal phase maps to converged; the
     infeasible phases map to infeasible-detected; anything else becomes
-    max_iterations.
+    max_iterations.  The output reports no residuals of the equality rows,
+    so both residual fields are nan (verify_certificate computes them from
+    the instance); the duality gap |objValPrimal - objValDual|, when both
+    are printed, is named in the message.
     """
     lines = text.splitlines()
     phase: Optional[str] = None
     primal: Optional[float] = None
-    gap = 0.0
+    gap: Optional[float] = None
     iterations = 0
     for ln in lines:
         if "phase.value" in ln:
@@ -673,11 +682,12 @@ def parse_external_output(text: str) -> SolverResult:
         status=_PHASE_MAP.get(phase, SolverStatus.MAX_ITERATIONS),
         objective_value=primal,
         primal_blocks=blocks,
-        equality_residual=gap,
-        psd_residual=0.0,
+        equality_residual=math.nan,
+        psd_residual=math.nan,
         iterations=iterations,
         wall_time=0.0,
-        message=f"external phase {phase}",
+        message=f"external phase {phase}"
+        + (f"; duality gap {gap!r}" if gap is not None else ""),
     )
 
 

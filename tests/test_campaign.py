@@ -380,6 +380,20 @@ class TestExternalSolverPath:
         assert rec.eq_residual is None and rec.psd_residual is None
         assert rec.objective is None and rec.bound is None
 
+    def test_unconverged_external_round_records_no_residuals(self, tmp_path):
+        # a nonzero duality gap is not a residual of the instance's rows
+        stub = tmp_path / "infeasible_sdpa.py"
+        stub.write_text(
+            "print('phase.value  = pdINF')\n"
+            "print('   objValPrimal = +3.0000000000000000e+00')\n"
+            "print('   objValDual   = +1.0000000000000000e+00')\n"
+        )
+        config = CampaignConfig(solver="external", solver_cmd=f"{sys.executable} {stub}", **FAST)
+        rec = play_round(GameState(), config).rounds[0]
+        assert rec.status == "infeasible-detected"
+        assert rec.eq_residual is None and rec.psd_residual is None
+        assert rec.objective is None and rec.bound is None
+
     def test_external_nonzero_exit_is_a_solve_error(self, tmp_path):
         stub = tmp_path / "exit3_sdpa.py"
         stub.write_text(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 from fractions import Fraction
@@ -7,21 +8,29 @@ import pytest
 
 from packbound.campaign import CampaignConfig
 from packbound.compiler import (
+    ORIGIN,
     PivotGenerationError,
     PivotPoint,
     PivotTable,
+    SdpInstance,
     assemble_sdp,
     block_arrays,
     build_constraint_blocks,
     compute_bound,
+    designated_block_index,
     emit_sdpa,
     first_block_normalization,
+    format_fraction,
     generate_pivots,
+    make_instance,
+    moment_pattern,
+    monomial_value_at,
     origin_objective_blocks,
     region_membership,
 )
 from packbound.grammar import tokenize_and_parse
-from packbound.polys import GeometricParams
+from packbound.polys import GeometricParams, basis_enumerate, evaluate_basis
+from packbound.solver import read_sdpa_instance, system_to_instance
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -295,3 +304,141 @@ class TestEmitSdpa:
         keys = [(int(a), int(b), int(i), int(j)) for a, b, i, j, _ in rows]
         assert keys == sorted(keys)
         assert all(i <= j for _, _, i, j in keys)
+
+
+class TestMomentPattern:
+    @pytest.mark.parametrize("k, distinct", enumerate([1, 6, 22, 49, 95, 160, 252]))
+    def test_distinct_exponent_sums_and_symmetric_index(self, k, distinct):
+        elems = basis_enumerate(k)
+        pattern = moment_pattern(k)
+
+        def total(i, j):
+            a, b = elems[i], elems[j]
+            return (a.a + b.a, a.b + b.b, a.c + b.c)
+
+        size = len(elems)
+        assert len(pattern.pairs) == distinct
+        assert len({total(i, j) for i, j in pattern.pairs}) == distinct
+        assert len(pattern.index) == size and all(len(row) == size for row in pattern.index)
+        for t, (i, j) in enumerate(pattern.pairs):
+            assert i <= j and pattern.index[i][j] == t
+        for i in range(size):
+            for j in range(size):
+                assert pattern.index[i][j] == pattern.index[j][i]
+                assert total(i, j) == total(*pattern.pairs[pattern.index[i][j]])
+
+    def test_cached_per_degree(self):
+        assert moment_pattern(3) is moment_pattern(3)
+
+    def test_equal_entries_share_one_fraction(self, params):
+        s = tokenize_and_parse("P7 <ES> P2 <EOS>")
+        for block in build_constraint_blocks(s, 4, PivotPoint.make(2, 3, 1), params):
+            for i in range(len(block)):
+                for j in range(len(block)):
+                    assert block[i][j] is block[j][i]
+
+
+# The formulation assembly, emission and parse-back had before moment
+# patterns, written out in full: scale * u_i * u_j for every entry of every
+# block, every nonzero entry formatted on its own, every parsed matrix
+# rebuilt densely in floats and converted entry by entry.
+
+def outer_reference(u, scale):
+    return tuple(tuple(scale * ui * uj for uj in u) for ui in u)
+
+
+def assemble_reference(s, params, d, K, seed, scheme):
+    canon = s.canonical()
+
+    def block(m, point, zero=False):
+        u = evaluate_basis(basis_enumerate(d - m.degree), point)
+        return outer_reference(u, Fraction(0) if zero else monomial_value_at(m, point, params))
+
+    j = designated_block_index(canon, params)
+    return SdpInstance(
+        block_dims=tuple(len(basis_enumerate(d - m.degree)) for m in canon.monomials),
+        constraints=tuple(
+            tuple(block(m, p.as_tuple()) for m in canon.monomials)
+            for p in generate_pivots(params, K, seed, scheme=scheme)
+        ),
+        objective=tuple(block(m, ORIGIN) for m in canon.monomials),
+        normalization=tuple(block(m, ORIGIN, zero=i != j) for i, m in enumerate(canon.monomials)),
+    )
+
+
+def emit_reference(inst, digits=40):
+    K = len(inst.constraints)
+    lines = [str(K + 1), str(inst.n_blocks), " ".join(str(dim) for dim in inst.block_dims),
+             " ".join(["0"] * K + ["1"])]
+    rows = [inst.objective, *inst.constraints, inst.normalization]
+    for row_idx, blocks in enumerate(rows):
+        for b, mat in enumerate(blocks):
+            for i in range(len(mat)):
+                for j in range(i, len(mat)):
+                    if mat[i][j] != 0:
+                        lines.append(f"{row_idx} {b + 1} {i + 1} {j + 1} "
+                                     f"{format_fraction(mat[i][j], digits)}")
+    return "\n".join(lines) + "\n"
+
+
+def rebuild_reference(system):
+    rows = [[[[0.0] * dim for _ in range(dim)] for dim in system.block_dims]
+            for _ in range(system.n_rows + 1)]
+    for row, block, i, j, val in system.entries:
+        rows[row][block - 1][i - 1][j - 1] = val
+        rows[row][block - 1][j - 1][i - 1] = val
+    return make_instance(system.block_dims, rows[1:-1], rows[0], rows[-1])
+
+
+DIFFERENTIAL_SENTENCES = [
+    (0, "P7 <EOS>"),
+    (1, "P7 <ES> P2 <EOS>"),
+    (2, "P7 <ES> P1 <ES> P4 <EOS>"),                       # P4 vanishes on plane pivots
+    (3, "P2 <ES> P7 <*> P2 <ES> P4 <*> P7 <EOS>"),         # padded and duplicated
+    (4, "P7 <ES> P2 <ES> P1 <ES> P1 <*> P2 <ES> P1 <*> P1 <EOS>"),
+    (5, "P6 <ES> P3 <*> P4 <ES> P2 <*> P2 <EOS>"),
+    (6, "P4 <ES> P5 <ES> P2 <*> P6 <ES> P7 <EOS>"),
+]
+
+
+class TestAssemblyDifferential:
+    @pytest.mark.parametrize("scheme", ["plane", "grid3d"])
+    @pytest.mark.parametrize("d, text", DIFFERENTIAL_SENTENCES)
+    def test_matches_full_outer_products(self, params, d, text, scheme):
+        s = tokenize_and_parse(text)
+        inst = assemble_sdp(s, params, n=8, d=d, K=10, seed=d, pivot_scheme=scheme)
+        ref = assemble_reference(s, params, d, 10, d, scheme)
+        assert inst.block_dims == ref.block_dims
+        assert inst.constraints == ref.constraints
+        assert inst.objective == ref.objective
+        assert inst.normalization == ref.normalization
+        text_out = emit_sdpa(inst)
+        assert text_out == emit_reference(ref)
+        system = read_sdpa_instance(text_out)
+        assert system_to_instance(system) == rebuild_reference(system)
+
+    def test_vanishing_block_is_zero_on_every_plane_pivot(self, params):
+        s = tokenize_and_parse("P7 <ES> P4 <EOS>")
+        inst = assemble_sdp(s, params, n=8, d=3, K=10, seed=0)
+        assert [m.render() for m in tokenize_and_parse(inst.meta.sentence).monomials] == ["P7", "P4"]
+        assert all(x == 0 for row in inst.constraints for line in row[1] for x in line)
+        assert any(x != 0 for row in inst.constraints for line in row[0] for x in line)
+
+
+# sha256 of emit_sdpa(assemble_sdp(...), digits=40) at the sizes of the
+# sdpa-export benchmark (K = 50, one degree-1 and one degree-2 monomial),
+# computed with the full outer-product assembly and per-entry formatting.
+PINNED_EMISSIONS = [
+    ("P2 <ES> P3 <EOS>", 4, 1.45, 2.1, 11,
+     "6779ee46dae1b4af85819a44275889cf0f31735a85659b2d98defa428078d1ae"),
+    ("P6 <ES> P1 <EOS>", 5, 1.5, 2.4, 12,
+     "c22b1d516e60b2df4b7ac5cd39d00b8ac314001dd8161a89a4d294ac5e8034fd"),
+    ("P4 <ES> P5 <EOS>", 6, 1.55, 1.9, 13,
+     "969fce4acde2e5cf25e3c46a29d8c4fa9303fabcfb7d12a92b8561c389c12989"),
+]
+
+
+@pytest.mark.parametrize("text, d, r, R, seed, digest", PINNED_EMISSIONS)
+def test_emission_digest_at_benchmark_size(text, d, r, R, seed, digest):
+    inst = assemble_sdp(tokenize_and_parse(text), GeometricParams(r, R), n=8, d=d, K=50, seed=seed)
+    assert hashlib.sha256(emit_sdpa(inst, digits=40).encode("ascii")).hexdigest() == digest

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import packbound
 
 from packbound.grammar import Token, enumerate_sentences, render, tokenize, tokenize_and_parse
 from packbound.mcts import (
@@ -22,6 +27,25 @@ from packbound.mcts import (
 from packbound.polys import GeometricParams
 
 CAPS = SearchCaps(degree_cap=2, max_monomials=2)
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(packbound.__file__)))
+
+# One search with an evaluator that does not depend on str hashes, dumped
+# to the path given as the first argument.
+TREE_DUMP_SCRIPT = """
+import sys, zlib
+from packbound.grammar import render
+from packbound.mcts import EvalOutcome, SearchCaps, run_search
+from packbound.polys import GeometricParams
+
+def evaluate(s, d):
+    text = render(s.canonical())
+    value = zlib.crc32(text.encode()) % 997 / 997.0 + 0.1
+    return EvalOutcome(text, d, True, value, value, "converged")
+
+run_search(GeometricParams(1.45, 2.0), iterations=20, d_search=2, d_final=2, K=20,
+           caps=SearchCaps(2, 2), seed=0, n=8, evaluator=evaluate, tree_dump_path=sys.argv[1])
+"""
 
 
 def synthetic_evaluator(bounds=None):
@@ -264,6 +288,25 @@ class TestRunSearch:
                    evaluator=synthetic_evaluator(), tree_dump_path=str(path))
         lines = path.read_text().splitlines()
         assert len(lines) >= 2
+        assert all(len(ln.split()) == 3 for ln in lines)
+
+    def test_tree_dump_is_identical_across_hash_seeds(self, tmp_path):
+        # str hashes change with PYTHONHASHSEED; the dump must not
+        script = tmp_path / "dump.py"
+        script.write_text(TREE_DUMP_SCRIPT)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        dumps = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"tree-{hash_seed}.txt"
+            env["PYTHONHASHSEED"] = hash_seed
+            subprocess.run([sys.executable, str(script), str(out)], env=env, check=True)
+            dumps.append(out.read_text())
+        assert dumps[0] == dumps[1]
+        lines = dumps[0].splitlines()
+        assert lines[0].split()[0] == "<root>"
+        assert "P7" in {ln.split()[0] for ln in lines}
         assert all(len(ln.split()) == 3 for ln in lines)
 
     def test_invalid_budgets(self, params):

@@ -1,3 +1,4 @@
+import math
 import os
 from fractions import Fraction
 
@@ -331,6 +332,14 @@ class TestParseExternalOutput:
     def test_infeasible_phase(self):
         res = parse_external_output(self.fixture("sdpa_output_infeasible.txt"))
         assert res.status is SolverStatus.INFEASIBLE
+
+    def test_duality_gap_is_not_a_residual(self):
+        text = self.fixture("sdpa_output_infeasible.txt").replace(
+            "objValDual   = +0.0000000000000000e+00", "objValDual   = +2.5000000000000000e-01")
+        res = parse_external_output(text)
+        assert res.status is SolverStatus.INFEASIBLE
+        assert math.isnan(res.equality_residual) and math.isnan(res.psd_residual)
+        assert res.message == "external phase pdINF; duality gap 0.25"
 
     def test_unknown_phase_is_conservative(self):
         text = self.fixture("sdpa_output_optimal.txt").replace("pdOPT", "pdFEAS")
