@@ -39,7 +39,7 @@ def main() -> int:
                             K=args.pivots, seed=args.seed)
         res = solve_embedded(inst)
         if res.status.value == "converged":
-            bound = compute_bound(res.objective_value, params, args.dim).bound
+            bound = compute_bound(res.objective_value, params, args.dim)
             print(f"  d={d}: objective={res.objective_value:.12f}  bound={bound:.10f}"
                   f"  ({res.iterations} iterations)")
         else:

@@ -7,51 +7,4 @@ external SDPA-family binary), and independently verified; a two-level search
 search over sentences) drives the certified bound down.
 """
 
-from .polys import (
-    BASE_DEGREES,
-    BasisElement,
-    GeometricParams,
-    Polynomial,
-    basis_enumerate,
-    basis_to_poly,
-    degree_and_symmetry,
-    make_base_polynomial,
-    ring_combine,
-)
-from .grammar import (
-    Monomial,
-    ParseError,
-    Sentence,
-    Token,
-    enumerate_sentences,
-    legal_next_tokens,
-    monomial_degree,
-    render,
-    tokenize_and_parse,
-)
-from .compiler import (
-    BoundReport,
-    PivotPoint,
-    SdpInstance,
-    SdpMeta,
-    assemble_sdp,
-    build_constraint_blocks,
-    compute_bound,
-    emit_sdpa,
-    generate_pivots,
-    origin_objective_blocks,
-    region_membership,
-)
-from .solver import (
-    SolverResult,
-    SolverStatus,
-    parse_external_output,
-    read_sdpa_instance,
-    solve_embedded,
-    verify_certificate,
-)
-from .bo import Observation, SearchBox, fit_surrogate, propose_next
-from .mcts import RewardCache, SearchCaps, SearchFailedError, run_search
-from .campaign import CampaignConfig, GameState, load, persist, play_round, run_campaign
-
 __version__ = "0.1.0"

@@ -16,9 +16,9 @@ recorded with its status and the campaign continues; state is flushed to
 disk after every round, so a killed process loses at most the in-flight
 round.  Per-round seeds derive from (base seed, round index), so identical
 configurations replay identically and resumed campaigns match uninterrupted
-ones.  The embedded ADMM solver stays available to the CLI and the scripts;
-the campaign's search does not use it, so solver_max_iterations is not read
-here.
+ones.  The campaign never runs the embedded ADMM solver, which serves the
+CLI and the scripts; a config.json that still carries the retired
+solver_max_iterations field loads, and the field is ignored.
 """
 
 from __future__ import annotations
@@ -31,14 +31,21 @@ import subprocess
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from .bo import Observation, SearchBox, fit_surrogate, propose_next
-from .compiler import assemble_sdp, compute_bound, emit_sdpa
+from .compiler import PIVOT_SCHEMES, assemble_sdp, compute_bound, emit_sdpa
 from .grammar import render
-from .mcts import RewardCache, SearchCaps, SearchFailedError, make_sdp_evaluator, run_search
+from .mcts import (
+    RewardCache,
+    SearchCaps,
+    SearchFailedError,
+    make_sdp_evaluator,
+    rank_key,
+    run_search,
+)
 from .polys import GeometricParams
 from .solver import (
     SolverStatus,
@@ -85,7 +92,6 @@ class CampaignConfig:
     solver_cmd: str = ""
     tol_eq: float = 1e-8
     tol_psd: float = 1e-8
-    solver_max_iterations: int = 20000
     budget_rounds: int = 10
     budget_seconds: float = 0.0  # 0 disables the wall-clock budget
     seed: int = 0
@@ -104,6 +110,12 @@ class CampaignConfig:
             raise ConfigError(f"need 0 <= d_search <= d_final, got {self.d_search}, {self.d_final}")
         if self.pivots < 1:
             raise ConfigError(f"need at least one pivot, got {self.pivots}")
+        if self.pivot_scheme not in PIVOT_SCHEMES:
+            raise ConfigError(f"unknown pivot scheme {self.pivot_scheme!r}")
+        if self.top_k < 1 or self.max_monomials < 1:
+            raise ConfigError(
+                f"need top_k >= 1 and max_monomials >= 1, got {self.top_k}, {self.max_monomials}"
+            )
         if self.mcts_iterations < 1 or self.mcts_rollouts < 1 or self.mcts_restarts < 1:
             raise ConfigError("search budgets must be >= 1")
         if self.budget_rounds < 0 or self.budget_seconds < 0:
@@ -128,6 +140,7 @@ class CampaignConfig:
     def from_file(cls, path: str) -> "CampaignConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        raw.pop("solver_max_iterations", None)  # retired; no stage read it
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -181,17 +194,11 @@ class GameState:
 
     @property
     def best(self) -> Optional[int]:
-        """1-based index of the round with the smallest converged bound."""
-        best_idx: Optional[int] = None
-        best_key = None
-        for rec in self.rounds:
-            if not rec.converged:
-                continue
-            monomials = rec.sentence.count("<ES>") + 1 if rec.sentence else 0
-            key = (rec.bound, monomials, rec.sentence or "")
-            if best_key is None or key < best_key:
-                best_key, best_idx = key, rec.round
-        return best_idx
+        """1-based index of the converged round that ranks first by rank_key."""
+        converged = [rec for rec in self.rounds if rec.converged]
+        if not converged:
+            return None
+        return min(converged, key=lambda rec: rank_key(rec.bound, rec.sentence)).round
 
     def best_record(self) -> Optional[RoundRecord]:
         idx = self.best
@@ -266,15 +273,15 @@ def _round_seed(base: int, round_idx: int, salt: int = 0) -> int:
     return int(np.random.SeedSequence([base, round_idx, salt]).generate_state(1)[0])
 
 
-def solve_external(inst, solver_cmd: str, digits: int = 40):
-    """Emit the instance, run the configured solver command, parse its output.
+def solve_external(inst, solver_cmd: str):
+    """Emit the instance (40 digits), run the configured solver command, parse its output.
 
     The command receives the .dat-s path as its final argument; binary and
     arguments come from configuration only.  A nonzero exit code raises
     subprocess.CalledProcessError.
     """
     with tempfile.NamedTemporaryFile("w", suffix=".dat-s", delete=False) as fh:
-        fh.write(emit_sdpa(inst, digits=digits))
+        fh.write(emit_sdpa(inst))
         path = fh.name
     try:
         proc = subprocess.run(
@@ -376,7 +383,7 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
             status, eq_res, psd_res = _check_certificate(inst, res, config)
             if status == "converged":
                 objective = res.objective_value
-                bound = compute_bound(objective, params, config.dimension).bound
+                bound = compute_bound(objective, params, config.dimension)
         else:
             status = res.status.value  # nothing verified, so no residuals recorded
     except Exception as exc:

@@ -29,7 +29,7 @@ from .campaign import (
 )
 from .compiler import assemble_sdp, emit_sdpa
 from .grammar import ParseError, render, tokenize_and_parse
-from .mcts import RewardCache, SearchCaps, SearchFailedError, run_search
+from .mcts import SearchCaps, SearchFailedError, run_search
 from .polys import GeometricParams
 from .solver import read_sdpa_instance, solve_embedded, system_to_instance
 
@@ -156,8 +156,7 @@ def _cmd_search(args) -> int:
         out = run_search(
             params, iterations=args.iterations, d_search=args.degree_search,
             d_final=args.degree_final, K=args.pivots, caps=caps, seed=args.seed,
-            n=args.dim, top_k=args.top_k, cache=RewardCache(),
-            tree_dump_path=args.tree_dump,
+            n=args.dim, top_k=args.top_k, tree_dump_path=args.tree_dump,
         )
     except SearchFailedError as exc:
         print(f"search failed: {exc}", file=sys.stderr)

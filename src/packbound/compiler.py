@@ -11,8 +11,10 @@ region where all six nonconstant base polynomials are nonnegative, which
 makes every A_{i,p} rank <= 1 and positive semidefinite.  One inhomogeneous
 normalization row excludes the all-zero solution; the objective matrices
 C_i are built by the same outer-product construction evaluated at the
-origin.  Both the objective and the normalization builders are pluggable;
-the defaults here are documented stand-ins, not canonical constructions.
+origin, and the normalization row applies it to the designated block alone
+(origin_objective_blocks, first_block_normalization).  These are documented
+stand-ins, not canonical constructions.  assemble_sdp always uses them, and
+solver.solve_exact decides exactly that instance in closed form.
 
 Every block m(p) * u u^T is built from the moment pattern of its basis
 degree k (moment_pattern): entry (i, j) of u u^T is w^A (hv)^B (h+v)^C,
@@ -54,6 +56,8 @@ from .polys import (
 FracMatrix = Tuple[Tuple[Fraction, ...], ...]
 
 ORIGIN = (Fraction(0), Fraction(0), Fraction(0))
+
+PIVOT_SCHEMES = ("plane", "grid3d")
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,7 @@ def generate_pivots(
     """
     if K < 1:
         raise ValueError(f"need K >= 1 pivots, got {K}")
-    if scheme not in ("plane", "grid3d"):
+    if scheme not in PIVOT_SCHEMES:
         raise ValueError(f"unknown pivot scheme {scheme!r}")
     lo, hi = float(params.r) ** 2, float(params.R) ** 2
     picked: List[PivotPoint] = []
@@ -343,19 +347,13 @@ def _constraint_rows(s: Sentence, d: int, table: PivotTable) -> Tuple[Tuple[Frac
     return tuple(zip(*columns))
 
 
-ObjectiveBuilder = Callable[[Sentence, int, GeometricParams], List[FracMatrix]]
-NormalizationBuilder = Callable[[Sentence, int, GeometricParams], List[FracMatrix]]
-
-
 def origin_objective_blocks(
     s: Sentence, d: int, params: GeometricParams
 ) -> List[FracMatrix]:
-    """Default objective: the constraint-block construction taken at the origin.
+    """Objective: the constraint-block construction taken at the origin.
 
     C_i = m_i(0,0,0) * u0 u0^T.  This is an explicit stand-in for the
-    objective construction of the underlying bound literature, kept behind
-    the ObjectiveBuilder interface so it can be replaced without touching
-    the rest of the pipeline.
+    objective construction of the underlying bound literature.
     """
     _check_degrees(s, d)
     return [_block_at(m, d, ORIGIN, params) for m in s.monomials]
@@ -378,7 +376,7 @@ def designated_block_index(s: Sentence, params: GeometricParams) -> int:
 def first_block_normalization(
     s: Sentence, d: int, params: GeometricParams
 ) -> List[FracMatrix]:
-    """Default normalization row: origin outer product on the designated block.
+    """Normalization row: origin outer product on the designated block.
 
     N_j = m_j(0,0,0) * u0 u0^T on the designated block j, zero elsewhere;
     the row sum is constrained to 1, pinning the certificate scale (the
@@ -469,15 +467,14 @@ def assemble_sdp(
     d: int,
     K: int,
     seed: int,
-    objective_builder: ObjectiveBuilder = origin_objective_blocks,
-    normalization_builder: NormalizationBuilder = first_block_normalization,
     pivot_scheme: str = "plane",
 ) -> SdpInstance:
     """Full instance for a sentence: K homogeneous rows plus one normalization row.
 
     The sentence is canonicalized first (constant padding and duplicate
     monomials produce identical blocks and are dropped).  The pivots come
-    from a PivotTable built for this call alone.
+    from a PivotTable built for this call alone; the objective is
+    origin_objective_blocks and the normalization first_block_normalization.
     """
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
@@ -490,8 +487,8 @@ def assemble_sdp(
     return SdpInstance(
         block_dims=dims,
         constraints=rows,
-        objective=tuple(objective_builder(canon, d, params)),
-        normalization=tuple(normalization_builder(canon, d, params)),
+        objective=tuple(origin_objective_blocks(canon, d, params)),
+        normalization=tuple(first_block_normalization(canon, d, params)),
         meta=SdpMeta(
             n=n,
             d=d,
@@ -509,20 +506,16 @@ def assemble_sdp(
 # Density bound
 # ---------------------------------------------------------------------------
 
-def ball_volume(n: int, radius: float = 1.0) -> float:
-    """Volume of the n-dimensional Euclidean ball."""
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * radius**n
-
-
 # pi to 64 significant digits, so pi lies in [_PI_LO, _PI_LO + 1e-63].
 _PI_LO = Fraction("3.141592653589793238462643383279502884197169399375105820974944592")
 _PI_HI = _PI_LO + Fraction(1, 10**63)
 
 
 def _half_ball_volume_bounds(n: int) -> Tuple[Fraction, Fraction]:
-    """Rational bounds lo <= ball_volume(n, 1/2) <= hi, exact but for pi.
+    """Rational bounds lo <= V_n(1/2) <= hi, exact but for pi.
 
-    V_n(1) = pi^k / k! for n = 2k and 2^(k+1) pi^k / n!! for n = 2k + 1.
+    V_n(t) is the volume of the n-ball of radius t, and V_n(1) = pi^k / k!
+    for n = 2k and 2^(k+1) pi^k / n!! for n = 2k + 1.
     """
     k = n // 2
     if n % 2 == 0:
@@ -539,52 +532,18 @@ def _round_up(q: Fraction) -> float:
     return math.nextafter(f, math.inf) if Fraction(f) < q else f
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Density upper bound derived from a solved objective value.
+def compute_bound(objective_value: float, params: GeometricParams, n: int) -> float:
+    """The density bound V_n(1/2) * objective_value * r^n, rounded upward.
 
-    bound = scaling_constant * objective_value * r^n, rounded upward (see
-    compute_bound).  The default scaling
-    constant is the volume of the n-ball of radius 1/2; it is configurable
-    because the exact proportionality constant is a normalization choice.
-    The bound is dimensionless and lands in (0, 1] when meaningful.
-    """
-
-    objective_value: float
-    bound: float
-    dimension: int
-    scaling_constant: float
-
-
-def compute_bound(
-    objective_value: float,
-    params: GeometricParams,
-    n: int,
-    scaling_constant: Optional[float] = None,
-) -> BoundReport:
-    """The bound, rounded upward so that rounding never understates it.
-
-    bound is the smallest float at or above the exact real value of
-    scale * objective_value * r^n, with r and objective_value taken as the
-    exact values of their floats and the default scale as the exact volume
-    of the radius-1/2 ball (pi bounded to 63 digits); it lies within one
-    ulp of that value.
+    It is the smallest float at or above the exact real value, with r and
+    objective_value taken as the exact values of their floats and the
+    radius-1/2 ball volume bounded through pi to 63 digits, so it lies
+    within one ulp of that value and rounding never understates it.
     """
     if not math.isfinite(objective_value):
         raise ValueError(f"objective value must be finite, got {objective_value}")
-    if scaling_constant is None:
-        scale = ball_volume(n, 0.5)
-        scale_bounds = _half_ball_volume_bounds(n)
-    else:
-        scale = scaling_constant
-        scale_bounds = (Fraction(scale), Fraction(scale))
     rest = Fraction(objective_value) * Fraction(params.r) ** n
-    return BoundReport(
-        objective_value=objective_value,
-        bound=_round_up(max(rest * s for s in scale_bounds)),
-        dimension=n,
-        scaling_constant=scale,
-    )
+    return _round_up(max(rest * s for s in _half_ball_volume_bounds(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -151,42 +151,16 @@ def tokenize(text: str) -> List[Token]:
 def parse_tokens(tokens: Sequence[Token]) -> Sentence:
     """Parse a complete token sequence into a Sentence (raw counts kept).
 
-    Monomials are sorted into canonical order and duplicates are removed;
-    constant-factor padding inside a monomial is preserved as parsed.
+    The tokens must form a terminal prefix (analyze_prefix, ending in
+    <EOS>).  Monomials are sorted into canonical order and duplicates are
+    removed; constant-factor padding inside a monomial is preserved as parsed.
     """
     if not tokens:
         raise ParseError("empty input; a sentence needs at least 'P7 <EOS>'", 0)
-    monomials: List[Monomial] = []
-    counts = [0] * 7
-    expect_p = True  # at start and after <*> / <ES>
-    for offset, tok in enumerate(tokens):
-        if expect_p:
-            if tok not in P_TOKENS:
-                raise ParseError(
-                    f"expected a base-polynomial token, got {_SURFACE[tok]!r}", offset
-                )
-            counts[int(tok)] += 1
-            expect_p = False
-        else:
-            if tok in P_TOKENS:
-                raise ParseError(
-                    "a base-polynomial token must be followed by <*>, <ES> or <EOS>",
-                    offset,
-                )
-            if tok is Token.STAR:
-                expect_p = True
-            elif tok is Token.ES:
-                monomials.append(Monomial(tuple(counts)))
-                counts = [0] * 7
-                expect_p = True
-            else:  # EOS
-                if offset != len(tokens) - 1:
-                    raise ParseError("tokens found after <EOS>", offset + 1)
-                monomials.append(Monomial(tuple(counts)))
-                unique = list(dict.fromkeys(monomials))
-                unique.sort(key=_monomial_key)
-                return Sentence(tuple(unique))
-    raise ParseError("missing <EOS>", len(tokens))
+    state = analyze_prefix(tokens)
+    if not state.terminal:
+        raise ParseError("missing <EOS>", len(tokens))
+    return prefix_sentence(state)
 
 
 def tokenize_and_parse(text: str) -> Sentence:
@@ -247,35 +221,35 @@ class PrefixState:
 
 
 def analyze_prefix(tokens: Sequence[Token]) -> PrefixState:
-    """Validate a prefix and return its structure; raises ValueError if illegal."""
+    """Validate a prefix and return its structure.
+
+    Raises ParseError (a ValueError) naming the offset of the first token
+    that no legal sentence can have there.
+    """
     completed: List[Tuple[int, ...]] = []
     counts: Optional[List[int]] = None
     after_p = False
     for offset, tok in enumerate(tokens):
         if tok in P_TOKENS:
             if after_p:
-                raise ValueError(
-                    f"illegal prefix: two base tokens in a row at offset {offset}"
+                raise ParseError(
+                    "a base-polynomial token must be followed by <*>, <ES> or <EOS>", offset
                 )
             if counts is None:
                 counts = [0] * 7
             counts[int(tok)] += 1
             after_p = True
+        elif not after_p:
+            raise ParseError(f"expected a base-polynomial token, got {_SURFACE[tok]!r}", offset)
         elif tok is Token.STAR:
-            if not after_p:
-                raise ValueError(f"illegal prefix: dangling <*> at offset {offset}")
             after_p = False
         elif tok is Token.ES:
-            if not after_p:
-                raise ValueError(f"illegal prefix: empty segment at offset {offset}")
             completed.append(tuple(counts))  # type: ignore[arg-type]
             counts = None
             after_p = False
         else:  # EOS
-            if not after_p:
-                raise ValueError(f"illegal prefix: <EOS> without a segment at offset {offset}")
             if offset != len(tokens) - 1:
-                raise ValueError("illegal prefix: tokens after <EOS>")
+                raise ParseError("tokens found after <EOS>", offset + 1)
             completed.append(tuple(counts))  # type: ignore[arg-type]
             return PrefixState(tuple(completed), None, False, True)
     return PrefixState(

@@ -102,27 +102,23 @@ class RewardCache:
         self.misses += 1
         self._store[key] = outcome
 
-    def outcomes(self) -> List[EvalOutcome]:
-        return list(self._store.values())
-
 
 def make_sdp_evaluator(
     params: GeometricParams,
     n: int,
     K: int,
     seed: int,
-    cache: Optional[RewardCache] = None,
+    cache: RewardCache,
     pivot_scheme: str = "plane",
 ) -> Evaluator:
     """Default evaluator: decide each sentence's instance exactly, compute its bound.
 
-    The instance of (sentence, d) is the one assemble_sdp builds with the
-    default origin_objective_blocks and first_block_normalization builders;
+    The instance of (sentence, d) is the one assemble_sdp builds;
     solver.solve_exact decides it in rational arithmetic, so a converged
     outcome has objective exactly 1 and a checked rank-one certificate.  All
     evaluations share one PivotTable for (params, K, seed, pivot_scheme),
     built on the first evaluation; a failure to build it, like any failed
-    decision, becomes an "error: ..." outcome.
+    decision, becomes an "error: ..." outcome.  Outcomes are stored in cache.
     """
     table: Optional[PivotTable] = None
 
@@ -130,26 +126,34 @@ def make_sdp_evaluator(
         nonlocal table
         canon = s.canonical()
         text = render(canon)
-        key = cache.key(text, params, d, K, seed) if cache is not None else None
-        if key is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        key = cache.key(text, params, d, K, seed)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
         try:
             if table is None:
                 table = PivotTable(params, K, seed, pivot_scheme)
             res = solve_exact(canon, d, params, table)
             converged = res.status is SolverStatus.CONVERGED
-            bound = compute_bound(res.objective_value, params, n).bound if converged else math.inf
+            bound = compute_bound(res.objective_value, params, n) if converged else math.inf
             outcome = EvalOutcome(text, d, converged, res.objective_value, bound,
                                   res.status.value, res)
         except Exception as exc:  # failed compiles become penalty rewards
             outcome = EvalOutcome(text, d, False, math.nan, math.inf, f"error: {exc}")
-        if key is not None:
-            cache.put(key, outcome)
+        cache.put(key, outcome)
         return outcome
 
     return evaluate
+
+
+def rank_key(bound: float, sentence: Optional[str]) -> Tuple[float, int, str]:
+    """Order of converged results: smaller bound, then fewer monomials, then text.
+
+    A missing sentence counts as no monomials and empty text.
+    """
+    if not sentence:
+        return (bound, 0, "")
+    return (bound, sentence.count("<ES>") + 1, sentence)
 
 
 def _canonical_prefix_key(state: Tuple[Token, ...]) -> tuple:
@@ -349,8 +353,6 @@ def run_search(
     top_k: int = 3,
     eos_bias: float = 2.0,
     evaluator: Optional[Evaluator] = None,
-    cache: Optional[RewardCache] = None,
-    seed_sentences: Optional[Sequence[Sentence]] = None,
     tree_dump_path: Optional[str] = None,
 ) -> SearchOutcome:
     """Search for the sentence minimizing the solved bound at fixed (r, R).
@@ -359,12 +361,10 @@ def run_search(
     then evaluates the top_k best converged terminal sentences at the more
     expressive degree d_final and returns the one with the smallest converged
     bound (ties prefer fewer monomials, then the lexicographically smaller
-    canonical text).  The returned outcome carries that d_final solve, so a
-    caller can verify it without solving again.  Deterministic given all
-    inputs.
-
-    seed_sentences optionally pre-inserts known-good sentences at the root
-    (one evaluation each) so searches can warm-start from earlier runs.
+    canonical text; see rank_key).  The returned outcome carries that
+    d_final solve, so a caller can verify it without solving again.  Without
+    an evaluator, make_sdp_evaluator is used with a fresh RewardCache.
+    Deterministic given all inputs.
     """
     if iterations < 1:
         raise ValueError("need iterations >= 1")
@@ -372,10 +372,8 @@ def run_search(
         raise ValueError(f"d_search={d_search} must not exceed d_final={d_final}")
     start = time.monotonic()
     rng = np.random.default_rng(seed)
-    if cache is None:
-        cache = RewardCache()
     if evaluator is None:
-        evaluator = make_sdp_evaluator(params, n=n, K=K, seed=seed, cache=cache)
+        evaluator = make_sdp_evaluator(params, n=n, K=K, seed=seed, cache=RewardCache())
 
     caps = SearchCaps(min(caps.degree_cap, d_search), caps.max_monomials)
     root = SearchNode((), caps)
@@ -389,22 +387,6 @@ def run_search(
             seen_keys.add((outcome.sentence, outcome.d))
             evaluations.append(outcome)
         return outcome
-
-    if seed_sentences:
-        for s in seed_sentences:
-            path = [root]
-            node = root
-            for token in _sentence_tokens(s.canonical()):
-                if token in node.children:
-                    node = node.children[token]
-                else:
-                    if token in node.untried:
-                        node.untried.remove(token)
-                    child = SearchNode(node.state + (token,), caps)
-                    node.children[token] = child
-                    node = child
-                path.append(node)
-            backpropagate(path, evaluate(s, d_search).reward())
 
     for _ in range(iterations):
         path = select_path(root, c_explore)
@@ -427,23 +409,20 @@ def run_search(
             evaluations,
         )
 
-    def rank_key(e: EvalOutcome):
-        monomials = e.sentence.count("<ES>") + 1
-        return (e.bound, monomials, e.sentence)
+    def outcome_key(e: EvalOutcome) -> Tuple[float, int, str]:
+        return rank_key(e.bound, e.sentence)
 
-    finalists = sorted(converged, key=rank_key)[:top_k]
     final_results = []
-    for e in finalists:
+    for e in sorted(converged, key=outcome_key)[:top_k]:
         sentence = tokenize_and_parse(e.sentence)
         outcome = evaluate(sentence, d_final) if d_final != e.d else e
         if outcome.converged:
-            final_results.append((rank_key(outcome), sentence, outcome))
+            final_results.append((sentence, outcome))
     if not final_results:
         raise SearchFailedError(
             f"no finalist converged at d_final={d_final}", evaluations
         )
-    final_results.sort(key=lambda item: item[0])
-    _, best_sentence, best_outcome = final_results[0]
+    best_sentence, best_outcome = min(final_results, key=lambda item: outcome_key(item[1]))
     return SearchOutcome(
         sentence=best_sentence.canonical(),
         outcome=best_outcome,
@@ -451,9 +430,3 @@ def run_search(
         tree_root=root,
         wall_time=time.monotonic() - start,
     )
-
-
-def _sentence_tokens(s: Sentence) -> List[Token]:
-    from .grammar import tokenize
-
-    return tokenize(render(s))

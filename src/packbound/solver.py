@@ -1,12 +1,13 @@
 """Solve block SDP instances and verify the resulting certificates.
 
-Instances built with the default origin objective and first-block
-normalization are decided exactly by solve_exact: every block is rank one
+Instances built by compiler.assemble_sdp (origin objective, designated-block
+normalization) are decided exactly by solve_exact: every block is rank one
 with nonnegative pivot values, so feasibility, boundedness and the optimum
 (always 1) follow from fraction-free elimination on each block's active
 pivot rows, and the rank-one certificate is checked in rational arithmetic.
 The tree search uses it for every evaluation.  The ADMM solver below handles
-any instance, such as those from pluggable builders, the CLI and the scripts.
+any instance, such as a .dat-s file read back by the CLI, and serves the
+scripts.
 
 The embedded solver is a first-order operator-splitting scheme (ADMM):
 alternate between projection onto the affine subspace of the equality rows
@@ -38,6 +39,7 @@ from .compiler import (
     ORIGIN,
     PivotTable,
     SdpInstance,
+    _check_degrees,
     block_arrays,
     designated_block_index,
     monomial_value_at,
@@ -72,6 +74,15 @@ class SolverResult:
     wall_time: float
     message: str = ""
     residual_checkpoints: List[float] = field(default_factory=list)
+
+
+# ADMM settings that no caller varies: step size, over-relaxation factor,
+# the objective below which an iterate counts as running down a recession
+# ray, and the iterate norm that counts as divergence.
+ADMM_RHO = 1.0
+ADMM_OVER_RELAXATION = 1.7
+ADMM_OBJECTIVE_FLOOR = -1e3
+ADMM_NORM_CAP = 1e10
 
 
 class SolveSetupError(RuntimeError):
@@ -188,10 +199,6 @@ def solve_embedded(
     tol_eq: float = 1e-8,
     tol_psd: float = 1e-8,
     max_iterations: int = 50000,
-    rho: float = 1.0,
-    over_relaxation: float = 1.7,
-    objective_floor: float = -1e3,
-    norm_cap: float = 1e10,
 ) -> SolverResult:
     """Minimize sum_i Tr(X_i^T C_i) over the instance's equality rows and PSD cone.
 
@@ -200,11 +207,12 @@ def solve_embedded(
     successive iterates stabilize; residuals alone are not enough, because an
     instance whose objective is unbounded below has feasible iterates drifting
     along a recession ray.  Stalled residuals far above tolerance are reported
-    as infeasible-detected; a diverging iterate norm or an objective below
-    objective_floor is a numeric failure.  Linearly dependent rows (inevitable
-    once the pivot count exceeds the blocks' symmetric dimension) are handled
-    by reducing the row system to an orthonormal spanning set; residuals are
-    always reported against the original rows.
+    as infeasible-detected; an iterate norm above ADMM_NORM_CAP or an
+    objective below ADMM_OBJECTIVE_FLOOR is a numeric failure.  Linearly
+    dependent rows (inevitable once the pivot count exceeds the blocks'
+    symmetric dimension) are handled by reducing the row system to an
+    orthonormal spanning set; residuals are always reported against the
+    original rows.
     """
     if tol_eq <= 0 or tol_psd <= 0:
         raise ValueError("tolerances must be positive")
@@ -291,7 +299,7 @@ def solve_embedded(
             out[sl] = ((vecs * vals) @ vecs.T).ravel()
         return out
 
-    alpha = over_relaxation
+    alpha = ADMM_OVER_RELAXATION
     z = np.zeros_like(cs)
     u = np.zeros_like(cs)
     best_z = z * scale
@@ -306,7 +314,7 @@ def solve_embedded(
 
     for it in range(1, max_iterations + 1):
         iterations = it
-        x = project_affine(z - u - cs / rho)
+        x = project_affine(z - u - cs / ADMM_RHO)
         x_rel = alpha * x + (1.0 - alpha) * z
         z_new = project_psd(x_rel + u)
         u = u + x_rel - z_new
@@ -329,14 +337,14 @@ def solve_embedded(
             message = "non-finite values in iterates"
             break
         objective_now = float(c @ z_orig)
-        if objective_now < objective_floor:
+        if objective_now < ADMM_OBJECTIVE_FLOOR:
             status = SolverStatus.NUMERIC_FAILURE
             message = (
-                f"objective fell below the floor {objective_floor:g}; "
+                f"objective fell below the floor {ADMM_OBJECTIVE_FLOOR:g}; "
                 "unbounded below along a feasible ray"
             )
             break
-        if float(np.linalg.norm(z)) > norm_cap:
+        if float(np.linalg.norm(z)) > ADMM_NORM_CAP:
             status = SolverStatus.NUMERIC_FAILURE
             message = "iterate norm diverged"
             break
@@ -352,7 +360,7 @@ def solve_embedded(
 
 
 # ---------------------------------------------------------------------------
-# Exact decision of the default-builder instances
+# Exact decision of the assembled instances
 # ---------------------------------------------------------------------------
 
 def _kernel_vector(rows: Sequence[Sequence[Fraction]], dim: int) -> Optional[List[int]]:
@@ -402,9 +410,9 @@ def _kernel_vector(rows: Sequence[Sequence[Fraction]], dim: int) -> Optional[Lis
 def solve_exact(
     sentence: Sentence, d: int, params: GeometricParams, table: PivotTable
 ) -> SolverResult:
-    """Decide the default-builder instance of (sentence, d) exactly.
+    """Decide the assemble_sdp instance of (sentence, d) exactly.
 
-    The instance is the one assemble_sdp builds on the table's pivots with
+    The instance is the one assemble_sdp builds on the table's pivots, with
     origin_objective_blocks and first_block_normalization.  Its row for
     pivot p reads sum_i m_i(p) u_p^T X_i u_p = 0 with every m_i(p) >= 0, so
     each term vanishes on its own: X_i u_p = 0 wherever m_i(p) > 0 (the
@@ -430,9 +438,7 @@ def solve_exact(
     if any(v < 0 for values in table.base_values for v in values[:6]):
         raise ValueError("a pivot lies outside the region where P1..P6 are nonnegative")
     canon = sentence.canonical()
-    for m in canon.monomials:
-        if m.degree > d:
-            raise ValueError(f"monomial {m.render()!r} has degree {m.degree} > cap d={d}")
+    _check_degrees(canon, d)
     monomials = canon.monomials
     dims = [len(basis_enumerate(d - m.degree)) for m in monomials]
 
@@ -558,7 +564,12 @@ class FormatError(ValueError):
 
 
 def read_sdpa_instance(text: str) -> SparseSystem:
-    """Parse SDPA sparse format as written by emit_sdpa (comments tolerated)."""
+    """Parse SDPA sparse format as written by emit_sdpa (comments tolerated).
+
+    Every entry must name a row in 0..n_rows (0 is the objective), a block
+    in 1..n_blocks and matrix indices in 1..dim of that block; anything
+    else raises FormatError with its line number.
+    """
     lines = text.splitlines()
     header: List[Tuple[int, str]] = [
         (i + 1, ln) for i, ln in enumerate(lines)
@@ -583,9 +594,18 @@ def read_sdpa_instance(text: str) -> SparseSystem:
         if len(toks) != 5:
             raise FormatError(f"expected 5 fields, got {len(toks)}", lineno)
         try:
-            entries.append((int(toks[0]), int(toks[1]), int(toks[2]), int(toks[3]), float(toks[4])))
+            row, block, i, j = int(toks[0]), int(toks[1]), int(toks[2]), int(toks[3])
+            val = float(toks[4])
         except ValueError as exc:
             raise FormatError(f"bad entry: {exc}", lineno) from exc
+        if not 0 <= row <= n_rows:
+            raise FormatError(f"row {row} outside 0..{n_rows}", lineno)
+        if not 1 <= block <= n_blocks:
+            raise FormatError(f"block {block} outside 1..{n_blocks}", lineno)
+        dim = dims[block - 1]
+        if not (1 <= i <= dim and 1 <= j <= dim):
+            raise FormatError(f"index ({i}, {j}) outside block {block} of size {dim}", lineno)
+        entries.append((row, block, i, j, val))
     return SparseSystem(n_rows=n_rows, block_dims=dims, rhs=rhs, entries=tuple(entries))
 
 

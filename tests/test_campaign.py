@@ -30,7 +30,6 @@ FAST = dict(
     budget_rounds=2,
     mcts_iterations=8,
     pivots=20,
-    solver_max_iterations=5000,
     bo_starts=2,
     bo_max_evals=30,
 )
@@ -63,6 +62,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="frobnicate"):
             CampaignConfig.from_file(str(path))
 
+    def test_retired_solver_max_iterations_loads(self, tmp_path):
+        # config.json files written before the field was retired carry it
+        raw = dataclasses.asdict(CampaignConfig(seed=5))
+        raw["solver_max_iterations"] = 20000
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert CampaignConfig.from_file(str(path)) == CampaignConfig(seed=5)
+
     @pytest.mark.parametrize("bad", [
         {"r_lo": 2.0, "r_hi": 1.0},
         {"r_lo": 3.0, "r_hi": 3.5, "R_lo": 1.0, "R_hi": 2.0},
@@ -71,6 +78,9 @@ class TestConfig:
         {"solver": "external"},  # missing solver_cmd
         {"acquisition": "entropy"},
         {"budget_rounds": -1},
+        {"pivot_scheme": "grid4d"},
+        {"top_k": 0},
+        {"max_monomials": 0},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -142,7 +152,8 @@ class TestBestTracking:
 
     def test_tie_prefers_fewer_monomials_then_lex(self):
         state = GameState()
-        state.append(make_record(1, bound=0.3, sentence="P7 <ES> P1 <EOS>"))
+        # "P1 <ES> P2 <EOS>" < "P7 <EOS>" as text, but has more monomials
+        state.append(make_record(1, bound=0.3, sentence="P1 <ES> P2 <EOS>"))
         state.append(make_record(2, bound=0.3, sentence="P7 <EOS>"))
         assert state.best == 2
         state.append(make_record(3, bound=0.3, sentence="P1 <EOS>"))

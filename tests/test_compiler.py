@@ -235,19 +235,14 @@ class TestPivotTable:
 
 class TestComputeBound:
     def test_unit_everything(self):
-        report = compute_bound(1.0, GeometricParams(1.0, 2.0), 1)
-        assert report.bound == pytest.approx(1.0, abs=1e-15)
+        assert compute_bound(1.0, GeometricParams(1.0, 2.0), 1) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_objective(self, params):
-        assert compute_bound(0.0, params, 8).bound == 0.0
+        assert compute_bound(0.0, params, 8) == 0.0
 
     def test_three_dimensional_closed_form(self):
-        report = compute_bound(1.0, GeometricParams(2.0, 3.0), 3)
-        assert report.bound == pytest.approx(4 * math.pi / 3, rel=1e-12)
-
-    def test_custom_scaling(self, params):
-        report = compute_bound(2.0, params, 4, scaling_constant=0.5)
-        assert report.bound == pytest.approx(1.0 * params.r**4 * 2 * 0.5)
+        bound = compute_bound(1.0, GeometricParams(2.0, 3.0), 3)
+        assert bound == pytest.approx(4 * math.pi / 3, rel=1e-12)
 
     def test_rejects_non_finite(self, params):
         with pytest.raises(ValueError):
@@ -258,20 +253,15 @@ class TestComputeBound:
             lo, hi = half_ball_volume_bounds(n)
             for r in (CampaignConfig().r_lo, 1.45, 1.5, 1.6, 0.7, 2.6):
                 for objective in (1.0, 0.9999999979, 3.0):
-                    bound = compute_bound(objective, GeometricParams(r, 3.0), n).bound
+                    bound = compute_bound(objective, GeometricParams(r, 3.0), n)
                     rest = Fraction(objective) * Fraction(r) ** n
                     assert Fraction(bound) >= hi * rest, (n, r, objective)
                     assert Fraction(bound) - lo * rest <= 2 * Fraction(math.ulp(bound))
 
-    def test_custom_scaling_rounded_upward(self):
-        bound = compute_bound(1.0, GeometricParams(1.1, 2.0), 7, scaling_constant=0.3).bound
-        exact = Fraction(0.3) * Fraction(1.1) ** 7
-        assert exact <= Fraction(bound) <= exact + Fraction(math.ulp(bound))
-
     def test_box_floor_bound_is_at_least_e8_density(self):
         # at r = r_lo (the float just above sqrt 2) the bound for objective 1
         # is pi^4 / 384 times r_lo^8 / 16 > 1, rounded upward
-        bound = compute_bound(1.0, GeometricParams(CampaignConfig().r_lo, 2.0), 8).bound
+        bound = compute_bound(1.0, GeometricParams(CampaignConfig().r_lo, 2.0), 8)
         assert Fraction(bound) >= (PI_100 + Fraction(1, 10**100)) ** 4 / 384
 
 

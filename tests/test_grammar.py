@@ -58,6 +58,15 @@ class TestParsing:
             tokenize_and_parse("P1 <*> Q9 <EOS>")
         assert err.value.offset == 2
 
+    def test_illegal_prefix_names_offset(self):
+        # the sentence parser and the prefix analysis are one state machine
+        with pytest.raises(ParseError) as err:
+            analyze_prefix(tokenize("P1 <ES> <ES>"))
+        assert err.value.offset == 2
+        with pytest.raises(ParseError) as err:
+            tokenize_and_parse("P1 <ES> <ES> P2 <EOS>")
+        assert err.value.offset == 2
+
     def test_tokens_after_eos(self):
         with pytest.raises(ParseError):
             tokenize_and_parse("P1 <EOS> P2 <EOS>")

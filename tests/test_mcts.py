@@ -216,7 +216,7 @@ class TestRunSearch:
             if out.converged:
                 best_bound = min(best_bound, out.bound)
         result = run_search(params, iterations=80, d_search=2, d_final=2, K=20,
-                            caps=caps, seed=3, n=8, cache=cache)
+                            caps=caps, seed=3, n=8)
         assert result.outcome.bound == pytest.approx(best_bound, rel=1e-9)
         assert audit_counts(result.tree_root)
 
@@ -258,28 +258,10 @@ class TestRunSearch:
         assert len(err.value.log) >= 1
 
     def test_two_phase_reevaluation_at_final_degree(self, params):
-        cache = RewardCache()
         out = run_search(params, iterations=30, d_search=2, d_final=4, K=20,
-                         caps=SearchCaps(2, 2), seed=4, n=8, cache=cache)
+                         caps=SearchCaps(2, 2), seed=4, n=8)
         assert out.outcome.d == 4
         assert out.outcome.converged
-
-    def test_cache_toggle_does_not_change_result(self, params):
-        kwargs = dict(iterations=30, d_search=2, d_final=2, K=20,
-                      caps=SearchCaps(2, 2), seed=9, n=8)
-        with_cache = run_search(params, cache=RewardCache(), **kwargs)
-        fresh = run_search(params, cache=None, **kwargs)
-        assert render(with_cache.sentence) == render(fresh.sentence)
-        assert with_cache.outcome.bound == fresh.outcome.bound
-
-    def test_seed_sentences_hook(self, params):
-        seeded = tokenize_and_parse("P7 <EOS>")
-        out = run_search(params, iterations=5, d_search=2, d_final=2, K=20,
-                         caps=SearchCaps(2, 2), seed=1, n=8,
-                         evaluator=synthetic_evaluator(),
-                         seed_sentences=[seeded])
-        assert "P7 <EOS>" in {e.sentence for e in out.evaluations}
-        assert audit_counts(out.tree_root)
 
     def test_tree_dump(self, params, tmp_path):
         path = tmp_path / "tree.txt"

@@ -8,8 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packbound.campaign import CampaignConfig
-from packbound.compiler import PivotTable, assemble_sdp, emit_sdpa, make_instance
-from packbound.grammar import Sentence, enumerate_monomials, tokenize_and_parse
+from packbound.compiler import (
+    ORIGIN,
+    PivotTable,
+    assemble_sdp,
+    emit_sdpa,
+    make_instance,
+    monomial_value_at,
+)
+from packbound.grammar import (
+    Sentence,
+    enumerate_monomials,
+    enumerate_sentences,
+    render,
+    tokenize_and_parse,
+)
 from packbound.polys import GeometricParams
 from packbound.solver import (
     FormatError,
@@ -183,6 +196,37 @@ class TestExactSolver:
         with pytest.raises(ValueError, match="outside the region"):
             solve_exact(tokenize_and_parse("P7 <EOS>"), 2, params, table)
 
+    def test_closed_form_oracle_on_plane_pivots(self):
+        # On plane pivots P4 vanishes at every pivot, so a block of basis
+        # degree >= 1 always has a kernel vector with q[0] != 0 (q.u = P4
+        # up to scale); a degree-0 block has one only if its monomial
+        # vanishes at every pivot.  The decision then reduces to signs at
+        # the origin.
+        cases, disagreements = 0, []
+        for r, R in ((BOX.r_lo, 1.8), (1.5, 2.4)):
+            params = GeometricParams(r, R)
+            table = PivotTable(params, 50, 0)
+            for d in (2, 4):
+                for s in enumerate_sentences(2, 2):
+                    monomials = s.canonical().monomials
+                    origin = [monomial_value_at(m, ORIGIN, params) for m in monomials]
+                    kernel = [
+                        d - m.degree >= 1 or not any(table.monomial_values(m))
+                        for m in monomials
+                    ]
+                    j = next((i for i, v in enumerate(origin) if v > 0), 0)
+                    if origin[j] <= 0 or not kernel[j]:
+                        expected = SolverStatus.INFEASIBLE
+                    elif any(i != j and v < 0 and kernel[i] for i, v in enumerate(origin)):
+                        expected = SolverStatus.UNBOUNDED
+                    else:
+                        expected = SolverStatus.CONVERGED
+                    cases += 1
+                    if solve_exact(s, d, params, table).status is not expected:
+                        disagreements.append((render(s), d, r, R))
+        assert cases == 364
+        assert disagreements == []
+
     @settings(max_examples=60, deadline=None)
     @given(
         s=SEARCH_SENTENCES,
@@ -306,6 +350,18 @@ class TestSdpaRoundTrip:
         with pytest.raises(FormatError) as err:
             read_sdpa_instance(text)
         assert err.value.line == 5
+
+    @pytest.mark.parametrize("entry, what", [
+        ("1 1 0 1 2.0", "index"),        # matrix indices are 1-based
+        ("1 2 1 1 2.0", "block"),        # one block in the header
+        ("3 1 1 1 2.0", "row"),          # rows 0..2 in the header
+        ("1 1 1 3 2.0", "index"),        # the block is 2x2
+    ])
+    def test_out_of_range_entry_names_line(self, entry, what):
+        text = f"2\n1\n2\n0 1\n0 1 1 1 1.0\n{entry}\n"
+        with pytest.raises(FormatError, match=what) as err:
+            read_sdpa_instance(text)
+        assert err.value.line == 6
 
     def test_comments_tolerated(self):
         text = '"comment\n1\n1\n1\n1\n0 1 1 1 2.0\n'
