@@ -1,11 +1,11 @@
 """Play the full search game: propose (r, R), search sentences, decide, verify, log.
 
 A campaign is a sequence of rounds.  Each round fits the surrogate on the
-converged history, proposes the next (r, R), runs the tree search at the
-cheap degree with its finalists decided at the final degree (every
-evaluation is solver.solve_exact on one pivot table for the round),
-re-assembles the winner's final-degree instance from scratch and checks the
-winner's certificate on it with verify_certificate (or, with an external
+converged history, proposes the next (r, R), builds one pivot table for it,
+runs the tree search at the cheap degree with its finalists decided at the
+final degree (every evaluation is solver.solve_exact on that table),
+assembles the winner's final-degree instance from the same table and checks
+the winner's certificate on it with verify_certificate (or, with an external
 solver, hands that instance to it and checks what comes back), and appends
 one immutable round record.  A converged result is recorded as
 "verification-failed" when it has no certificate or when the recomputed
@@ -17,8 +17,9 @@ disk after every round, so a killed process loses at most the in-flight
 round.  Per-round seeds derive from (base seed, round index), so identical
 configurations replay identically and resumed campaigns match uninterrupted
 ones.  The campaign never runs the embedded ADMM solver, which serves the
-CLI and the scripts; a config.json that still carries the retired
-solver_max_iterations field loads, and the field is ignored.
+CLI and the scripts; a config.json that still carries a retired field
+(solver_max_iterations, mcts_rollouts, mcts_restarts) loads, and the field
+is ignored.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from typing import List, Optional
 import numpy as np
 
 from .bo import Observation, SearchBox, fit_surrogate, propose_next
-from .compiler import PIVOT_SCHEMES, assemble_sdp, compute_bound, emit_sdpa
+from .compiler import PIVOT_SCHEMES, PivotGenerationError, PivotTable, compute_bound, emit_sdpa
+from .compiler import assemble_sdp  # not called here; perfbench/tracing.py wraps this name
 from .grammar import render
 from .mcts import (
     RewardCache,
@@ -79,8 +81,6 @@ class CampaignConfig:
     pivots: int = 50
     pivot_scheme: str = "plane"
     mcts_iterations: int = 24
-    mcts_rollouts: int = 1
-    mcts_restarts: int = 1
     top_k: int = 3
     max_monomials: int = 8
     c_explore: float = math.sqrt(2.0)
@@ -116,8 +116,8 @@ class CampaignConfig:
             raise ConfigError(
                 f"need top_k >= 1 and max_monomials >= 1, got {self.top_k}, {self.max_monomials}"
             )
-        if self.mcts_iterations < 1 or self.mcts_rollouts < 1 or self.mcts_restarts < 1:
-            raise ConfigError("search budgets must be >= 1")
+        if self.mcts_iterations < 1:
+            raise ConfigError(f"need mcts_iterations >= 1, got {self.mcts_iterations}")
         if self.budget_rounds < 0 or self.budget_seconds < 0:
             raise ConfigError("budgets must be nonnegative")
         if self.solver not in ("embedded", "external"):
@@ -140,7 +140,8 @@ class CampaignConfig:
     def from_file(cls, path: str) -> "CampaignConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        raw.pop("solver_max_iterations", None)  # retired; no stage read it
+        for retired in ("solver_max_iterations", "mcts_rollouts", "mcts_restarts"):
+            raw.pop(retired, None)  # no stage reads them; old config.json files carry them
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -330,35 +331,26 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
 
     caps = SearchCaps(degree_cap=config.d_search, max_monomials=config.max_monomials)
     search_start = time.monotonic()
-    best_outcome = None
-    best_sentence = None
-    evaluator = make_sdp_evaluator(
-        params, n=config.dimension, K=config.pivots, seed=seed, cache=RewardCache(),
-        pivot_scheme=config.pivot_scheme,
-    )
-    for restart in range(config.mcts_restarts):
-        try:
-            out = run_search(
-                params,
-                iterations=config.mcts_iterations,
-                d_search=config.d_search,
-                d_final=config.d_final,
-                K=config.pivots,
-                caps=caps,
-                seed=_round_seed(config.seed, round_idx, salt=restart + 1),
-                c_explore=config.c_explore,
-                rollouts=config.mcts_rollouts,
-                top_k=config.top_k,
-                eos_bias=config.eos_bias,
-                evaluator=evaluator,
-            )
-        except SearchFailedError:
-            continue
-        if best_outcome is None or out.outcome.bound < best_outcome.bound:
-            best_outcome, best_sentence = out.outcome, out.sentence
+    try:
+        table = PivotTable(params, config.pivots, seed, config.pivot_scheme)
+        out = run_search(
+            params,
+            iterations=config.mcts_iterations,
+            d_search=config.d_search,
+            d_final=config.d_final,
+            K=config.pivots,
+            caps=caps,
+            seed=_round_seed(config.seed, round_idx, salt=1),
+            c_explore=config.c_explore,
+            top_k=config.top_k,
+            eos_bias=config.eos_bias,
+            evaluator=make_sdp_evaluator(table, config.dimension, RewardCache()),
+        )
+    except (PivotGenerationError, SearchFailedError):
+        out = None
     search_seconds = time.monotonic() - search_start
 
-    if best_sentence is None:
+    if out is None:
         state.append(RoundRecord(
             round=round_idx, r=params.r, R=params.R, sentence=None,
             d_search=config.d_search, d_final=config.d_final, K=config.pivots,
@@ -371,14 +363,11 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
     solve_start = time.monotonic()
     objective = bound = eq_res = psd_res = None
     try:
-        inst = assemble_sdp(
-            best_sentence, params, n=config.dimension, d=config.d_final,
-            K=config.pivots, seed=seed, pivot_scheme=config.pivot_scheme,
-        )
+        inst = table.instance(out.sentence, config.dimension, config.d_final)
         if config.solver == "external":
             res = solve_external(inst, config.solver_cmd)
         else:
-            res = best_outcome.result  # the search's own d_final decision of this instance
+            res = out.outcome.result  # the search's own d_final decision of this instance
         if res.status is SolverStatus.CONVERGED:
             status, eq_res, psd_res = _check_certificate(inst, res, config)
             if status == "converged":
@@ -392,7 +381,7 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
 
     state.append(RoundRecord(
         round=round_idx, r=params.r, R=params.R,
-        sentence=render(best_sentence),
+        sentence=render(out.sentence),
         d_search=config.d_search, d_final=config.d_final, K=config.pivots,
         objective=objective, bound=bound, status=status,
         eq_residual=eq_res, psd_residual=psd_res,

@@ -27,7 +27,7 @@ from .campaign import (
     run_campaign,
     solve_external,
 )
-from .compiler import assemble_sdp, emit_sdpa
+from .compiler import PivotGenerationError, assemble_sdp, emit_sdpa
 from .grammar import ParseError, render, tokenize_and_parse
 from .mcts import SearchCaps, SearchFailedError, run_search
 from .polys import GeometricParams
@@ -146,18 +146,17 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    try:
-        params = GeometricParams(args.r, args.R)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     caps = SearchCaps(degree_cap=args.degree_search, max_monomials=args.max_monomials)
     try:
         out = run_search(
-            params, iterations=args.iterations, d_search=args.degree_search,
-            d_final=args.degree_final, K=args.pivots, caps=caps, seed=args.seed,
-            n=args.dim, top_k=args.top_k, tree_dump_path=args.tree_dump,
+            GeometricParams(args.r, args.R), iterations=args.iterations,
+            d_search=args.degree_search, d_final=args.degree_final, K=args.pivots,
+            caps=caps, seed=args.seed, n=args.dim, top_k=args.top_k,
+            tree_dump_path=args.tree_dump,
         )
+    except (ValueError, PivotGenerationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except SearchFailedError as exc:
         print(f"search failed: {exc}", file=sys.stderr)
         for entry in exc.log:

@@ -13,7 +13,7 @@ normalization row excludes the all-zero solution; the objective matrices
 C_i are built by the same outer-product construction evaluated at the
 origin, and the normalization row applies it to the designated block alone
 (origin_objective_blocks, first_block_normalization).  These are documented
-stand-ins, not canonical constructions.  assemble_sdp always uses them, and
+stand-ins, not canonical constructions.  Every instance uses them, and
 solver.solve_exact decides exactly that instance in closed form.
 
 Every block m(p) * u u^T is built from the moment pattern of its basis
@@ -22,9 +22,9 @@ where (A, B, C) is the sum of the exponents of basis elements i and j, so
 the block has one distinct value per distinct sum (252 for k = 6, against
 1275 upper-triangle entries).  Each distinct value costs one multiply of
 m(p) u_i by u_j; equal entries share one Fraction, and m(p) = 0 gives one
-shared all-zero block.  assemble_sdp evaluates the pivots once through a
-PivotTable: base values once per pivot, basis vectors once per pivot at
-the largest block degree, which the smaller blocks slice.
+shared all-zero block.  PivotTable.instance builds every instance on its
+table's pivots, evaluated once for all of them: base values once per pivot,
+basis vectors once per pivot at the largest degree, which smaller ones slice.
 
 All matrix entries are exact rationals so that emission to solver files is
 deterministic at any requested precision.
@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.stats import qmc
 
-from .grammar import Monomial, Sentence
+from .grammar import Monomial, Sentence, render
 from .polys import (
     GeometricParams,
     Number,
@@ -200,40 +200,6 @@ def generate_pivots(
                     return picked[:K]
 
     raise PivotGenerationError(K, len(picked))
-
-
-class PivotTable:
-    """One set of pivots with their base polynomial values and basis vectors.
-
-    generate_pivots runs once and base_values_at once per pivot, when the
-    table is built.  The basis evaluation vectors of degree k are computed
-    on first use and kept; since basis_enumerate(k) is a prefix of
-    basis_enumerate(k') for k <= k', a degree below the largest one computed
-    so far slices those vectors instead of evaluating the basis again.
-    Everything is exact.  assemble_sdp builds one table per instance, and
-    the tree search's exact evaluator one per round.
-    """
-
-    def __init__(self, params: GeometricParams, K: int, seed: int, scheme: str = "plane"):
-        self.pivots = generate_pivots(params, K, seed, scheme=scheme)
-        self.base_values = [base_values_at(p.as_tuple(), params) for p in self.pivots]
-        self._basis: Dict[int, List[Tuple[Fraction, ...]]] = {}
-
-    def monomial_values(self, m: Monomial) -> List[Fraction]:
-        """m(p) for every pivot p, in pivot order."""
-        return [_monomial_value(values, m) for values in self.base_values]
-
-    def basis_vectors(self, k: int) -> List[Tuple[Fraction, ...]]:
-        """evaluate_basis(basis_enumerate(k), p) for every pivot p, in pivot order."""
-        if k not in self._basis:
-            top = max(self._basis, default=-1)
-            if k < top:
-                size = len(basis_enumerate(k))
-                self._basis[k] = [u[:size] for u in self._basis[top]]
-            else:
-                elems = basis_enumerate(k)
-                self._basis[k] = [evaluate_basis(elems, p.as_tuple()) for p in self.pivots]
-        return self._basis[k]
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +426,61 @@ def make_instance(
     )
 
 
+class PivotTable:
+    """The pivots of (params, K, seed, scheme), kept as attributes, and their instances.
+
+    generate_pivots runs once and base_values_at once per pivot, when the
+    table is built.  The basis evaluation vectors of degree k are computed
+    on first use and kept; since basis_enumerate(k) is a prefix of
+    basis_enumerate(k') for k <= k', a degree below the largest one computed
+    so far slices those vectors instead of evaluating the basis again.
+    Everything is exact.  A campaign round builds one table, on which the
+    search decides and from which the winner's instance is verified.
+    """
+
+    def __init__(self, params: GeometricParams, K: int, seed: int, scheme: str = "plane"):
+        self.params, self.K, self.seed, self.scheme = params, K, seed, scheme
+        self.pivots = generate_pivots(params, K, seed, scheme=scheme)
+        self.base_values = [base_values_at(p.as_tuple(), params) for p in self.pivots]
+        self._basis: Dict[int, List[Tuple[Fraction, ...]]] = {}
+
+    def monomial_values(self, m: Monomial) -> List[Fraction]:
+        """m(p) for every pivot p, in pivot order."""
+        return [_monomial_value(values, m) for values in self.base_values]
+
+    def basis_vectors(self, k: int) -> List[Tuple[Fraction, ...]]:
+        """evaluate_basis(basis_enumerate(k), p) for every pivot p, in pivot order."""
+        if k not in self._basis:
+            top = max(self._basis, default=-1)
+            if k < top:
+                size = len(basis_enumerate(k))
+                self._basis[k] = [u[:size] for u in self._basis[top]]
+            else:
+                elems = basis_enumerate(k)
+                self._basis[k] = [evaluate_basis(elems, p.as_tuple()) for p in self.pivots]
+        return self._basis[k]
+
+    def instance(self, s: Sentence, n: int, d: int) -> SdpInstance:
+        """Full instance for a sentence: K homogeneous rows plus one normalization row.
+
+        The sentence is canonicalized first (constant padding and duplicate
+        monomials produce identical blocks and are dropped).  The objective is
+        origin_objective_blocks and the normalization first_block_normalization.
+        """
+        if n < 1:
+            raise ValueError(f"dimension n must be >= 1, got {n}")
+        canon = s.canonical()
+        _check_degrees(canon, d)
+        return SdpInstance(
+            block_dims=tuple(len(basis_enumerate(d - m.degree)) for m in canon.monomials),
+            constraints=_constraint_rows(canon, d, self),
+            objective=tuple(origin_objective_blocks(canon, d, self.params)),
+            normalization=tuple(first_block_normalization(canon, d, self.params)),
+            meta=SdpMeta(n=n, d=d, r=self.params.r, R=self.params.R, sentence=render(canon),
+                         K=self.K, seed=self.seed, pivot_scheme=self.scheme),
+        )
+
+
 def assemble_sdp(
     s: Sentence,
     params: GeometricParams,
@@ -469,37 +490,8 @@ def assemble_sdp(
     seed: int,
     pivot_scheme: str = "plane",
 ) -> SdpInstance:
-    """Full instance for a sentence: K homogeneous rows plus one normalization row.
-
-    The sentence is canonicalized first (constant padding and duplicate
-    monomials produce identical blocks and are dropped).  The pivots come
-    from a PivotTable built for this call alone; the objective is
-    origin_objective_blocks and the normalization first_block_normalization.
-    """
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
-    canon = s.canonical()
-    _check_degrees(canon, d)
-    rows = _constraint_rows(canon, d, PivotTable(params, K, seed, pivot_scheme))
-    dims = tuple(len(basis_enumerate(d - m.degree)) for m in canon.monomials)
-    from .grammar import render as render_sentence
-
-    return SdpInstance(
-        block_dims=dims,
-        constraints=rows,
-        objective=tuple(origin_objective_blocks(canon, d, params)),
-        normalization=tuple(first_block_normalization(canon, d, params)),
-        meta=SdpMeta(
-            n=n,
-            d=d,
-            r=params.r,
-            R=params.R,
-            sentence=render_sentence(canon),
-            K=K,
-            seed=seed,
-            pivot_scheme=pivot_scheme,
-        ),
-    )
+    """The instance of s on a PivotTable built for this call alone (PivotTable.instance)."""
+    return PivotTable(params, K, seed, pivot_scheme).instance(s, n, d)
 
 
 # ---------------------------------------------------------------------------

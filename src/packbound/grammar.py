@@ -126,16 +126,8 @@ class Sentence:
         stripped = {m.canonical() for m in self.monomials}
         return Sentence(tuple(sorted(stripped, key=_monomial_key)))
 
-    def is_canonical(self) -> bool:
-        return self == self.canonical()
-
     def max_degree(self) -> int:
         return max(m.degree for m in self.monomials)
-
-
-def monomial_degree(m: Monomial) -> int:
-    """Sum of alpha_k * degree(P_k) with the fixed degree vector (2,1,2,1,2,1,0)."""
-    return m.degree
 
 
 def tokenize(text: str) -> List[Token]:

@@ -7,9 +7,10 @@ backpropagation) is deterministic given the seed; rollouts complete a prefix
 by seeded uniform draws with a configurable bias toward terminating once a
 monomial is complete, and every completed sentence is evaluated through a
 pluggable evaluator (by default: decide the sentence's SDP at the search
-degree exactly, with solver.solve_exact).  Evaluations are cached by canonical
-sentence, so permuted factor orders and constant padding share solver calls;
-visit statistics live on the token-prefix tree itself.
+degree exactly, with solver.solve_exact on one pivot table).  Evaluations
+are cached by (canonical sentence, degree), so permuted factor orders and
+constant padding share solver calls; visit statistics live on the
+token-prefix tree itself.
 
 Single-writer tree: rollout evaluations may be expensive but are issued
 sequentially, keeping runs reproducible.
@@ -78,64 +79,51 @@ Evaluator = Callable[[Sentence, int], EvalOutcome]
 
 
 class RewardCache:
-    """Evaluation store keyed by (canonical sentence, r, R, d, K, seed).
+    """Evaluation store of one evaluator, keyed by (canonical sentence text, d).
 
-    Hits return the identical EvalOutcome object, so rewards are
-    bit-identical and repeated sentences cost no solver calls.
+    The evaluator's pivot table fixes everything else an outcome depends
+    on, so a cache serves one evaluator.  Hits return the identical
+    EvalOutcome object, so rewards are bit-identical and repeated sentences
+    cost no solver calls.
     """
 
     def __init__(self) -> None:
-        self._store: Dict[tuple, EvalOutcome] = {}
+        self._store: Dict[Tuple[str, int], EvalOutcome] = {}
         self.hits = 0
         self.misses = 0
 
-    def key(self, text: str, params: GeometricParams, d: int, K: int, seed: int) -> tuple:
-        return (text, params.r.hex(), params.R.hex(), d, K, seed)
-
-    def get(self, key: tuple) -> Optional[EvalOutcome]:
+    def get(self, key: Tuple[str, int]) -> Optional[EvalOutcome]:
         out = self._store.get(key)
         if out is not None:
             self.hits += 1
         return out
 
-    def put(self, key: tuple, outcome: EvalOutcome) -> None:
+    def put(self, key: Tuple[str, int], outcome: EvalOutcome) -> None:
         self.misses += 1
         self._store[key] = outcome
 
 
-def make_sdp_evaluator(
-    params: GeometricParams,
-    n: int,
-    K: int,
-    seed: int,
-    cache: RewardCache,
-    pivot_scheme: str = "plane",
-) -> Evaluator:
+def make_sdp_evaluator(table: PivotTable, n: int, cache: RewardCache) -> Evaluator:
     """Default evaluator: decide each sentence's instance exactly, compute its bound.
 
-    The instance of (sentence, d) is the one assemble_sdp builds;
-    solver.solve_exact decides it in rational arithmetic, so a converged
-    outcome has objective exactly 1 and a checked rank-one certificate.  All
-    evaluations share one PivotTable for (params, K, seed, pivot_scheme),
-    built on the first evaluation; a failure to build it, like any failed
-    decision, becomes an "error: ..." outcome.  Outcomes are stored in cache.
+    The instance of (sentence, d) is table.instance(sentence, n, d);
+    solver.solve_exact decides it in rational arithmetic on the table, so a
+    converged outcome has objective exactly 1 and a checked rank-one
+    certificate.  A failed decision becomes an "error: ..." outcome.
+    Outcomes are stored in cache, which must serve this evaluator alone.
     """
-    table: Optional[PivotTable] = None
 
     def evaluate(s: Sentence, d: int) -> EvalOutcome:
-        nonlocal table
         canon = s.canonical()
         text = render(canon)
-        key = cache.key(text, params, d, K, seed)
+        key = (text, d)
         hit = cache.get(key)
         if hit is not None:
             return hit
         try:
-            if table is None:
-                table = PivotTable(params, K, seed, pivot_scheme)
-            res = solve_exact(canon, d, params, table)
+            res = solve_exact(canon, d, table)
             converged = res.status is SolverStatus.CONVERGED
-            bound = compute_bound(res.objective_value, params, n) if converged else math.inf
+            bound = compute_bound(res.objective_value, table.params, n) if converged else math.inf
             outcome = EvalOutcome(text, d, converged, res.objective_value, bound,
                                   res.status.value, res)
         except Exception as exc:  # failed compiles become penalty rewards
@@ -363,17 +351,23 @@ def run_search(
     bound (ties prefer fewer monomials, then the lexicographically smaller
     canonical text; see rank_key).  The returned outcome carries that
     d_final solve, so a caller can verify it without solving again.  Without
-    an evaluator, make_sdp_evaluator is used with a fresh RewardCache.
-    Deterministic given all inputs.
+    an evaluator, make_sdp_evaluator is used on PivotTable(params, K, seed)
+    with a fresh RewardCache; building that table raises ValueError or
+    compiler.PivotGenerationError when it cannot be built.  Deterministic
+    given all inputs.
     """
     if iterations < 1:
         raise ValueError("need iterations >= 1")
     if d_search > d_final:
         raise ValueError(f"d_search={d_search} must not exceed d_final={d_final}")
+    if top_k < 1 or caps.max_monomials < 1:
+        raise ValueError(
+            f"need top_k >= 1 and max_monomials >= 1, got {top_k}, {caps.max_monomials}"
+        )
     start = time.monotonic()
     rng = np.random.default_rng(seed)
     if evaluator is None:
-        evaluator = make_sdp_evaluator(params, n=n, K=K, seed=seed, cache=RewardCache())
+        evaluator = make_sdp_evaluator(PivotTable(params, K, seed), n, RewardCache())
 
     caps = SearchCaps(min(caps.degree_cap, d_search), caps.max_monomials)
     root = SearchNode((), caps)

@@ -1,10 +1,11 @@
 """Solve block SDP instances and verify the resulting certificates.
 
-Instances built by compiler.assemble_sdp (origin objective, designated-block
-normalization) are decided exactly by solve_exact: every block is rank one
-with nonnegative pivot values, so feasibility, boundedness and the optimum
-(always 1) follow from fraction-free elimination on each block's active
-pivot rows, and the rank-one certificate is checked in rational arithmetic.
+Instances built by compiler.PivotTable.instance (origin objective,
+designated-block normalization) are decided exactly by solve_exact: every
+block is rank one with nonnegative pivot values, so feasibility,
+boundedness and the optimum (always 1) follow from fraction-free
+elimination on each block's active pivot rows, and the rank-one
+certificate is checked in rational arithmetic.
 The tree search uses it for every evaluation.  The ADMM solver below handles
 any instance, such as a .dat-s file read back by the CLI, and serves the
 scripts.
@@ -45,7 +46,7 @@ from .compiler import (
     monomial_value_at,
 )
 from .grammar import Sentence
-from .polys import GeometricParams, basis_enumerate
+from .polys import basis_enumerate
 
 
 class SolverStatus(str, Enum):
@@ -83,10 +84,6 @@ ADMM_RHO = 1.0
 ADMM_OVER_RELAXATION = 1.7
 ADMM_OBJECTIVE_FLOOR = -1e3
 ADMM_NORM_CAP = 1e10
-
-
-class SolveSetupError(RuntimeError):
-    """Instance cannot be prepared for the embedded solver (e.g. redundant rows)."""
 
 
 def _stack_rows(inst: SdpInstance) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[slice]]:
@@ -407,12 +404,10 @@ def _kernel_vector(rows: Sequence[Sequence[Fraction]], dim: int) -> Optional[Lis
     return out
 
 
-def solve_exact(
-    sentence: Sentence, d: int, params: GeometricParams, table: PivotTable
-) -> SolverResult:
-    """Decide the assemble_sdp instance of (sentence, d) exactly.
+def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
+    """Decide the instance table.instance(sentence, n, d) exactly, for any n.
 
-    The instance is the one assemble_sdp builds on the table's pivots, with
+    The instance is built on the table's pivots and params, with
     origin_objective_blocks and first_block_normalization.  Its row for
     pivot p reads sum_i m_i(p) u_p^T X_i u_p = 0 with every m_i(p) >= 0, so
     each term vanishes on its own: X_i u_p = 0 wherever m_i(p) > 0 (the
@@ -435,6 +430,7 @@ def solve_exact(
     argument needs m_i(p) >= 0.
     """
     start = time.monotonic()
+    params = table.params
     if any(v < 0 for values in table.base_values for v in values[:6]):
         raise ValueError("a pivot lies outside the region where P1..P6 are nonnegative")
     canon = sentence.canonical()

@@ -70,6 +70,19 @@ class TestConfig:
         path.write_text(json.dumps(raw))
         assert CampaignConfig.from_file(str(path)) == CampaignConfig(seed=5)
 
+    def test_retired_search_fields_load(self, tmp_path):
+        # config.json files written before mcts_rollouts and mcts_restarts
+        # were retired carry them; an unknown field is still an error
+        raw = dataclasses.asdict(CampaignConfig(seed=5))
+        raw.update(mcts_rollouts=1, mcts_restarts=1)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert CampaignConfig.from_file(str(path)) == CampaignConfig(seed=5)
+        raw["mcts_retries"] = 1
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="mcts_retries"):
+            CampaignConfig.from_file(str(path))
+
     @pytest.mark.parametrize("bad", [
         {"r_lo": 2.0, "r_hi": 1.0},
         {"r_lo": 3.0, "r_hi": 3.5, "R_lo": 1.0, "R_hi": 2.0},
@@ -81,6 +94,7 @@ class TestConfig:
         {"pivot_scheme": "grid4d"},
         {"top_k": 0},
         {"max_monomials": 0},
+        {"mcts_iterations": 0},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -197,39 +211,57 @@ class TestPlayRound:
 
         config = dataclasses.replace(CampaignConfig(**FAST), pivot_scheme=pivot_scheme)
         schemes, verified, decided, admm = [], [], [], []
-        original_pivots, original_assemble = compiler.generate_pivots, campaign.assemble_sdp
+        original_pivots, original_instance = compiler.generate_pivots, compiler.PivotTable.instance
         original_decide = mcts.solve_exact
 
         def spy_pivots(*args, **kwargs):
             schemes.append(kwargs["scheme"])
             return original_pivots(*args, **kwargs)
 
-        def spy_assemble(*args, **kwargs):
-            verified.append(args)
-            return original_assemble(*args, **kwargs)
+        def spy_instance(table, s, n, d):
+            verified.append((table, render(s.canonical()), n, d))
+            return original_instance(table, s, n, d)
 
-        def spy_decide(sentence, d, params, table):
-            decided.append((render(sentence.canonical()), d))
-            return original_decide(sentence, d, params, table)
+        def spy_decide(sentence, d, table):
+            decided.append((table, render(sentence.canonical()), d))
+            return original_decide(sentence, d, table)
 
         monkeypatch.setattr(compiler, "generate_pivots", spy_pivots)
-        monkeypatch.setattr(campaign, "assemble_sdp", spy_assemble)
+        monkeypatch.setattr(compiler.PivotTable, "instance", spy_instance)
         monkeypatch.setattr(mcts, "solve_exact", spy_decide)
         monkeypatch.setattr(mcts, "solve_embedded", lambda *a, **k: admm.append(a))
         monkeypatch.setattr(campaign, "solve_embedded", lambda *a, **k: admm.append(a))
         state = play_round(GameState(), config)
 
         assert admm == []
-        # one pivot table for the search, plus the campaign's own assembly
-        # of the winner's instance for verification
-        assert schemes == [pivot_scheme] * (1 + len(verified))
-        assert decided and len(decided) == len(set(decided))
+        # one pivot table a round, built from the config, decides every
+        # evaluation of the search; the winner is assembled from it too
+        assert schemes == [pivot_scheme]
+        table = decided[0][0]
+        assert all(t is table for t, _, _ in decided)
         rec = state.rounds[0]
+        assert (table.params.r, table.params.R, table.K, table.seed, table.scheme) == (
+            rec.r, rec.R, config.pivots, rec.seed, pivot_scheme)
+        keys = [(text, d) for _, text, d in decided]
+        assert len(keys) == len(set(keys))
         if pivot_scheme == "plane":
-            assert rec.converged and len(verified) == 1
-            assert (rec.sentence, config.d_final) in decided
+            assert rec.converged
+            assert verified == [(table, rec.sentence, config.dimension, config.d_final)]
+            assert (rec.sentence, config.d_final) in keys
         else:
             assert rec.status == "search-failed" and verified == []
+
+    def test_pivot_generation_failure_is_a_failed_search(self, monkeypatch):
+        import packbound.compiler as compiler
+
+        def exhausted(params, K, seed, scheme="plane"):
+            raise compiler.PivotGenerationError(K, 3)
+
+        monkeypatch.setattr(compiler, "generate_pivots", exhausted)
+        state = play_round(GameState(), CampaignConfig(**FAST))
+        rec = state.rounds[0]
+        assert rec.status == "search-failed"
+        assert rec.sentence is None and rec.solve_seconds == 0.0
 
     def test_certificate_with_a_negative_eigenvalue_fails_verification(self):
         # X = diag(1, -1e-6) meets the only row exactly, so the equality

@@ -2,6 +2,8 @@ import json
 import os
 import sys
 
+import pytest
+
 from packbound.cli import EXIT_CONFIG, EXIT_OK, EXIT_SEARCH, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -88,6 +90,19 @@ class TestSearch:
         payload = json.loads(out)
         assert payload["sentence"].endswith("<EOS>")
         assert payload["bound"] > 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-monomials", "0"),
+        ("--top-k", "0"),
+        ("--pivots", "0"),
+        ("--pivots", "9000"),  # more than the region yields: PivotGenerationError
+    ])
+    def test_bad_search_argument_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "search", "--r", "1.45", "--R", "2.0", "--iterations", "2", flag, value,
+        )
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_hopeless_search_exits_4(self, capsys, monkeypatch):
         import packbound.cli as cli_mod

@@ -232,6 +232,25 @@ class TestPivotTable:
             assert p7_block[0] == u4  # u[0] = 1, so the first row of u u^T is u
             assert p1_block[0] == tuple(value * x for x in u2)
 
+    def test_instance_rejects_bad_dimension_and_degree(self, params):
+        table = PivotTable(params, 5, 0)
+        with pytest.raises(ValueError, match="dimension n"):
+            table.instance(tokenize_and_parse("P7 <EOS>"), 0, 2)
+        with pytest.raises(ValueError, match="degree 2 > cap d=1"):
+            table.instance(tokenize_and_parse("P7 <ES> P1 <EOS>"), 8, 1)
+        with pytest.raises(ValueError, match="dimension n"):
+            assemble_sdp(tokenize_and_parse("P7 <EOS>"), params, n=0, d=2, K=5, seed=0)
+
+    def test_instance_carries_the_table_identity_and_equals_assembly(self, params):
+        table = PivotTable(params, 12, 3, "grid3d")
+        assert (table.params, table.K, table.seed, table.scheme) == (params, 12, 3, "grid3d")
+        # a search evaluation at a higher degree leaves vectors that later degrees slice
+        table.basis_vectors(5)
+        s = tokenize_and_parse("P1 <*> P7 <ES> P7 <ES> P2 <EOS>")
+        inst = table.instance(s, 8, 4)
+        assert inst == assemble_sdp(s, params, n=8, d=4, K=12, seed=3, pivot_scheme="grid3d")
+        assert (inst.meta.K, inst.meta.seed, inst.meta.pivot_scheme) == (12, 3, "grid3d")
+
 
 class TestComputeBound:
     def test_unit_everything(self):

@@ -14,7 +14,6 @@ from packbound.grammar import (
     enumerate_monomials,
     enumerate_sentences,
     legal_next_tokens,
-    monomial_degree,
     prefix_sentence,
     render,
     tokenize,
@@ -130,13 +129,13 @@ class TestRender:
 
 class TestMonomialDegree:
     def test_reference_monomial(self):
-        assert monomial_degree(Monomial((0, 1, 2, 0, 1, 0, 0))) == 7
+        assert Monomial((0, 1, 2, 0, 1, 0, 0)).degree == 7
 
     def test_padded_monomial(self):
-        assert monomial_degree(Monomial((1, 0, 0, 0, 0, 0, 3))) == 2
+        assert Monomial((1, 0, 0, 0, 0, 0, 3)).degree == 2
 
     def test_constant(self):
-        assert monomial_degree(CONSTANT_MONOMIAL) == 0
+        assert CONSTANT_MONOMIAL.degree == 0
 
     @given(m=monomials())
     @settings(max_examples=120)
@@ -146,7 +145,7 @@ class TestMonomialDegree:
         for k in range(7):
             for _ in range(m.alpha[k]):
                 product = product * make_base_polynomial(k + 1, params)
-        assert product.degree() == monomial_degree(m)
+        assert product.degree() == m.degree
 
 
 class TestLegalNextTokens:

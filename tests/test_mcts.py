@@ -8,6 +8,7 @@ import pytest
 
 import packbound
 
+from packbound.compiler import PivotTable
 from packbound.grammar import Token, enumerate_sentences, render, tokenize, tokenize_and_parse
 from packbound.mcts import (
     EvalOutcome,
@@ -24,7 +25,6 @@ from packbound.mcts import (
     select_path,
     simulate_rollout,
 )
-from packbound.polys import GeometricParams
 
 CAPS = SearchCaps(degree_cap=2, max_monomials=2)
 
@@ -192,24 +192,33 @@ class TestSimulate:
 
     def test_cache_prevents_repeat_solves(self, params):
         cache = RewardCache()
-        evaluator = make_sdp_evaluator(params, n=8, K=20, seed=0, cache=cache)
+        evaluator = make_sdp_evaluator(PivotTable(params, 20, 0), 8, cache)
         s = tokenize_and_parse("P7 <EOS>")
         first = evaluator(s, 2)
         second = evaluator(s, 2)
         assert first is second
         assert cache.misses == 1 and cache.hits == 1
 
-    def test_cache_keys_include_geometry(self, params):
+    def test_cache_key_is_canonical_text_and_degree(self, params):
+        # the evaluator's table fixes the geometry, K, seed and scheme
         cache = RewardCache()
-        other = GeometricParams(1.5, 2.1)
-        assert cache.key("P7 <EOS>", params, 2, 20, 0) != cache.key("P7 <EOS>", other, 2, 20, 0)
+        evaluator = make_sdp_evaluator(PivotTable(params, 20, 0), 8, cache)
+        s = tokenize_and_parse("P1 <*> P7 <ES> P1 <EOS>")
+        text = render(s.canonical())
+        assert text == "P1 <EOS>"
+        first = evaluator(s, 2)
+        assert evaluator(tokenize_and_parse(text), 2) is first
+        fourth = evaluator(s, 4)
+        assert fourth is not first and fourth.d == 4
+        assert cache.get((text, 2)) is first and cache.get((text, 4)) is fourth
+        assert (cache.hits, cache.misses) == (3, 2)
 
 
 class TestRunSearch:
     def test_matches_exhaustive_enumeration_with_real_solves(self, params):
         caps = SearchCaps(2, 1)
         cache = RewardCache()
-        evaluator = make_sdp_evaluator(params, n=8, K=20, seed=0, cache=cache)
+        evaluator = make_sdp_evaluator(PivotTable(params, 20, 0), 8, cache)
         best_bound = math.inf
         for s in enumerate_sentences(2, 1):
             out = evaluator(s, 2)
@@ -298,3 +307,9 @@ class TestRunSearch:
         with pytest.raises(ValueError):
             run_search(params, iterations=1, d_search=4, d_final=2, K=5,
                        caps=CAPS, seed=0)
+        with pytest.raises(ValueError, match="top_k"):
+            run_search(params, iterations=1, d_search=2, d_final=2, K=5,
+                       caps=CAPS, seed=0, top_k=0)
+        with pytest.raises(ValueError, match="max_monomials"):
+            run_search(params, iterations=1, d_search=2, d_final=2, K=5,
+                       caps=SearchCaps(2, 0), seed=0)

@@ -158,7 +158,7 @@ class TestKernelVector:
 class TestExactSolver:
     def decide(self, text, params, d=2, K=20):
         s = tokenize_and_parse(text)
-        exact = solve_exact(s, d, params, PivotTable(params, K, 0))
+        exact = solve_exact(s, d, PivotTable(params, K, 0))
         return exact, assemble_sdp(s, params, n=8, d=d, K=K, seed=0)
 
     def test_converged_sentence_carries_a_verified_certificate(self, params):
@@ -194,7 +194,7 @@ class TestExactSolver:
         table = PivotTable(params, 20, 0)
         table.base_values[3] = (-1,) + table.base_values[3][1:]
         with pytest.raises(ValueError, match="outside the region"):
-            solve_exact(tokenize_and_parse("P7 <EOS>"), 2, params, table)
+            solve_exact(tokenize_and_parse("P7 <EOS>"), 2, table)
 
     def test_closed_form_oracle_on_plane_pivots(self):
         # On plane pivots P4 vanishes at every pivot, so a block of basis
@@ -222,7 +222,7 @@ class TestExactSolver:
                     else:
                         expected = SolverStatus.CONVERGED
                     cases += 1
-                    if solve_exact(s, d, params, table).status is not expected:
+                    if solve_exact(s, d, table).status is not expected:
                         disagreements.append((render(s), d, r, R))
         assert cases == 364
         assert disagreements == []
@@ -235,7 +235,7 @@ class TestExactSolver:
     )
     def test_agrees_with_admm(self, s, r, R):
         params = GeometricParams(r, R)
-        exact = solve_exact(s, 2, params, PivotTable(params, 20, 0))
+        exact = solve_exact(s, 2, PivotTable(params, 20, 0))
         inst = assemble_sdp(s, params, n=8, d=2, K=20, seed=0)
         admm = solve_embedded(inst, max_iterations=5000)
         if admm.status is SolverStatus.CONVERGED:
