@@ -118,6 +118,8 @@ class CampaignConfig:
             )
         if self.mcts_iterations < 1:
             raise ConfigError(f"need mcts_iterations >= 1, got {self.mcts_iterations}")
+        if not self.eos_bias > 0:  # <*> is always legal, so rollouts end only by <EOS>
+            raise ConfigError(f"need eos_bias > 0, got {self.eos_bias}")
         if self.budget_rounds < 0 or self.budget_seconds < 0:
             raise ConfigError("budgets must be nonnegative")
         if self.solver not in ("embedded", "external"):

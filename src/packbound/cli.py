@@ -7,8 +7,9 @@ Subcommands:
   campaign   the full game loop, driven by a config file and/or flags
   report     diagnostics CSVs and a summary from a persisted state file
 
-Exit codes: 0 success, 2 invalid configuration or arguments, 3 campaign
-halted on an I/O failure, 4 search failed to produce a converged sentence.
+Exit codes: 0 success, 2 invalid configuration or arguments (also a failed
+external solve), 3 campaign halted on an I/O failure, 4 search failed to
+produce a converged sentence.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import subprocess
 import sys
 from typing import List, Optional
 
@@ -106,10 +108,10 @@ def _cmd_compile(args) -> int:
         params = GeometricParams(args.r, args.R)
         inst = assemble_sdp(sentence, params, n=args.dim, d=args.degree,
                             K=args.pivots, seed=args.seed)
+        text = emit_sdpa(inst, digits=args.digits)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    text = emit_sdpa(inst, digits=args.digits)
     if args.out == "-":
         sys.stdout.write(text)
     else:
@@ -130,7 +132,12 @@ def _cmd_solve(args) -> int:
         if not args.solver_cmd:
             print("error: --solver external requires --solver-cmd", file=sys.stderr)
             return EXIT_CONFIG
-        res = solve_external(inst, args.solver_cmd)
+        try:
+            res = solve_external(inst, args.solver_cmd)
+        except (OSError, ValueError, subprocess.SubprocessError) as exc:
+            # a missing binary, a nonzero exit or timeout, or unreadable output
+            print(f"error: external solver: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         res = solve_embedded(inst, tol_eq=args.tol_eq, tol_psd=args.tol_psd,
                              max_iterations=args.max_iterations)

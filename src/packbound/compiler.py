@@ -12,9 +12,9 @@ makes every A_{i,p} rank <= 1 and positive semidefinite.  One inhomogeneous
 normalization row excludes the all-zero solution; the objective matrices
 C_i are built by the same outer-product construction evaluated at the
 origin, and the normalization row applies it to the designated block alone
-(origin_objective_blocks, first_block_normalization).  These are documented
-stand-ins, not canonical constructions.  Every instance uses them, and
-solver.solve_exact decides exactly that instance in closed form.
+(PivotTable.instance).  These are documented stand-ins, not canonical
+constructions.  Every instance uses them, and solver.solve_exact decides
+exactly that instance in closed form.
 
 Every block m(p) * u u^T is built from the moment pattern of its basis
 degree k (moment_pattern): entry (i, j) of u u^T is w^A (hv)^B (h+v)^C,
@@ -23,8 +23,9 @@ the block has one distinct value per distinct sum (252 for k = 6, against
 1275 upper-triangle entries).  Each distinct value costs one multiply of
 m(p) u_i by u_j; equal entries share one Fraction, and m(p) = 0 gives one
 shared all-zero block.  PivotTable.instance builds every instance on its
-table's pivots, evaluated once for all of them: base values once per pivot,
-basis vectors once per pivot at the largest degree, which smaller ones slice.
+table's pivots, evaluated once for all of them: base values once per pivot
+and once at the origin, basis vectors once per pivot at the largest degree,
+which smaller ones slice.
 
 All matrix entries are exact rationals so that emission to solver files is
 deterministic at any requested precision.
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.stats import qmc
@@ -123,6 +124,45 @@ def _plane_point(h: float, v: float, params: GeometricParams) -> PivotPoint:
     return PivotPoint(h_q, v_q, w_q)
 
 
+def _plane_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[PivotPoint]:
+    """Chebyshev grid over pairs h <= v on the plane slice, then a Sobol fill on it."""
+    lo, hi = float(params.r) ** 2, float(params.R) ** 2
+    g = 3
+    while g * (g + 1) // 2 < 2 * K and g < 64:
+        g += 1
+    nodes = _chebyshev_nodes(lo, hi, g)
+    for i, h in enumerate(nodes):
+        for v in nodes[i:]:
+            yield _plane_point(h, v, params)
+    sampler = qmc.Sobol(d=2, scramble=True, seed=seed)
+    for _ in range(64):
+        for x, y in sampler.random(64):
+            h, v = lo + (hi - lo) * x, lo + (hi - lo) * y
+            if h > v:
+                h, v = v, h
+            yield _plane_point(h, v, params)
+
+
+def _grid3d_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[PivotPoint]:
+    """Chebyshev grid in h, v and w over [-sqrt(hv), sqrt(hv)], then a Sobol fill."""
+    lo, hi = float(params.r) ** 2, float(params.R) ** 2
+    g = 3
+    while g * g * g < 2 * K and g < 32:
+        g += 1
+    nodes = _chebyshev_nodes(lo, hi, g)
+    for h in nodes:
+        for v in nodes:
+            half = math.sqrt(h * v)
+            for w in _chebyshev_nodes(-half, half, g):
+                yield PivotPoint.make(h, v, w)
+    sampler = qmc.Sobol(d=3, scramble=True, seed=seed)
+    for _ in range(64):
+        for x, y, z in sampler.random(64):
+            h, v = lo + (hi - lo) * x, lo + (hi - lo) * y
+            half = math.sqrt(h * v)
+            yield PivotPoint.make(h, v, -half + 2 * half * z)
+
+
 def generate_pivots(
     params: GeometricParams,
     K: int,
@@ -147,58 +187,18 @@ def generate_pivots(
         raise ValueError(f"need K >= 1 pivots, got {K}")
     if scheme not in PIVOT_SCHEMES:
         raise ValueError(f"unknown pivot scheme {scheme!r}")
-    lo, hi = float(params.r) ** 2, float(params.R) ** 2
+    candidates = _plane_candidates if scheme == "plane" else _grid3d_candidates
     picked: List[PivotPoint] = []
     seen = set()
-
-    def consider(p: PivotPoint) -> None:
+    for p in candidates(params, K, seed):
         key = p.as_tuple()
         if key in seen:
-            return
+            continue
         seen.add(key)
         if region_membership(key, params):
             picked.append(p)
-
-    if scheme == "plane":
-        g = 3
-        while g * (g + 1) // 2 < 2 * K and g < 64:
-            g += 1
-        nodes = _chebyshev_nodes(lo, hi, g)
-        for i, h in enumerate(nodes):
-            for v in nodes[i:]:
-                consider(_plane_point(h, v, params))
-                if len(picked) >= K:
-                    return picked[:K]
-        sampler = qmc.Sobol(d=2, scramble=True, seed=seed)
-        for _ in range(64):
-            for x, y in sampler.random(64):
-                h, v = lo + (hi - lo) * x, lo + (hi - lo) * y
-                if h > v:
-                    h, v = v, h
-                consider(_plane_point(h, v, params))
-                if len(picked) >= K:
-                    return picked[:K]
-    else:
-        g = 3
-        while g * g * g < 2 * K and g < 32:
-            g += 1
-        nodes = _chebyshev_nodes(lo, hi, g)
-        for h in nodes:
-            for v in nodes:
-                half = math.sqrt(h * v)
-                for w in _chebyshev_nodes(-half, half, g):
-                    consider(PivotPoint.make(h, v, w))
-                    if len(picked) >= K:
-                        return picked[:K]
-        sampler = qmc.Sobol(d=3, scramble=True, seed=seed)
-        for _ in range(64):
-            for x, y, z in sampler.random(64):
-                h, v = lo + (hi - lo) * x, lo + (hi - lo) * y
-                half = math.sqrt(h * v)
-                consider(PivotPoint.make(h, v, -half + 2 * half * z))
-                if len(picked) >= K:
-                    return picked[:K]
-
+            if len(picked) == K:
+                return picked
     raise PivotGenerationError(K, len(picked))
 
 
@@ -275,11 +275,10 @@ def _rank_one_block(u: Sequence[Fraction], scale: Fraction, k: int) -> FracMatri
     return tuple([row(values) for row in pattern.rows])
 
 
-def _block_at(m: Monomial, d: int, point: Sequence[Fraction], params: GeometricParams) -> FracMatrix:
-    """m(point) * u u^T with u the basis(d - deg m) vector at the point."""
-    k = d - m.degree
-    u = evaluate_basis(basis_enumerate(k), point)
-    return _rank_one_block(u, monomial_value_at(m, point, params), k)
+def _origin_block(value: Fraction, size: int) -> FracMatrix:
+    """value * e_0 e_0^T: a block m(0) u u^T at the origin, where u = e_0."""
+    zero = _zero_block(size)
+    return zero if value == 0 else ((value,) + zero[0][1:],) + zero[1:]
 
 
 def _check_degrees(s: Sentence, d: int) -> None:
@@ -296,7 +295,11 @@ def build_constraint_blocks(
     """Per-monomial matrices m_i(pivot) * u u^T with u over basis(d - deg m_i)."""
     _check_degrees(s, d)
     point = pivot.as_tuple()
-    return [_block_at(m, d, point, params) for m in s.monomials]
+    return [
+        _rank_one_block(evaluate_basis(basis_enumerate(d - m.degree), point),
+                        monomial_value_at(m, point, params), d - m.degree)
+        for m in s.monomials
+    ]
 
 
 def _constraint_rows(s: Sentence, d: int, table: PivotTable) -> Tuple[Tuple[FracMatrix, ...], ...]:
@@ -311,50 +314,6 @@ def _constraint_rows(s: Sentence, d: int, table: PivotTable) -> Tuple[Tuple[Frac
         for m, k in zip(s.monomials, degrees)
     ]
     return tuple(zip(*columns))
-
-
-def origin_objective_blocks(
-    s: Sentence, d: int, params: GeometricParams
-) -> List[FracMatrix]:
-    """Objective: the constraint-block construction taken at the origin.
-
-    C_i = m_i(0,0,0) * u0 u0^T.  This is an explicit stand-in for the
-    objective construction of the underlying bound literature.
-    """
-    _check_degrees(s, d)
-    return [_block_at(m, d, ORIGIN, params) for m in s.monomials]
-
-
-def designated_block_index(s: Sentence, params: GeometricParams) -> int:
-    """Block chosen to carry the normalization row.
-
-    The first block whose monomial is positive at the origin; a block with a
-    nonpositive origin value cannot pin a positive scale with a PSD variable.
-    Falls back to block 0 when no block qualifies (the instance is then
-    honestly infeasible and the solver reports it).
-    """
-    for i, m in enumerate(s.monomials):
-        if monomial_value_at(m, ORIGIN, params) > 0:
-            return i
-    return 0
-
-
-def first_block_normalization(
-    s: Sentence, d: int, params: GeometricParams
-) -> List[FracMatrix]:
-    """Normalization row: origin outer product on the designated block.
-
-    N_j = m_j(0,0,0) * u0 u0^T on the designated block j, zero elsewhere;
-    the row sum is constrained to 1, pinning the certificate scale (the
-    role the unit-Fourier-mass condition plays in the analytic bound).
-    """
-    _check_degrees(s, d)
-    idx = designated_block_index(s, params)
-    return [
-        _block_at(m, d, ORIGIN, params) if i == idx
-        else _zero_block(len(basis_enumerate(d - m.degree)))
-        for i, m in enumerate(s.monomials)
-    ]
 
 
 @dataclass(frozen=True)
@@ -429,11 +388,12 @@ def make_instance(
 class PivotTable:
     """The pivots of (params, K, seed, scheme), kept as attributes, and their instances.
 
-    generate_pivots runs once and base_values_at once per pivot, when the
-    table is built.  The basis evaluation vectors of degree k are computed
-    on first use and kept; since basis_enumerate(k) is a prefix of
-    basis_enumerate(k') for k <= k', a degree below the largest one computed
-    so far slices those vectors instead of evaluating the basis again.
+    Every point value an instance or an exact decision reads comes from the
+    table.  generate_pivots runs once, and base_values_at once per pivot and
+    once at the origin, when the table is built; the pivots' region check runs
+    then.  The basis evaluation vectors of degree k are computed on first use
+    and kept; since basis_enumerate(k) is a prefix of basis_enumerate(k') for
+    k <= k', a smaller degree slices the largest one computed so far.
     Everything is exact.  A campaign round builds one table, on which the
     search decides and from which the winner's instance is verified.
     """
@@ -441,12 +401,28 @@ class PivotTable:
     def __init__(self, params: GeometricParams, K: int, seed: int, scheme: str = "plane"):
         self.params, self.K, self.seed, self.scheme = params, K, seed, scheme
         self.pivots = generate_pivots(params, K, seed, scheme=scheme)
-        self.base_values = [base_values_at(p.as_tuple(), params) for p in self.pivots]
+        self.base_values = tuple(base_values_at(p.as_tuple(), params) for p in self.pivots)
+        # solver.solve_exact's argument needs m(p) >= 0 for every monomial m
+        if any(v < 0 for values in self.base_values for v in values[:6]):
+            raise ValueError("a pivot lies outside the region where P1..P6 are nonnegative")
+        self.origin = base_values_at(ORIGIN, params)
         self._basis: Dict[int, List[Tuple[Fraction, ...]]] = {}
 
     def monomial_values(self, m: Monomial) -> List[Fraction]:
         """m(p) for every pivot p, in pivot order."""
         return [_monomial_value(values, m) for values in self.base_values]
+
+    def origin_value(self, m: Monomial) -> Fraction:
+        """m(0, 0, 0)."""
+        return _monomial_value(self.origin, m)
+
+    def designated_block(self, s: Sentence) -> int:
+        """The block of s that carries the normalization row.
+
+        The first block whose monomial is positive at the origin, since only such a PSD
+        block can pin a positive scale; else block 0, and the instance is infeasible.
+        """
+        return next((i for i, m in enumerate(s.monomials) if self.origin_value(m) > 0), 0)
 
     def basis_vectors(self, k: int) -> List[Tuple[Fraction, ...]]:
         """evaluate_basis(basis_enumerate(k), p) for every pivot p, in pivot order."""
@@ -464,18 +440,28 @@ class PivotTable:
         """Full instance for a sentence: K homogeneous rows plus one normalization row.
 
         The sentence is canonicalized first (constant padding and duplicate
-        monomials produce identical blocks and are dropped).  The objective is
-        origin_objective_blocks and the normalization first_block_normalization.
+        monomials produce identical blocks and are dropped).  The objective
+        is C_i = m_i(0) u_0 u_0^T with u_0 = e_0, the basis vector at the
+        origin; the normalization row, right-hand side 1, is C_j on the
+        designated block j and zero elsewhere, pinning the certificate scale.
         """
         if n < 1:
             raise ValueError(f"dimension n must be >= 1, got {n}")
         canon = s.canonical()
         _check_degrees(canon, d)
+        dims = tuple(len(basis_enumerate(d - m.degree)) for m in canon.monomials)
+        objective = tuple(
+            _origin_block(self.origin_value(m), dim) for m, dim in zip(canon.monomials, dims)
+        )
+        j = self.designated_block(canon)
         return SdpInstance(
-            block_dims=tuple(len(basis_enumerate(d - m.degree)) for m in canon.monomials),
+            block_dims=dims,
             constraints=_constraint_rows(canon, d, self),
-            objective=tuple(origin_objective_blocks(canon, d, self.params)),
-            normalization=tuple(first_block_normalization(canon, d, self.params)),
+            objective=objective,
+            normalization=tuple(
+                block if i == j else _zero_block(dim)
+                for i, (block, dim) in enumerate(zip(objective, dims))
+            ),
             meta=SdpMeta(n=n, d=d, r=self.params.r, R=self.params.R, sentence=render(canon),
                          K=self.K, seed=self.seed, pivot_scheme=self.scheme),
         )
@@ -532,6 +518,8 @@ def compute_bound(objective_value: float, params: GeometricParams, n: int) -> fl
     radius-1/2 ball volume bounded through pi to 63 digits, so it lies
     within one ulp of that value and rounding never understates it.
     """
+    if n < 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
     if not math.isfinite(objective_value):
         raise ValueError(f"objective value must be finite, got {objective_value}")
     rest = Fraction(objective_value) * Fraction(params.r) ** n
@@ -544,6 +532,8 @@ def compute_bound(objective_value: float, params: GeometricParams, n: int) -> fl
 
 def format_fraction(q: Fraction, digits: int = 40) -> str:
     """Deterministic scientific-notation rendering with `digits` significant digits."""
+    if digits < 1:
+        raise ValueError(f"need digits >= 1, got {digits}")
     with localcontext() as ctx:
         ctx.prec = digits + 5
         dec = Decimal(q.numerator) / Decimal(q.denominator)

@@ -364,6 +364,10 @@ def run_search(
         raise ValueError(
             f"need top_k >= 1 and max_monomials >= 1, got {top_k}, {caps.max_monomials}"
         )
+    if n < 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
+    if not eos_bias > 0:  # <*> is always legal, so a rollout ends only by <EOS>
+        raise ValueError(f"need eos_bias > 0, got {eos_bias}")
     start = time.monotonic()
     rng = np.random.default_rng(seed)
     if evaluator is None:

@@ -36,15 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compiler import (
-    ORIGIN,
-    PivotTable,
-    SdpInstance,
-    _check_degrees,
-    block_arrays,
-    designated_block_index,
-    monomial_value_at,
-)
+from .compiler import PivotTable, SdpInstance, _check_degrees, block_arrays
 from .grammar import Sentence
 from .polys import basis_enumerate
 
@@ -407,9 +399,10 @@ def _kernel_vector(rows: Sequence[Sequence[Fraction]], dim: int) -> Optional[Lis
 def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
     """Decide the instance table.instance(sentence, n, d) exactly, for any n.
 
-    The instance is built on the table's pivots and params, with
-    origin_objective_blocks and first_block_normalization.  Its row for
-    pivot p reads sum_i m_i(p) u_p^T X_i u_p = 0 with every m_i(p) >= 0, so
+    Every value it reads comes from the table: the pivots' monomial values
+    and basis vectors, the origin values and the designated block; the table
+    has checked that its pivots lie in the region.  The row for pivot p
+    reads sum_i m_i(p) u_p^T X_i u_p = 0 with every m_i(p) >= 0, so
     each term vanishes on its own: X_i u_p = 0 wherever m_i(p) > 0 (the
     facial-reduction argument).  The basis vector at the origin is e_0, so
     the normalization reads m_j(0) X_j[0, 0] = 1 on the designated block j
@@ -425,14 +418,9 @@ def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
 
     The certificate is checked exactly before it is returned; primal_blocks
     hold its float image, and the residual fields are those of the exact
-    certificate (0).  Raises ValueError if a pivot lies outside the region
-    where the six nonconstant base polynomials are nonnegative, since the
-    argument needs m_i(p) >= 0.
+    certificate (0).
     """
     start = time.monotonic()
-    params = table.params
-    if any(v < 0 for values in table.base_values for v in values[:6]):
-        raise ValueError("a pivot lies outside the region where P1..P6 are nonnegative")
     canon = sentence.canonical()
     _check_degrees(canon, d)
     monomials = canon.monomials
@@ -456,9 +444,9 @@ def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
             message=message,
         )
 
-    j = designated_block_index(canon, params)
+    j = table.designated_block(canon)
     label = f"block {j} ({monomials[j].render()})"
-    m_j0 = monomial_value_at(monomials[j], ORIGIN, params)
+    m_j0 = table.origin_value(monomials[j])
     if m_j0 <= 0:
         return result(SolverStatus.INFEASIBLE, f"{label} is not positive at the origin")
     q = kernel(j)
@@ -466,7 +454,7 @@ def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
         return result(SolverStatus.INFEASIBLE,
                       f"{label}: e_0 lies in the span of its active pivot rows")
     for i, m in enumerate(monomials):
-        if i != j and monomial_value_at(m, ORIGIN, params) < 0 and kernel(i) is not None:
+        if i != j and table.origin_value(m) < 0 and kernel(i) is not None:
             return result(SolverStatus.UNBOUNDED,
                           f"block {i} ({m.render()}) is negative at the origin and can "
                           "grow along its kernel: unbounded below",

@@ -95,6 +95,9 @@ class TestConfig:
         {"top_k": 0},
         {"max_monomials": 0},
         {"mcts_iterations": 0},
+        {"eos_bias": 0.0},  # rollouts would never end
+        {"eos_bias": -1.0},
+        {"eos_bias": float("nan")},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -45,6 +46,14 @@ class TestCompile:
         )
         assert code == EXIT_CONFIG
 
+    def test_zero_digits_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compile", "P7 <EOS>", "--r", "1.45", "--R", "2.0",
+            "--degree", "2", "--pivots", "3", "--digits", "0",
+        )
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
 
 class TestSolve:
     def test_solves_compiled_instance(self, capsys, tmp_path):
@@ -78,6 +87,28 @@ class TestSolve:
         assert code == EXIT_OK
         assert json.loads(out)["status"] == "converged"
 
+    @pytest.mark.parametrize("solver_cmd", [
+        pytest.param(os.path.join(FIXTURES, "no-such-solver"), id="missing-binary"),
+        pytest.param(f"{sys.executable} -c 'import sys; sys.exit(3)'", id="nonzero-exit"),
+        pytest.param(f"{sys.executable} -c 'print(\"objValPrimal = 1\")'", id="no-phase-value"),
+        pytest.param("timeout", id="timeout"),  # solve_external raises TimeoutExpired
+    ])
+    def test_failed_external_solve_exits_2(self, capsys, tmp_path, monkeypatch, solver_cmd):
+        import packbound.cli as cli_mod
+
+        if solver_cmd == "timeout":
+            def times_out(inst, cmd):
+                raise subprocess.TimeoutExpired(cmd, 3600)
+
+            monkeypatch.setattr(cli_mod, "solve_external", times_out)
+        path = tmp_path / "inst.dat-s"
+        run_cli(capsys, "compile", "P7 <EOS>", "--r", "1.45", "--R", "2.0",
+                "--degree", "2", "--pivots", "3", "--out", str(path))
+        code, out, err = run_cli(capsys, "solve", str(path),
+                                 "--solver", "external", "--solver-cmd", solver_cmd)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
 
 class TestSearch:
     def test_finds_sentence(self, capsys):
@@ -96,6 +127,7 @@ class TestSearch:
         ("--top-k", "0"),
         ("--pivots", "0"),
         ("--pivots", "9000"),  # more than the region yields: PivotGenerationError
+        ("--dim", "0"),
     ])
     def test_bad_search_argument_exits_2(self, capsys, flag, value):
         code, out, err = run_cli(

@@ -17,15 +17,12 @@ from packbound.compiler import (
     block_arrays,
     build_constraint_blocks,
     compute_bound,
-    designated_block_index,
     emit_sdpa,
-    first_block_normalization,
     format_fraction,
     generate_pivots,
     make_instance,
     moment_pattern,
     monomial_value_at,
-    origin_objective_blocks,
     region_membership,
 )
 from packbound.grammar import tokenize_and_parse
@@ -141,25 +138,28 @@ class TestConstraintBlocks:
 class TestObjectiveBlocks:
     def test_constant_sentence(self, params):
         s = tokenize_and_parse("P7 <EOS>")
-        assert origin_objective_blocks(s, 0, params) == [((Fraction(1),),)]
+        assert PivotTable(params, 3, 0).instance(s, 8, 0).objective == (((Fraction(1),),),)
 
     def test_p3_monomial_zero_objective(self, params):
         s = tokenize_and_parse("P3 <*> P3 <EOS>")
-        blocks = origin_objective_blocks(s, 4, params)
+        blocks = PivotTable(params, 3, 0).instance(s, 8, 4).objective
         assert all(x == 0 for row in blocks[0] for x in row)
 
     def test_p1_scaling_at_unit_r(self, unit_params):
         s = tokenize_and_parse("P1 <EOS>")
-        blocks = origin_objective_blocks(s, 2, unit_params)
+        blocks = PivotTable(unit_params, 3, 0).instance(s, 8, 2).objective
         # m(0,0,0) = (0 - 1)(0 - 1) = 1 and u0 = e1
         assert blocks[0][0][0] == 1
         assert sum(abs(x) for row in blocks[0] for x in row) == 1
 
     def test_normalization_targets_first_positive_block(self, params):
         s = tokenize_and_parse("P3 <ES> P1 <EOS>")  # P3 vanishes at the origin
-        blocks = first_block_normalization(s, 4, params)
+        table = PivotTable(params, 3, 0)
+        blocks = table.instance(s, 8, 4).normalization
         assert all(x == 0 for row in blocks[0] for x in row)
         assert blocks[1][0][0] == params.r2 ** 2
+        assert sum(abs(x) for row in blocks[1] for x in row) == params.r2 ** 2
+        assert table.designated_block(s.canonical()) == 1
 
 
 class TestAssemble:
@@ -267,6 +267,10 @@ class TestComputeBound:
         with pytest.raises(ValueError):
             compute_bound(math.inf, params, 8)
 
+    def test_rejects_dimension_below_one(self, params):
+        with pytest.raises(ValueError, match="dimension n"):
+            compute_bound(1.0, params, 0)
+
     def test_rounded_upward_within_two_ulps(self):
         for n in range(1, 17):
             lo, hi = half_ball_volume_bounds(n)
@@ -363,7 +367,9 @@ def assemble_reference(s, params, d, K, seed, scheme):
         u = evaluate_basis(basis_enumerate(d - m.degree), point)
         return outer_reference(u, Fraction(0) if zero else monomial_value_at(m, point, params))
 
-    j = designated_block_index(canon, params)
+    j = next(
+        (i for i, m in enumerate(canon.monomials) if monomial_value_at(m, ORIGIN, params) > 0), 0
+    )
     return SdpInstance(
         block_dims=tuple(len(basis_enumerate(d - m.degree)) for m in canon.monomials),
         constraints=tuple(
@@ -451,3 +457,28 @@ PINNED_EMISSIONS = [
 def test_emission_digest_at_benchmark_size(text, d, r, R, seed, digest):
     inst = assemble_sdp(tokenize_and_parse(text), GeometricParams(r, R), n=8, d=d, K=50, seed=seed)
     assert hashlib.sha256(emit_sdpa(inst, digits=40).encode("ascii")).hexdigest() == digest
+
+
+def pivot_digest(pivots):
+    text = "\n".join(f"{p.h} {p.v} {p.w}" for p in pivots)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+# sha256 of the exact pivots generate_pivots returned before its two schemes
+# shared one admission loop; the (sqrt 2, 1.8) cases run out of grid points
+# and take the rest from the Sobol fill.
+PINNED_PIVOTS = [
+    (1.45, 2.0, 50, "plane",
+     "986760d1db4ac031d1d4952ba8b027e9b16cc193549309b96ae6983b50115d98"),
+    (1.45, 2.0, 50, "grid3d",
+     "9b317d99f42b4cfc35ecfcb375b63b8404a7601c2ae68ec8f1f9e5660a7dd165"),
+    (math.sqrt(2), 1.8, 5, "plane",
+     "8586ddc7ba3526ba23b902808179d4786151d8706b278ea5a82bd5d660c10521"),
+    (math.sqrt(2), 1.8, 120, "grid3d",
+     "f5e4eaa8884ffafb92ad01b282b4f115b9d488892fa0eb001d2b663ded4fd0d2"),
+]
+
+
+@pytest.mark.parametrize("r, R, K, scheme, digest", PINNED_PIVOTS)
+def test_pivot_digest(r, R, K, scheme, digest):
+    assert pivot_digest(generate_pivots(GeometricParams(r, R), K, 0, scheme)) == digest

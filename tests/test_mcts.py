@@ -313,3 +313,9 @@ class TestRunSearch:
         with pytest.raises(ValueError, match="max_monomials"):
             run_search(params, iterations=1, d_search=2, d_final=2, K=5,
                        caps=SearchCaps(2, 0), seed=0)
+        with pytest.raises(ValueError, match="eos_bias"):  # a rollout would never end
+            run_search(params, iterations=1, d_search=2, d_final=2, K=5,
+                       caps=CAPS, seed=0, eos_bias=0.0)
+        with pytest.raises(ValueError, match="dimension n"):
+            run_search(params, iterations=1, d_search=2, d_final=2, K=5,
+                       caps=CAPS, seed=0, n=0)

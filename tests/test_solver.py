@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packbound.campaign import CampaignConfig
+from packbound import compiler
 from packbound.compiler import (
     ORIGIN,
+    PivotPoint,
     PivotTable,
     assemble_sdp,
     emit_sdpa,
@@ -190,11 +192,29 @@ class TestExactSolver:
         assert "block 1 (P2)" in res.message
         assert solve_embedded(inst, max_iterations=5000).status is not SolverStatus.CONVERGED
 
-    def test_pivot_outside_the_region_rejected(self, params):
-        table = PivotTable(params, 20, 0)
-        table.base_values[3] = (-1,) + table.base_values[3][1:]
+    def test_pivot_outside_the_region_rejected(self, params, monkeypatch):
+        # the decision needs m(p) >= 0 at every pivot, so the table checks
+        # its pivots when it is built; the origin lies outside the region
+        outside = [PivotPoint.make(2.5, 3, 0.5), PivotPoint.make(0, 0, 0)]
+        monkeypatch.setattr(compiler, "generate_pivots", lambda *args, **kwargs: outside)
         with pytest.raises(ValueError, match="outside the region"):
-            solve_exact(tokenize_and_parse("P7 <EOS>"), 2, table)
+            PivotTable(params, 2, 0)
+
+    def test_decisions_and_instances_read_only_the_table(self, params, monkeypatch):
+        # every point value a decision or an instance reads was computed
+        # when the table was built
+        table = PivotTable(params, 20, 0)
+        calls = []
+        evaluate = compiler.base_values_at
+        monkeypatch.setattr(compiler, "base_values_at",
+                            lambda *args: calls.append(args) or evaluate(*args))
+        for text in ("P7 <ES> P1 <EOS>", "P1 <EOS>", "P7 <ES> P2 <EOS>",
+                     "P3 <ES> P4 <*> P6 <EOS>", "P2 <*> P4 <ES> P5 <EOS>"):
+            s = tokenize_and_parse(text)
+            for d in (2, 4):
+                solve_exact(s, d, table)
+                table.instance(s, 8, d)
+        assert calls == []
 
     def test_closed_form_oracle_on_plane_pivots(self):
         # On plane pivots P4 vanishes at every pivot, so a block of basis
