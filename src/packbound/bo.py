@@ -1,10 +1,10 @@
 """Gaussian-process surrogate over (r, R) -> bound, with proposal machinery.
 
-The surrogate is a Matern-5/2 GP with per-dimension lengthscales, fit by
-maximizing the marginal likelihood over a seeded multi-start Nelder-Mead
-search.  Inputs are normalized to the search box and passed through a
-per-dimension two-parameter monotone warp (Kumaraswamy CDF); outputs are
-standardized and passed through a one-parameter sign-preserving power warp.
+The surrogate is HEBO's warped Matern-5/2 GP with per-dimension lengthscales,
+fit by maximizing the marginal likelihood over a seeded multi-start
+Nelder-Mead search.  Inputs are normalized to the search box and always pass
+through a per-dimension Kumaraswamy CDF warp; outputs are standardized and
+always pass through a sign-preserving power warp.
 Bounds are minimized, so all acquisition math is written for minimization:
 expected improvement by default, a confidence-bound alternative, and a
 rank-aggregated multi-acquisition mode (an approximation of multi-objective
@@ -27,6 +27,7 @@ from .polys import GeometricParams
 
 NOISE_FLOOR = 1e-14
 ACQUISITIONS = ("ei", "ucb", "multi")
+UCB_KAPPA = 2.0  # confidence-bound width, in posterior standard deviations
 
 # Clip limits of the log-hyperparameters decoded by Hyperparams.from_vector.
 _LOG_LENGTHSCALE = (math.log(1e-2), math.log(1e2))
@@ -149,21 +150,20 @@ def _kernel(A: np.ndarray, B: np.ndarray, hyper: Hyperparams) -> np.ndarray:
 
 
 def _standardize(
-    data: Sequence[Observation], box: SearchBox, output_warp: bool
+    data: Sequence[Observation], box: SearchBox
 ) -> Tuple[np.ndarray, np.ndarray, float, float]:
-    """Box-normalized inputs, the outputs handed to the output warp, and the
-    output location and spread; none of them depends on the hyperparameters."""
+    """Box-normalized inputs, standardized outputs, and the output location
+    and spread; none of them depends on the hyperparameters."""
     X = np.array([[o.x.r, o.x.R] for o in data], dtype=float)
     y = np.array([o.y for o in data], dtype=float)
     loc = float(np.mean(y))
     spread = float(np.std(y))
     spread = spread if spread > 0 else 1.0
-    t = (y - loc) / spread if output_warp else y
-    return box.normalize(X), t, loc, spread
+    return box.normalize(X), (y - loc) / spread, loc, spread
 
 
 def _likelihood(
-    Zn: np.ndarray, t: np.ndarray, hyper: Hyperparams, input_warp: bool, output_warp: bool
+    Zn: np.ndarray, t: np.ndarray, hyper: Hyperparams
 ) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray, float]:
     """GP state and negative log marginal likelihood at one set of hyperparameters.
 
@@ -173,8 +173,8 @@ def _likelihood(
     depend on this arithmetic to the last bit, so its operation order (and the
     two general solves in place of triangular ones) is part of the contract.
     """
-    Xn = _kumaraswamy(Zn, hyper.warp_a, hyper.warp_b) if input_warp else Zn
-    yw = np.sign(t) * np.abs(t) ** hyper.power if output_warp else t
+    Xn = _kumaraswamy(Zn, hyper.warp_a, hyper.warp_b)
+    yw = np.sign(t) * np.abs(t) ** hyper.power
     mean_w = float(np.mean(yw))
     K = _kernel(Xn, Xn, hyper)
     K.flat[:: len(K) + 1] += max(hyper.noise_var, NOISE_FLOOR)
@@ -197,61 +197,37 @@ def _likelihood(
     return Xn, yw, mean_w, chol, alpha, nll
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Surrogate:
-    """Fitted GP posterior; immutable after fit_surrogate returns it."""
+    """GP posterior at fixed hyperparameters; built complete by _posterior."""
 
     data: Tuple[Observation, ...]
     box: SearchBox
     hyper: Hyperparams
-    input_warp: bool = True
-    output_warp: bool = True
-    # fitted state
-    _Xn: np.ndarray = field(default=None, repr=False)
-    _y_loc: float = 0.0
-    _y_spread: float = 1.0
-    _yw: np.ndarray = field(default=None, repr=False)
-    _mean_w: float = 0.0
-    _chol: np.ndarray = field(default=None, repr=False)
-    _alpha: np.ndarray = field(default=None, repr=False)
-    _nll: float = math.nan
-
-    # ---- warps ----
-
-    def _warp_inputs(self, Z: np.ndarray) -> np.ndarray:
-        if not self.input_warp:
-            return Z
-        return _kumaraswamy(Z, self.hyper.warp_a, self.hyper.warp_b)
+    # posterior state: _likelihood's outputs and the output standardization
+    Xn: np.ndarray = field(repr=False)
+    y_loc: float
+    y_spread: float
+    yw: np.ndarray = field(repr=False)
+    mean_w: float
+    chol: np.ndarray = field(repr=False)
+    alpha: np.ndarray = field(repr=False)
+    nll: float
 
     def _unwarp_output(self, v: float) -> float:
-        if not self.output_warp:
-            return float(v)
-        return float(self._y_loc + self._y_spread * math.copysign(abs(v) ** (1.0 / self.hyper.power), v))
-
-    # ---- GP internals ----
-
-    def refresh(self) -> None:
-        """(Re)build the cached Cholesky state from data and hyperparameters."""
-        Zn, t, self._y_loc, self._y_spread = _standardize(self.data, self.box, self.output_warp)
-        (self._Xn, self._yw, self._mean_w, self._chol, self._alpha, self._nll) = _likelihood(
-            Zn, t, self.hyper, self.input_warp, self.output_warp
-        )
-
-    def nll(self) -> float:
-        """Negative log marginal likelihood at the current hyperparameters."""
-        return self._nll
+        return float(self.y_loc + self.y_spread * math.copysign(abs(v) ** (1.0 / self.hyper.power), v))
 
     def predict_warped(self, Z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior mean and stddev in warped output space, at normalized inputs."""
-        Zw = self._warp_inputs(np.atleast_2d(Z))
-        Ks = _kernel(Zw, self._Xn, self.hyper)
-        mu = self._mean_w + Ks @ self._alpha
-        half = np.linalg.solve(self._chol, Ks.T)
+        Zw = _kumaraswamy(np.atleast_2d(Z), self.hyper.warp_a, self.hyper.warp_b)
+        Ks = _kernel(Zw, self.Xn, self.hyper)
+        mu = self.mean_w + Ks @ self.alpha
+        half = np.linalg.solve(self.chol, Ks.T)
         var = self.hyper.signal_var - np.sum(half * half, axis=0)
         return mu, np.sqrt(np.maximum(var, 0.0))
 
     def best_warped(self) -> float:
-        return float(np.min(self._yw))
+        return float(np.min(self.yw))
 
     def posterior(self, x: GeometricParams) -> Tuple[float, float]:
         """(mu, sigma) at x in original output units; x must lie in the box.
@@ -268,6 +244,14 @@ class Surrogate:
         hi = self._unwarp_output(float(mu_w[0] + sd_w[0]))
         lo = self._unwarp_output(float(mu_w[0] - sd_w[0]))
         return mu, max(0.0, 0.5 * (hi - lo))
+
+
+def _posterior(data: Sequence[Observation], box: SearchBox, hyper: Hyperparams,
+               standardized: Tuple[np.ndarray, np.ndarray, float, float]) -> Surrogate:
+    """The complete surrogate at hyper; standardized is _standardize(data, box)."""
+    Zn, t, loc, spread = standardized
+    Xn, yw, mean_w, chol, alpha, nll = _likelihood(Zn, t, hyper)
+    return Surrogate(tuple(data), box, hyper, Xn, loc, spread, yw, mean_w, chol, alpha, nll)
 
 
 def _dedupe(data: Sequence[Observation]) -> List[Observation]:
@@ -293,31 +277,30 @@ def fit_surrogate(
     seed: int,
     n_starts: int = 6,
     max_evals: int = 150,
-    input_warp: bool = True,
-    output_warp: bool = True,
 ) -> Surrogate:
     """Fit hyperparameters by seeded multi-start Nelder-Mead on the marginal NLL.
 
-    Deterministic given (data, seed, budgets).  Duplicate inputs with
-    conflicting values keep the smaller value (bounds are minimized) and
-    record a warning.
+    The data are standardized once; both search stages and the returned
+    surrogate share that.  Deterministic given (data, seed, budgets).
+    Duplicate inputs with conflicting values keep the smaller value (bounds
+    are minimized) and record a warning.
     """
     clean = _dedupe(data)
     if not clean:
         raise ValueError("need at least one observation to fit")
-    base = Surrogate(tuple(clean), box, _default_hyperparams(), input_warp, output_warp)
-    base.refresh()
+    standardized = _standardize(clean, box)
+    base = _posterior(clean, box, _default_hyperparams(), standardized)
     if len(clean) == 1:
         return base
 
     rng = np.random.default_rng(seed)
     x0 = base.hyper.to_vector()
-    Zn, t, _, _ = _standardize(base.data, box, output_warp)
+    Zn, t, _, _ = standardized
 
     def objective(vec: np.ndarray) -> float:
         hyper = Hyperparams.from_vector(vec)
         try:
-            return _likelihood(Zn, t, hyper, input_warp, output_warp)[-1]
+            return _likelihood(Zn, t, hyper)[-1]
         except (np.linalg.LinAlgError, RuntimeError, FloatingPointError):
             return 1e12
 
@@ -327,9 +310,9 @@ def fit_surrogate(
     # pairwise input differences and the standardized outputs are constant
     # here, so the likelihood is evaluated on precomputed tensors.
     kernel_idx = np.arange(4)
-    X_fixed = base._Xn
+    X_fixed = base.Xn
     sq_diff = (X_fixed[:, None, :] - X_fixed[None, :, :]) ** 2
-    resid_fixed = base._yw - base._mean_w
+    resid_fixed = base.yw - base.mean_w
     n_obs = len(resid_fixed)
 
     def kernel_nll(sub: np.ndarray) -> float:
@@ -368,15 +351,12 @@ def fit_surrogate(
     best_val = objective(best_vec)
 
     # Stage 2: joint refinement including warps, kept only if it helps.
-    if input_warp or output_warp:
-        out = minimize(objective, best_vec, method="Nelder-Mead",
-                       options={"maxfev": max_evals, "xatol": 1e-4, "fatol": 1e-8})
-        if out.fun < best_val - 1e-12:
-            best_val, best_vec = out.fun, out.x
+    out = minimize(objective, best_vec, method="Nelder-Mead",
+                   options={"maxfev": max_evals, "xatol": 1e-4, "fatol": 1e-8})
+    if out.fun < best_val - 1e-12:
+        best_val, best_vec = out.fun, out.x
 
-    fitted = Surrogate(tuple(clean), box, Hyperparams.from_vector(best_vec), input_warp, output_warp)
-    fitted.refresh()
-    return fitted
+    return _posterior(clean, box, Hyperparams.from_vector(best_vec), standardized)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +403,10 @@ def log_expected_improvement(s: Surrogate, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-def confidence_bound(s: Surrogate, Z: np.ndarray, kappa: float = 2.0) -> np.ndarray:
+def confidence_bound(s: Surrogate, Z: np.ndarray) -> np.ndarray:
     """Negated lower confidence bound, so larger is better for minimization."""
     mu, sd = s.predict_warped(Z)
-    return -(mu - kappa * sd)
+    return -(mu - UCB_KAPPA * sd)
 
 
 def probability_of_improvement(s: Surrogate, Z: np.ndarray) -> np.ndarray:
@@ -438,7 +418,7 @@ def probability_of_improvement(s: Surrogate, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-def acquisition_scores(s: Surrogate, Z: np.ndarray, kind: str, kappa: float = 2.0) -> np.ndarray:
+def acquisition_scores(s: Surrogate, Z: np.ndarray, kind: str) -> np.ndarray:
     """Scores where larger is better.
 
     "multi" aggregates the ranks of EI, the confidence bound and the
@@ -448,11 +428,11 @@ def acquisition_scores(s: Surrogate, Z: np.ndarray, kind: str, kappa: float = 2.
     if kind == "ei":
         return log_expected_improvement(s, Z)
     if kind == "ucb":
-        return confidence_bound(s, Z, kappa)
+        return confidence_bound(s, Z)
     if kind == "multi":
         parts = [
             log_expected_improvement(s, Z),
-            confidence_bound(s, Z, kappa),
+            confidence_bound(s, Z),
             probability_of_improvement(s, Z),
         ]
         total = np.zeros(len(Z))
@@ -474,7 +454,6 @@ def propose_next(
     box: SearchBox,
     seed: int,
     acquisition: str = "ei",
-    kappa: float = 2.0,
     n_candidates: int = 256,
     refine_evals: int = 60,
 ) -> GeometricParams:
@@ -484,12 +463,11 @@ def propose_next(
     low-discrepancy sequence inside the box satisfying r < R.  Every returned
     point lies in the box with r < R.
     """
-    if s is None or not s.data:
-        for count in (8, 64, 512, 4096):
-            pts = _sobol_candidates(box, seed, count)
-            if len(pts):
-                return GeometricParams(r=float(pts[0, 0]), R=float(pts[0, 1]))
-        raise ValueError(f"no feasible r < R point found in box {box}")
+    if s is None:
+        pts = _sobol_candidates(box, seed, 4096)
+        if not len(pts):
+            raise ValueError(f"no feasible r < R point found in box {box}")
+        return GeometricParams(r=float(pts[0, 0]), R=float(pts[0, 1]))
 
     cands = _sobol_candidates(box, seed, n_candidates)
     if len(cands) == 0:
@@ -511,7 +489,7 @@ def propose_next(
     if len(around):
         cands = np.vstack([cands, around])
     Z = box.normalize(cands)
-    scores = acquisition_scores(s, Z, acquisition, kappa)
+    scores = acquisition_scores(s, Z, acquisition)
     top = int(np.argmax(scores))
 
     def neg_acq(z: np.ndarray) -> float:
@@ -520,7 +498,7 @@ def propose_next(
         pt = box.denormalize(z[None, :])[0]
         if not pt[0] < pt[1]:
             return 1e12
-        return -float(acquisition_scores(s, z[None, :], acquisition, kappa)[0])
+        return -float(acquisition_scores(s, z[None, :], acquisition)[0])
 
     out = minimize(neg_acq, Z[top], method="Nelder-Mead",
                    options={"maxfev": refine_evals, "xatol": 1e-6, "fatol": 1e-12})

@@ -98,6 +98,12 @@ class CampaignConfig:
     out_dir: str = "campaign-out"
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a float field also takes an int; bool is an int to isinstance
+            kinds = (int, float) if isinstance(f.default, float) else type(f.default)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
         box_ok = 0 < self.r_lo <= self.r_hi and 0 < self.R_lo <= self.R_hi
         if not box_ok or self.r_lo >= self.R_hi:
             raise ConfigError(
@@ -120,6 +126,10 @@ class CampaignConfig:
             raise ConfigError(f"need mcts_iterations >= 1, got {self.mcts_iterations}")
         if not self.eos_bias > 0:  # <*> is always legal, so rollouts end only by <EOS>
             raise ConfigError(f"need eos_bias > 0, got {self.eos_bias}")
+        if not (0 < self.tol_eq < math.inf and 0 < self.tol_psd < math.inf):
+            raise ConfigError(
+                f"tolerances must be positive and finite, got {self.tol_eq}, {self.tol_psd}"
+            )
         if self.budget_rounds < 0 or self.budget_seconds < 0:
             raise ConfigError("budgets must be nonnegative")
         if self.solver not in ("embedded", "external"):
@@ -142,6 +152,8 @@ class CampaignConfig:
     def from_file(cls, path: str) -> "CampaignConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path} must hold a JSON object, got {type(raw).__name__}")
         for retired in ("solver_max_iterations", "mcts_rollouts", "mcts_restarts"):
             raw.pop(retired, None)  # no stage reads them; old config.json files carry them
         known = {f.name for f in fields(cls)}

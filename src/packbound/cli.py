@@ -109,14 +109,14 @@ def _cmd_compile(args) -> int:
         inst = assemble_sdp(sentence, params, n=args.dim, d=args.degree,
                             K=args.pivots, seed=args.seed)
         text = emit_sdpa(inst, digits=args.digits)
-    except (ParseError, ValueError) as exc:
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return EXIT_OK
 
 

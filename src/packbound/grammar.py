@@ -165,24 +165,6 @@ def render(s: Sentence) -> str:
     return " <ES> ".join(m.render() for m in canon.monomials) + " <EOS>"
 
 
-def read_sentences(path: str) -> List[Sentence]:
-    """Read a sentence file: one rendered sentence per line, # comments allowed."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            text = line.strip()
-            if text and not text.startswith("#"):
-                out.append(tokenize_and_parse(text))
-    return out
-
-
-def write_sentences(path: str, sentences: Sequence[Sentence]) -> None:
-    """Write sentences one per line in canonical surface syntax."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sentences:
-            fh.write(render(s) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Prefix analysis and legal-move computation
 # ---------------------------------------------------------------------------

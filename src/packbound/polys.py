@@ -167,15 +167,6 @@ class Polynomial:
         return total
 
 
-def ring_combine(op: str, p: Polynomial, q: Polynomial) -> Polynomial:
-    """Combine two polynomials with 'add' or 'mul' (exact, zero terms pruned)."""
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown ring operation {op!r}; expected 'add' or 'mul'")
-
-
 def make_base_polynomial(index: int, params: GeometricParams) -> Polynomial:
     """Expanded form of base polynomial P_index with (r, R) substituted.
 
@@ -217,11 +208,6 @@ def base_values_at(point: Sequence[Number], params: GeometricParams) -> Tuple[Fr
         2 * R2 - h - v,
         Fraction(1),
     )
-
-
-def degree_and_symmetry(p: Polynomial) -> Tuple[int, bool]:
-    """(total degree, symmetric under (h, v) swap)."""
-    return p.degree(), p.is_symmetric_hv()
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import norm, qmc
 
 from packbound import bo
 from packbound.bo import (
     Hyperparams,
     Observation,
     SearchBox,
-    Surrogate,
     _default_hyperparams,
     _likelihood,
+    _posterior,
     _standardize,
     acquisition_scores,
     confidence_bound,
@@ -70,6 +71,26 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_surrogate([], BOX, seed=0)
 
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_standardizes_once(self, monkeypatch, count):
+        calls = []
+        original = bo._standardize
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bo, "_standardize", spy)
+        fit_surrogate(sample_observations(count, seed=3), BOX, seed=0, n_starts=2, max_evals=10)
+        assert len(calls) == 1
+
+    def test_surrogate_is_frozen(self):
+        s = fit_surrogate(sample_observations(4), BOX, seed=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.nll = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.hyper = _default_hyperparams()
+
     def test_refit_determinism(self):
         obs = sample_observations(7, seed=4)
         a = fit_surrogate(obs, BOX, seed=9)
@@ -102,8 +123,7 @@ class TestPosterior:
             Observation(GeometricParams(1.2, 3.0), 0.2),
             Observation(GeometricParams(1.8, 3.0), 0.8),
         )
-        s = Surrogate(obs, BOX, _default_hyperparams(), input_warp=False, output_warp=False)
-        s.refresh()
+        s = _posterior(obs, BOX, _default_hyperparams(), _standardize(obs, BOX))
         mu, _ = s.posterior(GeometricParams(1.5, 3.0))
         assert mu == pytest.approx(0.5, abs=1e-12)
 
@@ -131,8 +151,7 @@ class TestAcquisition:
         argmaxes = []
         for shift in (0.0, 5.0, -11.0):
             shifted = tuple(Observation(o.x, o.y + shift) for o in obs)
-            s = Surrogate(shifted, BOX, hyper, input_warp=False, output_warp=False)
-            s.refresh()
+            s = _posterior(shifted, BOX, hyper, _standardize(shifted, BOX))
             argmaxes.append(int(np.argmax(expected_improvement(s, grid))))
         assert len(set(argmaxes)) == 1
 
@@ -160,6 +179,14 @@ class TestProposeNext:
         for seed in range(50):
             p = propose_next(s, BOX, seed=seed)
             assert BOX.contains(p) and p.r < p.R
+
+    def test_sobol_prefix_is_stable(self):
+        # The first proposal draws 4096 points at once and takes the first
+        # feasible one; that is the first feasible point of any shorter draw.
+        for seed in range(50):
+            short = qmc.Sobol(d=2, scramble=True, seed=seed).random(8)
+            long = qmc.Sobol(d=2, scramble=True, seed=seed).random(4096)
+            assert np.array_equal(short, long[:8])
 
     def test_overlapping_box_filtered(self):
         box = SearchBox(1.0, 3.0, 2.0, 2.5)  # r range overlaps R range
@@ -244,10 +271,10 @@ def _reference_acquisitions(s, Z):
     return ei, log_ei, pi
 
 
-def _reference_multi(s, Z, kappa=2.0):
+def _reference_multi(s, Z):
     _, log_ei, pi = _reference_acquisitions(s, Z)
     total = np.zeros(len(Z))
-    for p in (log_ei, confidence_bound(s, Z, kappa), pi):
+    for p in (log_ei, confidence_bound(s, Z), pi):
         total -= np.argsort(np.argsort(-p, kind="stable"), kind="stable")
     return total
 
@@ -301,7 +328,7 @@ def _reference_from_vector(vec):
     )
 
 
-def _reference_nll(data, box, hyper, input_warp, output_warp):
+def _reference_nll(data, box, hyper):
     """The marginal likelihood written out in one piece, in the operation
     order the fitted surrogates depend on."""
     X = np.array([[o.x.r, o.x.R] for o in data], dtype=float)
@@ -309,13 +336,9 @@ def _reference_nll(data, box, hyper, input_warp, output_warp):
     loc = float(np.mean(y))
     spread = float(np.std(y))
     spread = spread if spread > 0 else 1.0
-    Z = box.normalize(X)
-    if input_warp:
-        Z = 1.0 - (1.0 - np.clip(Z, 0.0, 1.0) ** hyper.warp_a) ** hyper.warp_b
-    yw = y
-    if output_warp:
-        t = (y - loc) / spread
-        yw = np.sign(t) * np.abs(t) ** hyper.power
+    Z = 1.0 - (1.0 - np.clip(box.normalize(X), 0.0, 1.0) ** hyper.warp_a) ** hyper.warp_b
+    t = (y - loc) / spread
+    yw = np.sign(t) * np.abs(t) ** hyper.power
     mean_w = float(np.mean(yw))
     diff = (Z[:, None, :] - Z[None, :, :]) / hyper.lengthscales
     d = math.sqrt(5.0) * np.sqrt(np.sum(diff * diff, axis=-1))
@@ -359,18 +382,15 @@ class TestLikelihoodExactness:
                 assert type(getattr(got, name)) is float
                 assert getattr(got, name) == getattr(ref, name)
 
-    @pytest.mark.parametrize("input_warp", [True, False])
-    @pytest.mark.parametrize("output_warp", [True, False])
-    def test_shared_helper_equals_surrogate_nll(self, input_warp, output_warp):
+    def test_shared_helper_equals_surrogate_nll(self):
         data = tuple(sample_observations(12, seed=8))
-        Zn, t, _, _ = _standardize(data, BOX, output_warp)
+        standardized = _standardize(data, BOX)
+        Zn, t, _, _ = standardized
         for v in _hyper_vectors():
             hyper = Hyperparams.from_vector(v)
-            s = Surrogate(data, BOX, hyper, input_warp, output_warp)
-            s.refresh()
-            helper = _likelihood(Zn, t, hyper, input_warp, output_warp)[-1]
-            assert helper == s.nll()
-            assert helper == _reference_nll(data, BOX, hyper, input_warp, output_warp)
+            helper = _likelihood(Zn, t, hyper)[-1]
+            assert helper == _posterior(data, BOX, hyper, standardized).nll
+            assert helper == _reference_nll(data, BOX, hyper)
 
     def test_stage_two_search_runs_through_module_minimize(self, monkeypatch):
         # Instrumentation counts likelihood evaluations by replacing bo.minimize.

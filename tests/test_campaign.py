@@ -98,10 +98,32 @@ class TestConfig:
         {"eos_bias": 0.0},  # rollouts would never end
         {"eos_bias": -1.0},
         {"eos_bias": float("nan")},
+        {"dimension": 8.5},  # every round would fail inside the evaluator
+        {"pivots": 20.0},  # state.jsonl would record K as a float
+        {"seed": 1.5},
+        {"budget_rounds": 2.5},  # would play 3 rounds
+        {"pivots": True},
+        {"r_lo": True},
+        {"acquisition": 1},
+        {"r_lo": "1.5"},
+        {"tol_eq": -1},  # every converged round would fail verification
+        {"tol_eq": 0.0},
+        {"tol_psd": float("inf")},
+        {"tol_psd": float("nan")},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
             dataclasses.replace(CampaignConfig(), **bad).validate()
+
+    def test_int_accepted_for_float_field(self):
+        dataclasses.replace(CampaignConfig(), r_lo=1, r_hi=2, budget_seconds=0).validate()
+
+    @pytest.mark.parametrize("top_level", [5, [], "config", None])
+    def test_from_file_requires_object(self, tmp_path, top_level):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(top_level))
+        with pytest.raises(ConfigError, match="JSON object"):
+            CampaignConfig.from_file(str(path))
 
 
 class TestPersistence:

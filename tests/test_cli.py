@@ -46,6 +46,15 @@ class TestCompile:
         )
         assert code == EXIT_CONFIG
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "inst.dat-s"
+        code, out, err = run_cli(
+            capsys, "compile", "P7 <EOS>", "--r", "1.45", "--R", "2.0",
+            "--degree", "2", "--pivots", "3", "--out", str(path),
+        )
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_zero_digits_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "compile", "P7 <EOS>", "--r", "1.45", "--R", "2.0",
@@ -167,6 +176,13 @@ class TestCampaign:
         cfg.write_text(json.dumps({"pivots": 0}))
         code, _, err = run_cli(capsys, "campaign", "--config", str(cfg))
         assert code == EXIT_CONFIG and "invalid config" in err
+
+    @pytest.mark.parametrize("top_level", [5, []])
+    def test_non_object_config_exits_2(self, capsys, tmp_path, top_level):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(top_level))
+        code, _, err = run_cli(capsys, "campaign", "--config", str(cfg))
+        assert code == EXIT_CONFIG and "invalid config" in err and "JSON object" in err
 
     def test_io_failure_exits_3(self, capsys, tmp_path):
         from packbound.cli import EXIT_IO

@@ -244,20 +244,3 @@ class TestEnumeration:
     def test_monomial_enumeration_is_canonical(self):
         for m in enumerate_monomials(4):
             assert m.canonical() == m
-
-
-class TestSentenceFiles:
-    def test_round_trip(self, tmp_path):
-        from packbound.grammar import read_sentences, write_sentences
-
-        sentences = enumerate_sentences(2, 2)[:20]
-        path = str(tmp_path / "sentences.txt")
-        write_sentences(path, sentences)
-        assert read_sentences(path) == sentences
-
-    def test_comments_and_blanks_skipped(self, tmp_path):
-        from packbound.grammar import read_sentences
-
-        path = tmp_path / "sentences.txt"
-        path.write_text("# known constructions\n\nP7 <EOS>\n")
-        assert read_sentences(str(path)) == [tokenize_and_parse("P7 <EOS>")]

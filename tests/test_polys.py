@@ -12,10 +12,8 @@ from packbound.polys import (
     base_values_at,
     basis_enumerate,
     basis_to_poly,
-    degree_and_symmetry,
     evaluate_basis,
     make_base_polynomial,
-    ring_combine,
 )
 
 from conftest import polynomials
@@ -60,15 +58,16 @@ class TestBasePolynomials:
 
     def test_degrees_and_symmetry(self, params):
         for idx, expected_degree in enumerate(BASE_DEGREES, start=1):
-            deg, sym = degree_and_symmetry(make_base_polynomial(idx, params))
-            assert (deg, sym) == (expected_degree, True)
+            p = make_base_polynomial(idx, params)
+            assert (p.degree(), p.is_symmetric_hv()) == (expected_degree, True)
 
     def test_p4_symmetric(self, params):
-        assert degree_and_symmetry(make_base_polynomial(4, params)) == (1, True)
+        p4 = make_base_polynomial(4, params)
+        assert (p4.degree(), p4.is_symmetric_hv()) == (1, True)
 
     def test_h_minus_v_not_symmetric(self):
         p = Polynomial({(1, 0, 0): 1, (0, 1, 0): -1})
-        assert degree_and_symmetry(p) == (1, False)
+        assert (p.degree(), p.is_symmetric_hv()) == (1, False)
 
     def test_base_values_match_expansion(self, params):
         point = (Fraction(7, 4), Fraction(3), Fraction(-1, 2))
@@ -80,11 +79,11 @@ class TestBasePolynomials:
 class TestRingOps:
     def test_mul_by_one_is_identity(self, params):
         p3 = make_base_polynomial(3, params)
-        assert ring_combine("mul", make_base_polynomial(7, params), p3) == p3
+        assert make_base_polynomial(7, params) * p3 == p3
 
     def test_additive_inverse_is_zero(self, params):
         p = make_base_polynomial(2, params)
-        assert ring_combine("add", p, p.scale(-1)).is_zero()
+        assert (p + p.scale(-1)).is_zero()
 
     def test_p2_squared_unit_r(self, unit_params):
         # (h + v - 2)^2 expanded by hand
@@ -93,11 +92,7 @@ class TestRingOps:
             (1, 0, 0): -4, (0, 1, 0): -4, (0, 0, 0): 4,
         })
         p2 = make_base_polynomial(2, unit_params)
-        assert ring_combine("mul", p2, p2) == expected
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            ring_combine("sub", Polynomial.zero(), Polynomial.zero())
+        assert p2 * p2 == expected
 
     @given(p=polynomials(), q=polynomials())
     @settings(max_examples=150)
