@@ -104,7 +104,8 @@ class CampaignConfig:
             kinds = (int, float) if isinstance(f.default, float) else type(f.default)
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
-        box_ok = 0 < self.r_lo <= self.r_hi and 0 < self.R_lo <= self.R_hi
+        box_ok = (0 < self.r_lo <= self.r_hi < math.inf
+                  and 0 < self.R_lo <= self.R_hi < math.inf)
         if not box_ok or self.r_lo >= self.R_hi:
             raise ConfigError(
                 f"search box r in [{self.r_lo}, {self.r_hi}], R in [{self.R_lo}, {self.R_hi}] "
@@ -124,6 +125,8 @@ class CampaignConfig:
             )
         if self.mcts_iterations < 1:
             raise ConfigError(f"need mcts_iterations >= 1, got {self.mcts_iterations}")
+        if not 0 <= self.c_explore < math.inf:  # 0 is pure exploitation
+            raise ConfigError(f"need c_explore finite and >= 0, got {self.c_explore}")
         if not self.eos_bias > 0:  # <*> is always legal, so rollouts end only by <EOS>
             raise ConfigError(f"need eos_bias > 0, got {self.eos_bias}")
         if not (0 < self.tol_eq < math.inf and 0 < self.tol_psd < math.inf):
@@ -150,8 +153,11 @@ class CampaignConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "CampaignConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, or not JSON
+            raise ConfigError(str(exc)) from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path} must hold a JSON object, got {type(raw).__name__}")
         for retired in ("solver_max_iterations", "mcts_rollouts", "mcts_restarts"):

@@ -7,9 +7,11 @@ Subcommands:
   campaign   the full game loop, driven by a config file and/or flags
   report     diagnostics CSVs and a summary from a persisted state file
 
-Exit codes: 0 success, 2 invalid configuration or arguments (also a failed
-external solve), 3 campaign halted on an I/O failure, 4 search failed to
-produce a converged sentence.
+Exit codes, the same for every command: 0 success; 2 bad input, that is
+invalid arguments or config, an unreadable or malformed input file, pivots
+that cannot be generated, or a failed external solve; 3 campaign halted on an
+I/O failure; 4 search failed to produce a converged sentence.  Handlers keep
+only the success path, and `main` maps every failure to its code.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .campaign import (
     solve_external,
 )
 from .compiler import PivotGenerationError, assemble_sdp, emit_sdpa
-from .grammar import ParseError, render, tokenize_and_parse
+from .grammar import render, tokenize_and_parse
 from .mcts import SearchCaps, SearchFailedError, run_search
 from .polys import GeometricParams
 from .solver import read_sdpa_instance, solve_embedded, system_to_instance
@@ -103,41 +105,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compile(args) -> int:
-    try:
-        sentence = tokenize_and_parse(args.sentence)
-        params = GeometricParams(args.r, args.R)
-        inst = assemble_sdp(sentence, params, n=args.dim, d=args.degree,
-                            K=args.pivots, seed=args.seed)
-        text = emit_sdpa(inst, digits=args.digits)
-        if args.out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    sentence = tokenize_and_parse(args.sentence)
+    params = GeometricParams(args.r, args.R)
+    inst = assemble_sdp(sentence, params, n=args.dim, d=args.degree,
+                        K=args.pivots, seed=args.seed)
+    text = emit_sdpa(inst, digits=args.digits)
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
-    try:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            system = read_sdpa_instance(fh.read())
-        inst = system_to_instance(system)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with open(args.instance, "r", encoding="utf-8") as fh:
+        system = read_sdpa_instance(fh.read())
+    inst = system_to_instance(system)
     if args.solver == "external":
         if not args.solver_cmd:
-            print("error: --solver external requires --solver-cmd", file=sys.stderr)
-            return EXIT_CONFIG
-        try:
-            res = solve_external(inst, args.solver_cmd)
-        except (OSError, ValueError, subprocess.SubprocessError) as exc:
-            # a missing binary, a nonzero exit or timeout, or unreadable output
-            print(f"error: external solver: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ValueError("--solver external requires --solver-cmd")
+        res = solve_external(inst, args.solver_cmd)
     else:
         res = solve_embedded(inst, tol_eq=args.tol_eq, tol_psd=args.tol_psd,
                              max_iterations=args.max_iterations)
@@ -154,21 +142,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_search(args) -> int:
     caps = SearchCaps(degree_cap=args.degree_search, max_monomials=args.max_monomials)
-    try:
-        out = run_search(
-            GeometricParams(args.r, args.R), iterations=args.iterations,
-            d_search=args.degree_search, d_final=args.degree_final, K=args.pivots,
-            caps=caps, seed=args.seed, n=args.dim, top_k=args.top_k,
-            tree_dump_path=args.tree_dump,
-        )
-    except (ValueError, PivotGenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SearchFailedError as exc:
-        print(f"search failed: {exc}", file=sys.stderr)
-        for entry in exc.log:
-            print(f"  {entry.sentence}  d={entry.d}  {entry.status}", file=sys.stderr)
-        return EXIT_SEARCH
+    out = run_search(
+        GeometricParams(args.r, args.R), iterations=args.iterations,
+        d_search=args.degree_search, d_final=args.degree_final, K=args.pivots,
+        caps=caps, seed=args.seed, n=args.dim, top_k=args.top_k,
+        tree_dump_path=args.tree_dump,
+    )
     print(json.dumps({
         "sentence": render(out.sentence),
         "bound": out.outcome.bound,
@@ -181,32 +160,23 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    try:
-        config = CampaignConfig.from_file(args.config) if args.config else CampaignConfig()
-        overrides = {
-            "dimension": args.dim,
-            "d_search": args.degree_search,
-            "d_final": args.degree_final,
-            "pivots": args.pivots,
-            "budget_rounds": args.budget_rounds,
-            "budget_seconds": args.budget_seconds,
-            "seed": args.seed,
-            "solver": args.solver,
-            "solver_cmd": args.solver_cmd,
-            "out_dir": args.out,
-        }
-        config = dataclasses.replace(
-            config, **{k: v for k, v in overrides.items() if v is not None}
-        )
-        config.validate()
-    except (ConfigError, OSError, json.JSONDecodeError, TypeError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        state = run_campaign(config, resume=args.resume, progress=not args.quiet)
-    except CampaignIOError as exc:
-        print(f"campaign halted: {exc}", file=sys.stderr)
-        return EXIT_IO
+    config = CampaignConfig.from_file(args.config) if args.config else CampaignConfig()
+    overrides = {
+        "dimension": args.dim,
+        "d_search": args.degree_search,
+        "d_final": args.degree_final,
+        "pivots": args.pivots,
+        "budget_rounds": args.budget_rounds,
+        "budget_seconds": args.budget_seconds,
+        "seed": args.seed,
+        "solver": args.solver,
+        "solver_cmd": args.solver_cmd,
+        "out_dir": args.out,
+    }
+    config = dataclasses.replace(
+        config, **{k: v for k, v in overrides.items() if v is not None}
+    )
+    state = run_campaign(config, resume=args.resume, progress=not args.quiet)
     best = state.best_record()
     print(json.dumps({
         "rounds": len(state.rounds),
@@ -220,14 +190,10 @@ def _cmd_campaign(args) -> int:
 def _cmd_report(args) -> int:
     from . import diagnostics
 
-    try:
-        state = load(args.state)
-        ref = (diagnostics.ReferenceSet.from_file(args.reference)
-               if args.reference else diagnostics.ReferenceSet.empty())
-        diagnostics.write_campaign_csvs(state, args.out, ref)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    state = load(args.state)
+    ref = (diagnostics.ReferenceSet.from_file(args.reference)
+           if args.reference else diagnostics.ReferenceSet.empty())
+    diagnostics.write_campaign_csvs(state, args.out, ref)
     best = state.best_record()
     print(json.dumps({
         "rounds": len(state.rounds),
@@ -248,7 +214,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         "campaign": _cmd_campaign,
         "report": _cmd_report,
     }
-    return handlers[args.command](args)
+    # ConfigError is a ValueError, so it is caught first
+    try:
+        return handlers[args.command](args)
+    except ConfigError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CampaignIOError as exc:
+        print(f"campaign halted: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except SearchFailedError as exc:
+        print(f"search failed: {exc}", file=sys.stderr)
+        for entry in exc.log:
+            print(f"  {entry.sentence}  d={entry.d}  {entry.status}", file=sys.stderr)
+        return EXIT_SEARCH
+    except (ValueError, OSError, PivotGenerationError, subprocess.SubprocessError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -358,14 +358,18 @@ def run_search(
     """
     if iterations < 1:
         raise ValueError("need iterations >= 1")
-    if d_search > d_final:
-        raise ValueError(f"d_search={d_search} must not exceed d_final={d_final}")
+    if not 0 <= d_search <= d_final:
+        raise ValueError(
+            f"need 0 <= d_search <= d_final, got d_search={d_search}, d_final={d_final}"
+        )
     if top_k < 1 or caps.max_monomials < 1:
         raise ValueError(
             f"need top_k >= 1 and max_monomials >= 1, got {top_k}, {caps.max_monomials}"
         )
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
+    if not 0 <= c_explore < math.inf:  # 0 is pure exploitation
+        raise ValueError(f"need c_explore finite and >= 0, got {c_explore}")
     if not eos_bias > 0:  # <*> is always legal, so a rollout ends only by <EOS>
         raise ValueError(f"need eos_bias > 0, got {eos_bias}")
     start = time.monotonic()

@@ -203,8 +203,8 @@ def solve_embedded(
     orthonormal spanning set; residuals are always reported against the
     original rows.
     """
-    if tol_eq <= 0 or tol_psd <= 0:
-        raise ValueError("tolerances must be positive")
+    if not (0 < tol_eq < math.inf and 0 < tol_psd < math.inf):
+        raise ValueError(f"tolerances must be positive and finite, got {tol_eq}, {tol_psd}")
     start = time.monotonic()
     M, b, c, slices = _stack_rows(inst)
     dims = inst.block_dims
@@ -551,8 +551,8 @@ def read_sdpa_instance(text: str) -> SparseSystem:
     """Parse SDPA sparse format as written by emit_sdpa (comments tolerated).
 
     Every entry must name a row in 0..n_rows (0 is the objective), a block
-    in 1..n_blocks and matrix indices in 1..dim of that block; anything
-    else raises FormatError with its line number.
+    in 1..n_blocks and matrix indices in 1..dim of that block, and carry a
+    finite value; anything else raises FormatError with its line number.
     """
     lines = text.splitlines()
     header: List[Tuple[int, str]] = [
@@ -582,6 +582,8 @@ def read_sdpa_instance(text: str) -> SparseSystem:
             val = float(toks[4])
         except ValueError as exc:
             raise FormatError(f"bad entry: {exc}", lineno) from exc
+        if not math.isfinite(val):
+            raise FormatError(f"entry value {toks[4]} is not finite", lineno)
         if not 0 <= row <= n_rows:
             raise FormatError(f"row {row} outside 0..{n_rows}", lineno)
         if not 1 <= block <= n_blocks:

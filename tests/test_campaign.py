@@ -110,13 +110,20 @@ class TestConfig:
         {"tol_eq": 0.0},
         {"tol_psd": float("inf")},
         {"tol_psd": float("nan")},
+        {"R_hi": float("inf")},  # the first proposal would normalize by an infinite span
+        {"r_hi": float("inf"), "R_hi": float("inf")},
+        {"c_explore": float("nan")},  # selection would stop descending
+        {"c_explore": -1.0},
+        {"c_explore": float("inf")},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
             dataclasses.replace(CampaignConfig(), **bad).validate()
 
     def test_int_accepted_for_float_field(self):
-        dataclasses.replace(CampaignConfig(), r_lo=1, r_hi=2, budget_seconds=0).validate()
+        dataclasses.replace(
+            CampaignConfig(), r_lo=1, r_hi=2, budget_seconds=0, c_explore=0  # 0: pure exploitation
+        ).validate()
 
     @pytest.mark.parametrize("top_level", [5, [], "config", None])
     def test_from_file_requires_object(self, tmp_path, top_level):

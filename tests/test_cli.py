@@ -63,6 +63,20 @@ class TestCompile:
         assert code == EXIT_CONFIG and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_exhausted_pivots_exits_2(self, capsys, monkeypatch):
+        import packbound.compiler as compiler_mod
+
+        def exhausted(params, K, seed, scheme="plane"):
+            raise compiler_mod.PivotGenerationError(K, 0)
+
+        monkeypatch.setattr(compiler_mod, "generate_pivots", exhausted)
+        code, out, err = run_cli(
+            capsys, "compile", "P7 <EOS>", "--r", "1.45", "--R", "1.46",
+            "--degree", "2", "--pivots", "9000",
+        )
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: pivot generation exhausted")
+
 
 class TestSolve:
     def test_solves_compiled_instance(self, capsys, tmp_path):
@@ -78,6 +92,19 @@ class TestSolve:
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "/nonexistent.dat-s")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol-eq", "0"),
+        ("--tol-eq", "inf"),  # would report the first iterate converged
+        ("--tol-psd", "nan"),
+    ])
+    def test_bad_tolerance_exits_2(self, capsys, tmp_path, flag, value):
+        path = tmp_path / "inst.dat-s"
+        run_cli(capsys, "compile", "P1 <EOS>", "--r", "1.45", "--R", "2.0",
+                "--degree", "2", "--pivots", "3", "--out", str(path))
+        code, out, err = run_cli(capsys, "solve", str(path), flag, value)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: tolerances")
 
     def test_external_requires_cmd(self, capsys, tmp_path):
         path = tmp_path / "inst.dat-s"
@@ -183,6 +210,26 @@ class TestCampaign:
         cfg.write_text(json.dumps(top_level))
         code, _, err = run_cli(capsys, "campaign", "--config", str(cfg))
         assert code == EXIT_CONFIG and "invalid config" in err and "JSON object" in err
+
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_unreadable_config_exits_2(self, capsys, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        code, out, err = run_cli(capsys, "campaign", "--config", str(cfg))
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("invalid config: ")
+
+    def test_resume_from_bad_state_exits_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "camp"
+        out_dir.mkdir()
+        (out_dir / "state.jsonl").write_text(json.dumps({"round": 1, "extra": 2}) + "\n")
+        code, out, err = run_cli(
+            capsys, "campaign", "--resume", "--budget-rounds", "1",
+            "--out", str(out_dir), "--quiet",
+        )
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "'extra'" in err
 
     def test_io_failure_exits_3(self, capsys, tmp_path):
         from packbound.cli import EXIT_IO

@@ -319,3 +319,10 @@ class TestRunSearch:
         with pytest.raises(ValueError, match="dimension n"):
             run_search(params, iterations=1, d_search=2, d_final=2, K=5,
                        caps=CAPS, seed=0, n=0)
+        with pytest.raises(ValueError, match="d_search=-1, d_final=2"):
+            run_search(params, iterations=1, d_search=-1, d_final=2, K=5,
+                       caps=CAPS, seed=0)
+        for c_explore in (math.nan, -1.0, math.inf):
+            with pytest.raises(ValueError, match="c_explore"):
+                run_search(params, iterations=1, d_search=2, d_final=2, K=5,
+                           caps=CAPS, seed=0, c_explore=c_explore)

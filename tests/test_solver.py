@@ -86,6 +86,11 @@ class TestEmbeddedSolver:
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError):
             solve_embedded(trivial_instance(), tol_eq=0.0)
+        # an infinite tolerance reports any iterate converged; NaN never converges
+        for bad in ({"tol_eq": math.inf}, {"tol_psd": math.inf},
+                    {"tol_eq": math.nan}, {"tol_psd": math.nan}, {"tol_psd": -1.0}):
+            with pytest.raises(ValueError, match="positive and finite"):
+                solve_embedded(trivial_instance(), **bad)
 
     def test_determinism_across_runs(self, params):
         inst = assemble_sdp(tokenize_and_parse("P1 <EOS>"), params, n=8, d=4, K=20, seed=0)
@@ -376,6 +381,9 @@ class TestSdpaRoundTrip:
         ("1 2 1 1 2.0", "block"),        # one block in the header
         ("3 1 1 1 2.0", "row"),          # rows 0..2 in the header
         ("1 1 1 3 2.0", "index"),        # the block is 2x2
+        ("1 1 1 1 inf", "finite"),
+        ("1 1 1 1 1e400", "finite"),     # overflows a float to inf
+        ("1 1 1 1 nan", "finite"),
     ])
     def test_out_of_range_entry_names_line(self, entry, what):
         text = f"2\n1\n2\n0 1\n0 1 1 1 1.0\n{entry}\n"
