@@ -9,6 +9,10 @@ Bounds are minimized, so all acquisition math is written for minimization:
 expected improvement by default, a confidence-bound alternative, and a
 rank-aggregated multi-acquisition mode (an approximation of multi-objective
 acquisition ensembles, and labelled as such in reports).
+
+compile, solve, search and report run on numpy alone.  scipy loads on a
+campaign's first BO fit or proposal, or when a pivot table falls through to
+the Sobol fill; this module imports it inside the functions that call it.
 """
 
 from __future__ import annotations
@@ -19,9 +23,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import ndtr
-from scipy.stats import qmc
 
 from .polys import GeometricParams
 
@@ -92,6 +93,19 @@ def _matern52(scaled_dist: np.ndarray) -> np.ndarray:
 
 def _clamp(x: float, limits: Tuple[float, float]) -> float:
     return min(max(x, limits[0]), limits[1])
+
+
+def minimize(*args, **kwargs):
+    # A module-level name, not a local import, so instrumentation can replace it.
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+def _ndtr(u: np.ndarray) -> np.ndarray:
+    from scipy.special import ndtr
+
+    return ndtr(u)
 
 
 def _norm_pdf(u: np.ndarray) -> np.ndarray:
@@ -371,7 +385,7 @@ def expected_improvement(s: Surrogate, Z: np.ndarray) -> np.ndarray:
     out = np.maximum(gap, 0.0)
     positive = sd > 0
     u = gap[positive] / sd[positive]
-    out[positive] = gap[positive] * ndtr(u) + sd[positive] * _norm_pdf(u)
+    out[positive] = gap[positive] * _ndtr(u) + sd[positive] * _norm_pdf(u)
     return np.maximum(out, 0.0)
 
 
@@ -394,7 +408,7 @@ def log_expected_improvement(s: Surrogate, Z: np.ndarray) -> np.ndarray:
     vals = np.empty_like(u)
     near = u > -10.0
     un = u[near]
-    h = _norm_pdf(un) + un * ndtr(un)
+    h = _norm_pdf(un) + un * _ndtr(un)
     vals[near] = np.log(np.maximum(h, 1e-300))
     far = ~near
     uf = u[far]
@@ -414,7 +428,7 @@ def probability_of_improvement(s: Surrogate, Z: np.ndarray) -> np.ndarray:
     best = s.best_warped()
     out = (best - mu > 0).astype(float)
     positive = sd > 0
-    out[positive] = ndtr((best - mu[positive]) / sd[positive])
+    out[positive] = _ndtr((best - mu[positive]) / sd[positive])
     return out
 
 
@@ -444,6 +458,8 @@ def acquisition_scores(s: Surrogate, Z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _sobol_candidates(box: SearchBox, seed: int, count: int) -> np.ndarray:
+    from scipy.stats import qmc
+
     sampler = qmc.Sobol(d=2, scramble=True, seed=seed)
     pts = box.denormalize(sampler.random(count))
     return pts[pts[:, 0] < pts[:, 1]]

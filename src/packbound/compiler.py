@@ -29,6 +29,10 @@ which smaller ones slice.
 
 All matrix entries are exact rationals so that emission to solver files is
 deterministic at any requested precision.
+
+compile, solve, search and report run on numpy alone.  scipy loads on a
+campaign's first BO fit or proposal, or when a pivot table falls through to
+the Sobol fill; the Sobol sampler is therefore imported only in that branch.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .grammar import Monomial, Sentence, render
 from .polys import (
@@ -134,6 +137,8 @@ def _plane_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[Pi
     for i, h in enumerate(nodes):
         for v in nodes[i:]:
             yield _plane_point(h, v, params)
+    from scipy.stats import qmc
+
     sampler = qmc.Sobol(d=2, scramble=True, seed=seed)
     for _ in range(64):
         for x, y in sampler.random(64):
@@ -155,6 +160,8 @@ def _grid3d_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[P
             half = math.sqrt(h * v)
             for w in _chebyshev_nodes(-half, half, g):
                 yield PivotPoint.make(h, v, w)
+    from scipy.stats import qmc
+
     sampler = qmc.Sobol(d=3, scramble=True, seed=seed)
     for _ in range(64):
         for x, y, z in sampler.random(64):

@@ -205,6 +205,8 @@ def solve_embedded(
     """
     if not (0 < tol_eq < math.inf and 0 < tol_psd < math.inf):
         raise ValueError(f"tolerances must be positive and finite, got {tol_eq}, {tol_psd}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     start = time.monotonic()
     M, b, c, slices = _stack_rows(inst)
     dims = inst.block_dims

@@ -106,6 +106,15 @@ class TestSolve:
         assert code == EXIT_CONFIG and out == ""
         assert err.count("\n") == 1 and err.startswith("error: tolerances")
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_non_positive_iteration_budget_exits_2(self, capsys, tmp_path, budget):
+        path = tmp_path / "inst.dat-s"
+        run_cli(capsys, "compile", "P1 <EOS>", "--r", "1.45", "--R", "2.0",
+                "--degree", "2", "--pivots", "3", "--out", str(path))
+        code, out, err = run_cli(capsys, "solve", str(path), "--max-iterations", budget)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: max_iterations")
+
     def test_external_requires_cmd(self, capsys, tmp_path):
         path = tmp_path / "inst.dat-s"
         run_cli(capsys, "compile", "P7 <EOS>", "--r", "1.45", "--R", "2.0",

@@ -77,11 +77,11 @@ class TestEmbeddedSolver:
         assert res.objective_value == pytest.approx(3.0, abs=1e-6)
         assert res.primal_blocks[0] == pytest.approx(np.diag([0.0, 1.0]), abs=1e-6)
 
-    def test_zero_iteration_budget(self):
-        res = solve_embedded(trivial_instance(), max_iterations=0)
-        assert res.status is SolverStatus.MAX_ITERATIONS
-        assert res.iterations == 0
-        assert res.equality_residual > 0
+    def test_rejects_non_positive_iteration_budget(self):
+        # a solve that never ran must not report "max_iterations"
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+                solve_embedded(trivial_instance(), max_iterations=budget)
 
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError):
