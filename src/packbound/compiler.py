@@ -54,6 +54,7 @@ from .polys import (
     _frac,
     base_values_at,
     basis_enumerate,
+    basis_values,
     evaluate_basis,
 )
 
@@ -392,17 +393,48 @@ def make_instance(
     )
 
 
+def _by_degree(memo: Dict[int, list], k: int, evaluate: Callable[[tuple], list]) -> list:
+    """memo[k], one vector per pivot over basis_enumerate(k), computed on first use.
+
+    A degree below the largest one in memo slices its vectors; any other is
+    evaluated (evaluate maps the basis elements to the per-pivot vectors).
+    """
+    if k not in memo:
+        top = max(memo, default=-1)
+        if k < top:
+            size = len(basis_enumerate(k))
+            memo[k] = [u[:size] for u in memo[top]]
+        else:
+            memo[k] = evaluate(basis_enumerate(k))
+    return memo[k]
+
+
 class PivotTable:
     """The pivots of (params, K, seed, scheme), kept as attributes, and their instances.
 
     Every point value an instance or an exact decision reads comes from the
     table.  generate_pivots runs once, and base_values_at once per pivot and
     once at the origin, when the table is built; the pivots' region check runs
-    then.  The basis evaluation vectors of degree k are computed on first use
+    then.  Everything is exact.  A campaign round builds one table, on which
+    the search decides and from which the winner's instance is verified.
+
+    Two views of the pivots serve the two readers:
+
+    * instance reads rationals: monomial_values, and basis_vectors, the
+      basis evaluation vectors u_p.  Its dense Fraction blocks are what
+      solver.verify_certificate checks a winner on, independently of the
+      decision;
+    * solver.solve_exact reads integers.  D, `denominator`, is the lcm of the
+      denominators of every pivot coordinate, and (H, V, W) = D (h, v, w) are
+      integers, so integer_basis_vectors gives N_p = W^a (HV)^b (H+V)^c and
+      u_p = N_p diag(D^-grade).  `zero_patterns[p]` has bit t - 1 set when
+      P_t vanishes at pivot p (t = 1..6); since every P_t is nonnegative
+      there and P7 = 1, m(p) > 0 exactly when no base polynomial in m's
+      support vanishes at p (active_pivots).
+
+    The basis vectors of degree k, in either view, are computed on first use
     and kept; since basis_enumerate(k) is a prefix of basis_enumerate(k') for
     k <= k', a smaller degree slices the largest one computed so far.
-    Everything is exact.  A campaign round builds one table, on which the
-    search decides and from which the winner's instance is verified.
     """
 
     def __init__(self, params: GeometricParams, K: int, seed: int, scheme: str = "plane"):
@@ -413,11 +445,23 @@ class PivotTable:
         if any(v < 0 for values in self.base_values for v in values[:6]):
             raise ValueError("a pivot lies outside the region where P1..P6 are nonnegative")
         self.origin = base_values_at(ORIGIN, params)
+        self.zero_patterns = tuple(
+            sum(1 << t for t, v in enumerate(values[:6]) if v == 0) for values in self.base_values
+        )
+        D = self.denominator = math.lcm(*(x.denominator for p in self.pivots for x in p.as_tuple()))
+        self._coords = [tuple(x.numerator * (D // x.denominator) for x in p.as_tuple())
+                        for p in self.pivots]
         self._basis: Dict[int, List[Tuple[Fraction, ...]]] = {}
+        self._integer_basis: Dict[int, List[Tuple[int, ...]]] = {}
 
     def monomial_values(self, m: Monomial) -> List[Fraction]:
         """m(p) for every pivot p, in pivot order."""
         return [_monomial_value(values, m) for values in self.base_values]
+
+    def active_pivots(self, m: Monomial) -> List[int]:
+        """Indices of the pivots p with m(p) > 0, in pivot order, from the zero patterns."""
+        support = sum(1 << t for t, e in enumerate(m.alpha[:6]) if e)
+        return [i for i, zeros in enumerate(self.zero_patterns) if not zeros & support]
 
     def origin_value(self, m: Monomial) -> Fraction:
         """m(0, 0, 0)."""
@@ -433,15 +477,13 @@ class PivotTable:
 
     def basis_vectors(self, k: int) -> List[Tuple[Fraction, ...]]:
         """evaluate_basis(basis_enumerate(k), p) for every pivot p, in pivot order."""
-        if k not in self._basis:
-            top = max(self._basis, default=-1)
-            if k < top:
-                size = len(basis_enumerate(k))
-                self._basis[k] = [u[:size] for u in self._basis[top]]
-            else:
-                elems = basis_enumerate(k)
-                self._basis[k] = [evaluate_basis(elems, p.as_tuple()) for p in self.pivots]
-        return self._basis[k]
+        return _by_degree(self._basis, k, lambda elems: [
+            evaluate_basis(elems, p.as_tuple()) for p in self.pivots])
+
+    def integer_basis_vectors(self, k: int) -> List[Tuple[int, ...]]:
+        """N_p = u_p diag(D^grade) over basis_enumerate(k), for every pivot p, in pivot order."""
+        return _by_degree(self._integer_basis, k, lambda elems: [
+            basis_values(elems, W, H * V, H + V) for H, V, W in self._coords])
 
     def instance(self, s: Sentence, n: int, d: int) -> SdpInstance:
         """Full instance for a sentence: K homogeneous rows plus one normalization row.

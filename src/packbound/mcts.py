@@ -107,7 +107,7 @@ def make_sdp_evaluator(table: PivotTable, n: int, cache: RewardCache) -> Evaluat
     """Default evaluator: decide each sentence's instance exactly, compute its bound.
 
     The instance of (sentence, d) is table.instance(sentence, n, d);
-    solver.solve_exact decides it in rational arithmetic on the table, so a
+    solver.solve_exact decides it in exact arithmetic on the table, so a
     converged outcome has objective exactly 1 and a checked rank-one
     certificate.  A failed decision becomes an "error: ..." outcome.
     Outcomes are stored in cache, which must serve this evaluator alone.

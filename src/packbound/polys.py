@@ -253,19 +253,26 @@ def basis_to_poly(e: BasisElement) -> Polynomial:
     return Polynomial(terms)
 
 
-def evaluate_basis(elements: Iterable[BasisElement], point: Sequence[Number]) -> Tuple[Fraction, ...]:
-    """Exact values of basis elements at a point, via powers of (w, hv, h+v)."""
-    h, v, w = (_frac(x) for x in point)
-    sig, pi = h + v, h * v
-    cache: Dict[Tuple[str, int], Fraction] = {}
+def basis_values(elements: Iterable[BasisElement], w: Number, hv: Number, sig: Number) -> tuple:
+    """w^a * hv^b * sig^c for each basis element, in the arithmetic of the inputs.
 
-    def power(name: str, base: Fraction, n: int) -> Fraction:
+    Exact for int and Fraction inputs: integer inputs give integer values.
+    """
+    cache: Dict[Tuple[str, int], Number] = {}
+
+    def power(name: str, base: Number, n: int) -> Number:
         key = (name, n)
         if key not in cache:
             cache[key] = base**n
         return cache[key]
 
     return tuple(
-        power("w", w, e.a) * power("p", pi, e.b) * power("s", sig, e.c)
+        power("w", w, e.a) * power("p", hv, e.b) * power("s", sig, e.c)
         for e in elements
     )
+
+
+def evaluate_basis(elements: Iterable[BasisElement], point: Sequence[Number]) -> Tuple[Fraction, ...]:
+    """Exact values of basis elements at a point, via powers of (w, hv, h+v)."""
+    h, v, w = (_frac(x) for x in point)
+    return basis_values(elements, w, h * v, h + v)

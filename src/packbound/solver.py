@@ -4,8 +4,8 @@ Instances built by compiler.PivotTable.instance (origin objective,
 designated-block normalization) are decided exactly by solve_exact: every
 block is rank one with nonnegative pivot values, so feasibility,
 boundedness and the optimum (always 1) follow from fraction-free
-elimination on each block's active pivot rows, and the rank-one
-certificate is checked in rational arithmetic.
+elimination on each block's active pivot rows, taken as the table's integer
+rows, and the rank-one certificate is checked exactly.
 The tree search uses it for every evaluation.  The ADMM solver below handles
 any instance, such as a .dat-s file read back by the CLI, and serves the
 scripts.
@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .compiler import PivotTable, SdpInstance, _check_degrees, block_arrays
-from .grammar import Sentence
+from .grammar import Monomial, Sentence
 from .polys import basis_enumerate
 
 
@@ -354,23 +354,21 @@ def solve_embedded(
 # Exact decision of the assembled instances
 # ---------------------------------------------------------------------------
 
-def _kernel_vector(rows: Sequence[Sequence[Fraction]], dim: int) -> Optional[List[int]]:
-    """An integer q with u . q = 0 for every row u and q[0] != 0, or None.
+def _kernel_vector(rows: Sequence[Sequence[int]], dim: int) -> Optional[List[int]]:
+    """The primitive integer q with row . q = 0 for every row and q[0] > 0, or None.
 
     None means e_0 lies in the span of the rows.  Fraction-free elimination
-    on the rows scaled to integers, with the columns taken in the order
-    1, ..., dim - 1, 0: column 0 holds a pivot exactly when e_0 is in the
-    span; otherwise q[0] = 1 (before clearing denominators), the other free
-    coordinates are 0 and back substitution gives the pivot coordinates.
-    The returned q is checked against every row.
+    on the integer rows, with the columns taken in the order 1, ..., dim - 1,
+    0: column 0 holds a pivot exactly when e_0 is in the span; otherwise
+    q[0] = 1 (before clearing denominators), the other free coordinates are 0
+    and back substitution, scaled to stay in integers, gives the pivot
+    coordinates.  Scaling a column moves no pivot column, so q depends on the
+    row span alone, up to that scaling.  The returned q is checked against
+    every row.
     """
     order = list(range(1, dim)) + [0]
-    scaled = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (den // x.denominator) for x in row])
     echelon: Dict[int, List[int]] = {}  # pivot position -> row, in column order
-    for row in scaled:
+    for row in rows:
         r = [row[c] for c in order]
         for pos in range(dim):
             if r[pos] == 0:
@@ -380,36 +378,64 @@ def _kernel_vector(rows: Sequence[Sequence[Fraction]], dim: int) -> Optional[Lis
                 g = math.gcd(*r)
                 echelon[pos] = [x // g for x in r]
                 break
-            f, s = b[pos], r[pos]
+            g = math.gcd(b[pos], r[pos])
+            f, s = b[pos] // g, r[pos] // g
             r = [f * x - s * y for x, y in zip(r, b)]
         if dim - 1 in echelon:
             return None
-    q = [Fraction(0)] * dim
-    q[dim - 1] = Fraction(1)
+    q = [0] * dim
+    q[dim - 1] = 1
     for pos in sorted(echelon, reverse=True):
         b = echelon[pos]
-        q[pos] = Fraction(-sum(b[t] * q[t] for t in range(pos + 1, dim)), b[pos])
-    den = math.lcm(*(x.denominator for x in q))
+        t = -sum(b[c] * q[c] for c in range(pos + 1, dim))
+        g = math.gcd(t, b[pos])
+        scale = b[pos] // g  # q[pos] = t / b[pos] solves row b; keep q integral
+        if scale != 1:
+            q = [x * scale for x in q]
+        q[pos] = t // g
+    g = math.gcd(*q) if q[dim - 1] > 0 else -math.gcd(*q)
     out = [0] * dim
     for pos, c in enumerate(order):
-        out[c] = q[pos].numerator * (den // q[pos].denominator)
-    if any(sum(a * b for a, b in zip(row, out)) for row in scaled):
+        out[c] = q[pos] // g
+    if any(sum(a * b for a, b in zip(row, out)) for row in rows):
         raise RuntimeError("kernel vector fails its own rows")
     return out
+
+
+def _block_kernel(table: PivotTable, m: Monomial, k: int) -> Optional[List[int]]:
+    """The primitive integer q with u_p . q = 0 at every pivot p where m(p) > 0 and
+    q[0] > 0, u_p over basis_enumerate(k); None when e_0 is in the span of those u_p.
+
+    Decided on the table's integer rows N_p = u_p diag(D^grade): N q_N = 0
+    exactly when U q = 0 for q = diag(D^grade) q_N, and grade 0 is the
+    constant coordinate alone, so e_0 is in the row span of U exactly when it
+    is in that of N, and q is diag(D^grade) q_N made primitive again.
+    """
+    elems = basis_enumerate(k)
+    rows = table.integer_basis_vectors(k)
+    q = _kernel_vector([rows[p] for p in table.active_pivots(m)], len(elems))
+    if q is None:
+        return None
+    q = [x * table.denominator**e.grade for x, e in zip(q, elems)]
+    g = math.gcd(*q)
+    return [x // g for x in q]
 
 
 def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
     """Decide the instance table.instance(sentence, n, d) exactly, for any n.
 
-    Every value it reads comes from the table: the pivots' monomial values
-    and basis vectors, the origin values and the designated block; the table
-    has checked that its pivots lie in the region.  The row for pivot p
+    Every value it reads comes from the table: the pivots' zero patterns and
+    integer basis vectors, the origin values and the designated block; the
+    table has checked that its pivots lie in the region.  The row for pivot p
     reads sum_i m_i(p) u_p^T X_i u_p = 0 with every m_i(p) >= 0, so
     each term vanishes on its own: X_i u_p = 0 wherever m_i(p) > 0 (the
-    facial-reduction argument).  The basis vector at the origin is e_0, so
+    facial-reduction argument), that is at the pivots where no base
+    polynomial of m_i vanishes.  The basis vector at the origin is e_0, so
     the normalization reads m_j(0) X_j[0, 0] = 1 on the designated block j
     and the objective is sum_i m_i(0) X_i[0, 0].  With q_i a null vector of
-    block i's active rows with q_i[0] != 0, where one exists:
+    block i's active rows with q_i[0] != 0, where one exists (_block_kernel,
+    which eliminates in integers on u_p diag(D^grade), D the table's common
+    denominator, and maps the null vector back):
 
     * infeasible-detected when block j has no q_j or m_j(0) <= 0;
     * unbounded when another block i has q_i and m_i(0) < 0, because
@@ -420,19 +446,15 @@ def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
 
     The certificate is checked exactly before it is returned; primal_blocks
     hold its float image, and the residual fields are those of the exact
-    certificate (0).
+    certificate (0).  No point is evaluated in rationals here: a campaign
+    verifies the winner separately, with verify_certificate on the dense
+    Fraction instance table.instance builds.
     """
     start = time.monotonic()
     canon = sentence.canonical()
     _check_degrees(canon, d)
     monomials = canon.monomials
     dims = [len(basis_enumerate(d - m.degree)) for m in monomials]
-
-    def kernel(i: int) -> Optional[List[int]]:
-        m = monomials[i]
-        basis = table.basis_vectors(d - m.degree)
-        active = [u for u, value in zip(basis, table.monomial_values(m)) if value > 0]
-        return _kernel_vector(active, dims[i])
 
     def result(status, message, objective=math.nan, blocks=(), residual=math.nan):
         return SolverResult(
@@ -451,12 +473,13 @@ def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
     m_j0 = table.origin_value(monomials[j])
     if m_j0 <= 0:
         return result(SolverStatus.INFEASIBLE, f"{label} is not positive at the origin")
-    q = kernel(j)
+    q = _block_kernel(table, monomials[j], d - monomials[j].degree)
     if q is None:
         return result(SolverStatus.INFEASIBLE,
                       f"{label}: e_0 lies in the span of its active pivot rows")
     for i, m in enumerate(monomials):
-        if i != j and table.origin_value(m) < 0 and kernel(i) is not None:
+        if (i != j and table.origin_value(m) < 0
+                and _block_kernel(table, m, d - m.degree) is not None):
             return result(SolverStatus.UNBOUNDED,
                           f"block {i} ({m.render()}) is negative at the origin and can "
                           "grow along its kernel: unbounded below",

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import packbound
 from packbound.campaign import (
     CampaignConfig,
     ConfigError,
@@ -25,6 +26,7 @@ from packbound.polys import GeometricParams
 from packbound.solver import SolverResult, SolverStatus, verify_certificate
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(packbound.__file__)))
 
 FAST = dict(
     budget_rounds=2,
@@ -392,11 +394,14 @@ class TestCrashSafety:
         import time
 
         out_dir = tmp_path / "killed"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.Popen(
             [sys.executable, "-m", "packbound", "campaign",
              "--budget-rounds", "50", "--pivots", "20",
              "--seed", "13", "--out", str(out_dir), "--quiet"],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
         )
         state_path = out_dir / "state.jsonl"
         try:

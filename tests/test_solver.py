@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 from fractions import Fraction
@@ -33,6 +34,7 @@ from packbound.solver import (
     parse_external_output,
     read_sdpa_instance,
     solve_embedded,
+    _block_kernel,
     _kernel_vector,
     solve_exact,
     system_to_instance,
@@ -150,16 +152,74 @@ class TestKernelVector:
         ([[1, 1, 0], [0, 1, 0]], True),   # rank 2 of 3, e_0 = row 0 - row 1
         ([[0, 0, 1]], False),
         ([[0, 1, 1], [0, 2, 2], [0, 0, 3]], False),
-        ([[Fraction(1, 2), Fraction(3, 4), 0], [Fraction(1, 8), 0, Fraction(-5, 16)]], False),
+        ([[8, 12, 0], [2, 0, -5]], False),  # 16 (1/2, 3/4, 0) and 16 (1/8, 0, -5/16)
     ])
     def test_null_vector_with_nonzero_first_coordinate(self, rows, in_span):
-        rows = [[Fraction(x) for x in row] for row in rows]
         q = _kernel_vector(rows, 3 if not rows else len(rows[0]))
         if in_span:
             assert q is None
         else:
-            assert q[0] != 0
+            assert q[0] > 0 and math.gcd(*q) == 1
             assert all(sum(u * x for u, x in zip(row, q)) == 0 for row in rows)
+
+
+def fraction_kernel_vector(rows, dim):
+    """Reference for _kernel_vector on rational rows: the rows scaled to
+    integers one by one, elimination in the same column order."""
+    order = list(range(1, dim)) + [0]
+    scaled = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    echelon = {}
+    for row in scaled:
+        r = [row[c] for c in order]
+        for pos in range(dim):
+            if r[pos] == 0:
+                continue
+            b = echelon.get(pos)
+            if b is None:
+                g = math.gcd(*r)
+                echelon[pos] = [x // g for x in r]
+                break
+            f, s = b[pos], r[pos]
+            r = [f * x - s * y for x, y in zip(r, b)]
+        if dim - 1 in echelon:
+            return None
+    q = [Fraction(0)] * dim
+    q[dim - 1] = Fraction(1)
+    for pos in sorted(echelon, reverse=True):
+        b = echelon[pos]
+        q[pos] = Fraction(-sum(b[t] * q[t] for t in range(pos + 1, dim)), b[pos])
+    den = math.lcm(*(x.denominator for x in q))
+    out = [0] * dim
+    for pos, c in enumerate(order):
+        out[c] = q[pos].numerator * (den // q[pos].denominator)
+    assert not any(sum(a * b for a, b in zip(row, out)) for row in scaled)
+    return out
+
+
+class TestIntegerRowsAgreeWithFractionRows:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scheme=st.sampled_from(["plane", "grid3d"]),
+        K=st.sampled_from([12, 30]),
+        d=st.sampled_from([2, 4]),
+        ms=st.lists(st.sampled_from(enumerate_monomials(4)), min_size=1, max_size=4),
+        r=st.floats(BOX.r_lo, BOX.r_hi),
+        R=st.floats(BOX.R_lo, BOX.R_hi),
+    )
+    def test_each_block_decides_as_on_fraction_rows(self, scheme, K, d, ms, r, R):
+        table = PivotTable(GeometricParams(r, R), K, 0, scheme)
+        for m in ms:
+            if m.degree > d:
+                continue
+            k = d - m.degree
+            active = [p for p, value in enumerate(table.monomial_values(m)) if value > 0]
+            assert table.active_pivots(m) == active
+            basis = table.basis_vectors(k)
+            expected = fraction_kernel_vector([basis[p] for p in active], len(basis[0]))
+            assert _block_kernel(table, m, k) == expected
 
 
 class TestExactSolver:
@@ -207,19 +267,32 @@ class TestExactSolver:
 
     def test_decisions_and_instances_read_only_the_table(self, params, monkeypatch):
         # every point value a decision or an instance reads was computed
-        # when the table was built
+        # when the table was built; a decision also evaluates no basis
+        # vector and no monomial in rationals, which instances still do
         table = PivotTable(params, 20, 0)
         calls = []
-        evaluate = compiler.base_values_at
-        monkeypatch.setattr(compiler, "base_values_at",
-                            lambda *args: calls.append(args) or evaluate(*args))
-        for text in ("P7 <ES> P1 <EOS>", "P1 <EOS>", "P7 <ES> P2 <EOS>",
-                     "P3 <ES> P4 <*> P6 <EOS>", "P2 <*> P4 <ES> P5 <EOS>"):
-            s = tokenize_and_parse(text)
+
+        def record(owner, name):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *args: calls.append(name) or original(*args))
+
+        record(compiler, "base_values_at")
+        record(compiler, "evaluate_basis")
+        record(PivotTable, "monomial_values")
+        sentences = [tokenize_and_parse(text) for text in (
+            "P7 <ES> P1 <EOS>", "P1 <EOS>", "P7 <ES> P2 <EOS>",
+            "P3 <ES> P4 <*> P6 <EOS>", "P2 <*> P4 <ES> P5 <EOS>")]
+        for s in sentences:
             for d in (2, 4):
                 solve_exact(s, d, table)
-                table.instance(s, 8, d)
         assert calls == []
+        for s in sentences:
+            for d in (2, 4):
+                table.instance(s, 8, d)
+                solve_exact(s, d, table)
+        assert "base_values_at" not in calls
+        assert {"evaluate_basis", "monomial_values"} <= set(calls)
 
     def test_closed_form_oracle_on_plane_pivots(self):
         # On plane pivots P4 vanishes at every pivot, so a block of basis
@@ -273,6 +346,37 @@ class TestExactSolver:
             report = verify_certificate(inst, exact)
             assert report.equality_residual <= 1e-12
             assert report.psd_residual >= -1e-12
+
+
+def decision_digest(table):
+    """sha256 of solve_exact's status, message, objective and certificate bytes
+    for every enumerate_sentences(2, 2) sentence at d = 2 and 4 on the table."""
+    digest = hashlib.sha256()
+    for d in (2, 4):
+        for s in enumerate_sentences(2, 2):
+            res = solve_exact(s, d, table)
+            digest.update(f"{res.status.value}|{res.message}|{res.objective_value.hex()}|"
+                          .encode("utf-8"))
+            for block in res.primal_blocks:
+                digest.update(repr(block.shape).encode("ascii") + block.tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of decision_digest computed with the Fraction-row decision, which
+# evaluated every monomial and basis vector at every pivot in rationals.
+PINNED_DECISIONS = [
+    (BOX.r_lo, 1.8, 50, "plane",
+     "7bf16d17c89d42ca49a6b0f57f13112dae0315e5a4de817eb4713c3d9265e82b"),
+    (1.5, 2.4, 50, "plane",
+     "cd657a163ee1f112556eaf8e88eb90e689fcde5e2d3d51943d05975b32d430dd"),
+    (1.45, 2.0, 12, "grid3d",
+     "3f0ebb9ee513c946c81d94338d9ef05c1b191cfc108693b626bcf05d915decf5"),
+]
+
+
+@pytest.mark.parametrize("r, R, K, scheme, digest", PINNED_DECISIONS)
+def test_decision_digest(r, R, K, scheme, digest):
+    assert decision_digest(PivotTable(GeometricParams(r, R), K, 0, scheme)) == digest
 
 
 class TestVerifyCertificate:
