@@ -32,7 +32,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import List, Optional
+from typing import List, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .compiler import assemble_sdp  # not called here; perfbench/tracing.py wrap
 from .grammar import render
 from .mcts import (
     RewardCache,
-    SearchCaps,
     SearchFailedError,
     make_sdp_evaluator,
     rank_key,
@@ -127,14 +126,20 @@ class CampaignConfig:
             raise ConfigError(f"need mcts_iterations >= 1, got {self.mcts_iterations}")
         if not 0 <= self.c_explore < math.inf:  # 0 is pure exploitation
             raise ConfigError(f"need c_explore finite and >= 0, got {self.c_explore}")
-        if not self.eos_bias > 0:  # <*> is always legal, so rollouts end only by <EOS>
-            raise ConfigError(f"need eos_bias > 0, got {self.eos_bias}")
+        # <*> is always legal, so rollouts end only by <EOS>; an infinite
+        # weight would make the draw probabilities NaN
+        if not 0 < self.eos_bias < math.inf:
+            raise ConfigError(f"need eos_bias finite and > 0, got {self.eos_bias}")
         if not (0 < self.tol_eq < math.inf and 0 < self.tol_psd < math.inf):
             raise ConfigError(
                 f"tolerances must be positive and finite, got {self.tol_eq}, {self.tol_psd}"
             )
-        if self.budget_rounds < 0 or self.budget_seconds < 0:
-            raise ConfigError("budgets must be nonnegative")
+        # a NaN budget would never be exceeded; 0 is how to disable it
+        if self.budget_rounds < 0 or not 0 <= self.budget_seconds < math.inf:
+            raise ConfigError(
+                f"budgets must be finite and nonnegative, got {self.budget_rounds}, "
+                f"{self.budget_seconds}"
+            )
         if self.solver not in ("embedded", "external"):
             raise ConfigError(f"solver must be 'embedded' or 'external', got {self.solver!r}")
         if self.solver == "external" and not self.solver_cmd:
@@ -171,13 +176,6 @@ class CampaignConfig:
         return cfg
 
 
-ROUND_FIELDS = (
-    "round", "r", "R", "sentence", "d_search", "d_final", "K",
-    "objective", "bound", "status", "eq_residual", "psd_residual",
-    "search_seconds", "solve_seconds", "seed",
-)
-
-
 @dataclass(frozen=True)
 class RoundRecord:
     round: int
@@ -199,6 +197,16 @@ class RoundRecord:
     @property
     def converged(self) -> bool:
         return self.status == "converged" and self.bound is not None
+
+
+def _json_kinds(hint) -> tuple:
+    """Python types a JSON value of an annotated record field may load as."""
+    kinds = get_args(hint) or (hint,)  # Optional[X] is Union[X, None]
+    return kinds + (int,) if float in kinds else kinds  # JSON text "2" loads as an int
+
+
+#: The frozen state.jsonl schema: each field name and the types it may hold.
+ROUND_FIELDS = {name: _json_kinds(hint) for name, hint in get_type_hints(RoundRecord).items()}
 
 
 @dataclass
@@ -257,7 +265,10 @@ def _append_record(record: RoundRecord, path: str) -> None:
 
 
 def load(path: str) -> GameState:
-    """Strict inverse of persist: unknown or missing fields are schema errors.
+    """Strict inverse of persist: unknown, missing or mistyped fields are schema errors.
+
+    A field must hold its record type (a float field also takes an int, and
+    bool counts as neither).
 
     One concession to crash safety: a malformed trailing fragment (a record
     interrupted mid-write by a kill) is dropped with a warning, since losing
@@ -267,7 +278,6 @@ def load(path: str) -> GameState:
     import warnings
 
     state = GameState()
-    expected = set(ROUND_FIELDS)
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     for lineno, line in enumerate(lines, start=1):
@@ -280,12 +290,20 @@ def load(path: str) -> GameState:
                 warnings.warn(f"dropping truncated final record at line {lineno} of {path}")
                 break
             raise SchemaError(f"malformed record at line {lineno}")
-        unknown = set(raw) - expected
+        if not isinstance(raw, dict):
+            raise SchemaError(f"record at line {lineno} is not a JSON object")
+        unknown = set(raw) - set(ROUND_FIELDS)
         if unknown:
             raise SchemaError(f"unknown field {sorted(unknown)[0]!r} at line {lineno}")
-        missing = expected - set(raw)
+        missing = set(ROUND_FIELDS) - set(raw)
         if missing:
             raise SchemaError(f"missing field {sorted(missing)[0]!r} at line {lineno}")
+        for name, kinds in ROUND_FIELDS.items():
+            value = raw[name]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                want = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+                raise SchemaError(f"field {name!r} at line {lineno} must be {want}, "
+                                  f"got {value!r}")
         state.append(RoundRecord(**raw))
     return state
 
@@ -349,22 +367,19 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
             surrogate = None  # fall back to a space-filling proposal
     params = propose_next(surrogate, box, seed, acquisition=config.acquisition)
 
-    caps = SearchCaps(degree_cap=config.d_search, max_monomials=config.max_monomials)
     search_start = time.monotonic()
     try:
         table = PivotTable(params, config.pivots, seed, config.pivot_scheme)
         out = run_search(
-            params,
+            make_sdp_evaluator(table, config.dimension, RewardCache()),
             iterations=config.mcts_iterations,
             d_search=config.d_search,
             d_final=config.d_final,
-            K=config.pivots,
-            caps=caps,
+            max_monomials=config.max_monomials,
             seed=_round_seed(config.seed, round_idx, salt=1),
             c_explore=config.c_explore,
             top_k=config.top_k,
             eos_bias=config.eos_bias,
-            evaluator=make_sdp_evaluator(table, config.dimension, RewardCache()),
         )
     except (PivotGenerationError, SearchFailedError):
         out = None

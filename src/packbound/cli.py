@@ -31,9 +31,9 @@ from .campaign import (
     run_campaign,
     solve_external,
 )
-from .compiler import PivotGenerationError, assemble_sdp, emit_sdpa
+from .compiler import PivotGenerationError, PivotTable, assemble_sdp, emit_sdpa
 from .grammar import render, tokenize_and_parse
-from .mcts import SearchCaps, SearchFailedError, run_search
+from .mcts import RewardCache, SearchFailedError, make_sdp_evaluator, run_search
 from .polys import GeometricParams
 from .solver import read_sdpa_instance, solve_embedded, system_to_instance
 
@@ -141,11 +141,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    caps = SearchCaps(degree_cap=args.degree_search, max_monomials=args.max_monomials)
+    table = PivotTable(GeometricParams(args.r, args.R), args.pivots, args.seed)
     out = run_search(
-        GeometricParams(args.r, args.R), iterations=args.iterations,
-        d_search=args.degree_search, d_final=args.degree_final, K=args.pivots,
-        caps=caps, seed=args.seed, n=args.dim, top_k=args.top_k,
+        make_sdp_evaluator(table, args.dim, RewardCache()), iterations=args.iterations,
+        d_search=args.degree_search, d_final=args.degree_final,
+        max_monomials=args.max_monomials, seed=args.seed, top_k=args.top_k,
         tree_dump_path=args.tree_dump,
     )
     print(json.dumps({

@@ -265,9 +265,7 @@ def legal_next_tokens(
 
     legal: Set[Token] = set()
     if state.after_p:
-        budget = degree_cap - state.current_degree()
-        if any(d <= budget for d in BASE_DEGREES):
-            legal.add(Token.STAR)
+        legal.add(Token.STAR)  # P7 has degree 0, so a factor always fits
         if state.segment_count + 1 <= max_monomials:
             legal.add(Token.ES)
         legal.add(Token.EOS)

@@ -5,12 +5,13 @@ legal_next_tokens under the degree and monomial-count caps.  The four-phase
 loop (UCB selection, single-child expansion, rollout evaluation,
 backpropagation) is deterministic given the seed; rollouts complete a prefix
 by seeded uniform draws with a configurable bias toward terminating once a
-monomial is complete, and every completed sentence is evaluated through a
-pluggable evaluator (by default: decide the sentence's SDP at the search
-degree exactly, with solver.solve_exact on one pivot table).  Evaluations
-are cached by (canonical sentence, degree), so permuted factor orders and
-constant padding share solver calls; visit statistics live on the
-token-prefix tree itself.
+monomial is complete, and every completed sentence is scored by the
+evaluator the caller passes in.  The search knows nothing else about how a
+sentence is scored; make_sdp_evaluator builds the one the campaign and the
+CLI use, which decides the sentence's SDP exactly with solver.solve_exact on
+one pivot table and caches its outcomes by (canonical sentence, degree), so
+permuted factor orders and constant padding share solver calls.  Visit
+statistics live on the token-prefix tree itself.
 
 Single-writer tree: rollout evaluations may be expensive but are issued
 sequentially, keeping runs reproducible.
@@ -28,7 +29,6 @@ import numpy as np
 from .compiler import PivotTable, compute_bound
 from .compiler import assemble_sdp  # not called here; perfbench/tracing.py wraps this name
 from .grammar import (
-    Monomial,
     Sentence,
     Token,
     analyze_prefix,
@@ -37,7 +37,6 @@ from .grammar import (
     render,
     tokenize_and_parse,
 )
-from .polys import GeometricParams
 from .solver import SolverResult, SolverStatus, solve_exact
 from .solver import solve_embedded  # not called here; perfbench/tracing.py wraps this name
 
@@ -45,7 +44,7 @@ from .solver import solve_embedded  # not called here; perfbench/tracing.py wrap
 @dataclass(frozen=True)
 class SearchCaps:
     degree_cap: int
-    max_monomials: int = 8
+    max_monomials: int
 
 
 @dataclass(frozen=True)
@@ -104,14 +103,17 @@ class RewardCache:
 
 
 def make_sdp_evaluator(table: PivotTable, n: int, cache: RewardCache) -> Evaluator:
-    """Default evaluator: decide each sentence's instance exactly, compute its bound.
+    """Evaluator that decides each sentence's instance exactly and computes its bound.
 
     The instance of (sentence, d) is table.instance(sentence, n, d);
     solver.solve_exact decides it in exact arithmetic on the table, so a
     converged outcome has objective exactly 1 and a checked rank-one
     certificate.  A failed decision becomes an "error: ..." outcome.
     Outcomes are stored in cache, which must serve this evaluator alone.
+    Raises ValueError for a dimension n < 1.
     """
+    if n < 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
 
     def evaluate(s: Sentence, d: int) -> EvalOutcome:
         canon = s.canonical()
@@ -144,23 +146,12 @@ def rank_key(bound: float, sentence: Optional[str]) -> Tuple[float, int, str]:
     return (bound, sentence.count("<ES>") + 1, sentence)
 
 
-def _canonical_prefix_key(state: Tuple[Token, ...]) -> tuple:
-    info = analyze_prefix(state)
-    current = None
-    if info.current is not None:
-        current = Monomial(info.current).canonical().alpha
-    completed = tuple(sorted(Monomial(a).canonical().alpha for a in info.completed))
-    return (completed, current, info.after_p)
-
-
 class SearchNode:
     """One token prefix in the tree.
 
-    Tokens whose appension leaves the canonical prefix unchanged (appending
-    another constant factor to a nonempty monomial) are excluded from the
-    untried set: such children alias their parent exactly, and growing alias
-    chains would bleed the exploration budget while every alias evaluates to
-    the same cached sentences anyway.
+    untried starts as every token legal_next_tokens allows under caps, in
+    token order; expansion pops one by a seeded draw.  Prefixes that differ
+    only by constant padding (P7 beside another factor) are separate nodes.
     """
 
     __slots__ = ("state", "N", "W", "self_evals", "children", "untried", "terminal")
@@ -172,12 +163,6 @@ class SearchNode:
         self.self_evals = 0
         self.children: Dict[Token, SearchNode] = {}
         legal = legal_next_tokens(state, caps.degree_cap, caps.max_monomials)
-        if legal:
-            key = _canonical_prefix_key(state)
-            legal = {
-                t for t in legal
-                if t is not Token.P7 or _canonical_prefix_key(state + (t,)) != key
-            }
         self.untried: List[Token] = sorted(legal)
         self.terminal = not legal and bool(state) and state[-1] is Token.EOS
 
@@ -253,7 +238,6 @@ def rollout_completion(
 def simulate_rollout(
     node: SearchNode,
     evaluator: Evaluator,
-    d_search: int,
     rollouts: int,
     caps: SearchCaps,
     rng: np.random.Generator,
@@ -261,18 +245,19 @@ def simulate_rollout(
 ) -> float:
     """Mean reward over seeded completions of the node's prefix.
 
-    A terminal node is its own single completion: one evaluation, no
+    Every completion is evaluated at the search degree caps.degree_cap.  A
+    terminal node is its own single completion: one evaluation, no
     randomness, regardless of the rollout count.
     """
     if rollouts < 1:
         raise ValueError("need rollouts >= 1")
     if node.terminal:
         sentence = prefix_sentence(analyze_prefix(node.state))
-        return evaluator(sentence, d_search).reward()
+        return evaluator(sentence, caps.degree_cap).reward()
     total = 0.0
     for _ in range(rollouts):
         sentence = rollout_completion(node.state, caps, rng, eos_bias)
-        total += evaluator(sentence, d_search).reward()
+        total += evaluator(sentence, caps.degree_cap).reward()
     return total / rollouts
 
 
@@ -328,33 +313,29 @@ def dump_tree(root: SearchNode, path: str) -> None:
 
 
 def run_search(
-    params: GeometricParams,
+    evaluator: Evaluator,
     iterations: int,
     d_search: int,
     d_final: int,
-    K: int,
-    caps: SearchCaps,
+    max_monomials: int,
     seed: int,
-    n: int = 8,
     c_explore: float = math.sqrt(2.0),
     rollouts: int = 1,
     top_k: int = 3,
     eos_bias: float = 2.0,
-    evaluator: Optional[Evaluator] = None,
     tree_dump_path: Optional[str] = None,
 ) -> SearchOutcome:
-    """Search for the sentence minimizing the solved bound at fixed (r, R).
+    """Search for the sentence with the smallest bound under evaluator.
 
-    Runs the four-phase loop at degree d_search for the iteration budget,
-    then evaluates the top_k best converged terminal sentences at the more
-    expressive degree d_final and returns the one with the smallest converged
-    bound (ties prefer fewer monomials, then the lexicographically smaller
-    canonical text; see rank_key).  The returned outcome carries that
-    d_final solve, so a caller can verify it without solving again.  Without
-    an evaluator, make_sdp_evaluator is used on PivotTable(params, K, seed)
-    with a fresh RewardCache; building that table raises ValueError or
-    compiler.PivotGenerationError when it cannot be built.  Deterministic
-    given all inputs.
+    Grows the tree over sentences of degree <= d_search and at most
+    max_monomials monomials, evaluating them at d_search, for the iteration
+    budget; then evaluates the top_k best converged terminal sentences at the
+    more expressive degree d_final and returns the one with the smallest
+    converged bound (ties prefer fewer monomials, then the lexicographically
+    smaller canonical text; see rank_key).  The returned outcome is the
+    evaluator's d_final outcome, so a caller can verify its solve without
+    solving again.  seed drives the tree's draws only.  Deterministic given
+    all inputs and a deterministic evaluator.
     """
     if iterations < 1:
         raise ValueError("need iterations >= 1")
@@ -362,22 +343,19 @@ def run_search(
         raise ValueError(
             f"need 0 <= d_search <= d_final, got d_search={d_search}, d_final={d_final}"
         )
-    if top_k < 1 or caps.max_monomials < 1:
+    if top_k < 1 or max_monomials < 1:
         raise ValueError(
-            f"need top_k >= 1 and max_monomials >= 1, got {top_k}, {caps.max_monomials}"
+            f"need top_k >= 1 and max_monomials >= 1, got {top_k}, {max_monomials}"
         )
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
     if not 0 <= c_explore < math.inf:  # 0 is pure exploitation
         raise ValueError(f"need c_explore finite and >= 0, got {c_explore}")
-    if not eos_bias > 0:  # <*> is always legal, so a rollout ends only by <EOS>
-        raise ValueError(f"need eos_bias > 0, got {eos_bias}")
+    # <*> is always legal, so a rollout ends only by <EOS>; an infinite
+    # weight would make the draw probabilities NaN
+    if not 0 < eos_bias < math.inf:
+        raise ValueError(f"need eos_bias finite and > 0, got {eos_bias}")
     start = time.monotonic()
     rng = np.random.default_rng(seed)
-    if evaluator is None:
-        evaluator = make_sdp_evaluator(PivotTable(params, K, seed), n, RewardCache())
-
-    caps = SearchCaps(min(caps.degree_cap, d_search), caps.max_monomials)
+    caps = SearchCaps(d_search, max_monomials)
     root = SearchNode((), caps)
     evaluations: List[EvalOutcome] = []
     seen_keys = set()
@@ -397,7 +375,7 @@ def run_search(
             child = expand_node(leaf, caps, rng)
             path.append(child)
             leaf = child
-        reward = simulate_rollout(leaf, evaluate, d_search, rollouts, caps, rng, eos_bias)
+        reward = simulate_rollout(leaf, evaluate, rollouts, caps, rng, eos_bias)
         backpropagate(path, reward)
 
     if tree_dump_path:

@@ -40,7 +40,7 @@ from packbound.grammar import (
     render,
     tokenize_and_parse,
 )
-from packbound.mcts import EvalOutcome, SearchCaps, audit_counts, run_search
+from packbound.mcts import EvalOutcome, audit_counts, run_search
 from packbound.polys import (
     BASE_DEGREES,
     GeometricParams,
@@ -282,15 +282,14 @@ def test_criterion_6_mcts_oracle():
         best_text = min(
             (synthetic(s, degree_cap).bound, render(s.canonical())) for s in sentences
         )[1]
-        caps = SearchCaps(degree_cap=degree_cap, max_monomials=max_monomials)
         for seed in range(10):
             # unbiased rollouts and a wider exploration constant: the oracle
             # space includes deep single-path optima that the short-rollout
             # campaign defaults sample too rarely
             out = run_search(
-                PARAMS, iterations=20 * len(sentences),
+                synthetic, iterations=20 * len(sentences),
                 d_search=degree_cap, d_final=degree_cap,
-                K=5, caps=caps, seed=seed, evaluator=synthetic,
+                max_monomials=max_monomials, seed=seed,
                 c_explore=2.5, eos_bias=1.0, rollouts=2,
             )
             assert render(out.sentence) == best_text, (degree_cap, max_monomials, seed)

@@ -93,6 +93,9 @@ class TestConfig:
         {"solver": "external"},  # missing solver_cmd
         {"acquisition": "entropy"},
         {"budget_rounds": -1},
+        {"budget_seconds": -1.0},
+        {"budget_seconds": float("nan")},  # would never be exceeded
+        {"budget_seconds": float("inf")},
         {"pivot_scheme": "grid4d"},
         {"top_k": 0},
         {"max_monomials": 0},
@@ -100,6 +103,7 @@ class TestConfig:
         {"eos_bias": 0.0},  # rollouts would never end
         {"eos_bias": -1.0},
         {"eos_bias": float("nan")},
+        {"eos_bias": float("inf")},  # draw probabilities would be NaN
         {"dimension": 8.5},  # every round would fail inside the evaluator
         {"pivots": 20.0},  # state.jsonl would record K as a float
         {"seed": 1.5},
@@ -170,6 +174,43 @@ class TestPersistence:
         raw.pop("bound")
         path.write_text(json.dumps(raw) + "\n")
         with pytest.raises(SchemaError, match="bound"):
+            load(str(path))
+
+    @pytest.mark.parametrize("name, value", [
+        ("r", "1.5"),
+        ("R", None),
+        ("round", True),
+        ("K", 50.0),
+        ("seed", "17"),
+        ("d_final", None),
+        ("status", None),
+        ("sentence", 7),
+        ("bound", "0.3"),
+        ("eq_residual", False),
+        ("search_seconds", None),
+    ])
+    def test_mistyped_field_named(self, tmp_path, name, value):
+        path = tmp_path / "state.jsonl"
+        first = json.dumps(dataclasses.asdict(make_record(1)))
+        raw = dataclasses.asdict(make_record(2))
+        raw[name] = value
+        path.write_text(first + "\n" + json.dumps(raw) + "\n")
+        with pytest.raises(SchemaError, match=f"'{name}' at line 2"):
+            load(str(path))
+
+    def test_ints_load_into_float_fields(self, tmp_path):
+        path = tmp_path / "state.jsonl"
+        raw = dataclasses.asdict(make_record(1))
+        raw.update(r=1, R=2, objective=1, bound=0, eq_residual=0, psd_residual=0,
+                   search_seconds=1, solve_seconds=0)
+        path.write_text(json.dumps(raw) + "\n")
+        assert load(str(path)).rounds[0] == RoundRecord(**raw)
+
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"round"', "null"])
+    def test_non_object_record_rejected(self, tmp_path, line):
+        path = tmp_path / "state.jsonl"
+        path.write_text(line + "\n" + json.dumps(dataclasses.asdict(make_record(1))) + "\n")
+        with pytest.raises(SchemaError, match="line 1 is not a JSON object"):
             load(str(path))
 
     def test_round_indices_must_be_contiguous(self):

@@ -16,6 +16,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def mistype_first_r(state_path):
+    """Rewrite round 1's "r" in a state.jsonl as the string "1.5"."""
+    lines = state_path.read_text().splitlines()
+    record = json.loads(lines[0])
+    record["r"] = "1.5"
+    lines[0] = json.dumps(record, sort_keys=True)
+    state_path.write_text("\n".join(lines) + "\n")
+
+
 class TestCompile:
     def test_emits_sdpa_to_stdout(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -240,6 +249,29 @@ class TestCampaign:
         assert code == EXIT_CONFIG and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "'extra'" in err
 
+    def test_resume_from_mistyped_state_exits_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "camp"
+        run_cli(capsys, "campaign", "--budget-rounds", "1", "--pivots", "20",
+                "--seed", "5", "--out", str(out_dir), "--quiet")
+        mistype_first_r(out_dir / "state.jsonl")
+        code, out, err = run_cli(
+            capsys, "campaign", "--resume", "--budget-rounds", "2", "--pivots", "20",
+            "--seed", "5", "--out", str(out_dir), "--quiet",
+        )
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "'r' at line 1" in err
+
+    def test_infinite_eos_bias_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eos_bias": float("inf"), "budget_rounds": 1}))
+        out_dir = tmp_path / "camp"
+        code, out, err = run_cli(
+            capsys, "campaign", "--config", str(cfg), "--out", str(out_dir), "--quiet",
+        )
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("invalid config: ")
+        assert "eos_bias" in err and not out_dir.exists()
+
     def test_io_failure_exits_3(self, capsys, tmp_path):
         from packbound.cli import EXIT_IO
 
@@ -275,6 +307,20 @@ class TestReport:
         assert code == EXIT_OK
         assert (rep_dir / "trace.csv").exists()
         assert json.loads(out)["rounds"] == 1
+
+    def test_mistyped_state_exits_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "camp"
+        run_cli(capsys, "campaign", "--budget-rounds", "1", "--pivots", "20",
+                "--seed", "5", "--out", str(out_dir), "--quiet")
+        mistype_first_r(out_dir / "state.jsonl")
+        rep_dir = tmp_path / "rep"
+        rep_dir.mkdir()
+        code, out, err = run_cli(
+            capsys, "report", str(out_dir / "state.jsonl"), "--out", str(rep_dir)
+        )
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "'r' at line 1" in err
+        assert not (rep_dir / "trace.csv").exists()
 
     def test_missing_state_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "report", "/nonexistent.jsonl")

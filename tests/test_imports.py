@@ -31,9 +31,9 @@ def test_exact_path_loads_no_scipy():
     loaded = run_child("""
         import packbound.campaign
         import packbound.cli
-        from packbound.compiler import assemble_sdp, emit_sdpa
+        from packbound.compiler import PivotTable, assemble_sdp, emit_sdpa
         from packbound.grammar import tokenize_and_parse
-        from packbound.mcts import SearchCaps, run_search
+        from packbound.mcts import RewardCache, make_sdp_evaluator, run_search
         from packbound.polys import GeometricParams
         from packbound.solver import (SolverStatus, read_sdpa_instance, solve_embedded,
                                       system_to_instance)
@@ -45,8 +45,9 @@ def test_exact_path_loads_no_scipy():
         small = assemble_sdp(tokenize_and_parse("P1 <EOS>"), params, n=8, d=4, K=20, seed=0)
         small = system_to_instance(read_sdpa_instance(emit_sdpa(small)))
         assert solve_embedded(small).status is SolverStatus.CONVERGED
-        out = run_search(params, iterations=4, d_search=2, d_final=4, K=50,
-                         caps=SearchCaps(degree_cap=2, max_monomials=2), seed=0)
+        evaluator = make_sdp_evaluator(PivotTable(params, 50, 0), 8, RewardCache())
+        out = run_search(evaluator, iterations=4, d_search=2, d_final=4, max_monomials=2,
+                         seed=0)
         assert out.outcome.converged
     """)
     assert loaded == 0

@@ -1,15 +1,26 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
 import packbound
 
+from packbound import cli
 from packbound.compiler import PivotTable
-from packbound.grammar import Token, enumerate_sentences, render, tokenize, tokenize_and_parse
+from packbound.grammar import (
+    P_TOKENS,
+    Token,
+    enumerate_sentences,
+    legal_next_tokens,
+    render,
+    tokenize,
+    tokenize_and_parse,
+)
 from packbound.mcts import (
     EvalOutcome,
     RewardCache,
@@ -25,6 +36,7 @@ from packbound.mcts import (
     select_path,
     simulate_rollout,
 )
+from packbound.polys import GeometricParams
 
 CAPS = SearchCaps(degree_cap=2, max_monomials=2)
 
@@ -35,16 +47,15 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(packbound.__file__)))
 TREE_DUMP_SCRIPT = """
 import sys, zlib
 from packbound.grammar import render
-from packbound.mcts import EvalOutcome, SearchCaps, run_search
-from packbound.polys import GeometricParams
+from packbound.mcts import EvalOutcome, run_search
 
 def evaluate(s, d):
     text = render(s.canonical())
     value = zlib.crc32(text.encode()) % 997 / 997.0 + 0.1
     return EvalOutcome(text, d, True, value, value, "converged")
 
-run_search(GeometricParams(1.45, 2.0), iterations=20, d_search=2, d_final=2, K=20,
-           caps=SearchCaps(2, 2), seed=0, n=8, evaluator=evaluate, tree_dump_path=sys.argv[1])
+run_search(evaluate, iterations=20, d_search=2, d_final=2, max_monomials=2, seed=0,
+           tree_dump_path=sys.argv[1])
 """
 
 
@@ -172,7 +183,7 @@ class TestSimulate:
             return EvalOutcome(render(s), d, True, 1.0, 1.0, "converged")
 
         node = SearchNode(tuple(tokenize("P7 <EOS>")), CAPS)
-        reward = simulate_rollout(node, evaluator, 2, rollouts=5,
+        reward = simulate_rollout(node, evaluator, rollouts=5,
                                   caps=CAPS, rng=np.random.default_rng(0))
         assert len(calls) == 1
         assert reward == pytest.approx(1.0 / 2.0)
@@ -216,7 +227,6 @@ class TestSimulate:
 
 class TestRunSearch:
     def test_matches_exhaustive_enumeration_with_real_solves(self, params):
-        caps = SearchCaps(2, 1)
         cache = RewardCache()
         evaluator = make_sdp_evaluator(PivotTable(params, 20, 0), 8, cache)
         best_bound = math.inf
@@ -224,59 +234,53 @@ class TestRunSearch:
             out = evaluator(s, 2)
             if out.converged:
                 best_bound = min(best_bound, out.bound)
-        result = run_search(params, iterations=80, d_search=2, d_final=2, K=20,
-                            caps=caps, seed=3, n=8)
+        result = run_search(make_sdp_evaluator(PivotTable(params, 20, 3), 8, RewardCache()),
+                            iterations=80, d_search=2, d_final=2, max_monomials=1, seed=3)
         assert result.outcome.bound == pytest.approx(best_bound, rel=1e-9)
         assert audit_counts(result.tree_root)
 
-    def test_single_iteration_returns_the_one_sentence(self, params):
-        out = run_search(params, iterations=1, d_search=2, d_final=2, K=20,
-                         caps=SearchCaps(2, 1), seed=5, n=8,
-                         evaluator=synthetic_evaluator())
+    def test_single_iteration_returns_the_one_sentence(self):
+        out = run_search(synthetic_evaluator(), iterations=1, d_search=2, d_final=2,
+                         max_monomials=1, seed=5)
         assert len({e.sentence for e in out.evaluations if e.d == 2}) >= 1
         assert out.outcome.converged
 
-    def test_seed_determinism(self, params):
-        kwargs = dict(iterations=40, d_search=2, d_final=2, K=20,
-                      caps=SearchCaps(2, 2), seed=11, n=8,
-                      evaluator=synthetic_evaluator())
-        a = run_search(params, **kwargs)
-        b = run_search(params, **kwargs)
+    def test_seed_determinism(self):
+        kwargs = dict(iterations=40, d_search=2, d_final=2, max_monomials=2, seed=11)
+        a = run_search(synthetic_evaluator(), **kwargs)
+        b = run_search(synthetic_evaluator(), **kwargs)
         assert render(a.sentence) == render(b.sentence)
         assert a.outcome.bound == b.outcome.bound
 
-    def test_grammar_safety_of_all_tree_states(self, params):
+    def test_grammar_safety_of_all_tree_states(self):
         from packbound.grammar import analyze_prefix
 
-        out = run_search(params, iterations=60, d_search=2, d_final=2, K=20,
-                         caps=SearchCaps(2, 2), seed=2, n=8,
-                         evaluator=synthetic_evaluator())
+        out = run_search(synthetic_evaluator(), iterations=60, d_search=2, d_final=2,
+                         max_monomials=2, seed=2)
         stack = [out.tree_root]
         while stack:
             node = stack.pop()
             analyze_prefix(node.state)  # raises on any illegal prefix
             stack.extend(node.children.values())
 
-    def test_search_failure_carries_log(self, params):
+    def test_search_failure_carries_log(self):
         def failing(s, d):
             return EvalOutcome(render(s.canonical()), d, False, math.nan, math.inf, "numeric-failure")
 
         with pytest.raises(SearchFailedError) as err:
-            run_search(params, iterations=10, d_search=2, d_final=2, K=20,
-                       caps=SearchCaps(2, 1), seed=0, n=8, evaluator=failing)
+            run_search(failing, iterations=10, d_search=2, d_final=2, max_monomials=1, seed=0)
         assert len(err.value.log) >= 1
 
     def test_two_phase_reevaluation_at_final_degree(self, params):
-        out = run_search(params, iterations=30, d_search=2, d_final=4, K=20,
-                         caps=SearchCaps(2, 2), seed=4, n=8)
+        out = run_search(make_sdp_evaluator(PivotTable(params, 20, 4), 8, RewardCache()),
+                         iterations=30, d_search=2, d_final=4, max_monomials=2, seed=4)
         assert out.outcome.d == 4
         assert out.outcome.converged
 
-    def test_tree_dump(self, params, tmp_path):
+    def test_tree_dump(self, tmp_path):
         path = tmp_path / "tree.txt"
-        run_search(params, iterations=10, d_search=2, d_final=2, K=20,
-                   caps=SearchCaps(2, 1), seed=0, n=8,
-                   evaluator=synthetic_evaluator(), tree_dump_path=str(path))
+        run_search(synthetic_evaluator(), iterations=10, d_search=2, d_final=2,
+                   max_monomials=1, seed=0, tree_dump_path=str(path))
         lines = path.read_text().splitlines()
         assert len(lines) >= 2
         assert all(len(ln.split()) == 3 for ln in lines)
@@ -300,29 +304,93 @@ class TestRunSearch:
         assert "P7" in {ln.split()[0] for ln in lines}
         assert all(len(ln.split()) == 3 for ln in lines)
 
-    def test_invalid_budgets(self, params):
+    def test_invalid_budgets(self):
+        evaluator = synthetic_evaluator()
         with pytest.raises(ValueError):
-            run_search(params, iterations=0, d_search=2, d_final=2, K=5,
-                       caps=CAPS, seed=0)
+            run_search(evaluator, iterations=0, d_search=2, d_final=2, max_monomials=2, seed=0)
         with pytest.raises(ValueError):
-            run_search(params, iterations=1, d_search=4, d_final=2, K=5,
-                       caps=CAPS, seed=0)
+            run_search(evaluator, iterations=1, d_search=4, d_final=2, max_monomials=2, seed=0)
         with pytest.raises(ValueError, match="top_k"):
-            run_search(params, iterations=1, d_search=2, d_final=2, K=5,
-                       caps=CAPS, seed=0, top_k=0)
+            run_search(evaluator, iterations=1, d_search=2, d_final=2, max_monomials=2,
+                       seed=0, top_k=0)
         with pytest.raises(ValueError, match="max_monomials"):
-            run_search(params, iterations=1, d_search=2, d_final=2, K=5,
-                       caps=SearchCaps(2, 0), seed=0)
-        with pytest.raises(ValueError, match="eos_bias"):  # a rollout would never end
-            run_search(params, iterations=1, d_search=2, d_final=2, K=5,
-                       caps=CAPS, seed=0, eos_bias=0.0)
-        with pytest.raises(ValueError, match="dimension n"):
-            run_search(params, iterations=1, d_search=2, d_final=2, K=5,
-                       caps=CAPS, seed=0, n=0)
+            run_search(evaluator, iterations=1, d_search=2, d_final=2, max_monomials=0, seed=0)
+        for eos_bias in (0.0, math.inf):  # a rollout would never end, or draw from NaN
+            with pytest.raises(ValueError, match="eos_bias"):
+                run_search(evaluator, iterations=1, d_search=2, d_final=2, max_monomials=2,
+                           seed=0, eos_bias=eos_bias)
         with pytest.raises(ValueError, match="d_search=-1, d_final=2"):
-            run_search(params, iterations=1, d_search=-1, d_final=2, K=5,
-                       caps=CAPS, seed=0)
+            run_search(evaluator, iterations=1, d_search=-1, d_final=2, max_monomials=2, seed=0)
         for c_explore in (math.nan, -1.0, math.inf):
             with pytest.raises(ValueError, match="c_explore"):
-                run_search(params, iterations=1, d_search=2, d_final=2, K=5,
-                           caps=CAPS, seed=0, c_explore=c_explore)
+                run_search(evaluator, iterations=1, d_search=2, d_final=2, max_monomials=2,
+                           seed=0, c_explore=c_explore)
+
+    def test_evaluator_rejects_dimension_zero(self, params):
+        with pytest.raises(ValueError, match="dimension n"):
+            make_sdp_evaluator(PivotTable(params, 5, 0), 0, RewardCache())
+
+
+def legal_prefixes(degree_cap, max_monomials, max_length):
+    """Every legal token prefix of at most max_length tokens, the empty one included."""
+    found, frontier = [], [()]
+    for _ in range(max_length + 1):
+        found.extend(frontier)
+        frontier = [p + (t,) for p in frontier
+                    for t in legal_next_tokens(p, degree_cap, max_monomials)]
+    return found
+
+
+@pytest.mark.parametrize("degree_cap, max_monomials", [(2, 3), (4, 2)])
+def test_untried_tokens_are_the_legal_tokens(degree_cap, max_monomials):
+    caps = SearchCaps(degree_cap, max_monomials)
+    prefixes = legal_prefixes(degree_cap, max_monomials, 7)
+    assert len(prefixes) > 5000
+    after_p = 0
+    for state in prefixes:
+        legal = legal_next_tokens(state, degree_cap, max_monomials)
+        assert SearchNode(state, caps).untried == sorted(legal), state
+        if state and state[-1] in P_TOKENS:
+            assert Token.STAR in legal, state
+            after_p += 1
+    assert after_p > 1000
+
+
+def search_digest(seed, capsys):
+    """sha256 of one search on PivotTable((1.45, 2.0), 50, seed) at d 2/4 and of
+    the same search through `packbound search`: tree dump, (sentence, d, status)
+    evaluation log, winner and bound.hex(), and the CLI's stdout without its
+    "seconds" line."""
+    digest = hashlib.sha256()
+    evaluator = make_sdp_evaluator(PivotTable(GeometricParams(1.45, 2.0), 50, seed), 8,
+                                   RewardCache())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tree.txt")
+        out = run_search(evaluator, iterations=24, d_search=2, d_final=4, max_monomials=8,
+                         seed=seed, tree_dump_path=path)
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    for e in out.evaluations:
+        digest.update(f"{e.sentence}|{e.d}|{e.status}\n".encode())
+    digest.update(f"{render(out.sentence)}|{out.outcome.bound.hex()}\n".encode())
+    capsys.readouterr()
+    assert cli.main(["search", "--r", "1.45", "--R", "2.0", "--seed", str(seed)]) == 0
+    stdout = capsys.readouterr().out
+    digest.update("".join(line for line in stdout.splitlines(True)
+                          if '"seconds"' not in line).encode())
+    return digest.hexdigest()
+
+
+# Computed when run_search still built its own pivot table from (params, K, n)
+# and filtered P7 aliases.
+PINNED_SEARCHES = [
+    (0, "5d67962aa1a03340001c63cc418f7bb51c616283983d64a3d53863ae6973eb53"),
+    (1, "1c1fbe2d7715f9f10cbe430d36d839c0cf219ccf746a230b0ba2ba5c5e99c93f"),
+    (2, "4dc80936f96aa239c5a4f602d2e298fd59d8c9a32d32ed4e62e06b72b48f9d2c"),
+    (3, "c77e3dbd86427d716857ca2adf6b4adaa0d29089758e2c7a444397734f40b148"),
+]
+
+
+@pytest.mark.parametrize("seed, digest", PINNED_SEARCHES)
+def test_search_digest(seed, digest, capsys):
+    assert search_digest(seed, capsys) == digest
