@@ -61,7 +61,8 @@ class SearchBox:
     R_hi: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.r_lo <= self.r_hi and 0 < self.R_lo <= self.R_hi):
+        # an infinite edge would make normalize divide by an infinite span
+        if not (0 < self.r_lo <= self.r_hi < math.inf and 0 < self.R_lo <= self.R_hi < math.inf):
             raise ValueError(f"malformed box {self}")
         if self.r_lo >= self.R_hi:
             raise ValueError(f"box {self} has no feasible point with r < R")

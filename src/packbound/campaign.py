@@ -12,9 +12,11 @@ one immutable round record.  A converged result is recorded as
 equality or PSD residual misses tol_eq (times 10) or tol_psd.  Only
 verified residuals are recorded: an unconverged round has none.  Each
 (sentence, degree) is decided at most once a round.  Any stage failure is
-recorded with its status and the campaign continues; state is flushed to
-disk after every round, so a killed process loses at most the in-flight
-round.  Per-round seeds derive from (base seed, round index), so identical
+recorded with its status and the campaign continues; each round's record is
+appended to state.jsonl and flushed to disk, so a killed process loses at
+most the in-flight round.  A resume first rewrites state.jsonl, atomically,
+from the records load accepts, so a torn final record is dropped for good.
+Per-round seeds derive from (base seed, round index), so identical
 configurations replay identically and resumed campaigns match uninterrupted
 ones.  The campaign never runs the embedded ADMM solver, which serves the
 CLI and the scripts; a config.json that still carries a retired field
@@ -32,17 +34,18 @@ import subprocess
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import List, Optional, get_args, get_type_hints
+from typing import Iterable, List, Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .bo import Observation, SearchBox, fit_surrogate, propose_next
+from .bo import ACQUISITIONS, Observation, SearchBox, fit_surrogate, propose_next
 from .compiler import PIVOT_SCHEMES, PivotGenerationError, PivotTable, compute_bound, emit_sdpa
 from .compiler import assemble_sdp  # not called here; perfbench/tracing.py wraps this name
 from .grammar import render
 from .mcts import (
     RewardCache,
     SearchFailedError,
+    check_search_settings,
     make_sdp_evaluator,
     rank_key,
     run_search,
@@ -97,39 +100,29 @@ class CampaignConfig:
     out_dir: str = "campaign-out"
 
     def validate(self) -> None:
+        """Raise ConfigError unless every field is usable.
+
+        SearchBox checks the box and mcts.check_search_settings the search
+        settings, in their own wording; the checks here are the campaign's own.
+        """
         for f in fields(self):
             value = getattr(self, f.name)
             # a float field also takes an int; bool is an int to isinstance
             kinds = (int, float) if isinstance(f.default, float) else type(f.default)
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
-        box_ok = (0 < self.r_lo <= self.r_hi < math.inf
-                  and 0 < self.R_lo <= self.R_hi < math.inf)
-        if not box_ok or self.r_lo >= self.R_hi:
-            raise ConfigError(
-                f"search box r in [{self.r_lo}, {self.r_hi}], R in [{self.R_lo}, {self.R_hi}] "
-                "is malformed or admits no r < R"
-            )
+        try:
+            self.box  # SearchBox owns the box rule
+            check_search_settings(self.mcts_iterations, self.d_search, self.d_final,
+                                  self.max_monomials, self.top_k, self.c_explore, self.eos_bias)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.dimension < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.dimension}")
-        if not (0 <= self.d_search <= self.d_final):
-            raise ConfigError(f"need 0 <= d_search <= d_final, got {self.d_search}, {self.d_final}")
         if self.pivots < 1:
             raise ConfigError(f"need at least one pivot, got {self.pivots}")
         if self.pivot_scheme not in PIVOT_SCHEMES:
             raise ConfigError(f"unknown pivot scheme {self.pivot_scheme!r}")
-        if self.top_k < 1 or self.max_monomials < 1:
-            raise ConfigError(
-                f"need top_k >= 1 and max_monomials >= 1, got {self.top_k}, {self.max_monomials}"
-            )
-        if self.mcts_iterations < 1:
-            raise ConfigError(f"need mcts_iterations >= 1, got {self.mcts_iterations}")
-        if not 0 <= self.c_explore < math.inf:  # 0 is pure exploitation
-            raise ConfigError(f"need c_explore finite and >= 0, got {self.c_explore}")
-        # <*> is always legal, so rollouts end only by <EOS>; an infinite
-        # weight would make the draw probabilities NaN
-        if not 0 < self.eos_bias < math.inf:
-            raise ConfigError(f"need eos_bias finite and > 0, got {self.eos_bias}")
         if not (0 < self.tol_eq < math.inf and 0 < self.tol_psd < math.inf):
             raise ConfigError(
                 f"tolerances must be positive and finite, got {self.tol_eq}, {self.tol_psd}"
@@ -144,7 +137,7 @@ class CampaignConfig:
             raise ConfigError(f"solver must be 'embedded' or 'external', got {self.solver!r}")
         if self.solver == "external" and not self.solver_cmd:
             raise ConfigError("external solver requires solver_cmd")
-        if self.acquisition not in ("ei", "ucb", "multi"):
+        if self.acquisition not in ACQUISITIONS:
             raise ConfigError(f"unknown acquisition {self.acquisition!r}")
 
     @property
@@ -242,26 +235,26 @@ class GameState:
         ]
 
 
-def persist(state: GameState, path: str) -> None:
-    """One JSON record per line; numeric fields keep full repr precision."""
+def _write_records(path: str, mode: str, records: Iterable[RoundRecord]) -> None:
+    """Write records one JSON line each and fsync; numeric fields keep full repr precision."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in state.rounds:
+        with open(path, mode, encoding="utf-8") as fh:
+            for rec in records:
                 fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
     except OSError as exc:
-        raise CampaignIOError(f"cannot persist state to {path}: {exc}") from exc
+        raise CampaignIOError(f"cannot write state to {path}: {exc}") from exc
 
 
-def _append_record(record: RoundRecord, path: str) -> None:
+def persist(state: GameState, path: str) -> None:
+    """Rewrite path atomically: a kill mid-rewrite leaves the previous file whole."""
+    tmp = path + ".tmp"
+    _write_records(tmp, "w", state.rounds)
     try:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        os.replace(tmp, path)
     except OSError as exc:
-        raise CampaignIOError(f"cannot append round to {path}: {exc}") from exc
+        raise CampaignIOError(f"cannot write state to {path}: {exc}") from exc
 
 
 def load(path: str) -> GameState:
@@ -385,38 +378,31 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
         out = None
     search_seconds = time.monotonic() - search_start
 
-    if out is None:
-        state.append(RoundRecord(
-            round=round_idx, r=params.r, R=params.R, sentence=None,
-            d_search=config.d_search, d_final=config.d_final, K=config.pivots,
-            objective=None, bound=None, status="search-failed",
-            eq_residual=None, psd_residual=None,
-            search_seconds=search_seconds, solve_seconds=0.0, seed=seed,
-        ))
-        return state
-
-    solve_start = time.monotonic()
-    objective = bound = eq_res = psd_res = None
-    try:
-        inst = table.instance(out.sentence, config.dimension, config.d_final)
-        if config.solver == "external":
-            res = solve_external(inst, config.solver_cmd)
-        else:
-            res = out.outcome.result  # the search's own d_final decision of this instance
-        if res.status is SolverStatus.CONVERGED:
-            status, eq_res, psd_res = _check_certificate(inst, res, config)
-            if status == "converged":
-                objective = res.objective_value
-                bound = compute_bound(objective, params, config.dimension)
-        else:
-            status = res.status.value  # nothing verified, so no residuals recorded
-    except Exception as exc:
-        status = f"solve-error: {type(exc).__name__}"
-    solve_seconds = time.monotonic() - solve_start
+    # the search-failed record, overwritten stage by stage as the round gets further
+    sentence = objective = bound = eq_res = psd_res = None
+    status, solve_seconds = "search-failed", 0.0
+    if out is not None:
+        sentence = render(out.sentence)
+        solve_start = time.monotonic()
+        try:
+            inst = table.instance(out.sentence, config.dimension, config.d_final)
+            if config.solver == "external":
+                res = solve_external(inst, config.solver_cmd)
+            else:
+                res = out.outcome.result  # the search's own d_final decision of this instance
+            if res.status is SolverStatus.CONVERGED:
+                status, eq_res, psd_res = _check_certificate(inst, res, config)
+                if status == "converged":
+                    objective = res.objective_value
+                    bound = compute_bound(objective, params, config.dimension)
+            else:
+                status = res.status.value  # nothing verified, so no residuals recorded
+        except Exception as exc:
+            status = f"solve-error: {type(exc).__name__}"
+        solve_seconds = time.monotonic() - solve_start
 
     state.append(RoundRecord(
-        round=round_idx, r=params.r, R=params.R,
-        sentence=render(out.sentence),
+        round=round_idx, r=params.r, R=params.R, sentence=sentence,
         d_search=config.d_search, d_final=config.d_final, K=config.pivots,
         objective=objective, bound=bound, status=status,
         eq_residual=eq_res, psd_residual=psd_res,
@@ -439,18 +425,16 @@ def run_campaign(
     except OSError as exc:
         raise CampaignIOError(f"cannot prepare output directory {config.out_dir}: {exc}") from exc
 
-    state = GameState()
-    if resume and os.path.exists(state_path):
-        state = load(state_path)
-    else:
-        persist(state, state_path)
+    # rewritten from the records load accepts: a torn final record must not prefix the next
+    state = load(state_path) if resume and os.path.exists(state_path) else GameState()
+    persist(state, state_path)
 
     start = time.monotonic()
     while len(state.rounds) < config.budget_rounds:
         if config.budget_seconds and time.monotonic() - start > config.budget_seconds:
             break
         play_round(state, config)
-        _append_record(state.rounds[-1], state_path)
+        _write_records(state_path, "a", state.rounds[-1:])
         if progress:
             rec = state.rounds[-1]
             print(

@@ -44,10 +44,10 @@ EXIT_SEARCH = 4
 
 
 def _add_geometry(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=8, help="ambient dimension n")
+    p.add_argument("--dim", type=int, default=CampaignConfig.dimension, help="ambient dimension n")
     p.add_argument("--r", type=float, required=True, help="inner geometric parameter")
     p.add_argument("--R", type=float, required=True, help="outer geometric parameter")
-    p.add_argument("--pivots", type=int, default=50, help="pivot count K")
+    p.add_argument("--pivots", type=int, default=CampaignConfig.pivots, help="pivot count K")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile", help="compile a sentence into a .dat-s file")
     c.add_argument("sentence", help='sentence text, e.g. "P1 <ES> P3 <*> P3 <EOS>"')
     _add_geometry(c)
-    c.add_argument("--degree", type=int, default=4, help="basis degree d")
+    c.add_argument("--degree", type=int, default=CampaignConfig.d_final, help="basis degree d")
     c.add_argument("--digits", type=int, default=40, help="significant digits emitted")
     c.add_argument("--out", default="-", help="output path or - for stdout")
 
@@ -75,27 +75,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("search", help="tree search for the best sentence at fixed (r, R)")
     _add_geometry(q)
-    q.add_argument("--degree-search", type=int, default=2)
-    q.add_argument("--degree-final", type=int, default=4)
-    q.add_argument("--iterations", type=int, default=24)
-    q.add_argument("--max-monomials", type=int, default=8)
-    q.add_argument("--top-k", type=int, default=3)
+    q.add_argument("--degree-search", type=int, default=CampaignConfig.d_search)
+    q.add_argument("--degree-final", type=int, default=CampaignConfig.d_final)
+    q.add_argument("--iterations", type=int, default=CampaignConfig.mcts_iterations)
+    q.add_argument("--max-monomials", type=int, default=CampaignConfig.max_monomials)
+    q.add_argument("--top-k", type=int, default=CampaignConfig.top_k)
     q.add_argument("--tree-dump", default=None, help="optional tree dump path")
 
-    g = sub.add_parser("campaign", help="run the full campaign loop")
+    # each setting flag stores into its CampaignConfig field, and only when given
+    g = sub.add_parser("campaign", help="run the full campaign loop",
+                       argument_default=argparse.SUPPRESS)
     g.add_argument("--config", default=None, help="JSON config file (flags override)")
-    g.add_argument("--dim", type=int, default=None)
-    g.add_argument("--degree-search", type=int, default=None)
-    g.add_argument("--degree-final", type=int, default=None)
-    g.add_argument("--pivots", type=int, default=None)
-    g.add_argument("--budget-rounds", type=int, default=None)
-    g.add_argument("--budget-seconds", type=float, default=None)
-    g.add_argument("--seed", type=int, default=None)
-    g.add_argument("--solver", choices=["embedded", "external"], default=None)
-    g.add_argument("--solver-cmd", default=None)
-    g.add_argument("--out", default=None, help="output directory")
-    g.add_argument("--resume", action="store_true", help="continue a persisted campaign")
-    g.add_argument("--quiet", action="store_true")
+    g.add_argument("--dim", type=int, dest="dimension")
+    g.add_argument("--degree-search", type=int, dest="d_search")
+    g.add_argument("--degree-final", type=int, dest="d_final")
+    g.add_argument("--pivots", type=int)
+    g.add_argument("--budget-rounds", type=int)
+    g.add_argument("--budget-seconds", type=float)
+    g.add_argument("--seed", type=int)
+    g.add_argument("--solver", choices=["embedded", "external"])
+    g.add_argument("--solver-cmd")
+    g.add_argument("--out", dest="out_dir", help="output directory")
+    g.add_argument("--resume", action="store_true", default=False,
+                   help="continue a persisted campaign")
+    g.add_argument("--quiet", action="store_true", default=False)
 
     r = sub.add_parser("report", help="summarize a persisted campaign state")
     r.add_argument("state", help="path to state.jsonl")
@@ -161,21 +164,9 @@ def _cmd_search(args) -> int:
 
 def _cmd_campaign(args) -> int:
     config = CampaignConfig.from_file(args.config) if args.config else CampaignConfig()
-    overrides = {
-        "dimension": args.dim,
-        "d_search": args.degree_search,
-        "d_final": args.degree_final,
-        "pivots": args.pivots,
-        "budget_rounds": args.budget_rounds,
-        "budget_seconds": args.budget_seconds,
-        "seed": args.seed,
-        "solver": args.solver,
-        "solver_cmd": args.solver_cmd,
-        "out_dir": args.out,
-    }
-    config = dataclasses.replace(
-        config, **{k: v for k, v in overrides.items() if v is not None}
-    )
+    config = dataclasses.replace(config, **{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(config) if hasattr(args, f.name)
+    })
     state = run_campaign(config, resume=args.resume, progress=not args.quiet)
     best = state.best_record()
     print(json.dumps({

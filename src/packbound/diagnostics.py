@@ -97,32 +97,31 @@ def exploration_trace(state: GameState) -> List[Tuple[int, float, float, Optiona
 # CSV emission
 # ---------------------------------------------------------------------------
 
-def write_novelty_csv(state: GameState, ref: ReferenceSet, path: str) -> None:
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["round", "novelty_pct", "sentence"])
-        for rec in state.rounds:
-            if rec.converged and rec.sentence:
-                pct = novelty_fraction(tokenize_and_parse(rec.sentence), ref)
-                writer.writerow([rec.round, pct, rec.sentence])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_novelty_csv(state: GameState, ref: ReferenceSet, path: str) -> None:
+    _write_csv(path, ["round", "novelty_pct", "sentence"], (
+        [rec.round, novelty_fraction(tokenize_and_parse(rec.sentence), ref), rec.sentence]
+        for rec in state.rounds
+        if rec.converged and rec.sentence
+    ))
 
 
 def write_degrees_csv(states: Sequence[GameState], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["degree", "count"])
-        for degree, count in degree_histogram(states):
-            writer.writerow([degree, count])
+    _write_csv(path, ["degree", "count"], degree_histogram(states))
 
 
 def write_trace_csv(state: GameState, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "r", "R", "bound", "converged"])
-        for round_idx, r, R, bound, converged in exploration_trace(state):
-            writer.writerow([round_idx, repr(r), repr(R),
-                             "" if bound is None else repr(bound),
-                             "true" if converged else "false"])
+    _write_csv(path, ["round", "r", "R", "bound", "converged"], (
+        [round_idx, repr(r), repr(R), "" if bound is None else repr(bound),
+         "true" if converged else "false"]
+        for round_idx, r, R, bound, converged in exploration_trace(state)
+    ))
 
 
 def write_campaign_csvs(

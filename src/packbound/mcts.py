@@ -312,6 +312,30 @@ def dump_tree(root: SearchNode, path: str) -> None:
             stack.extend(node.children.values())
 
 
+def check_search_settings(iterations: int, d_search: int, d_final: int, max_monomials: int,
+                          top_k: int, c_explore: float, eos_bias: float) -> None:
+    """Raise ValueError unless run_search can run with these settings.
+
+    run_search calls it, and so does CampaignConfig.validate before a round.
+    """
+    if iterations < 1:
+        raise ValueError("need iterations >= 1")
+    if not 0 <= d_search <= d_final:
+        raise ValueError(
+            f"need 0 <= d_search <= d_final, got d_search={d_search}, d_final={d_final}"
+        )
+    if top_k < 1 or max_monomials < 1:
+        raise ValueError(
+            f"need top_k >= 1 and max_monomials >= 1, got {top_k}, {max_monomials}"
+        )
+    if not 0 <= c_explore < math.inf:  # 0 is pure exploitation
+        raise ValueError(f"need c_explore finite and >= 0, got {c_explore}")
+    # <*> is always legal, so a rollout ends only by <EOS>; an infinite
+    # weight would make the draw probabilities NaN
+    if not 0 < eos_bias < math.inf:
+        raise ValueError(f"need eos_bias finite and > 0, got {eos_bias}")
+
+
 def run_search(
     evaluator: Evaluator,
     iterations: int,
@@ -335,24 +359,10 @@ def run_search(
     smaller canonical text; see rank_key).  The returned outcome is the
     evaluator's d_final outcome, so a caller can verify its solve without
     solving again.  seed drives the tree's draws only.  Deterministic given
-    all inputs and a deterministic evaluator.
+    all inputs and a deterministic evaluator.  The settings are checked by
+    check_search_settings before the search starts.
     """
-    if iterations < 1:
-        raise ValueError("need iterations >= 1")
-    if not 0 <= d_search <= d_final:
-        raise ValueError(
-            f"need 0 <= d_search <= d_final, got d_search={d_search}, d_final={d_final}"
-        )
-    if top_k < 1 or max_monomials < 1:
-        raise ValueError(
-            f"need top_k >= 1 and max_monomials >= 1, got {top_k}, {max_monomials}"
-        )
-    if not 0 <= c_explore < math.inf:  # 0 is pure exploitation
-        raise ValueError(f"need c_explore finite and >= 0, got {c_explore}")
-    # <*> is always legal, so a rollout ends only by <EOS>; an infinite
-    # weight would make the draw probabilities NaN
-    if not 0 < eos_bias < math.inf:
-        raise ValueError(f"need eos_bias finite and > 0, got {eos_bias}")
+    check_search_settings(iterations, d_search, d_final, max_monomials, top_k, c_explore, eos_bias)
     start = time.monotonic()
     rng = np.random.default_rng(seed)
     caps = SearchCaps(d_search, max_monomials)

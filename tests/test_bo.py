@@ -41,6 +41,12 @@ class TestSearchBox:
         with pytest.raises(ValueError):
             SearchBox(3.0, 4.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("edges", [(1.4, math.inf, 1.8, 2.6), (1.4, 1.6, 1.8, math.inf)])
+    def test_infinite_edge_rejected(self, edges):
+        # normalize would divide by an infinite span
+        with pytest.raises(ValueError):
+            SearchBox(*edges)
+
     def test_contains(self):
         assert BOX.contains(GeometricParams(1.5, 3.0))
         assert not BOX.contains(GeometricParams(0.5, 3.0))

@@ -422,6 +422,25 @@ class TestCrashSafety:
             loaded = load(path)
         assert [r.round for r in loaded.rounds] == [1, 2]
 
+    def test_resume_after_torn_record_keeps_campaign_loadable(self, tmp_path):
+        import warnings
+
+        cfg = CampaignConfig(seed=11, out_dir=str(tmp_path / "torn"), **FAST)
+        run_campaign(cfg)
+        state_path = tmp_path / "torn" / "state.jsonl"
+        with open(state_path, "a", encoding="utf-8") as fh:
+            fh.write('{"round": 3, "r": 1.4')  # killed mid-write of round 3
+        with pytest.warns(UserWarning, match="truncated final record"):
+            run_campaign(dataclasses.replace(cfg, budget_rounds=3), resume=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            resumed = run_campaign(dataclasses.replace(cfg, budget_rounds=4), resume=True)
+            loaded = load(str(state_path))
+        assert not [w for w in caught if "truncated" in str(w.message)]  # gone for good
+        assert [r.round for r in resumed.rounds] == [1, 2, 3, 4]
+        assert loaded.rounds == resumed.rounds
+        assert len(state_path.read_text().splitlines()) == 4
+
     def test_malformed_interior_line_still_raises(self, tmp_path):
         path = tmp_path / "state.jsonl"
         good = json.dumps(dataclasses.asdict(make_record(1)))

@@ -293,6 +293,33 @@ class TestCampaign:
         assert code == EXIT_OK
         assert json.loads(out)["rounds"] == 1  # flag overrode the file
 
+    @pytest.mark.parametrize("flag, value, field, expected", [
+        ("--dim", "4", "dimension", 4),
+        ("--degree-search", "1", "d_search", 1),
+        ("--degree-final", "6", "d_final", 6),
+        ("--pivots", "20", "pivots", 20),
+        ("--budget-rounds", "0", "budget_rounds", 0),
+        ("--budget-seconds", "5.5", "budget_seconds", 5.5),
+        ("--seed", "9", "seed", 9),
+        ("--solver", "external", "solver", "external"),
+        ("--solver-cmd", "fake-sdpa --digits 40", "solver_cmd", "fake-sdpa --digits 40"),
+        ("--out", None, "out_dir", None),  # None: the case's output directory
+    ])
+    def test_every_flag_reaches_its_field(self, capsys, tmp_path, flag, value, field, expected):
+        out_dir = str(tmp_path / "camp")
+        argv = ["campaign", flag, out_dir if value is None else value]
+        if flag != "--budget-rounds":
+            argv += ["--budget-rounds", "0"]
+        if flag == "--solver":
+            argv += ["--solver-cmd", "fake-sdpa"]  # external requires a command
+        if flag != "--out":
+            argv += ["--out", out_dir]
+        code, _, _ = run_cli(capsys, *argv, "--quiet")
+        assert code == EXIT_OK
+        with open(os.path.join(out_dir, "config.json"), encoding="utf-8") as fh:
+            written = json.load(fh)
+        assert written[field] == (out_dir if expected is None else expected)
+
 
 class TestReport:
     def test_report_from_state(self, capsys, tmp_path):
