@@ -117,8 +117,10 @@ class CampaignConfig:
                                   self.max_monomials, self.top_k, self.c_explore, self.eos_bias)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.dimension < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.dimension}")
+        # numpy rejects a negative seed, but only once config.json is written
+        for name, least in (("dimension", 1), ("seed", 0), ("bo_starts", 1), ("bo_max_evals", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.pivots < 1:
             raise ConfigError(f"need at least one pivot, got {self.pivots}")
         if self.pivot_scheme not in PIVOT_SCHEMES:

@@ -23,9 +23,9 @@ the block has one distinct value per distinct sum (252 for k = 6, against
 1275 upper-triangle entries).  Each distinct value costs one multiply of
 m(p) u_i by u_j; equal entries share one Fraction, and m(p) = 0 gives one
 shared all-zero block.  PivotTable.instance builds every instance on its
-table's pivots, evaluated once for all of them: base values once per pivot
-and once at the origin, basis vectors once per pivot at the largest degree,
-which smaller ones slice.
+table's pivots, evaluated once for all of them: base values once per pivot,
+when generate_pivots admits it, and once at the origin, basis vectors once
+per pivot at the largest degree, which smaller ones slice.
 
 All matrix entries are exact rationals so that emission to solver files is
 deterministic at any requested precision.
@@ -92,9 +92,9 @@ class PivotGenerationError(RuntimeError):
         self.found = found
 
 
-def region_membership(point: Sequence[Number], params: GeometricParams) -> bool:
-    """True iff all six nonconstant base polynomials are >= 0 at the point."""
-    return all(val >= 0 for val in base_values_at(point, params)[:6])
+def in_region(values: Sequence[Fraction]) -> bool:
+    """True iff the base values (P1, ..., P7) at a point have P1..P6 all >= 0."""
+    return all(val >= 0 for val in values[:6])
 
 
 def _monomial_value(values: Sequence[Fraction], m: Monomial) -> Fraction:
@@ -104,11 +104,6 @@ def _monomial_value(values: Sequence[Fraction], m: Monomial) -> Fraction:
         if exp:
             out *= val**exp
     return out
-
-
-def monomial_value_at(m: Monomial, point: Sequence[Number], params: GeometricParams) -> Fraction:
-    """Exact value of the monomial's polynomial at a point."""
-    return _monomial_value(base_values_at(point, params), m)
 
 
 def _chebyshev_nodes(lo: float, hi: float, count: int) -> List[float]:
@@ -176,8 +171,11 @@ def generate_pivots(
     K: int,
     seed: int,
     scheme: str = "plane",
-) -> List[PivotPoint]:
+) -> Tuple[List[PivotPoint], List[Tuple[Fraction, ...]]]:
     """Exactly K distinct admissible pivot points, deterministic in all inputs.
+
+    Returns (pivots, base_values): the points and base_values_at at each, as
+    admission computed it; each distinct candidate is evaluated once.
 
     Schemes:
       * "plane" (default): Chebyshev grid over ordered pairs r^2 <= h <= v <= R^2
@@ -197,16 +195,19 @@ def generate_pivots(
         raise ValueError(f"unknown pivot scheme {scheme!r}")
     candidates = _plane_candidates if scheme == "plane" else _grid3d_candidates
     picked: List[PivotPoint] = []
+    picked_values: List[Tuple[Fraction, ...]] = []
     seen = set()
     for p in candidates(params, K, seed):
         key = p.as_tuple()
         if key in seen:
             continue
         seen.add(key)
-        if region_membership(key, params):
+        values = base_values_at(key, params)
+        if in_region(values):
             picked.append(p)
+            picked_values.append(values)
             if len(picked) == K:
-                return picked
+                return picked, picked_values
     raise PivotGenerationError(K, len(picked))
 
 
@@ -289,39 +290,16 @@ def _origin_block(value: Fraction, size: int) -> FracMatrix:
     return zero if value == 0 else ((value,) + zero[0][1:],) + zero[1:]
 
 
-def _check_degrees(s: Sentence, d: int) -> None:
-    for m in s.monomials:
+def instance_layout(s: Sentence, d: int) -> Tuple[Sentence, Tuple[int, ...]]:
+    """s canonicalized, whose monomials m_i own one block each, and the basis
+    degree d - deg m_i of each block; ValueError names a monomial of degree > d."""
+    canon = s.canonical()
+    for m in canon.monomials:
         if m.degree > d:
             raise ValueError(
                 f"monomial {m.render()!r} has degree {m.degree} > cap d={d}"
             )
-
-
-def build_constraint_blocks(
-    s: Sentence, d: int, pivot: PivotPoint, params: GeometricParams
-) -> List[FracMatrix]:
-    """Per-monomial matrices m_i(pivot) * u u^T with u over basis(d - deg m_i)."""
-    _check_degrees(s, d)
-    point = pivot.as_tuple()
-    return [
-        _rank_one_block(evaluate_basis(basis_enumerate(d - m.degree), point),
-                        monomial_value_at(m, point, params), d - m.degree)
-        for m in s.monomials
-    ]
-
-
-def _constraint_rows(s: Sentence, d: int, table: PivotTable) -> Tuple[Tuple[FracMatrix, ...], ...]:
-    """build_constraint_blocks for every pivot of the table, in pivot order."""
-    degrees = [d - m.degree for m in s.monomials]
-    table.basis_vectors(max(degrees))  # evaluated once; the smaller degrees slice it
-    columns = [
-        [
-            _rank_one_block(u, value, k)
-            for u, value in zip(table.basis_vectors(k), table.monomial_values(m))
-        ]
-        for m, k in zip(s.monomials, degrees)
-    ]
-    return tuple(zip(*columns))
+    return canon, tuple(d - m.degree for m in canon.monomials)
 
 
 @dataclass(frozen=True)
@@ -413,9 +391,9 @@ class PivotTable:
     """The pivots of (params, K, seed, scheme), kept as attributes, and their instances.
 
     Every point value an instance or an exact decision reads comes from the
-    table.  generate_pivots runs once, and base_values_at once per pivot and
-    once at the origin, when the table is built; the pivots' region check runs
-    then.  Everything is exact.  A campaign round builds one table, on which
+    table.  Building it makes one generate_pivots call, whose base values it
+    keeps, one base_values_at call, at the origin, and the pivots' region
+    check.  Everything is exact.  A campaign round builds one table, on which
     the search decides and from which the winner's instance is verified.
 
     Two views of the pivots serve the two readers:
@@ -439,10 +417,9 @@ class PivotTable:
 
     def __init__(self, params: GeometricParams, K: int, seed: int, scheme: str = "plane"):
         self.params, self.K, self.seed, self.scheme = params, K, seed, scheme
-        self.pivots = generate_pivots(params, K, seed, scheme=scheme)
-        self.base_values = tuple(base_values_at(p.as_tuple(), params) for p in self.pivots)
+        self.pivots, self.base_values = generate_pivots(params, K, seed, scheme=scheme)
         # solver.solve_exact's argument needs m(p) >= 0 for every monomial m
-        if any(v < 0 for values in self.base_values for v in values[:6]):
+        if not all(map(in_region, self.base_values)):
             raise ValueError("a pivot lies outside the region where P1..P6 are nonnegative")
         self.origin = base_values_at(ORIGIN, params)
         self.zero_patterns = tuple(
@@ -496,16 +473,23 @@ class PivotTable:
         """
         if n < 1:
             raise ValueError(f"dimension n must be >= 1, got {n}")
-        canon = s.canonical()
-        _check_degrees(canon, d)
-        dims = tuple(len(basis_enumerate(d - m.degree)) for m in canon.monomials)
+        canon, degrees = instance_layout(s, d)
+        dims = tuple(len(basis_enumerate(k)) for k in degrees)
         objective = tuple(
             _origin_block(self.origin_value(m), dim) for m, dim in zip(canon.monomials, dims)
         )
+        self.basis_vectors(max(degrees))  # evaluated once; the smaller degrees slice it
+        columns = [  # column i holds block i, m_i(p) u_p u_p^T, of each pivot's row
+            [
+                _rank_one_block(u, value, k)
+                for u, value in zip(self.basis_vectors(k), self.monomial_values(m))
+            ]
+            for m, k in zip(canon.monomials, degrees)
+        ]
         j = self.designated_block(canon)
         return SdpInstance(
             block_dims=dims,
-            constraints=_constraint_rows(canon, d, self),
+            constraints=tuple(zip(*columns)),
             objective=objective,
             normalization=tuple(
                 block if i == j else _zero_block(dim)

@@ -43,8 +43,10 @@ class GeometricParams:
     R: float
 
     def __post_init__(self) -> None:
-        if not (self.r > 0 and math.isfinite(self.r) and math.isfinite(self.R)):
+        if not (self.r > 0 and math.isfinite(self.r)):
             raise ValueError(f"r must be positive and finite, got r={self.r}")
+        if not math.isfinite(self.R):
+            raise ValueError(f"R must be finite, got R={self.R}")
         if not self.r < self.R:
             raise ValueError(f"require 0 < r < R, got r={self.r}, R={self.R}")
 

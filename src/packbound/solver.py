@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compiler import PivotTable, SdpInstance, _check_degrees, block_arrays
+from .compiler import PivotTable, SdpInstance, block_arrays, instance_layout
 from .grammar import Monomial, Sentence
 from .polys import basis_enumerate
 
@@ -451,10 +451,8 @@ def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
     Fraction instance table.instance builds.
     """
     start = time.monotonic()
-    canon = sentence.canonical()
-    _check_degrees(canon, d)
+    canon, degrees = instance_layout(sentence, d)
     monomials = canon.monomials
-    dims = [len(basis_enumerate(d - m.degree)) for m in monomials]
 
     def result(status, message, objective=math.nan, blocks=(), residual=math.nan):
         return SolverResult(
@@ -473,13 +471,13 @@ def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
     m_j0 = table.origin_value(monomials[j])
     if m_j0 <= 0:
         return result(SolverStatus.INFEASIBLE, f"{label} is not positive at the origin")
-    q = _block_kernel(table, monomials[j], d - monomials[j].degree)
+    q = _block_kernel(table, monomials[j], degrees[j])
     if q is None:
         return result(SolverStatus.INFEASIBLE,
                       f"{label}: e_0 lies in the span of its active pivot rows")
-    for i, m in enumerate(monomials):
+    for i, (m, k) in enumerate(zip(monomials, degrees)):
         if (i != j and table.origin_value(m) < 0
-                and _block_kernel(table, m, d - m.degree) is not None):
+                and _block_kernel(table, m, k) is not None):
             return result(SolverStatus.UNBOUNDED,
                           f"block {i} ({m.render()}) is negative at the origin and can "
                           "grow along its kernel: unbounded below",
@@ -489,6 +487,7 @@ def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
     if m_j0 * c * q[0] ** 2 != 1:
         raise RuntimeError("certificate fails its normalization")
     num, den = c.numerator, c.denominator
+    dims = [len(basis_enumerate(k)) for k in degrees]
     blocks = [np.zeros((dim, dim)) for dim in dims]
     blocks[j] = np.array([[(num * a * b) / den for b in q] for a in q])
     return result(SolverStatus.CONVERGED, f"{label} carries the certificate",

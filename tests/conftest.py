@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 from packbound.grammar import CONSTANT_MONOMIAL, Monomial, Sentence
-from packbound.polys import BASE_DEGREES, GeometricParams, Polynomial
+from packbound.polys import BASE_DEGREES, GeometricParams, Polynomial, make_base_polynomial
 
 
 @pytest.fixture
@@ -15,6 +16,12 @@ def params():
 @pytest.fixture
 def unit_params():
     return GeometricParams(r=1.0, R=2.0)
+
+
+def monomial_value(m, point, params):
+    """m at the point, from the expanded base polynomials of the Polynomial ring."""
+    return math.prod((make_base_polynomial(k, params).evaluate(point) ** e
+                      for k, e in enumerate(m.alpha, start=1)), start=Fraction(1))
 
 
 def coefficients():

@@ -21,11 +21,10 @@ import pytest
 from packbound.bo import Observation, SearchBox, fit_surrogate, expected_improvement, propose_next
 from packbound.campaign import CampaignConfig, GameState, load, persist, run_campaign
 from packbound.compiler import (
+    PivotTable,
     assemble_sdp,
     block_arrays,
-    build_constraint_blocks,
     emit_sdpa,
-    generate_pivots,
     make_instance,
 )
 from packbound.grammar import (
@@ -160,12 +159,12 @@ def test_criterion_2_basis_and_degree():
 def test_criterion_3_sdp_structure():
     start = time.monotonic()
     rng = np.random.default_rng(777)
-    pivots = generate_pivots(PARAMS, 30, seed=5)
+    table = PivotTable(PARAMS, 30, 5)
     for _ in range(50):
         s = random_canonical_sentence(rng, max_degree=4, max_monomials=3)
         d = int(rng.integers(s.max_degree(), 5))
-        pivot = pivots[int(rng.integers(len(pivots)))]
-        for mat in block_arrays(build_constraint_blocks(s, d, pivot, PARAMS)):
+        row = table.instance(s, 8, d).constraints[int(rng.integers(len(table.pivots)))]
+        for mat in block_arrays(row):
             top = np.abs(mat).max()
             if top == 0:
                 continue

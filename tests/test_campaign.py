@@ -121,9 +121,21 @@ class TestConfig:
         {"c_explore": float("nan")},  # selection would stop descending
         {"c_explore": -1.0},
         {"c_explore": float("inf")},
+        {"seed": -1},  # numpy would reject it after config.json is written
+        {"bo_starts": -3},
+        {"bo_starts": 0},
+        {"bo_max_evals": -5},
+        {"bo_max_evals": 0},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
+            dataclasses.replace(CampaignConfig(), **bad).validate()
+
+    @pytest.mark.parametrize("bad", [{"seed": -1}, {"bo_starts": -3}, {"bo_starts": 0},
+                                     {"bo_max_evals": -5}, {"bo_max_evals": 0}])
+    def test_validation_names_the_field(self, bad):
+        (name,) = bad
+        with pytest.raises(ConfigError, match=f"^{name} must be >= "):
             dataclasses.replace(CampaignConfig(), **bad).validate()
 
     def test_int_accepted_for_float_field(self):

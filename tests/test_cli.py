@@ -272,6 +272,16 @@ class TestCampaign:
         assert err.count("\n") == 1 and err.startswith("invalid config: ")
         assert "eos_bias" in err and not out_dir.exists()
 
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "camp"
+        code, out, err = run_cli(
+            capsys, "campaign", "--seed", "-1", "--budget-rounds", "1",
+            "--out", str(out_dir), "--quiet",
+        )
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("invalid config: ") and "seed" in err
+        assert not (out_dir / "config.json").exists()
+
     def test_io_failure_exits_3(self, capsys, tmp_path):
         from packbound.cli import EXIT_IO
 

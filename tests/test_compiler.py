@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from packbound import compiler
 from packbound.campaign import CampaignConfig
 from packbound.compiler import (
     ORIGIN,
@@ -15,19 +16,18 @@ from packbound.compiler import (
     SdpInstance,
     assemble_sdp,
     block_arrays,
-    build_constraint_blocks,
     compute_bound,
     emit_sdpa,
     format_fraction,
     generate_pivots,
     make_instance,
     moment_pattern,
-    monomial_value_at,
-    region_membership,
 )
 from packbound.grammar import tokenize_and_parse
-from packbound.polys import GeometricParams, basis_enumerate, evaluate_basis
+from packbound.polys import GeometricParams, base_values_at, basis_enumerate, evaluate_basis
 from packbound.solver import read_sdpa_instance, system_to_instance
+
+from conftest import monomial_value
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -48,25 +48,39 @@ def half_ball_volume_bounds(n):
     return tuple(bounds)
 
 
+def nonnegative(values):
+    """True iff P1..P6 are all >= 0, given (P1, ..., P7) at a point."""
+    return all(v >= 0 for v in values[:6])
+
+
+def fixed_table(monkeypatch, params, *points):
+    """A PivotTable whose pivots are the given (h, v, w) points."""
+    pivots = [PivotPoint.make(*point) for point in points]
+    values = [base_values_at(p.as_tuple(), params) for p in pivots]
+    monkeypatch.setattr(compiler, "generate_pivots", lambda *args, **kwargs: (pivots, values))
+    return PivotTable(params, len(pivots), 0)
+
+
 class TestRegionMembership:
     def test_interior_point(self, unit_params):
-        assert region_membership((2, 2, 1), unit_params)
+        assert nonnegative(base_values_at((2, 2, 1), unit_params))
 
     def test_origin_outside(self, unit_params):
-        assert not region_membership((0, 0, 0), unit_params)
+        assert not nonnegative(base_values_at((0, 0, 0), unit_params))
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 1.7])
     def test_diagonal_corner_outside(self, r):
         params = GeometricParams(r, 2.0 * r)
         r2 = params.r2
-        assert not region_membership((r2, r2, r2), params)
+        assert not nonnegative(base_values_at((r2, r2, r2), params))
 
 
 class TestGeneratePivots:
     def test_single_pivot_in_region(self, unit_params):
-        pts = generate_pivots(unit_params, 1, seed=0)
-        assert len(pts) == 1
-        assert region_membership(pts[0].as_tuple(), unit_params)
+        pts, values = generate_pivots(unit_params, 1, seed=0)
+        assert len(pts) == len(values) == 1
+        assert values[0] == base_values_at(pts[0].as_tuple(), unit_params)
+        assert nonnegative(values[0])
 
     def test_deterministic(self, params):
         a = generate_pivots(params, 50, seed=3)
@@ -75,11 +89,12 @@ class TestGeneratePivots:
 
     @pytest.mark.parametrize("scheme", ["plane", "grid3d"])
     def test_points_distinct_admissible_and_boxed(self, params, scheme):
-        pts = generate_pivots(params, 40, seed=1, scheme=scheme)
-        assert len(set(p.as_tuple() for p in pts)) == 40
+        pts, values = generate_pivots(params, 40, seed=1, scheme=scheme)
+        assert len(set(p.as_tuple() for p in pts)) == len(values) == 40
         r2, R2 = params.r2, params.R2
-        for p in pts:
-            assert region_membership(p.as_tuple(), params)
+        for p, vals in zip(pts, values):
+            assert vals == base_values_at(p.as_tuple(), params)
+            assert nonnegative(vals)
             assert r2 <= p.h <= R2 and r2 <= p.v <= R2
 
     def test_k_must_be_positive(self, params):
@@ -99,35 +114,36 @@ class TestGeneratePivots:
 class TestConstraintBlocks:
     def test_constant_sentence_d0(self, params):
         s = tokenize_and_parse("P7 <EOS>")
-        blocks = build_constraint_blocks(s, 0, PivotPoint.make(2, 2, 1), params)
-        assert blocks == [((Fraction(1),),)]
+        rows = PivotTable(params, 3, 0).instance(s, 8, 0).constraints
+        block = ((Fraction(1),),)
+        assert rows == ((block,),) * 3
 
-    def test_constant_sentence_d2_outer_product(self, unit_params):
+    def test_constant_sentence_d2_outer_product(self, unit_params, monkeypatch):
         s = tokenize_and_parse("P7 <EOS>")
-        blocks = build_constraint_blocks(s, 2, PivotPoint.make(2, 2, 1), unit_params)
+        table = fixed_table(monkeypatch, unit_params, (2, 2, 1))
         u = (1, 1, 4, 1, 4, 4, 16)
         expected = tuple(tuple(Fraction(a * b) for b in u) for a in u)
-        assert blocks == [expected]
+        assert table.instance(s, 8, 2).constraints == ((expected,),)
 
-    def test_vanishing_monomial_gives_zero_block(self, unit_params):
+    def test_vanishing_monomial_gives_zero_block(self, unit_params, monkeypatch):
         s = tokenize_and_parse("P1 <EOS>")
-        pivot = PivotPoint.make(1, 3, 0)  # h = r^2 makes P1 vanish
-        blocks = build_constraint_blocks(s, 2, pivot, unit_params)
+        table = fixed_table(monkeypatch, unit_params, (1, 3, 0))  # h = r^2 makes P1 vanish
+        (blocks,) = table.instance(s, 8, 2).constraints
         assert all(x == 0 for row in blocks[0] for x in row)
 
     def test_degree_overflow_names_monomial(self, params):
         s = tokenize_and_parse("P1 <*> P1 <EOS>")
         with pytest.raises(ValueError, match="P1 <\\*> P1"):
-            build_constraint_blocks(s, 2, PivotPoint.make(2, 2, 1), params)
+            PivotTable(params, 3, 0).instance(s, 8, 2)
 
     def test_rank_one_and_psd(self, params):
         rng = np.random.default_rng(5)
         sentences = ["P7 <EOS>", "P1 <ES> P2 <*> P4 <EOS>", "P3 <*> P2 <EOS>"]
-        pivots = generate_pivots(params, 10, seed=2)
+        table = PivotTable(params, 10, 2)
         for text in sentences:
             s = tokenize_and_parse(text)
-            pivot = pivots[int(rng.integers(len(pivots)))]
-            for mat in block_arrays(build_constraint_blocks(s, 4, pivot, params)):
+            row = table.instance(s, 8, 4).constraints[int(rng.integers(len(table.pivots)))]
+            for mat in block_arrays(row):
                 if not np.any(mat):
                     continue
                 svals = np.linalg.svd(mat, compute_uv=False)
@@ -222,7 +238,7 @@ class TestAssemble:
 class TestPivotTable:
     def test_matches_assembly(self, params):
         table = PivotTable(params, 12, 3)
-        assert table.pivots == generate_pivots(params, 12, 3)
+        assert (table.pivots, table.base_values) == generate_pivots(params, 12, 3)
         assert table.basis_vectors(4) is table.basis_vectors(4)
         p1 = tokenize_and_parse("P1 <EOS>").monomials[0]
         inst = assemble_sdp(tokenize_and_parse("P7 <ES> P1 <EOS>"), params, n=8, d=4, K=12, seed=3)
@@ -231,6 +247,18 @@ class TestPivotTable:
         for (p7_block, p1_block), u4, u2, value in rows:
             assert p7_block[0] == u4  # u[0] = 1, so the first row of u u^T is u
             assert p1_block[0] == tuple(value * x for x in u2)
+
+    def test_one_evaluation_per_examined_candidate(self, params, monkeypatch):
+        # the table keeps the values admission computed and evaluates the origin alone
+        calls = []
+        original = compiler.base_values_at
+        monkeypatch.setattr(compiler, "base_values_at",
+                            lambda *args: calls.append(args) or original(*args))
+        generate_pivots(params, 50, 0)
+        alone = len(calls)
+        PivotTable(params, 50, 0)
+        assert len(calls) == 2 * alone + 1
+        assert calls[-1] == (ORIGIN, params)
 
     def test_instance_rejects_bad_dimension_and_degree(self, params):
         table = PivotTable(params, 5, 0)
@@ -343,9 +371,10 @@ class TestMomentPattern:
     def test_cached_per_degree(self):
         assert moment_pattern(3) is moment_pattern(3)
 
-    def test_equal_entries_share_one_fraction(self, params):
+    def test_equal_entries_share_one_fraction(self, unit_params, monkeypatch):
         s = tokenize_and_parse("P7 <ES> P2 <EOS>")
-        for block in build_constraint_blocks(s, 4, PivotPoint.make(2, 3, 1), params):
+        (row,) = fixed_table(monkeypatch, unit_params, (2, 3, 1)).instance(s, 8, 4).constraints
+        for block in row:
             for i in range(len(block)):
                 for j in range(len(block)):
                     assert block[i][j] is block[j][i]
@@ -365,16 +394,16 @@ def assemble_reference(s, params, d, K, seed, scheme):
 
     def block(m, point, zero=False):
         u = evaluate_basis(basis_enumerate(d - m.degree), point)
-        return outer_reference(u, Fraction(0) if zero else monomial_value_at(m, point, params))
+        return outer_reference(u, Fraction(0) if zero else monomial_value(m, point, params))
 
     j = next(
-        (i for i, m in enumerate(canon.monomials) if monomial_value_at(m, ORIGIN, params) > 0), 0
+        (i for i, m in enumerate(canon.monomials) if monomial_value(m, ORIGIN, params) > 0), 0
     )
     return SdpInstance(
         block_dims=tuple(len(basis_enumerate(d - m.degree)) for m in canon.monomials),
         constraints=tuple(
             tuple(block(m, p.as_tuple()) for m in canon.monomials)
-            for p in generate_pivots(params, K, seed, scheme=scheme)
+            for p in generate_pivots(params, K, seed, scheme=scheme)[0]
         ),
         objective=tuple(block(m, ORIGIN) for m in canon.monomials),
         normalization=tuple(block(m, ORIGIN, zero=i != j) for i, m in enumerate(canon.monomials)),
@@ -481,4 +510,5 @@ PINNED_PIVOTS = [
 
 @pytest.mark.parametrize("r, R, K, scheme, digest", PINNED_PIVOTS)
 def test_pivot_digest(r, R, K, scheme, digest):
-    assert pivot_digest(generate_pivots(GeometricParams(r, R), K, 0, scheme)) == digest
+    pivots, _ = generate_pivots(GeometricParams(r, R), K, 0, scheme)
+    assert pivot_digest(pivots) == digest

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,11 @@ class TestGeometricParams:
     def test_requires_increasing_positive(self, r, R):
         with pytest.raises(ValueError):
             GeometricParams(r, R)
+
+    @pytest.mark.parametrize("R", [math.inf, math.nan])
+    def test_non_finite_R_named(self, R):
+        with pytest.raises(ValueError, match=f"R must be finite, got R={R}"):
+            GeometricParams(1.45, R)
 
 
 class TestBasePolynomials:

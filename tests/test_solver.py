@@ -17,7 +17,6 @@ from packbound.compiler import (
     assemble_sdp,
     emit_sdpa,
     make_instance,
-    monomial_value_at,
 )
 from packbound.grammar import (
     Sentence,
@@ -26,7 +25,7 @@ from packbound.grammar import (
     render,
     tokenize_and_parse,
 )
-from packbound.polys import GeometricParams
+from packbound.polys import GeometricParams, base_values_at
 from packbound.solver import (
     FormatError,
     SolverResult,
@@ -40,6 +39,8 @@ from packbound.solver import (
     system_to_instance,
     verify_certificate,
 )
+
+from conftest import monomial_value
 
 BOX = CampaignConfig().box
 
@@ -261,7 +262,8 @@ class TestExactSolver:
         # the decision needs m(p) >= 0 at every pivot, so the table checks
         # its pivots when it is built; the origin lies outside the region
         outside = [PivotPoint.make(2.5, 3, 0.5), PivotPoint.make(0, 0, 0)]
-        monkeypatch.setattr(compiler, "generate_pivots", lambda *args, **kwargs: outside)
+        values = [base_values_at(p.as_tuple(), params) for p in outside]
+        monkeypatch.setattr(compiler, "generate_pivots", lambda *args, **kwargs: (outside, values))
         with pytest.raises(ValueError, match="outside the region"):
             PivotTable(params, 2, 0)
 
@@ -307,7 +309,7 @@ class TestExactSolver:
             for d in (2, 4):
                 for s in enumerate_sentences(2, 2):
                     monomials = s.canonical().monomials
-                    origin = [monomial_value_at(m, ORIGIN, params) for m in monomials]
+                    origin = [monomial_value(m, ORIGIN, params) for m in monomials]
                     kernel = [
                         d - m.degree >= 1 or not any(table.monomial_values(m))
                         for m in monomials
