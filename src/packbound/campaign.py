@@ -3,14 +3,13 @@
 A campaign is a sequence of rounds.  Each round fits the surrogate on the
 converged history, proposes the next (r, R), builds one pivot table for it,
 runs the tree search at the cheap degree with its finalists decided at the
-final degree (every evaluation is solver.solve_exact on that table),
-assembles the winner's final-degree instance from the same table and checks
-the winner's certificate on it with verify_certificate (or, with an external
-solver, hands that instance to it and checks what comes back), and appends
-one immutable round record.  A converged result is recorded as
-"verification-failed" when it has no certificate or when the recomputed
-equality or PSD residual misses tol_eq (times 10) or tol_psd.  Only
-verified residuals are recorded: an unconverged round has none.  Each
+final degree (every evaluation is solver.solve_exact on that table), and
+assembles the winner's final-degree instance from the same table.  The
+round keeps the search's exact decision of it, or, when solver_cmd is set,
+hands it to that command.  A result that claims convergence is recorded as
+solver.check_certificate judges it: "verification-failed" when it has no
+certificate or when the recomputed equality or PSD residual misses tol_eq
+(times 10) or tol_psd.  Only verified residuals are recorded.  Each
 (sentence, degree) is decided at most once a round.  Any stage failure is
 recorded with its status and the campaign continues; each round's record is
 appended to state.jsonl and flushed to disk, so a killed process loses at
@@ -19,9 +18,10 @@ from the records load accepts, so a torn final record is dropped for good.
 Per-round seeds derive from (base seed, round index), so identical
 configurations replay identically and resumed campaigns match uninterrupted
 ones.  The campaign never runs the embedded ADMM solver, which serves the
-CLI and the scripts; a config.json that still carries a retired field
-(solver_max_iterations, mcts_rollouts, mcts_restarts) loads, and the field
-is ignored.
+CLI and the scripts.  A config.json that still carries a retired field
+(solver_max_iterations, mcts_rollouts, mcts_restarts, solver) loads, and the
+field is ignored; a retired solver "embedded" also clears solver_cmd, which
+it made the campaign ignore, and a retired "external" still needs one.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import shlex
-import subprocess
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, List, Optional, get_args, get_type_hints
@@ -39,7 +36,7 @@ from typing import Iterable, List, Optional, get_args, get_type_hints
 import numpy as np
 
 from .bo import ACQUISITIONS, Observation, SearchBox, fit_surrogate, propose_next
-from .compiler import PIVOT_SCHEMES, PivotGenerationError, PivotTable, compute_bound, emit_sdpa
+from .compiler import PIVOT_SCHEMES, PivotGenerationError, PivotTable, compute_bound
 from .compiler import assemble_sdp  # not called here; perfbench/tracing.py wraps this name
 from .grammar import render
 from .mcts import (
@@ -51,12 +48,8 @@ from .mcts import (
     run_search,
 )
 from .polys import GeometricParams
-from .solver import (
-    SolverStatus,
-    parse_external_output,
-    solve_embedded,  # not called here; perfbench/tracing.py wraps this name
-    verify_certificate,
-)
+from .solver import SolverStatus, check_certificate, check_tolerances, solve_external
+from .solver import solve_embedded, verify_certificate  # not called here; the tracer wraps them
 
 
 class ConfigError(ValueError):
@@ -90,8 +83,7 @@ class CampaignConfig:
     acquisition: str = "ei"
     bo_starts: int = 4
     bo_max_evals: int = 80
-    solver: str = "embedded"
-    solver_cmd: str = ""
+    solver_cmd: str = ""  # an external solver's command line; empty keeps the exact decision
     tol_eq: float = 1e-8
     tol_psd: float = 1e-8
     budget_rounds: int = 10
@@ -102,8 +94,9 @@ class CampaignConfig:
     def validate(self) -> None:
         """Raise ConfigError unless every field is usable.
 
-        SearchBox checks the box and mcts.check_search_settings the search
-        settings, in their own wording; the checks here are the campaign's own.
+        SearchBox checks the box, mcts.check_search_settings the search
+        settings and solver.check_tolerances the tolerances, in their own
+        wording; the checks here are the campaign's own.
         """
         for f in fields(self):
             value = getattr(self, f.name)
@@ -115,6 +108,7 @@ class CampaignConfig:
             self.box  # SearchBox owns the box rule
             check_search_settings(self.mcts_iterations, self.d_search, self.d_final,
                                   self.max_monomials, self.top_k, self.c_explore, self.eos_bias)
+            check_tolerances(self.tol_eq, self.tol_psd)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # numpy rejects a negative seed, but only once config.json is written
@@ -125,20 +119,12 @@ class CampaignConfig:
             raise ConfigError(f"need at least one pivot, got {self.pivots}")
         if self.pivot_scheme not in PIVOT_SCHEMES:
             raise ConfigError(f"unknown pivot scheme {self.pivot_scheme!r}")
-        if not (0 < self.tol_eq < math.inf and 0 < self.tol_psd < math.inf):
-            raise ConfigError(
-                f"tolerances must be positive and finite, got {self.tol_eq}, {self.tol_psd}"
-            )
         # a NaN budget would never be exceeded; 0 is how to disable it
         if self.budget_rounds < 0 or not 0 <= self.budget_seconds < math.inf:
             raise ConfigError(
                 f"budgets must be finite and nonnegative, got {self.budget_rounds}, "
                 f"{self.budget_seconds}"
             )
-        if self.solver not in ("embedded", "external"):
-            raise ConfigError(f"solver must be 'embedded' or 'external', got {self.solver!r}")
-        if self.solver == "external" and not self.solver_cmd:
-            raise ConfigError("external solver requires solver_cmd")
         if self.acquisition not in ACQUISITIONS:
             raise ConfigError(f"unknown acquisition {self.acquisition!r}")
 
@@ -162,6 +148,11 @@ class CampaignConfig:
             raise ConfigError(f"{path} must hold a JSON object, got {type(raw).__name__}")
         for retired in ("solver_max_iterations", "mcts_rollouts", "mcts_restarts"):
             raw.pop(retired, None)  # no stage reads them; old config.json files carry them
+        solver = raw.pop("solver", None)  # retired: a non-empty solver_cmd now means external
+        if solver == "embedded":
+            raw["solver_cmd"] = ""  # "embedded" ignored the command
+        elif solver == "external" and not raw.get("solver_cmd"):
+            raise ConfigError("external solver requires solver_cmd")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -307,42 +298,6 @@ def _round_seed(base: int, round_idx: int, salt: int = 0) -> int:
     return int(np.random.SeedSequence([base, round_idx, salt]).generate_state(1)[0])
 
 
-def solve_external(inst, solver_cmd: str):
-    """Emit the instance (40 digits), run the configured solver command, parse its output.
-
-    The command receives the .dat-s path as its final argument; binary and
-    arguments come from configuration only.  A nonzero exit code raises
-    subprocess.CalledProcessError.
-    """
-    with tempfile.NamedTemporaryFile("w", suffix=".dat-s", delete=False) as fh:
-        fh.write(emit_sdpa(inst))
-        path = fh.name
-    try:
-        proc = subprocess.run(
-            shlex.split(solver_cmd) + [path],
-            capture_output=True, text=True, timeout=3600, check=True,
-        )
-        return parse_external_output(proc.stdout)
-    finally:
-        os.unlink(path)
-
-
-def _check_certificate(inst, res, config: CampaignConfig):
-    """(status, eq_residual, psd_residual) of a converged result, checked on inst.
-
-    verify_certificate recomputes both residuals from the instance; the
-    result is "verification-failed" when either misses its tolerance, or
-    when there is no certificate to check (residuals None).
-    """
-    if not res.primal_blocks:
-        return "verification-failed", None, None
-    report = verify_certificate(inst, res)
-    eq_res, psd_res = report.equality_residual, report.psd_residual
-    if eq_res > 10 * config.tol_eq or psd_res < -config.tol_psd:
-        return "verification-failed", eq_res, psd_res
-    return "converged", eq_res, psd_res
-
-
 def play_round(state: GameState, config: CampaignConfig) -> GameState:
     """Run one round and append its record; stage failures append a failed record."""
     config.validate()
@@ -388,12 +343,11 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
         solve_start = time.monotonic()
         try:
             inst = table.instance(out.sentence, config.dimension, config.d_final)
-            if config.solver == "external":
-                res = solve_external(inst, config.solver_cmd)
-            else:
-                res = out.outcome.result  # the search's own d_final decision of this instance
+            res = (solve_external(inst, config.solver_cmd) if config.solver_cmd
+                   else out.outcome.result)  # the search's own d_final decision of inst
             if res.status is SolverStatus.CONVERGED:
-                status, eq_res, psd_res = _check_certificate(inst, res, config)
+                status, eq_res, psd_res = check_certificate(inst, res, config.tol_eq,
+                                                            config.tol_psd)
                 if status == "converged":
                     objective = res.objective_value
                     bound = compute_bound(objective, params, config.dimension)

@@ -2,7 +2,7 @@
 
 Subcommands:
   compile    sentence text -> SDPA sparse file (.dat-s)
-  solve      .dat-s file -> solver result (embedded or external)
+  solve      .dat-s file -> checked result of ADMM, or of --solver-cmd if given
   search     tree search at fixed (r, R), printing the best sentence found
   campaign   the full game loop, driven by a config file and/or flags
   report     diagnostics CSVs and a summary from a persisted state file
@@ -11,7 +11,8 @@ Exit codes, the same for every command: 0 success; 2 bad input, that is
 invalid arguments or config, an unreadable or malformed input file, pivots
 that cannot be generated, or a failed external solve; 3 campaign halted on an
 I/O failure; 4 search failed to produce a converged sentence.  Handlers keep
-only the success path, and `main` maps every failure to its code.
+only the success path, and `main` maps every failure to its code.  `solve`
+prints a result that claims convergence as solver.check_certificate judges it.
 """
 
 from __future__ import annotations
@@ -23,19 +24,13 @@ import subprocess
 import sys
 from typing import List, Optional
 
-from .campaign import (
-    CampaignConfig,
-    CampaignIOError,
-    ConfigError,
-    load,
-    run_campaign,
-    solve_external,
-)
+from .campaign import CampaignConfig, CampaignIOError, ConfigError, load, run_campaign
 from .compiler import PivotGenerationError, PivotTable, assemble_sdp, emit_sdpa
 from .grammar import render, tokenize_and_parse
 from .mcts import RewardCache, SearchFailedError, make_sdp_evaluator, run_search
 from .polys import GeometricParams
-from .solver import read_sdpa_instance, solve_embedded, system_to_instance
+from .solver import (SolverStatus, check_certificate, check_tolerances, read_sdpa_instance,
+                     solve_embedded, solve_external, system_to_instance)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve a .dat-s instance file")
     s.add_argument("instance", help="path to a .dat-s file")
-    s.add_argument("--solver", choices=["embedded", "external"], default="embedded")
-    s.add_argument("--solver-cmd", default="", help="external solver command line")
+    s.add_argument("--solver-cmd", default="",
+                   help="external solver command line; empty runs the embedded ADMM solver")
     s.add_argument("--tol-eq", type=float, default=1e-8)
     s.add_argument("--tol-psd", type=float, default=1e-8)
     s.add_argument("--max-iterations", type=int, default=50000)
@@ -93,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--budget-rounds", type=int)
     g.add_argument("--budget-seconds", type=float)
     g.add_argument("--seed", type=int)
-    g.add_argument("--solver", choices=["embedded", "external"])
     g.add_argument("--solver-cmd")
     g.add_argument("--out", dest="out_dir", help="output directory")
     g.add_argument("--resume", action="store_true", default=False,
@@ -123,20 +117,21 @@ def _cmd_compile(args) -> int:
 
 def _cmd_solve(args) -> int:
     with open(args.instance, "r", encoding="utf-8") as fh:
-        system = read_sdpa_instance(fh.read())
-    inst = system_to_instance(system)
-    if args.solver == "external":
-        if not args.solver_cmd:
-            raise ValueError("--solver external requires --solver-cmd")
+        inst = system_to_instance(read_sdpa_instance(fh.read()))
+    check_tolerances(args.tol_eq, args.tol_psd)  # before an external solver starts
+    if args.solver_cmd:
         res = solve_external(inst, args.solver_cmd)
     else:
         res = solve_embedded(inst, tol_eq=args.tol_eq, tol_psd=args.tol_psd,
                              max_iterations=args.max_iterations)
+    status, eq_res, psd_res = res.status.value, res.equality_residual, res.psd_residual
+    if res.status is SolverStatus.CONVERGED:  # a claim until the gate has checked it
+        status, eq_res, psd_res = check_certificate(inst, res, args.tol_eq, args.tol_psd)
     print(json.dumps({
-        "status": res.status.value,
+        "status": status,
         "objective": res.objective_value,
-        "equality_residual": res.equality_residual,
-        "psd_residual": res.psd_residual,
+        "equality_residual": eq_res,
+        "psd_residual": psd_res,
         "iterations": res.iterations,
         "message": res.message,
     }, indent=2))

@@ -17,17 +17,22 @@ and projection onto the PSD cone per block (symmetric eigendecomposition
 with negative eigenvalues clipped), with a scaled dual update carrying the
 objective.  It works in float64 and targets desk-scale instances; larger or
 higher-precision runs go through file emission to an external SDPA-family
-solver, whose text output is parsed here as well.
+solver (solve_external), whose text output is parsed here as well.
 
 Certificate verification recomputes every trace, the eigenvalue floors and
 the objective directly from the instance data; it never trusts the fields
-reported by a solver.
+reported by a solver.  check_certificate is the one acceptance gate for a
+result that claims convergence, whichever solver produced it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
+import shlex
+import subprocess
+import tempfile
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compiler import PivotTable, SdpInstance, block_arrays, instance_layout
+from .compiler import PivotTable, SdpInstance, block_arrays, emit_sdpa, instance_layout
 from .grammar import Monomial, Sentence
 from .polys import basis_enumerate
 
@@ -76,6 +81,14 @@ ADMM_RHO = 1.0
 ADMM_OVER_RELAXATION = 1.7
 ADMM_OBJECTIVE_FLOOR = -1e3
 ADMM_NORM_CAP = 1e10
+# Seconds an external solver may run before solve_external gives up on it.
+EXTERNAL_TIMEOUT_S = 3600
+
+
+def check_tolerances(tol_eq: float, tol_psd: float) -> None:
+    """Raise ValueError unless both tolerances are positive and finite."""
+    if not (0 < tol_eq < math.inf and 0 < tol_psd < math.inf):
+        raise ValueError(f"tolerances must be positive and finite, got {tol_eq}, {tol_psd}")
 
 
 def _stack_rows(inst: SdpInstance) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[slice]]:
@@ -203,8 +216,7 @@ def solve_embedded(
     orthonormal spanning set; residuals are always reported against the
     original rows.
     """
-    if not (0 < tol_eq < math.inf and 0 < tol_psd < math.inf):
-        raise ValueError(f"tolerances must be positive and finite, got {tol_eq}, {tol_psd}")
+    check_tolerances(tol_eq, tol_psd)
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     start = time.monotonic()
@@ -551,6 +563,25 @@ def verify_certificate(inst: SdpInstance, res: SolverResult) -> VerificationRepo
     )
 
 
+def check_certificate(inst: SdpInstance, res: SolverResult, tol_eq: float,
+                      tol_psd: float) -> Tuple[str, Optional[float], Optional[float]]:
+    """(status, eq_residual, psd_residual) of a result that claims convergence, checked on inst.
+
+    verify_certificate recomputes both residuals from the instance.  The
+    status is "verification-failed" when the equality residual exceeds
+    10 * tol_eq or the PSD residual is below -tol_psd, or when there is no
+    certificate to check (residuals None), and "converged" otherwise.
+    """
+    check_tolerances(tol_eq, tol_psd)
+    if not res.primal_blocks:
+        return "verification-failed", None, None
+    report = verify_certificate(inst, res)
+    eq_res, psd_res = report.equality_residual, report.psd_residual
+    if eq_res > 10 * tol_eq or psd_res < -tol_psd:
+        return "verification-failed", eq_res, psd_res
+    return "converged", eq_res, psd_res
+
+
 # ---------------------------------------------------------------------------
 # SDPA sparse file reading (round-trip of the emitter's output)
 # ---------------------------------------------------------------------------
@@ -658,8 +689,28 @@ def system_to_instance(sys: SparseSystem) -> SdpInstance:
 
 
 # ---------------------------------------------------------------------------
-# External solver output parsing
+# External solver: invocation and output parsing
 # ---------------------------------------------------------------------------
+
+def solve_external(inst: SdpInstance, solver_cmd: str) -> SolverResult:
+    """Emit the instance (40 digits), run solver_cmd on it and parse its output.
+
+    The command receives the .dat-s path as its final argument.  A nonzero
+    exit code raises subprocess.CalledProcessError, and a run longer than
+    EXTERNAL_TIMEOUT_S subprocess.TimeoutExpired.  The result is a claim.
+    """
+    with tempfile.NamedTemporaryFile("w", suffix=".dat-s", delete=False) as fh:
+        fh.write(emit_sdpa(inst))
+        path = fh.name
+    try:
+        proc = subprocess.run(
+            shlex.split(solver_cmd) + [path],
+            capture_output=True, text=True, timeout=EXTERNAL_TIMEOUT_S, check=True,
+        )
+        return parse_external_output(proc.stdout)
+    finally:
+        os.unlink(path)
+
 
 _PHASE_MAP = {
     "pdOPT": SolverStatus.CONVERGED,

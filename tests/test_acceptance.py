@@ -361,7 +361,6 @@ def test_criterion_8_end_to_end_campaign(tmp_path):
         d_final=4,
         pivots=50,
         budget_rounds=10,
-        solver="embedded",
         seed=0,
         out_dir=str(tmp_path / "campaign"),
     )

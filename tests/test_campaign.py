@@ -13,17 +13,21 @@ from packbound.campaign import (
     GameState,
     RoundRecord,
     SchemaError,
-    _check_certificate,
     load,
     persist,
     play_round,
     run_campaign,
-    solve_external,
 )
 from packbound.compiler import assemble_sdp, make_instance
 from packbound.grammar import render, tokenize_and_parse
 from packbound.polys import GeometricParams
-from packbound.solver import SolverResult, SolverStatus, verify_certificate
+from packbound.solver import (
+    SolverResult,
+    SolverStatus,
+    check_certificate,
+    solve_external,
+    verify_certificate,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(packbound.__file__)))
@@ -85,12 +89,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="mcts_retries"):
             CampaignConfig.from_file(str(path))
 
+    def test_retired_solver_field_loads(self, tmp_path):
+        # config.json files written before a command alone named the solver
+        # carry "solver"; "embedded" ignored any solver_cmd, "external" ran it
+        raw = dataclasses.asdict(CampaignConfig(seed=5))
+        path = tmp_path / "config.json"
+        raw.update(solver="embedded", solver_cmd="x")
+        path.write_text(json.dumps(raw))
+        assert CampaignConfig.from_file(str(path)) == CampaignConfig(seed=5)
+        raw.update(solver="external", solver_cmd="fake-sdpa --digits 40")
+        path.write_text(json.dumps(raw))
+        assert CampaignConfig.from_file(str(path)) == CampaignConfig(
+            seed=5, solver_cmd="fake-sdpa --digits 40")
+        raw.update(solver="external", solver_cmd="")
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="^external solver requires solver_cmd$"):
+            CampaignConfig.from_file(str(path))
+
     @pytest.mark.parametrize("bad", [
         {"r_lo": 2.0, "r_hi": 1.0},
         {"r_lo": 3.0, "r_hi": 3.5, "R_lo": 1.0, "R_hi": 2.0},
         {"d_search": 5, "d_final": 4},
         {"pivots": 0},
-        {"solver": "external"},  # missing solver_cmd
+        {"solver_cmd": ["sdpa", "-pt", "0"]},  # a command is one string, split by shlex
         {"acquisition": "entropy"},
         {"budget_rounds": -1},
         {"budget_seconds": -1.0},
@@ -354,11 +375,11 @@ class TestPlayRound:
         # X = diag(1, -1e-6) meets the only row exactly, so the equality
         # residual is 0 and only the PSD gate can reject it
         inst = make_instance([2], [], [[[1.0, 0.0], [0.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]]])
-        config = CampaignConfig()
+        tol_eq, tol_psd = CampaignConfig.tol_eq, CampaignConfig.tol_psd
         good = SolverResult(SolverStatus.CONVERGED, 1.0, [np.diag([1.0, 0.0])], 0.0, 0.0, 0, 0.0)
         bad = dataclasses.replace(good, primal_blocks=[np.diag([1.0, -1e-6])])
-        assert _check_certificate(inst, good, config) == ("converged", 0.0, 0.0)
-        status, eq_res, psd_res = _check_certificate(inst, bad, config)
+        assert check_certificate(inst, good, tol_eq, tol_psd) == ("converged", 0.0, 0.0)
+        status, eq_res, psd_res = check_certificate(inst, bad, tol_eq, tol_psd)
         assert status == "verification-failed"
         assert eq_res == 0.0 and psd_res == pytest.approx(-1e-6, rel=1e-9)
 
@@ -505,7 +526,7 @@ class TestExternalSolverPath:
         # the fake's identity blocks violate the instance's equality rows, so
         # verification rejects the claimed optimum
         cmd = f"{sys.executable} {os.path.join(FIXTURES, 'fake_sdpa.py')}"
-        config = CampaignConfig(solver="external", solver_cmd=cmd, **FAST)
+        config = CampaignConfig(solver_cmd=cmd, **FAST)
         rec = play_round(GameState(), config).rounds[0]
         inst = assemble_sdp(
             tokenize_and_parse(rec.sentence), GeometricParams(rec.r, rec.R),
@@ -526,7 +547,7 @@ class TestExternalSolverPath:
             "print('   objValPrimal = +1.0000000000000000e+00')\n"
             "print('   objValDual   = +1.0000000000000000e+00')\n"
         )
-        config = CampaignConfig(solver="external", solver_cmd=f"{sys.executable} {stub}", **FAST)
+        config = CampaignConfig(solver_cmd=f"{sys.executable} {stub}", **FAST)
         rec = play_round(GameState(), config).rounds[0]
         assert rec.status == "verification-failed"
         assert rec.eq_residual is None and rec.psd_residual is None
@@ -540,7 +561,7 @@ class TestExternalSolverPath:
             "print('   objValPrimal = +3.0000000000000000e+00')\n"
             "print('   objValDual   = +1.0000000000000000e+00')\n"
         )
-        config = CampaignConfig(solver="external", solver_cmd=f"{sys.executable} {stub}", **FAST)
+        config = CampaignConfig(solver_cmd=f"{sys.executable} {stub}", **FAST)
         rec = play_round(GameState(), config).rounds[0]
         assert rec.status == "infeasible-detected"
         assert rec.eq_residual is None and rec.psd_residual is None
@@ -555,7 +576,18 @@ class TestExternalSolverPath:
             "fake_sdpa.main()\n"
             "sys.exit(3)\n"
         )
-        config = CampaignConfig(solver="external", solver_cmd=f"{sys.executable} {stub}", **FAST)
+        config = CampaignConfig(solver_cmd=f"{sys.executable} {stub}", **FAST)
         rec = play_round(GameState(), config).rounds[0]
         assert rec.status == "solve-error: CalledProcessError"
         assert rec.objective is None and rec.bound is None
+
+    def test_external_timeout_is_a_solve_error(self, tmp_path, monkeypatch):
+        import packbound.solver as solver
+
+        stub = tmp_path / "slow_sdpa.py"
+        stub.write_text("import time\ntime.sleep(30)\n")
+        monkeypatch.setattr(solver, "EXTERNAL_TIMEOUT_S", 0.5)
+        config = CampaignConfig(solver_cmd=f"{sys.executable} {stub}", **FAST)
+        rec = play_round(GameState(), config).rounds[0]
+        assert rec.status == "solve-error: TimeoutExpired"
+        assert rec.solve_seconds < 30

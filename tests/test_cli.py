@@ -124,22 +124,54 @@ class TestSolve:
         assert code == EXIT_CONFIG and out == ""
         assert err.count("\n") == 1 and err.startswith("error: max_iterations")
 
-    def test_external_requires_cmd(self, capsys, tmp_path):
+    def compile_p7(self, capsys, tmp_path):
+        # P7 <EOS> at d = 2 with K = 3 pivots
         path = tmp_path / "inst.dat-s"
         run_cli(capsys, "compile", "P7 <EOS>", "--r", "1.45", "--R", "2.0",
                 "--degree", "2", "--pivots", "3", "--out", str(path))
-        code, _, _ = run_cli(capsys, "solve", str(path), "--solver", "external")
-        assert code == EXIT_CONFIG
+        return path
+
+    def test_solver_cmd_runs_the_command(self, capsys, tmp_path):
+        stub = f"{sys.executable} {os.path.join(FIXTURES, 'fake_sdpa.py')}"
+        code, out, _ = run_cli(capsys, "solve", str(self.compile_p7(capsys, tmp_path)),
+                               "--solver-cmd", stub)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["iterations"] == 7  # the fake's, not ADMM's
+        assert payload["message"] == "external phase pdOPT; duality gap 0.0"
 
     def test_external_with_stub(self, capsys, tmp_path):
-        path = tmp_path / "inst.dat-s"
-        run_cli(capsys, "compile", "P7 <EOS>", "--r", "1.45", "--R", "2.0",
-                "--degree", "2", "--pivots", "3", "--out", str(path))
+        # the fake claims pdOPT, but its identity blocks break the instance's
+        # rows: the gate rejects the claim, as a campaign round does
         stub = f"{sys.executable} {os.path.join(FIXTURES, 'fake_sdpa.py')}"
-        code, out, _ = run_cli(capsys, "solve", str(path),
-                               "--solver", "external", "--solver-cmd", stub)
+        code, out, _ = run_cli(capsys, "solve", str(self.compile_p7(capsys, tmp_path)),
+                               "--solver-cmd", stub, "--tol-eq", "1e-8")
         assert code == EXIT_OK
-        assert json.loads(out)["status"] == "converged"
+        payload = json.loads(out)
+        assert payload["status"] == "verification-failed"
+        assert payload["equality_residual"] > 10 * 1e-8
+        assert payload["psd_residual"] == 0.0
+
+    def test_external_without_certificate_fails_verification(self, capsys, tmp_path):
+        stub = tmp_path / "no_xmat_sdpa.py"
+        stub.write_text(
+            "print('phase.value  = pdOPT')\n"
+            "print('   objValPrimal = +1.0000000000000000e+00')\n"
+        )
+        code, out, _ = run_cli(capsys, "solve", str(self.compile_p7(capsys, tmp_path)),
+                               "--solver-cmd", f"{sys.executable} {stub}")
+        assert code == EXIT_OK
+        assert "NaN" not in out
+        payload = json.loads(out)
+        assert payload["status"] == "verification-failed"
+        assert payload["equality_residual"] is None and payload["psd_residual"] is None
+
+    def test_external_bad_tolerance_exits_2(self, capsys, tmp_path):
+        stub = f"{sys.executable} {os.path.join(FIXTURES, 'fake_sdpa.py')}"
+        code, out, err = run_cli(capsys, "solve", str(self.compile_p7(capsys, tmp_path)),
+                                 "--solver-cmd", stub, "--tol-eq", "0")
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: tolerances")
 
     @pytest.mark.parametrize("solver_cmd", [
         pytest.param(os.path.join(FIXTURES, "no-such-solver"), id="missing-binary"),
@@ -155,11 +187,8 @@ class TestSolve:
                 raise subprocess.TimeoutExpired(cmd, 3600)
 
             monkeypatch.setattr(cli_mod, "solve_external", times_out)
-        path = tmp_path / "inst.dat-s"
-        run_cli(capsys, "compile", "P7 <EOS>", "--r", "1.45", "--R", "2.0",
-                "--degree", "2", "--pivots", "3", "--out", str(path))
-        code, out, err = run_cli(capsys, "solve", str(path),
-                                 "--solver", "external", "--solver-cmd", solver_cmd)
+        code, out, err = run_cli(capsys, "solve", str(self.compile_p7(capsys, tmp_path)),
+                                 "--solver-cmd", solver_cmd)
         assert code == EXIT_CONFIG and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
@@ -311,7 +340,6 @@ class TestCampaign:
         ("--budget-rounds", "0", "budget_rounds", 0),
         ("--budget-seconds", "5.5", "budget_seconds", 5.5),
         ("--seed", "9", "seed", 9),
-        ("--solver", "external", "solver", "external"),
         ("--solver-cmd", "fake-sdpa --digits 40", "solver_cmd", "fake-sdpa --digits 40"),
         ("--out", None, "out_dir", None),  # None: the case's output directory
     ])
@@ -320,8 +348,6 @@ class TestCampaign:
         argv = ["campaign", flag, out_dir if value is None else value]
         if flag != "--budget-rounds":
             argv += ["--budget-rounds", "0"]
-        if flag == "--solver":
-            argv += ["--solver-cmd", "fake-sdpa"]  # external requires a command
         if flag != "--out":
             argv += ["--out", out_dir]
         code, _, _ = run_cli(capsys, *argv, "--quiet")

@@ -30,6 +30,7 @@ from packbound.solver import (
     FormatError,
     SolverResult,
     SolverStatus,
+    check_certificate,
     parse_external_output,
     read_sdpa_instance,
     solve_embedded,
@@ -442,6 +443,14 @@ class TestVerifyCertificate:
         )
         with pytest.raises(ValueError, match="block count"):
             verify_certificate(inst, res)
+
+    @pytest.mark.parametrize("tol_eq, tol_psd", [(0.0, 1e-8), (1e-8, math.inf),
+                                                 (math.nan, 1e-8), (1e-8, -1.0)])
+    def test_gate_rejects_bad_tolerances(self, tol_eq, tol_psd):
+        # an infinite tolerance would pass any certificate
+        res = SolverResult(SolverStatus.CONVERGED, 1.0, [np.array([[1.0]])], 0.0, 0.0, 1, 0.0)
+        with pytest.raises(ValueError, match="^tolerances must be positive and finite"):
+            check_certificate(trivial_instance(), res, tol_eq, tol_psd)
 
 
 class TestSdpaRoundTrip:
