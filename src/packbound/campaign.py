@@ -6,19 +6,21 @@ runs the tree search at the cheap degree with its finalists decided at the
 final degree (every evaluation is solver.solve_exact on that table), and
 assembles the winner's final-degree instance from the same table.  The
 round keeps the search's exact decision of it, or, when solver_cmd is set,
-hands it to that command.  A result that claims convergence is recorded as
-solver.check_certificate judges it: "verification-failed" when it has no
-certificate or when the recomputed equality or PSD residual misses tol_eq
-(times 10) or tol_psd.  Only verified residuals are recorded.  Each
-(sentence, degree) is decided at most once a round.  Any stage failure is
-recorded with its status and the campaign continues; each round's record is
-appended to state.jsonl and flushed to disk, so a killed process loses at
-most the in-flight round.  A resume first rewrites state.jsonl, atomically,
-from the records load accepts, so a torn final record is dropped for good.
-Per-round seeds derive from (base seed, round index), so identical
-configurations replay identically and resumed campaigns match uninterrupted
-ones.  The campaign never runs the embedded ADMM solver, which serves the
-CLI and the scripts.  A config.json that still carries a retired field
+hands it to that command.  Either way the result is only a claim.  One that
+claims convergence is recorded as solver.check_certificate judges it:
+"verification-failed" when it has no finite certificate, when the
+recomputed equality or PSD residual misses tol_eq (times 10) or tol_psd, or
+when the claimed objective is not the recomputed one within 10 * tol_eq
+(relative).  Only the gate's residuals are recorded, and the objective and
+bound only of a round that passes it.  Each (sentence, degree) is decided
+at most once a round.  Any stage failure is recorded with its status and
+the campaign continues; each round's record is appended to state.jsonl and
+flushed to disk, so a killed process loses at most the in-flight round.  A
+resume first rewrites state.jsonl, atomically, from the records load
+accepts, so a torn final record is dropped for good.  Per-round seeds
+derive from (base seed, round index), so identical configurations replay
+identically and resumed campaigns match uninterrupted ones.  The campaign
+never runs the embedded ADMM solver, which serves the CLI and the scripts.  A config.json that still carries a retired field
 (solver_max_iterations, mcts_rollouts, mcts_restarts, solver) loads, and the
 field is ignored; a retired solver "embedded" also clears solver_cmd, which
 it made the campaign ignore, and a retired "external" still needs one.

@@ -12,7 +12,8 @@ invalid arguments or config, an unreadable or malformed input file, pivots
 that cannot be generated, or a failed external solve; 3 campaign halted on an
 I/O failure; 4 search failed to produce a converged sentence.  Handlers keep
 only the success path, and `main` maps every failure to its code.  `solve`
-prints a result that claims convergence as solver.check_certificate judges it.
+prints a result that claims convergence as solver.check_certificate judges it,
+with the gate's residuals; any other result prints null residuals.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def _cmd_solve(args) -> int:
     else:
         res = solve_embedded(inst, tol_eq=args.tol_eq, tol_psd=args.tol_psd,
                              max_iterations=args.max_iterations)
-    status, eq_res, psd_res = res.status.value, res.equality_residual, res.psd_residual
+    status, eq_res, psd_res = res.status.value, None, None  # nothing checked, nothing measured
     if res.status is SolverStatus.CONVERGED:  # a claim until the gate has checked it
         status, eq_res, psd_res = check_certificate(inst, res, args.tol_eq, args.tol_psd)
     print(json.dumps({

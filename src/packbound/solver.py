@@ -10,9 +10,12 @@ The tree search uses it for every evaluation.  The ADMM solver below handles
 any instance, such as a .dat-s file read back by the CLI, and serves the
 scripts.
 
+Every solver returns a SolverResult, which holds only what the solver claims:
+a status, an objective and the primal blocks.  No solver reports a residual.
+
 The embedded solver is a first-order operator-splitting scheme (ADMM):
 alternate between projection onto the affine subspace of the equality rows
-(one Cholesky factorization of the row Gram matrix, reused every iteration)
+(an orthonormal basis of the row space from one SVD, reused every iteration)
 and projection onto the PSD cone per block (symmetric eigendecomposition
 with negative eigenvalues clipped), with a scaled dual update carrying the
 objective.  It works in float64 and targets desk-scale instances; larger or
@@ -20,9 +23,9 @@ higher-precision runs go through file emission to an external SDPA-family
 solver (solve_external), whose text output is parsed here as well.
 
 Certificate verification recomputes every trace, the eigenvalue floors and
-the objective directly from the instance data; it never trusts the fields
-reported by a solver.  check_certificate is the one acceptance gate for a
-result that claims convergence, whichever solver produced it.
+the objective directly from the instance data.  check_certificate is the one
+acceptance gate for a result that claims convergence, whichever solver
+produced it, and the only source of residuals that are recorded or printed.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import shlex
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -56,22 +59,19 @@ class SolverStatus(str, Enum):
 
 @dataclass
 class SolverResult:
-    """Outcome of one solve.
+    """What one solve claims: a status, an objective and the primal blocks.
 
-    equality_residual is the largest violation across equality rows, each
-    scaled by (1 + Frobenius norm of the row); psd_residual is the most
-    negative eigenvalue across the returned blocks (0 when all are PSD).
+    Nothing here is checked.  check_certificate measures a claim of
+    convergence against the instance; primal_blocks is empty when the solver
+    returned no certificate.
     """
 
     status: SolverStatus
     objective_value: float
     primal_blocks: List[np.ndarray]
-    equality_residual: float
-    psd_residual: float
     iterations: int
     wall_time: float
     message: str = ""
-    residual_checkpoints: List[float] = field(default_factory=list)
 
 
 # ADMM settings that no caller varies: step size, over-relaxation factor,
@@ -95,10 +95,9 @@ def _stack_rows(inst: SdpInstance) -> Tuple[np.ndarray, np.ndarray, np.ndarray, 
     """Flatten instance rows and objective into a dense system.
 
     Returns (M, b, c, block_slices) where each equality row of the instance
-    becomes one row of M over the concatenated flattened blocks.  Zero rows
-    with zero right-hand side are dropped (they constrain nothing); a zero
-    row with nonzero right-hand side marks the instance trivially infeasible
-    and is kept so the solver reports it.
+    becomes one row of M over the concatenated flattened blocks, and the
+    normalization row comes last with right-hand side 1.  Every row is kept,
+    zero rows included; solve_embedded drops those.
     """
     dims = inst.block_dims
     offsets = []
@@ -119,7 +118,7 @@ def _stack_rows(inst: SdpInstance) -> Tuple[np.ndarray, np.ndarray, np.ndarray, 
     rows.append(flatten(inst.normalization))
     b = np.zeros(len(rows))
     b[-1] = 1.0
-    M = np.array(rows) if rows else np.zeros((0, total))
+    M = np.array(rows)
     c = flatten(inst.objective)
     return M, b, c, slices
 
@@ -204,17 +203,18 @@ def solve_embedded(
 ) -> SolverResult:
     """Minimize sum_i Tr(X_i^T C_i) over the instance's equality rows and PSD cone.
 
-    Deterministic given (instance, settings).  Convergence requires the scaled
-    equality residual of the returned (PSD) iterate to reach tol_eq while
-    successive iterates stabilize; residuals alone are not enough, because an
-    instance whose objective is unbounded below has feasible iterates drifting
-    along a recession ray.  Stalled residuals far above tolerance are reported
-    as infeasible-detected; an iterate norm above ADMM_NORM_CAP or an
-    objective below ADMM_OBJECTIVE_FLOOR is a numeric failure.  Linearly
-    dependent rows (inevitable once the pivot count exceeds the blocks'
-    symmetric dimension) are handled by reducing the row system to an
-    orthonormal spanning set; residuals are always reported against the
-    original rows.
+    Deterministic given (instance, settings).  The equality residual of the
+    iterates (each row scaled by 1 + its Frobenius norm) is the stopping rule
+    alone: convergence is claimed when it reaches tol_eq while successive
+    iterates stabilize; residuals alone are not enough, because an instance
+    whose objective is unbounded below has feasible iterates drifting along a
+    recession ray.  Stalled residuals far above tolerance are reported as
+    infeasible-detected; an iterate norm above ADMM_NORM_CAP or an objective
+    below ADMM_OBJECTIVE_FLOOR is a numeric failure.  Linearly dependent rows
+    (inevitable once the pivot count exceeds the blocks' symmetric dimension)
+    are handled by reducing the row system to an orthonormal spanning set.
+    The returned blocks are a PSD projection, so tol_psd is only validated:
+    check_certificate applies the PSD rule to the claim.
     """
     check_tolerances(tol_eq, tol_psd)
     if max_iterations < 1:
@@ -224,41 +224,23 @@ def solve_embedded(
     dims = inst.block_dims
     norms_orig = np.linalg.norm(M, axis=1)
 
-    def result(status, z, res, iterations, message="", checkpoints=None):
-        blocks = [z[sl].reshape(dim, dim) for sl, dim in zip(slices, dims)]
-        psd_res = 0.0
-        for mat in blocks:
-            if mat.size:
-                psd_res = min(psd_res, float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min()))
-        if status is SolverStatus.CONVERGED and psd_res < -tol_psd:
-            status = SolverStatus.MAX_ITERATIONS
-            message = "psd residual above tolerance at the accepted iterate"
+    def result(status, z, iterations, message=""):
         return SolverResult(
             status=status,
             objective_value=float(c @ z),
-            primal_blocks=blocks,
-            equality_residual=res,
-            psd_residual=psd_res,
+            primal_blocks=[z[sl].reshape(dim, dim) for sl, dim in zip(slices, dims)],
             iterations=iterations,
             wall_time=time.monotonic() - start,
             message=message,
-            residual_checkpoints=checkpoints or [],
         )
 
     def eq_residual(z: np.ndarray) -> float:
-        if M.shape[0] == 0:
-            return 0.0
         return float(np.max(np.abs((M @ z - b) / (1.0 + norms_orig))))
 
     dead = norms_orig < 1e-300
     if np.any(dead & (np.abs(b) > 0)):
-        return result(
-            SolverStatus.INFEASIBLE,
-            np.zeros_like(c),
-            eq_residual(np.zeros_like(c)),
-            0,
-            "a zero row has nonzero right-hand side",
-        )
+        return result(SolverStatus.INFEASIBLE, np.zeros_like(c), 0,
+                      "a zero row has nonzero right-hand side")
 
     scale = _congruence_scale(M, slices, dims)
     extra = _facial_rows(M, b, slices, dims)
@@ -276,13 +258,8 @@ def solve_embedded(
         U, S, Vt = np.linalg.svd(Mn, full_matrices=False)
         keep_dirs = S > S[0] * 1e-12 if S.size else np.zeros(0, bool)
         if not np.any(keep_dirs):
-            return result(
-                SolverStatus.NUMERIC_FAILURE,
-                np.zeros_like(c),
-                eq_residual(np.zeros_like(c)),
-                0,
-                "row system has no usable spectrum (degenerate pivots)",
-            )
+            return result(SolverStatus.NUMERIC_FAILURE, np.zeros_like(c), 0,
+                          "row system has no usable spectrum (degenerate pivots)")
         W = Vt[keep_dirs]
         beta = (U[:, keep_dirs].T @ bn) / S[keep_dirs]
 
@@ -307,7 +284,6 @@ def solve_embedded(
     u = np.zeros_like(cs)
     best_z = z * scale
     best_res = eq_residual(best_z)
-    checkpoints: List[float] = [best_res]
     status = SolverStatus.MAX_ITERATIONS
     message = ""
     iterations = 0
@@ -329,11 +305,9 @@ def solve_embedded(
         if res < best_res:
             best_res = res
             best_z = z_orig
-        if it % 100 == 0:
-            checkpoints.append(best_res)
         if res <= tol_eq and step <= step_tol:
             status = SolverStatus.CONVERGED
-            best_res, best_z = res, z_orig
+            best_z = z_orig
             break
         if not np.all(np.isfinite(z)):
             status = SolverStatus.NUMERIC_FAILURE
@@ -358,8 +332,7 @@ def solve_embedded(
                 break
             last_window_best = best_res
 
-    checkpoints.append(best_res)
-    return result(status, best_z, best_res, iterations, message, checkpoints)
+    return result(status, best_z, iterations, message)
 
 
 # ---------------------------------------------------------------------------
@@ -456,23 +429,20 @@ def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
       X_j = c q_j q_j^T with c = 1 / (m_j(0) q_j[0]^2) and zero blocks
       elsewhere.
 
-    The certificate is checked exactly before it is returned; primal_blocks
-    hold its float image, and the residual fields are those of the exact
-    certificate (0).  No point is evaluated in rationals here: a campaign
-    verifies the winner separately, with verify_certificate on the dense
-    Fraction instance table.instance builds.
+    The certificate is checked exactly before it is returned, and
+    primal_blocks hold its float image.  No point is evaluated in rationals
+    here: a campaign checks the winner's float image separately, with
+    check_certificate on the dense Fraction instance table.instance builds.
     """
     start = time.monotonic()
     canon, degrees = instance_layout(sentence, d)
     monomials = canon.monomials
 
-    def result(status, message, objective=math.nan, blocks=(), residual=math.nan):
+    def result(status, message, objective=math.nan, blocks=()):
         return SolverResult(
             status=status,
             objective_value=objective,
             primal_blocks=list(blocks),
-            equality_residual=residual,
-            psd_residual=0.0 if blocks else math.nan,
             iterations=0,
             wall_time=time.monotonic() - start,
             message=message,
@@ -503,7 +473,7 @@ def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
     blocks = [np.zeros((dim, dim)) for dim in dims]
     blocks[j] = np.array([[(num * a * b) / den for b in q] for a in q])
     return result(SolverStatus.CONVERGED, f"{label} carries the certificate",
-                  objective=1.0, blocks=blocks, residual=0.0)
+                  objective=1.0, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +492,9 @@ def verify_certificate(inst: SdpInstance, res: SolverResult) -> VerificationRepo
 
     Works directly on the instance's block matrices (not the solver's stacked
     representation) so a bug in the solve path cannot silently corrupt the
-    report.  Residuals use the same (1 + row Frobenius norm) scaling the
-    solver reports, making the two directly comparable.
+    report.  Each row's residual is scaled by 1 + its Frobenius norm, as in
+    ADMM's stopping rule.  Blocks must be finite (check_certificate sees to
+    it): eigvalsh may raise LinAlgError on a non-finite block.
     """
     if len(res.primal_blocks) != inst.n_blocks:
         raise ValueError(
@@ -567,19 +538,26 @@ def check_certificate(inst: SdpInstance, res: SolverResult, tol_eq: float,
                       tol_psd: float) -> Tuple[str, Optional[float], Optional[float]]:
     """(status, eq_residual, psd_residual) of a result that claims convergence, checked on inst.
 
-    verify_certificate recomputes both residuals from the instance.  The
-    status is "verification-failed" when the equality residual exceeds
-    10 * tol_eq or the PSD residual is below -tol_psd, or when there is no
-    certificate to check (residuals None), and "converged" otherwise.
+    verify_certificate recomputes both residuals and the objective from the
+    instance.  The status is "converged" when the equality residual is at
+    most 10 * tol_eq, the PSD residual at least -tol_psd and the claimed
+    objective within 10 * tol_eq * (1 + |recomputed|) of the recomputed one,
+    and "verification-failed" otherwise; each comparison fails on a NaN.  It
+    fails with residuals None when there is no certificate, when a block
+    holds a non-finite entry, or when a recomputed value is not finite.
     """
     check_tolerances(tol_eq, tol_psd)
-    if not res.primal_blocks:
+    if not res.primal_blocks or not all(np.isfinite(mat).all() for mat in res.primal_blocks):
         return "verification-failed", None, None
     report = verify_certificate(inst, res)
-    eq_res, psd_res = report.equality_residual, report.psd_residual
-    if eq_res > 10 * tol_eq or psd_res < -tol_psd:
-        return "verification-failed", eq_res, psd_res
-    return "converged", eq_res, psd_res
+    eq_res, psd_res, objective = (report.equality_residual, report.psd_residual,
+                                  report.objective_recomputed)
+    if not all(map(math.isfinite, (eq_res, psd_res, objective))):
+        return "verification-failed", None, None
+    if (eq_res <= 10 * tol_eq and psd_res >= -tol_psd
+            and abs(res.objective_value - objective) <= 10 * tol_eq * (1 + abs(objective))):
+        return "converged", eq_res, psd_res
+    return "verification-failed", eq_res, psd_res
 
 
 # ---------------------------------------------------------------------------
@@ -723,28 +701,29 @@ _PHASE_MAP = {
 def parse_external_output(text: str) -> SolverResult:
     """Parse the stdout of an SDPA-family solver run.
 
-    Extracts the primal objective, the termination phase and, when an
-    "xMat" section is present, the primal blocks.  Status mapping is
-    conservative: only an explicitly optimal phase maps to converged; the
-    infeasible phases map to infeasible-detected; anything else becomes
-    max_iterations.  The output reports no residuals of the equality rows,
-    so both residual fields are nan (verify_certificate computes them from
-    the instance); the duality gap |objValPrimal - objValDual|, when both
-    are printed, is named in the message.
+    Extracts the primal objective, which must be finite, the termination
+    phase and, when an "xMat" section is present, the primal blocks.  Status
+    mapping is conservative: only an explicitly optimal phase maps to
+    converged; the infeasible phases map to infeasible-detected; anything
+    else becomes max_iterations.  The duality gap |objValPrimal -
+    objValDual|, when both are printed, is named in the message; it is not a
+    residual of the instance's rows, which check_certificate computes.
     """
     lines = text.splitlines()
     phase: Optional[str] = None
     primal: Optional[float] = None
     gap: Optional[float] = None
     iterations = 0
-    for ln in lines:
+    for lineno, ln in enumerate(lines, start=1):
         if "phase.value" in ln:
             phase = ln.split("=", 1)[1].strip()
         elif "objValPrimal" in ln:
             try:
                 primal = float(ln.split("=", 1)[1].strip())
             except (IndexError, ValueError) as exc:
-                raise FormatError(f"unreadable objValPrimal: {exc}", lines.index(ln) + 1)
+                raise FormatError(f"unreadable objValPrimal: {exc}", lineno)
+            if not math.isfinite(primal):  # nan or inf is no objective value
+                raise FormatError(f"objValPrimal {primal} is not finite", lineno)
         elif "objValDual" in ln and primal is not None:
             try:
                 gap = abs(primal - float(ln.split("=", 1)[1].strip()))
@@ -763,8 +742,6 @@ def parse_external_output(text: str) -> SolverResult:
         status=_PHASE_MAP.get(phase, SolverStatus.MAX_ITERATIONS),
         objective_value=primal,
         primal_blocks=blocks,
-        equality_residual=math.nan,
-        psd_residual=math.nan,
         iterations=iterations,
         wall_time=0.0,
         message=f"external phase {phase}"

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -22,6 +23,19 @@ def monomial_value(m, point, params):
     """m at the point, from the expanded base polynomials of the Polynomial ring."""
     return math.prod((make_base_polynomial(k, params).evaluate(point) ** e
                       for k, e in enumerate(m.alpha, start=1)), start=Fraction(1))
+
+
+def strict_json(text):
+    """json.loads that raises on NaN and Infinity, which RFC 8259 JSON does not allow."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def block_bytes(res):
+    """A solver result's primal blocks as (shape, raw bytes), for bitwise comparison."""
+    return [(mat.shape, mat.tobytes()) for mat in res.primal_blocks]
 
 
 def coefficients():

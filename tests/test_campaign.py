@@ -29,6 +29,8 @@ from packbound.solver import (
     verify_certificate,
 )
 
+from conftest import strict_json
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(packbound.__file__)))
 
@@ -38,6 +40,14 @@ FAST = dict(
     pivots=20,
     bo_starts=2,
     bo_max_evals=30,
+)
+
+# an external solver that reports an infeasible phase and no certificate; a
+# nonzero duality gap is not a residual of the instance's rows
+PDINF_STUB = (
+    "print('phase.value  = pdINF')\n"
+    "print('   objValPrimal = +3.0000000000000000e+00')\n"
+    "print('   objValDual   = +1.0000000000000000e+00')\n"
 )
 
 
@@ -376,7 +386,7 @@ class TestPlayRound:
         # residual is 0 and only the PSD gate can reject it
         inst = make_instance([2], [], [[[1.0, 0.0], [0.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]]])
         tol_eq, tol_psd = CampaignConfig.tol_eq, CampaignConfig.tol_psd
-        good = SolverResult(SolverStatus.CONVERGED, 1.0, [np.diag([1.0, 0.0])], 0.0, 0.0, 0, 0.0)
+        good = SolverResult(SolverStatus.CONVERGED, 1.0, [np.diag([1.0, 0.0])], 0, 0.0)
         bad = dataclasses.replace(good, primal_blocks=[np.diag([1.0, -1e-6])])
         assert check_certificate(inst, good, tol_eq, tol_psd) == ("converged", 0.0, 0.0)
         status, eq_res, psd_res = check_certificate(inst, bad, tol_eq, tol_psd)
@@ -533,7 +543,7 @@ class TestExternalSolverPath:
             n=config.dimension, d=config.d_final, K=config.pivots, seed=rec.seed,
         )
         identity = SolverResult(SolverStatus.CONVERGED, 1.0,
-                                [np.eye(dim) for dim in inst.block_dims], 0.0, 0.0, 7, 0.0)
+                                [np.eye(dim) for dim in inst.block_dims], 7, 0.0)
         assert rec.status == "verification-failed"
         assert rec.eq_residual == verify_certificate(inst, identity).equality_residual
         assert rec.eq_residual > 10 * config.tol_eq
@@ -553,19 +563,36 @@ class TestExternalSolverPath:
         assert rec.eq_residual is None and rec.psd_residual is None
         assert rec.objective is None and rec.bound is None
 
+    def test_external_round_rejects_a_false_objective(self):
+        # the stub returns ADMM's honest certificate but claims objective 0.5,
+        # half of it; only the objective check can reject the claim
+        cmd = f"{sys.executable} {os.path.join(FIXTURES, 'false_objective_sdpa.py')}"
+        config = CampaignConfig(solver_cmd=cmd, d_final=2, **FAST)
+        rec = play_round(GameState(), config).rounds[0]
+        assert rec.status == "verification-failed"
+        assert rec.eq_residual <= 10 * config.tol_eq and rec.psd_residual >= -config.tol_psd
+        assert rec.objective is None and rec.bound is None
+
     def test_unconverged_external_round_records_no_residuals(self, tmp_path):
-        # a nonzero duality gap is not a residual of the instance's rows
         stub = tmp_path / "infeasible_sdpa.py"
-        stub.write_text(
-            "print('phase.value  = pdINF')\n"
-            "print('   objValPrimal = +3.0000000000000000e+00')\n"
-            "print('   objValDual   = +1.0000000000000000e+00')\n"
-        )
+        stub.write_text(PDINF_STUB)
         config = CampaignConfig(solver_cmd=f"{sys.executable} {stub}", **FAST)
         rec = play_round(GameState(), config).rounds[0]
         assert rec.status == "infeasible-detected"
         assert rec.eq_residual is None and rec.psd_residual is None
         assert rec.objective is None and rec.bound is None
+
+    def test_unconverged_external_campaign_writes_strict_json(self, tmp_path):
+        stub = tmp_path / "infeasible_sdpa.py"
+        stub.write_text(PDINF_STUB)
+        out = tmp_path / "inf"
+        run_campaign(CampaignConfig(solver_cmd=f"{sys.executable} {stub}", out_dir=str(out),
+                                    **FAST))
+        lines = (out / "state.jsonl").read_text().splitlines()
+        assert len(lines) == FAST["budget_rounds"]
+        for line in lines:
+            assert strict_json(line)["status"] == "infeasible-detected"
+        assert strict_json((out / "report.json").read_text())["best_bound"] is None
 
     def test_external_nonzero_exit_is_a_solve_error(self, tmp_path):
         stub = tmp_path / "exit3_sdpa.py"

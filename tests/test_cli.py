@@ -7,6 +7,8 @@ import pytest
 
 from packbound.cli import EXIT_CONFIG, EXIT_OK, EXIT_SEARCH, main
 
+from conftest import strict_json
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -94,9 +96,19 @@ class TestSolve:
                 "--degree", "4", "--pivots", "20", "--out", str(path))
         code, out, _ = run_cli(capsys, "solve", str(path))
         assert code == EXIT_OK
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["status"] == "converged"
         assert abs(payload["objective"] - 1.0) < 1e-6
+
+    def test_unconverged_result_prints_null_residuals(self, capsys, tmp_path):
+        # the instance of test_infeasible_instance_detected: nothing is
+        # claimed, so nothing is checked and no residual is printed
+        path = self.compile(capsys, tmp_path, "P1 <EOS>", degree=2, pivots=20)
+        code, out, _ = run_cli(capsys, "solve", str(path), "--max-iterations", "5000")
+        assert code == EXIT_OK
+        payload = strict_json(out)
+        assert payload["status"] in ("infeasible-detected", "max_iterations")
+        assert payload["equality_residual"] is None and payload["psd_residual"] is None
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "/nonexistent.dat-s")
@@ -124,12 +136,22 @@ class TestSolve:
         assert code == EXIT_CONFIG and out == ""
         assert err.count("\n") == 1 and err.startswith("error: max_iterations")
 
-    def compile_p7(self, capsys, tmp_path):
-        # P7 <EOS> at d = 2 with K = 3 pivots
+    def compile(self, capsys, tmp_path, sentence, degree, pivots):
         path = tmp_path / "inst.dat-s"
-        run_cli(capsys, "compile", "P7 <EOS>", "--r", "1.45", "--R", "2.0",
-                "--degree", "2", "--pivots", "3", "--out", str(path))
+        run_cli(capsys, "compile", sentence, "--r", "1.45", "--R", "2.0",
+                "--degree", str(degree), "--pivots", str(pivots), "--out", str(path))
         return path
+
+    def compile_p7(self, capsys, tmp_path):
+        return self.compile(capsys, tmp_path, "P7 <EOS>", degree=2, pivots=3)
+
+    def solve_with_stub(self, capsys, tmp_path, path, *lines):
+        stub = tmp_path / "stub_sdpa.py"
+        stub.write_text("".join(f"print({line!r})\n" for line in lines))
+        code, out, _ = run_cli(capsys, "solve", str(path), "--solver-cmd",
+                               f"{sys.executable} {stub}")
+        assert code == EXIT_OK
+        return strict_json(out)
 
     def test_solver_cmd_runs_the_command(self, capsys, tmp_path):
         stub = f"{sys.executable} {os.path.join(FIXTURES, 'fake_sdpa.py')}"
@@ -147,10 +169,39 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", str(self.compile_p7(capsys, tmp_path)),
                                "--solver-cmd", stub, "--tol-eq", "1e-8")
         assert code == EXIT_OK
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["status"] == "verification-failed"
         assert payload["equality_residual"] > 10 * 1e-8
         assert payload["psd_residual"] == 0.0
+
+    def test_external_false_objective_fails_verification(self, capsys, tmp_path):
+        # the stub's certificate is ADMM's honest one, but it claims objective 0.5
+        path = self.compile(capsys, tmp_path, "P6 <EOS>", degree=2, pivots=20)
+        stub = f"{sys.executable} {os.path.join(FIXTURES, 'false_objective_sdpa.py')}"
+        code, out, _ = run_cli(capsys, "solve", str(path), "--solver-cmd", stub)
+        assert code == EXIT_OK
+        payload = strict_json(out)
+        assert payload["status"] == "verification-failed"
+        assert payload["objective"] == 0.5
+        assert payload["equality_residual"] <= 10 * 1e-8 and payload["psd_residual"] >= -1e-8
+
+    def test_external_nan_certificate_fails_verification(self, capsys, tmp_path):
+        # P6 <EOS> at d = 1 has one 1x1 block
+        path = self.compile(capsys, tmp_path, "P6 <EOS>", degree=1, pivots=20)
+        payload = self.solve_with_stub(capsys, tmp_path, path, "phase.value  = pdOPT",
+                                       "   objValPrimal = +1.0000000000000000e-01",
+                                       "xMat = { {nan} }")
+        assert payload["status"] == "verification-failed"
+        assert payload["equality_residual"] is None and payload["psd_residual"] is None
+
+    def test_unconverged_external_prints_null_residuals(self, capsys, tmp_path):
+        # SDPA reports no residuals, and nothing was claimed for the gate to check
+        payload = self.solve_with_stub(capsys, tmp_path, self.compile_p7(capsys, tmp_path),
+                                       "phase.value  = pdINF",
+                                       "   objValPrimal = +3.0000000000000000e+00",
+                                       "   objValDual   = +1.0000000000000000e+00")
+        assert payload["status"] == "infeasible-detected"
+        assert payload["equality_residual"] is None and payload["psd_residual"] is None
 
     def test_external_without_certificate_fails_verification(self, capsys, tmp_path):
         stub = tmp_path / "no_xmat_sdpa.py"
@@ -162,7 +213,7 @@ class TestSolve:
                                "--solver-cmd", f"{sys.executable} {stub}")
         assert code == EXIT_OK
         assert "NaN" not in out
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["status"] == "verification-failed"
         assert payload["equality_residual"] is None and payload["psd_residual"] is None
 
@@ -177,6 +228,8 @@ class TestSolve:
         pytest.param(os.path.join(FIXTURES, "no-such-solver"), id="missing-binary"),
         pytest.param(f"{sys.executable} -c 'import sys; sys.exit(3)'", id="nonzero-exit"),
         pytest.param(f"{sys.executable} -c 'print(\"objValPrimal = 1\")'", id="no-phase-value"),
+        pytest.param(f"{sys.executable} -c 'print(\"phase.value = pdOPT\"); "
+                     "print(\"objValPrimal = nan\")'", id="nan-objective"),
         pytest.param("timeout", id="timeout"),  # solve_external raises TimeoutExpired
     ])
     def test_failed_external_solve_exits_2(self, capsys, tmp_path, monkeypatch, solver_cmd):
