@@ -9,6 +9,10 @@ Bounds are minimized, so all acquisition math is written for minimization:
 expected improvement by default, a confidence-bound alternative, and a
 rank-aggregated multi-acquisition mode (an approximation of multi-objective
 acquisition ensembles, and labelled as such in reports).
+All GP linear algebra runs on one Cholesky factor of the kernel matrix,
+through LAPACK: dpotrf factors it once per likelihood evaluation, dpotrs
+solves for the posterior weights on the factor and dtrtrs gives the
+predictive variance from it (Rasmussen & Williams, GPML, Algorithm 2.1).
 
 compile, solve, search and report run on numpy alone.  scipy loads on a
 campaign's first BO fit or proposal, or when a pivot table falls through to
@@ -137,13 +141,21 @@ class Hyperparams:
     @staticmethod
     def from_vector(vec: np.ndarray) -> "Hyperparams":
         v = np.asarray(vec, dtype=float)
-        ls = np.exp(np.minimum(np.maximum(v[0:2], _LOG_LENGTHSCALE[0]), _LOG_LENGTHSCALE[1]))
-        sig = float(np.exp(_clamp(v[2], _LOG_SIGNAL_VAR)))
-        noise = float(np.exp(_clamp(v[3], _LOG_NOISE_VAR)))
+        ls, sig, noise = _kernel_from_vector(v)
         wa = np.exp(np.minimum(np.maximum(v[4:6], _LOG_WARP[0]), _LOG_WARP[1]))
         wb = np.exp(np.minimum(np.maximum(v[6:8], _LOG_WARP[0]), _LOG_WARP[1]))
         power = float(np.exp(_clamp(v[8], _LOG_POWER)))
         return Hyperparams(ls, sig, noise, wa, wb, power)
+
+
+def _kernel_from_vector(v: np.ndarray) -> Tuple[np.ndarray, float, float]:
+    """Lengthscales, signal and noise variance from the first four entries of
+    a hyperparameter vector; Hyperparams.from_vector and stage 1 of
+    fit_surrogate both decode them here."""
+    ls = np.exp(np.minimum(np.maximum(v[0:2], _LOG_LENGTHSCALE[0]), _LOG_LENGTHSCALE[1]))
+    sig = float(np.exp(_clamp(v[2], _LOG_SIGNAL_VAR)))
+    noise = float(np.exp(_clamp(v[3], _LOG_NOISE_VAR)))
+    return ls, sig, noise
 
 
 def _default_hyperparams() -> Hyperparams:
@@ -177,6 +189,30 @@ def _standardize(
     return box.normalize(X), (y - loc) / spread, loc, spread
 
 
+def _factor_solve(K: np.ndarray, resid: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Lower Cholesky factor L of K, the weights K^-1 resid, and the negative
+    log density of resid under N(0, K).
+
+    K is factored once (LAPACK dpotrf) and the weights are solved on the
+    factor (dpotrs); K itself is left as it was.  Raises
+    np.linalg.LinAlgError when K is not numerically positive definite.
+    """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    chol, info = dpotrf(K, lower=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"matrix is not positive definite (dpotrf info {info})")
+    # dpotrs reports only malformed arguments, which a factor of K and a
+    # vector of K's order are not.
+    alpha, _ = dpotrs(chol, resid, lower=True)
+    nll = float(
+        0.5 * resid @ alpha
+        + np.sum(np.log(np.diag(chol)))
+        + 0.5 * len(resid) * math.log(2 * math.pi)
+    )
+    return chol, alpha, nll
+
+
 def _likelihood(
     Zn: np.ndarray, t: np.ndarray, hyper: Hyperparams
 ) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray, float]:
@@ -184,31 +220,28 @@ def _likelihood(
 
     Zn and t come from _standardize.  Returns the warped inputs, the warped
     outputs and their mean, the Cholesky factor of the kernel matrix, the
-    posterior weights, and the NLL.  Fitted hyperparameters and proposals
-    depend on this arithmetic to the last bit, so its operation order (and the
-    two general solves in place of triangular ones) is part of the contract.
+    posterior weights, and the NLL.  A kernel matrix that does not factor is
+    retried with a diagonal jitter growing tenfold from 1e-14, twelve times
+    at most.  Fitted hyperparameters and proposals depend on this arithmetic
+    to the last bit, so its operation order, and the one LAPACK factorization
+    with the solve on that factor, are part of the contract.
     """
     Xn = _kumaraswamy(Zn, hyper.warp_a, hyper.warp_b)
     yw = np.sign(t) * np.abs(t) ** hyper.power
     mean_w = float(np.mean(yw))
     K = _kernel(Xn, Xn, hyper)
-    K.flat[:: len(K) + 1] += max(hyper.noise_var, NOISE_FLOOR)
+    noisy = K.diagonal() + max(hyper.noise_var, NOISE_FLOOR)
+    resid = yw - mean_w
     jitter = 1e-14
     for _ in range(12):
+        K.flat[:: len(K) + 1] = noisy + jitter
         try:
-            chol = np.linalg.cholesky(K + jitter * np.eye(len(K)))
+            chol, alpha, nll = _factor_solve(K, resid)
             break
         except np.linalg.LinAlgError:
             jitter *= 10.0
     else:
         raise RuntimeError("kernel matrix is not positive definite even with jitter")
-    resid = yw - mean_w
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid))
-    nll = float(
-        0.5 * resid @ alpha
-        + np.sum(np.log(np.diag(chol)))
-        + 0.5 * len(resid) * math.log(2 * math.pi)
-    )
     return Xn, yw, mean_w, chol, alpha, nll
 
 
@@ -234,10 +267,14 @@ class Surrogate:
 
     def predict_warped(self, Z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior mean and stddev in warped output space, at normalized inputs."""
+        from scipy.linalg.lapack import dtrtrs
+
         Zw = _kumaraswamy(np.atleast_2d(Z), self.hyper.warp_a, self.hyper.warp_b)
         Ks = _kernel(Zw, self.Xn, self.hyper)
         mu = self.mean_w + Ks @ self.alpha
-        half = np.linalg.solve(self.chol, Ks.T)
+        # L^-1 Ks^T on the lower factor; dtrtrs would report only a zero on
+        # the factor's diagonal, which a successful dpotrf does not leave.
+        half, _ = dtrtrs(self.chol, Ks.T, lower=True, overwrite_b=True)
         var = self.hyper.signal_var - np.sum(half * half, axis=0)
         return mu, np.sqrt(np.maximum(var, 0.0))
 
@@ -323,28 +360,24 @@ def fit_surrogate(
     # the warps held at identity; the reduced search is far more reliable at
     # small evaluation budgets than the joint nine-dimensional one.  The
     # pairwise input differences and the standardized outputs are constant
-    # here, so the likelihood is evaluated on precomputed tensors.
+    # here, so the likelihood is evaluated on precomputed tensors, and only
+    # the four kernel hyperparameters are decoded per evaluation.
     kernel_idx = np.arange(4)
     X_fixed = base.Xn
-    sq_diff = (X_fixed[:, None, :] - X_fixed[None, :, :]) ** 2
+    sq0 = (X_fixed[:, None, 0] - X_fixed[None, :, 0]) ** 2
+    sq1 = (X_fixed[:, None, 1] - X_fixed[None, :, 1]) ** 2
     resid_fixed = base.yw - base.mean_w
-    n_obs = len(resid_fixed)
+    diag_step = len(resid_fixed) + 1
 
     def kernel_nll(sub: np.ndarray) -> float:
-        hyper = Hyperparams.from_vector(np.concatenate([sub, x0[4:]]))
-        ls2 = hyper.lengthscales**2
-        K = hyper.signal_var * _matern52(np.sqrt(sq_diff[:, :, 0] / ls2[0] + sq_diff[:, :, 1] / ls2[1]))
-        K[np.diag_indices_from(K)] += max(hyper.noise_var, NOISE_FLOOR) + 1e-14
+        ls, sig, noise = _kernel_from_vector(sub)
+        ls2 = ls**2
+        K = sig * _matern52(np.sqrt(sq0 / ls2[0] + sq1 / ls2[1]))
+        K.flat[::diag_step] += max(noise, NOISE_FLOOR) + 1e-14
         try:
-            chol = np.linalg.cholesky(K)
+            return _factor_solve(K, resid_fixed)[-1]
         except np.linalg.LinAlgError:
             return 1e12
-        alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid_fixed))
-        return float(
-            0.5 * resid_fixed @ alpha
-            + np.sum(np.log(np.diag(chol)))
-            + 0.5 * n_obs * math.log(2 * math.pi)
-        )
 
     structured = [
         x0[kernel_idx],

@@ -123,8 +123,7 @@ def _cmd_solve(args) -> int:
     if args.solver_cmd:
         res = solve_external(inst, args.solver_cmd)
     else:
-        res = solve_embedded(inst, tol_eq=args.tol_eq, tol_psd=args.tol_psd,
-                             max_iterations=args.max_iterations)
+        res = solve_embedded(inst, tol_eq=args.tol_eq, max_iterations=args.max_iterations)
     status, eq_res, psd_res = res.status.value, None, None  # nothing checked, nothing measured
     if res.status is SolverStatus.CONVERGED:  # a claim until the gate has checked it
         status, eq_res, psd_res = check_certificate(inst, res, args.tol_eq, args.tol_psd)

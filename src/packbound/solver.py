@@ -85,10 +85,11 @@ ADMM_NORM_CAP = 1e10
 EXTERNAL_TIMEOUT_S = 3600
 
 
-def check_tolerances(tol_eq: float, tol_psd: float) -> None:
-    """Raise ValueError unless both tolerances are positive and finite."""
-    if not (0 < tol_eq < math.inf and 0 < tol_psd < math.inf):
-        raise ValueError(f"tolerances must be positive and finite, got {tol_eq}, {tol_psd}")
+def check_tolerances(*tolerances: float) -> None:
+    """Raise ValueError unless every tolerance is positive and finite."""
+    if not all(0 < tol < math.inf for tol in tolerances):
+        raise ValueError(f"tolerances must be positive and finite, got "
+                         f"{', '.join(map(str, tolerances))}")
 
 
 def _stack_rows(inst: SdpInstance) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[slice]]:
@@ -198,7 +199,6 @@ def _facial_rows(
 def solve_embedded(
     inst: SdpInstance,
     tol_eq: float = 1e-8,
-    tol_psd: float = 1e-8,
     max_iterations: int = 50000,
 ) -> SolverResult:
     """Minimize sum_i Tr(X_i^T C_i) over the instance's equality rows and PSD cone.
@@ -213,10 +213,10 @@ def solve_embedded(
     below ADMM_OBJECTIVE_FLOOR is a numeric failure.  Linearly dependent rows
     (inevitable once the pivot count exceeds the blocks' symmetric dimension)
     are handled by reducing the row system to an orthonormal spanning set.
-    The returned blocks are a PSD projection, so tol_psd is only validated:
-    check_certificate applies the PSD rule to the claim.
+    The returned blocks are a PSD projection; check_certificate applies the
+    PSD rule to the claim.
     """
-    check_tolerances(tol_eq, tol_psd)
+    check_tolerances(tol_eq)
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     start = time.monotonic()
@@ -524,7 +524,8 @@ def verify_certificate(inst: SdpInstance, res: SolverResult) -> VerificationRepo
     psd = 0.0
     for mat in res.primal_blocks:
         if mat.size:
-            psd = min(psd, float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min()))
+            # halved before the sum, so finite entries cannot overflow
+            psd = min(psd, float(np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.T).min()))
 
     objective, _ = row_value_and_norm(inst.objective)
     return VerificationReport(

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky
 from scipy.stats import norm, qmc
 
 from packbound import bo
@@ -11,6 +12,10 @@ from packbound.bo import (
     Observation,
     SearchBox,
     _default_hyperparams,
+    _factor_solve,
+    _kernel,
+    _kernel_from_vector,
+    _kumaraswamy,
     _likelihood,
     _posterior,
     _standardize,
@@ -334,9 +339,8 @@ def _reference_from_vector(vec):
     )
 
 
-def _reference_nll(data, box, hyper):
-    """The marginal likelihood written out in one piece, in the operation
-    order the fitted surrogates depend on."""
+def _reference_kernel(data, box, hyper):
+    """The noisy kernel matrix and centred warped outputs, written out in one piece."""
     X = np.array([[o.x.r, o.x.R] for o in data], dtype=float)
     y = np.array([o.y for o in data], dtype=float)
     loc = float(np.mean(y))
@@ -350,16 +354,34 @@ def _reference_nll(data, box, hyper):
     d = math.sqrt(5.0) * np.sqrt(np.sum(diff * diff, axis=-1))
     K = hyper.signal_var * ((1.0 + d + d * d / 3.0) * np.exp(-d))
     K[np.diag_indices_from(K)] += max(hyper.noise_var, 1e-14)
+    return K, yw - mean_w
+
+
+def _jittered(K, factor):
     jitter = 1e-14
     for _ in range(12):
         try:
-            chol = np.linalg.cholesky(K + jitter * np.eye(len(K)))
-            break
+            return factor(K + jitter * np.eye(len(K)))
         except np.linalg.LinAlgError:
             jitter *= 10.0
-    else:
-        raise RuntimeError("not positive definite")
-    resid = yw - mean_w
+    raise RuntimeError("not positive definite")
+
+
+def _reference_nll(data, box, hyper):
+    """The marginal likelihood in the operation order the fitted surrogates
+    depend on, through scipy's public Cholesky wrappers (LAPACK dpotrf and
+    dpotrs, as the module calls them)."""
+    K, resid = _reference_kernel(data, box, hyper)
+    chol = _jittered(K, lambda M: cholesky(M, lower=True))
+    alpha = cho_solve((chol, True), resid)
+    return float(0.5 * resid @ alpha + np.sum(np.log(np.diag(chol)))
+                 + 0.5 * len(resid) * math.log(2 * math.pi))
+
+
+def _general_solve_nll(data, box, hyper):
+    """The same likelihood through numpy's Cholesky and two general solves."""
+    K, resid = _reference_kernel(data, box, hyper)
+    chol = _jittered(K, np.linalg.cholesky)
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid))
     return float(0.5 * resid @ alpha + np.sum(np.log(np.diag(chol)))
                  + 0.5 * len(resid) * math.log(2 * math.pi))
@@ -388,6 +410,44 @@ class TestLikelihoodExactness:
                 assert type(getattr(got, name)) is float
                 assert getattr(got, name) == getattr(ref, name)
 
+    def test_stage_one_decoding_equals_from_vector(self):
+        # stage 1 decodes the four kernel entries alone
+        for v in _hyper_vectors():
+            ls, sig, noise = _kernel_from_vector(v[:4])
+            full = Hyperparams.from_vector(v)
+            assert np.array_equal(ls, full.lengthscales)
+            assert type(sig) is float and sig == full.signal_var
+            assert type(noise) is float and noise == full.noise_var
+
+    def test_factor_helper_rejects_indefinite_matrix(self):
+        K = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            _factor_solve(K, np.ones(2))
+        assert np.array_equal(K, [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_jitter_grows_tenfold_then_gives_up(self, monkeypatch):
+        # a singular kernel that no jitter up to 1e-3 makes positive definite
+        singular = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.linalg.matrix_rank(singular) == 2
+        tried = []
+        original = bo._factor_solve
+
+        def spy(K, resid):
+            tried.append(K.diagonal().copy())
+            return original(K, resid)
+
+        monkeypatch.setattr(bo, "_kernel", lambda A, B, hyper: singular.copy())
+        monkeypatch.setattr(bo, "_factor_solve", spy)
+        hyper = _default_hyperparams()
+        Zn, t, _, _ = _standardize(sample_observations(3), BOX)
+        with pytest.raises(RuntimeError, match="even with jitter"):
+            _likelihood(Zn, t, hyper)
+        jitter, expected = 1e-14, []
+        for _ in range(12):
+            expected.append(singular.diagonal() + hyper.noise_var + jitter)
+            jitter *= 10.0
+        assert np.array_equal(tried, expected)
+
     def test_shared_helper_equals_surrogate_nll(self):
         data = tuple(sample_observations(12, seed=8))
         standardized = _standardize(data, BOX)
@@ -397,6 +457,7 @@ class TestLikelihoodExactness:
             helper = _likelihood(Zn, t, hyper)[-1]
             assert helper == _posterior(data, BOX, hyper, standardized).nll
             assert helper == _reference_nll(data, BOX, hyper)
+            assert helper == pytest.approx(_general_solve_nll(data, BOX, hyper), rel=1e-9)
 
     def test_stage_two_search_runs_through_module_minimize(self, monkeypatch):
         # Instrumentation counts likelihood evaluations by replacing bo.minimize.
@@ -410,3 +471,25 @@ class TestLikelihoodExactness:
         monkeypatch.setattr(bo, "minimize", counting)
         fit_surrogate(sample_observations(6, seed=1), BOX, seed=0, n_starts=2, max_evals=10)
         assert len(calls) == 3  # two stage-1 starts and the stage-2 refinement
+
+
+def test_predict_warped_matches_general_solves():
+    # The criterion-7 fit, whose kernel matrix has condition number ~1e12.
+    # The variance is compared, not the deviation: at the data the variance
+    # is a cancellation near zero, which the square root magnifies.
+    rng = np.random.default_rng(99)
+    data = [Observation(GeometricParams(float(r), float(R)), float(np.sin(3 * r) + 0.3 * R))
+            for r, R in zip(rng.uniform(1.0, 2.0, 10), rng.uniform(2.5, 4.0, 10))]
+    s = fit_surrogate(data, BOX, seed=1)
+    grid = np.stack(np.meshgrid(np.linspace(0, 1, 100), np.linspace(0, 1, 100)), -1)
+    Z = np.vstack([grid.reshape(-1, 2), BOX.normalize(np.array([[o.x.r, o.x.R] for o in data]))])
+    mu, sd = s.predict_warped(Z)
+
+    K, resid = _reference_kernel(s.data, BOX, s.hyper)
+    chol = _jittered(K, np.linalg.cholesky)
+    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid))
+    Ks = _kernel(_kumaraswamy(Z, s.hyper.warp_a, s.hyper.warp_b), s.Xn, s.hyper)
+    half = np.linalg.solve(chol, Ks.T)
+    var = s.hyper.signal_var - np.sum(half * half, axis=0)
+    assert np.max(np.abs(mu - (s.mean_w + Ks @ alpha))) <= 1e-7
+    assert np.max(np.abs(sd**2 - np.maximum(var, 0.0))) <= 1e-10 * s.hyper.signal_var

@@ -91,10 +91,9 @@ class TestEmbeddedSolver:
         with pytest.raises(ValueError):
             solve_embedded(trivial_instance(), tol_eq=0.0)
         # an infinite tolerance reports any iterate converged; NaN never converges
-        for bad in ({"tol_eq": math.inf}, {"tol_psd": math.inf},
-                    {"tol_eq": math.nan}, {"tol_psd": math.nan}, {"tol_psd": -1.0}):
+        for bad in (math.inf, math.nan, -1.0):
             with pytest.raises(ValueError, match="positive and finite"):
-                solve_embedded(trivial_instance(), **bad)
+                solve_embedded(trivial_instance(), tol_eq=bad)
 
     def test_determinism_across_runs(self, params):
         inst = assemble_sdp(tokenize_and_parse("P1 <EOS>"), params, n=8, d=4, K=20, seed=0)
@@ -464,8 +463,21 @@ class TestVerifyCertificate:
             status = check_certificate(make_instance([2], [], ones, ones), res, 1e-8, 1e-8)
         assert status == ("verification-failed", None, None)
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_overflowing_symmetrization_fails_without_residuals(self, d):
+        # 1.7e308 + 1.7e308 overflows; halving first keeps the blocks finite
+        inst = PivotTable(GeometricParams(1.45, 2.0), 20, 0).instance(
+            tokenize_and_parse("P6 <EOS>"), 8, d)
+        assert inst.block_dims == ((3,) if d == 2 else (13,))
+        res = SolverResult(SolverStatus.CONVERGED, 1.0,
+                           [np.full((k, k), 1.7e308) for k in inst.block_dims], 1, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            status = check_certificate(inst, res, 1e-8, 1e-8)
+        assert status == ("verification-failed", None, None)
+
     @pytest.mark.parametrize("tol_eq, tol_psd", [(0.0, 1e-8), (1e-8, math.inf),
-                                                 (math.nan, 1e-8), (1e-8, -1.0)])
+                                                 (math.nan, 1e-8), (1e-8, math.nan),
+                                                 (1e-8, -1.0)])
     def test_gate_rejects_bad_tolerances(self, tol_eq, tol_psd):
         # an infinite tolerance would pass any certificate
         res = SolverResult(SolverStatus.CONVERGED, 1.0, [np.array([[1.0]])], 1, 0.0)
