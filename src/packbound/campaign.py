@@ -3,12 +3,15 @@
 A campaign is a sequence of rounds.  Each round fits the surrogate on the
 converged history, proposes the next (r, R), builds one pivot table for it,
 runs the tree search at the cheap degree with its finalists decided at the
-final degree (every evaluation is solver.solve_exact on that table), and
-assembles the winner's final-degree instance from the same table.  The
-round keeps the search's exact decision of it, or, when solver_cmd is set,
-hands it to that command.  Either way the result is only a claim.  One that
-claims convergence is recorded as solver.check_certificate judges it:
-"verification-failed" when it has no finite certificate, when the
+final degree (every evaluation is solver.solve_exact on that table).  The
+round keeps the search's exact decision of the winner's final-degree
+instance, or, when solver_cmd is set, assembles that instance from the same
+table and hands it to the command.  Either way the result is only a claim.
+One that claims convergence is recorded as solver.check_certificate judges
+it on the instance's float image, which the table builds
+(PivotTable.instance_arrays):
+"verification-failed" when it has no finite certificate with the
+instance's block count and shapes, when the
 recomputed equality or PSD residual misses tol_eq (times 10) or tol_psd, or
 when the claimed objective is not the recomputed one within 10 * tol_eq
 (relative).  Only the gate's residuals are recorded, and the objective and
@@ -344,12 +347,16 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
         sentence = render(out.sentence)
         solve_start = time.monotonic()
         try:
-            inst = table.instance(out.sentence, config.dimension, config.d_final)
-            res = (solve_external(inst, config.solver_cmd) if config.solver_cmd
-                   else out.outcome.result)  # the search's own d_final decision of inst
+            if config.solver_cmd:  # the dense instance is only for the SDPA file
+                res = solve_external(
+                    table.instance(out.sentence, config.dimension, config.d_final),
+                    config.solver_cmd)
+            else:
+                res = out.outcome.result  # the search's own d_final decision
             if res.status is SolverStatus.CONVERGED:
-                status, eq_res, psd_res = check_certificate(inst, res, config.tol_eq,
-                                                            config.tol_psd)
+                status, eq_res, psd_res = check_certificate(
+                    table.instance_arrays(out.sentence, config.d_final), res,
+                    config.tol_eq, config.tol_psd)
                 if status == "converged":
                     objective = res.objective_value
                     bound = compute_bound(objective, params, config.dimension)

@@ -28,7 +28,9 @@ when generate_pivots admits it, and once at the origin, basis vectors once
 per pivot at the largest degree, which smaller ones slice.
 
 All matrix entries are exact rationals so that emission to solver files is
-deterministic at any requested precision.
+deterministic at any requested precision.  A certificate is checked on their
+float64 image (InstanceArrays), which PivotTable.instance_arrays computes
+from the same distinct entries without building the Fraction blocks.
 
 compile, solve, search and report run on numpy alone.  scipy loads on a
 campaign's first BO fit or proposal, or when a pivot table falls through to
@@ -240,6 +242,8 @@ class MomentPattern:
     rows: Tuple[Callable[[Sequence[Fraction]], Tuple[Fraction, ...]], ...] = field(
         repr=False, compare=False
     )
+    # index as an integer array, which gathers a float block from its distinct values
+    gather: np.ndarray = field(repr=False, compare=False)
 
 
 @functools.lru_cache(maxsize=None)
@@ -259,7 +263,8 @@ def moment_pattern(k: int) -> MomentPattern:
                 pairs.append((i, j))
             index[i][j] = index[j][i] = position[total]
     frozen = tuple(tuple(row) for row in index)
-    return MomentPattern(tuple(pairs), frozen, tuple(_row_getter(row) for row in frozen))
+    return MomentPattern(tuple(pairs), frozen, tuple(_row_getter(row) for row in frozen),
+                         np.array(index, dtype=np.intp).reshape(size, size))
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,6 +293,37 @@ def _origin_block(value: Fraction, size: int) -> FracMatrix:
     """value * e_0 e_0^T: a block m(0) u u^T at the origin, where u = e_0."""
     zero = _zero_block(size)
     return zero if value == 0 else ((value,) + zero[0][1:],) + zero[1:]
+
+
+def _zero_array(size: int) -> np.ndarray:
+    return np.zeros((size, size))
+
+
+def _rank_one_array(u: Sequence[Fraction], scale: Fraction, k: int) -> np.ndarray:
+    """block_arrays([_rank_one_block(u, scale, k)])[0], without the Fraction block.
+
+    With scale = a/b and u_i = n_i/d_i, each distinct entry of the moment
+    pattern is the one integer true division (a n_i n_j) / (b d_i d_j),
+    which Python rounds correctly, as float() does the Fraction's reduced
+    numerator and denominator, so every entry has the same bits.
+    """
+    if scale == 0:
+        return _zero_array(len(u))
+    pattern = moment_pattern(k)
+    nums = [x.numerator for x in u]
+    dens = [x.denominator for x in u]
+    a, b = scale.numerator, scale.denominator
+    snum = [a * x for x in nums]
+    sden = [b * x for x in dens]
+    values = np.array([(snum[i] * nums[j]) / (sden[i] * dens[j]) for i, j in pattern.pairs])
+    return values[pattern.gather]
+
+
+def _origin_array(value: Fraction, size: int) -> np.ndarray:
+    """block_arrays([_origin_block(value, size)])[0]."""
+    out = _zero_array(size)
+    out[0, 0] = float(value)
+    return out
 
 
 def instance_layout(s: Sentence, d: int) -> Tuple[Sentence, Tuple[int, ...]]:
@@ -337,6 +373,36 @@ class SdpInstance:
     @property
     def n_rows(self) -> int:
         return len(self.constraints) + 1
+
+
+@dataclass(frozen=True)
+class InstanceArrays:
+    """The float64 image of an SdpInstance: its blocks, laid out as there, as arrays.
+
+    Each entry is its Fraction correctly rounded (block_arrays).  It is what
+    solver.verify_certificate and the ADMM row system read.  instance_arrays
+    converts an instance, and PivotTable.instance_arrays builds the image of
+    PivotTable.instance without its Fraction blocks.
+    """
+
+    block_dims: Tuple[int, ...]
+    constraints: Tuple[Tuple[np.ndarray, ...], ...]
+    objective: Tuple[np.ndarray, ...]
+    normalization: Tuple[np.ndarray, ...]
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.block_dims)
+
+
+def instance_arrays(inst: SdpInstance) -> InstanceArrays:
+    """The float64 image of inst, block by block: where an instance turns into floats."""
+    return InstanceArrays(
+        block_dims=inst.block_dims,
+        constraints=tuple(tuple(block_arrays(row)) for row in inst.constraints),
+        objective=tuple(block_arrays(inst.objective)),
+        normalization=tuple(block_arrays(inst.normalization)),
+    )
 
 
 def _as_frac_matrix(mat: Sequence[Sequence[Number]]) -> FracMatrix:
@@ -398,9 +464,12 @@ class PivotTable:
 
     Two views of the pivots serve the two readers:
 
-    * instance reads rationals: monomial_values, and basis_vectors, the
-      basis evaluation vectors u_p.  Its dense Fraction blocks are what
-      solver.verify_certificate checks a winner on, independently of the
+    * instance and instance_arrays read rationals: monomial_values, and
+      basis_vectors, the basis evaluation vectors u_p.  instance builds the
+      dense Fraction blocks that SDPA emission writes; instance_arrays builds
+      their float image from the same rationals, one correctly rounded
+      integer division per distinct entry, and that image is what
+      solver.check_certificate checks a winner on, independently of the
       decision;
     * solver.solve_exact reads integers.  D, `denominator`, is the lcm of the
       denominators of every pivot coordinate, and (H, V, W) = D (h, v, w) are
@@ -413,6 +482,8 @@ class PivotTable:
     The basis vectors of degree k, in either view, are computed on first use
     and kept; since basis_enumerate(k) is a prefix of basis_enumerate(k') for
     k <= k', a smaller degree slices the largest one computed so far.
+    `kernels` keeps solver._block_kernel's result for each (active pivots,
+    k), which every monomial with that active set shares.
     """
 
     def __init__(self, params: GeometricParams, K: int, seed: int, scheme: str = "plane"):
@@ -430,6 +501,7 @@ class PivotTable:
                         for p in self.pivots]
         self._basis: Dict[int, List[Tuple[Fraction, ...]]] = {}
         self._integer_basis: Dict[int, List[Tuple[int, ...]]] = {}
+        self.kernels: Dict[Tuple[Tuple[int, ...], int], Optional[List[int]]] = {}
 
     def monomial_values(self, m: Monomial) -> List[Fraction]:
         """m(p) for every pivot p, in pivot order."""
@@ -462,6 +534,31 @@ class PivotTable:
         return _by_degree(self._integer_basis, k, lambda elems: [
             basis_values(elems, W, H * V, H + V) for H, V, W in self._coords])
 
+    def _blocks(self, s: Sentence, d: int, rank_one: Callable, origin: Callable,
+                zero: Callable) -> tuple:
+        """(canonical s, block dims, rows, objective, normalization) of s at degree d.
+
+        Block i of pivot p's row is rank_one(u_p, m_i(p), k_i), the objective
+        block is origin(m_i(0), dim_i) and the normalization row is the
+        objective on the designated block, zero(dim_i) elsewhere.
+        """
+        canon, degrees = instance_layout(s, d)
+        dims = tuple(len(basis_enumerate(k)) for k in degrees)
+        objective = tuple(
+            origin(self.origin_value(m), dim) for m, dim in zip(canon.monomials, dims)
+        )
+        self.basis_vectors(max(degrees))  # evaluated once; the smaller degrees slice it
+        columns = [  # column i holds block i, m_i(p) u_p u_p^T, of each pivot's row
+            [rank_one(u, value, k)
+             for u, value in zip(self.basis_vectors(k), self.monomial_values(m))]
+            for m, k in zip(canon.monomials, degrees)
+        ]
+        j = self.designated_block(canon)
+        normalization = tuple(
+            block if i == j else zero(dim) for i, (block, dim) in enumerate(zip(objective, dims))
+        )
+        return canon, dims, tuple(zip(*columns)), objective, normalization
+
     def instance(self, s: Sentence, n: int, d: int) -> SdpInstance:
         """Full instance for a sentence: K homogeneous rows plus one normalization row.
 
@@ -473,31 +570,22 @@ class PivotTable:
         """
         if n < 1:
             raise ValueError(f"dimension n must be >= 1, got {n}")
-        canon, degrees = instance_layout(s, d)
-        dims = tuple(len(basis_enumerate(k)) for k in degrees)
-        objective = tuple(
-            _origin_block(self.origin_value(m), dim) for m, dim in zip(canon.monomials, dims)
-        )
-        self.basis_vectors(max(degrees))  # evaluated once; the smaller degrees slice it
-        columns = [  # column i holds block i, m_i(p) u_p u_p^T, of each pivot's row
-            [
-                _rank_one_block(u, value, k)
-                for u, value in zip(self.basis_vectors(k), self.monomial_values(m))
-            ]
-            for m, k in zip(canon.monomials, degrees)
-        ]
-        j = self.designated_block(canon)
+        canon, dims, rows, objective, normalization = self._blocks(
+            s, d, _rank_one_block, _origin_block, _zero_block)
         return SdpInstance(
             block_dims=dims,
-            constraints=tuple(zip(*columns)),
+            constraints=rows,
             objective=objective,
-            normalization=tuple(
-                block if i == j else _zero_block(dim)
-                for i, (block, dim) in enumerate(zip(objective, dims))
-            ),
+            normalization=normalization,
             meta=SdpMeta(n=n, d=d, r=self.params.r, R=self.params.R, sentence=render(canon),
                          K=self.K, seed=self.seed, pivot_scheme=self.scheme),
         )
+
+    def instance_arrays(self, s: Sentence, d: int) -> InstanceArrays:
+        """instance_arrays(self.instance(s, n, d)), bit for bit, for any n, built
+        without the instance's Fraction blocks (_rank_one_array)."""
+        _, *blocks = self._blocks(s, d, _rank_one_array, _origin_array, _zero_array)
+        return InstanceArrays(*blocks)
 
 
 def assemble_sdp(

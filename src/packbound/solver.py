@@ -23,9 +23,10 @@ higher-precision runs go through file emission to an external SDPA-family
 solver (solve_external), whose text output is parsed here as well.
 
 Certificate verification recomputes every trace, the eigenvalue floors and
-the objective directly from the instance data.  check_certificate is the one
-acceptance gate for a result that claims convergence, whichever solver
-produced it, and the only source of residuals that are recorded or printed.
+the objective directly from the instance data, as its float64 image
+(compiler.InstanceArrays).  check_certificate is the one acceptance gate for
+a result that claims convergence, whichever solver produced it, and the only
+source of residuals that are recorded or printed.
 """
 
 from __future__ import annotations
@@ -40,11 +41,13 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .compiler import PivotTable, SdpInstance, block_arrays, emit_sdpa, instance_layout
+from .compiler import (InstanceArrays, PivotTable, SdpInstance, emit_sdpa, instance_arrays,
+                       instance_layout)
+from .compiler import block_arrays  # not called here; perfbench/tracing.py wraps this name
 from .grammar import Monomial, Sentence
 from .polys import basis_enumerate
 
@@ -93,14 +96,15 @@ def check_tolerances(*tolerances: float) -> None:
 
 
 def _stack_rows(inst: SdpInstance) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[slice]]:
-    """Flatten instance rows and objective into a dense system.
+    """Flatten instance rows and objective, as compiler.instance_arrays, into a dense system.
 
     Returns (M, b, c, block_slices) where each equality row of the instance
     becomes one row of M over the concatenated flattened blocks, and the
     normalization row comes last with right-hand side 1.  Every row is kept,
     zero rows included; solve_embedded drops those.
     """
-    dims = inst.block_dims
+    arrays = instance_arrays(inst)
+    dims = arrays.block_dims
     offsets = []
     pos = 0
     for dim in dims:
@@ -109,18 +113,18 @@ def _stack_rows(inst: SdpInstance) -> Tuple[np.ndarray, np.ndarray, np.ndarray, 
     total = pos
     slices = [slice(off, off + dim * dim) for off, dim in zip(offsets, dims)]
 
-    def flatten(blocks) -> np.ndarray:
+    def flatten(blocks: Sequence[np.ndarray]) -> np.ndarray:
         vec = np.zeros(total)
-        for sl, mat in zip(slices, block_arrays(blocks)):
+        for sl, mat in zip(slices, blocks):
             vec[sl] = mat.ravel()
         return vec
 
-    rows = [flatten(row) for row in inst.constraints]
-    rows.append(flatten(inst.normalization))
+    rows = [flatten(row) for row in arrays.constraints]
+    rows.append(flatten(arrays.normalization))
     b = np.zeros(len(rows))
     b[-1] = 1.0
     M = np.array(rows)
-    c = flatten(inst.objective)
+    c = flatten(arrays.objective)
     return M, b, c, slices
 
 
@@ -395,15 +399,21 @@ def _block_kernel(table: PivotTable, m: Monomial, k: int) -> Optional[List[int]]
     exactly when U q = 0 for q = diag(D^grade) q_N, and grade 0 is the
     constant coordinate alone, so e_0 is in the row span of U exactly when it
     is in that of N, and q is diag(D^grade) q_N made primitive again.
+    The result depends on the active pivots and k alone, so it is computed
+    once per table for each (active pivots, k) and kept in table.kernels.
     """
-    elems = basis_enumerate(k)
-    rows = table.integer_basis_vectors(k)
-    q = _kernel_vector([rows[p] for p in table.active_pivots(m)], len(elems))
-    if q is None:
-        return None
-    q = [x * table.denominator**e.grade for x, e in zip(q, elems)]
-    g = math.gcd(*q)
-    return [x // g for x in q]
+    active = tuple(table.active_pivots(m))
+    key = (active, k)
+    if key not in table.kernels:
+        elems = basis_enumerate(k)
+        rows = table.integer_basis_vectors(k)
+        q = _kernel_vector([rows[p] for p in active], len(elems))
+        if q is not None:
+            q = [x * table.denominator**e.grade for x, e in zip(q, elems)]
+            g = math.gcd(*q)
+            q = [x // g for x in q]
+        table.kernels[key] = q
+    return table.kernels[key]
 
 
 def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
@@ -432,7 +442,9 @@ def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
     The certificate is checked exactly before it is returned, and
     primal_blocks hold its float image.  No point is evaluated in rationals
     here: a campaign checks the winner's float image separately, with
-    check_certificate on the dense Fraction instance table.instance builds.
+    check_certificate on table.instance_arrays, which reads the table's
+    rational basis vectors and monomial values, not the integer rows decided
+    on here.
     """
     start = time.monotonic()
     canon, degrees = instance_layout(sentence, d)
@@ -487,38 +499,52 @@ class VerificationReport:
     objective_recomputed: float
 
 
-def verify_certificate(inst: SdpInstance, res: SolverResult) -> VerificationReport:
+def _as_arrays(inst: Union[SdpInstance, InstanceArrays]) -> InstanceArrays:
+    return inst if isinstance(inst, InstanceArrays) else instance_arrays(inst)
+
+
+def _shape_error(arrays: InstanceArrays, res: SolverResult) -> Optional[str]:
+    """Why the result's blocks do not fit the instance's, or None when they do."""
+    if len(res.primal_blocks) != arrays.n_blocks:
+        return (f"block count mismatch: result has {len(res.primal_blocks)}, "
+                f"instance has {arrays.n_blocks}")
+    for mat, dim in zip(res.primal_blocks, arrays.block_dims):
+        if mat.shape != (dim, dim):
+            return f"block shape mismatch: {mat.shape} vs ({dim}, {dim})"
+    return None
+
+
+def verify_certificate(inst: Union[SdpInstance, InstanceArrays],
+                       res: SolverResult) -> VerificationReport:
     """Recompute all traces, eigenvalue floors and the objective from scratch.
 
-    Works directly on the instance's block matrices (not the solver's stacked
-    representation) so a bug in the solve path cannot silently corrupt the
-    report.  Each row's residual is scaled by 1 + its Frobenius norm, as in
-    ADMM's stopping rule.  Blocks must be finite (check_certificate sees to
-    it): eigvalsh may raise LinAlgError on a non-finite block.
+    Works directly on the instance's block matrices, as their float image
+    (an SdpInstance is converted by compiler.instance_arrays), not on the
+    solver's stacked representation, so a bug in the solve path cannot
+    silently corrupt the report.  Each row's residual is scaled by 1 + its
+    Frobenius norm, as in ADMM's stopping rule.  A result whose blocks do not
+    fit the instance's raises ValueError.  Blocks must be finite
+    (check_certificate sees to it): eigvalsh may raise LinAlgError on a
+    non-finite block.
     """
-    if len(res.primal_blocks) != inst.n_blocks:
-        raise ValueError(
-            f"block count mismatch: result has {len(res.primal_blocks)}, "
-            f"instance has {inst.n_blocks}"
-        )
-    for mat, dim in zip(res.primal_blocks, inst.block_dims):
-        if mat.shape != (dim, dim):
-            raise ValueError(f"block shape mismatch: {mat.shape} vs ({dim}, {dim})")
+    arrays = _as_arrays(inst)
+    problem = _shape_error(arrays, res)
+    if problem is not None:
+        raise ValueError(problem)
 
-    def row_value_and_norm(blocks) -> Tuple[float, float]:
-        arr = block_arrays(blocks)
+    def row_value_and_norm(blocks: Sequence[np.ndarray]) -> Tuple[float, float]:
         value = 0.0
         sq = 0.0
-        for a, x in zip(arr, res.primal_blocks):
+        for a, x in zip(blocks, res.primal_blocks):
             value += float(np.tensordot(a, x))
             sq += float(np.sum(a * a))
         return value, math.sqrt(sq)
 
     worst = 0.0
-    for row in inst.constraints:
+    for row in arrays.constraints:
         value, norm = row_value_and_norm(row)
         worst = max(worst, abs(value) / (1.0 + norm))
-    value, norm = row_value_and_norm(inst.normalization)
+    value, norm = row_value_and_norm(arrays.normalization)
     worst = max(worst, abs(value - 1.0) / (1.0 + norm))
 
     psd = 0.0
@@ -527,7 +553,7 @@ def verify_certificate(inst: SdpInstance, res: SolverResult) -> VerificationRepo
             # halved before the sum, so finite entries cannot overflow
             psd = min(psd, float(np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.T).min()))
 
-    objective, _ = row_value_and_norm(inst.objective)
+    objective, _ = row_value_and_norm(arrays.objective)
     return VerificationReport(
         equality_residual=worst,
         psd_residual=psd,
@@ -535,22 +561,28 @@ def verify_certificate(inst: SdpInstance, res: SolverResult) -> VerificationRepo
     )
 
 
-def check_certificate(inst: SdpInstance, res: SolverResult, tol_eq: float,
-                      tol_psd: float) -> Tuple[str, Optional[float], Optional[float]]:
+def check_certificate(inst: Union[SdpInstance, InstanceArrays], res: SolverResult,
+                      tol_eq: float, tol_psd: float
+                      ) -> Tuple[str, Optional[float], Optional[float]]:
     """(status, eq_residual, psd_residual) of a result that claims convergence, checked on inst.
 
     verify_certificate recomputes both residuals and the objective from the
-    instance.  The status is "converged" when the equality residual is at
-    most 10 * tol_eq, the PSD residual at least -tol_psd and the claimed
-    objective within 10 * tol_eq * (1 + |recomputed|) of the recomputed one,
-    and "verification-failed" otherwise; each comparison fails on a NaN.  It
-    fails with residuals None when there is no certificate, when a block
-    holds a non-finite entry, or when a recomputed value is not finite.
+    instance's float image.  The status is "converged" when the equality
+    residual is at most 10 * tol_eq, the PSD residual at least -tol_psd and
+    the claimed objective within 10 * tol_eq * (1 + |recomputed|) of the
+    recomputed one, and "verification-failed" otherwise; each comparison
+    fails on a NaN.  It fails with residuals None when there is no
+    certificate, when its blocks do not match the instance's in count or
+    shape, when a block holds a non-finite entry, or when a recomputed value
+    is not finite.
     """
     check_tolerances(tol_eq, tol_psd)
     if not res.primal_blocks or not all(np.isfinite(mat).all() for mat in res.primal_blocks):
         return "verification-failed", None, None
-    report = verify_certificate(inst, res)
+    arrays = _as_arrays(inst)
+    if _shape_error(arrays, res) is not None:
+        return "verification-failed", None, None
+    report = verify_certificate(arrays, res)
     eq_res, psd_res, objective = (report.equality_residual, report.psd_residual,
                                   report.objective_recomputed)
     if not all(map(math.isfinite, (eq_res, psd_res, objective))):

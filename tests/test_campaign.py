@@ -329,23 +329,25 @@ class TestPlayRound:
 
         config = dataclasses.replace(CampaignConfig(**FAST), pivot_scheme=pivot_scheme)
         schemes, verified, decided, admm = [], [], [], []
-        original_pivots, original_instance = compiler.generate_pivots, compiler.PivotTable.instance
+        original_pivots = compiler.generate_pivots
+        original_image = compiler.PivotTable.instance_arrays
         original_decide = mcts.solve_exact
 
         def spy_pivots(*args, **kwargs):
             schemes.append(kwargs["scheme"])
             return original_pivots(*args, **kwargs)
 
-        def spy_instance(table, s, n, d):
-            verified.append((table, render(s.canonical()), n, d))
-            return original_instance(table, s, n, d)
+        def spy_image(table, s, d):
+            verified.append((table, render(s.canonical()), d))
+            return original_image(table, s, d)
 
         def spy_decide(sentence, d, table):
             decided.append((table, render(sentence.canonical()), d))
             return original_decide(sentence, d, table)
 
         monkeypatch.setattr(compiler, "generate_pivots", spy_pivots)
-        monkeypatch.setattr(compiler.PivotTable, "instance", spy_instance)
+        monkeypatch.setattr(compiler.PivotTable, "instance_arrays", spy_image)
+        monkeypatch.setattr(compiler.PivotTable, "instance", lambda *a: pytest.fail("dense"))
         monkeypatch.setattr(mcts, "solve_exact", spy_decide)
         monkeypatch.setattr(mcts, "solve_embedded", lambda *a, **k: admm.append(a))
         monkeypatch.setattr(campaign, "solve_embedded", lambda *a, **k: admm.append(a))
@@ -353,7 +355,8 @@ class TestPlayRound:
 
         assert admm == []
         # one pivot table a round, built from the config, decides every
-        # evaluation of the search; the winner is assembled from it too
+        # evaluation of the search; the winner is verified on its float image,
+        # and no dense Fraction instance is assembled
         assert schemes == [pivot_scheme]
         table = decided[0][0]
         assert all(t is table for t, _, _ in decided)
@@ -364,10 +367,36 @@ class TestPlayRound:
         assert len(keys) == len(set(keys))
         if pivot_scheme == "plane":
             assert rec.converged
-            assert verified == [(table, rec.sentence, config.dimension, config.d_final)]
+            assert verified == [(table, rec.sentence, config.d_final)]
             assert (rec.sentence, config.d_final) in keys
         else:
             assert rec.status == "search-failed" and verified == []
+
+    def test_external_round_assembles_the_instance_once(self, monkeypatch):
+        # SDPA emission needs the dense instance; the gate still reads the image
+        import packbound.compiler as compiler
+
+        assembled, imaged = [], []
+        original_instance = compiler.PivotTable.instance
+        original_image = compiler.PivotTable.instance_arrays
+
+        def spy_instance(table, s, n, d):
+            assembled.append((table, render(s.canonical()), n, d))
+            return original_instance(table, s, n, d)
+
+        def spy_image(table, s, d):
+            imaged.append((table, render(s.canonical()), d))
+            return original_image(table, s, d)
+
+        monkeypatch.setattr(compiler.PivotTable, "instance", spy_instance)
+        monkeypatch.setattr(compiler.PivotTable, "instance_arrays", spy_image)
+        cmd = f"{sys.executable} {os.path.join(FIXTURES, 'fake_sdpa.py')}"
+        config = CampaignConfig(solver_cmd=cmd, **FAST)
+        rec = play_round(GameState(), config).rounds[0]
+        assert rec.status == "verification-failed"  # the fake's identity blocks
+        ((table, text, n, d),) = assembled
+        assert (text, n, d) == (rec.sentence, config.dimension, config.d_final)
+        assert imaged == [(table, rec.sentence, config.d_final)]
 
     def test_pivot_generation_failure_is_a_failed_search(self, monkeypatch):
         import packbound.compiler as compiler
@@ -559,6 +588,15 @@ class TestExternalSolverPath:
         )
         config = CampaignConfig(solver_cmd=f"{sys.executable} {stub}", **FAST)
         rec = play_round(GameState(), config).rounds[0]
+        assert rec.status == "verification-failed"
+        assert rec.eq_residual is None and rec.psd_residual is None
+        assert rec.objective is None and rec.bound is None
+
+    def test_external_misshapen_certificate_fails_verification(self):
+        # a claimed optimum whose one 1x1 block fits no block of the winner's
+        # instance is a failed verification, not a solve error
+        cmd = f"{sys.executable} {os.path.join(FIXTURES, 'misshapen_sdpa.py')}"
+        rec = play_round(GameState(), CampaignConfig(solver_cmd=cmd, **FAST)).rounds[0]
         assert rec.status == "verification-failed"
         assert rec.eq_residual is None and rec.psd_residual is None
         assert rec.objective is None and rec.bound is None

@@ -194,6 +194,16 @@ class TestSolve:
         assert payload["status"] == "verification-failed"
         assert payload["equality_residual"] is None and payload["psd_residual"] is None
 
+    def test_external_misshapen_certificate_fails_verification(self, capsys, tmp_path):
+        # the stub claims pdOPT with one 1x1 block; P7 at d = 2 has one 7x7 block
+        stub = f"{sys.executable} {os.path.join(FIXTURES, 'misshapen_sdpa.py')}"
+        code, out, _ = run_cli(capsys, "solve", str(self.compile_p7(capsys, tmp_path)),
+                               "--solver-cmd", stub)
+        assert code == EXIT_OK
+        payload = strict_json(out)
+        assert payload["status"] == "verification-failed"
+        assert payload["equality_residual"] is None and payload["psd_residual"] is None
+
     def test_unconverged_external_prints_null_residuals(self, capsys, tmp_path):
         # SDPA reports no residuals, and nothing was claimed for the gate to check
         payload = self.solve_with_stub(capsys, tmp_path, self.compile_p7(capsys, tmp_path),

@@ -10,6 +10,7 @@ from packbound import compiler
 from packbound.campaign import CampaignConfig
 from packbound.compiler import (
     ORIGIN,
+    PIVOT_SCHEMES,
     PivotGenerationError,
     PivotPoint,
     PivotTable,
@@ -20,6 +21,7 @@ from packbound.compiler import (
     emit_sdpa,
     format_fraction,
     generate_pivots,
+    instance_arrays,
     make_instance,
     moment_pattern,
 )
@@ -176,6 +178,37 @@ class TestObjectiveBlocks:
         assert blocks[1][0][0] == params.r2 ** 2
         assert sum(abs(x) for row in blocks[1] for x in row) == params.r2 ** 2
         assert table.designated_block(s.canonical()) == 1
+
+
+class TestInstanceArrays:
+    # one monomial; P4, which vanishes at every plane pivot; P2, negative at
+    # the origin; and several monomials of mixed degree
+    SENTENCES = ["P7 <EOS>", "P4 <EOS>", "P2 <EOS>", "P1 <ES> P2 <*> P4 <EOS>",
+                 "P3 <*> P2 <ES> P5 <ES> P6 <ES> P7 <EOS>"]
+
+    @pytest.mark.parametrize("scheme", PIVOT_SCHEMES)
+    @pytest.mark.parametrize("text", SENTENCES)
+    def test_table_image_is_the_instance_image_bit_for_bit(self, params, scheme, text):
+        s = tokenize_and_parse(text)
+        table = PivotTable(params, 8, 3, scheme)
+        for d in range(max(m.degree for m in s.monomials), 5):
+            got = table.instance_arrays(s, d)
+            want = instance_arrays(table.instance(s, 8, d))
+            assert got.block_dims == want.block_dims
+            assert len(got.constraints) == len(want.constraints) == table.K
+            for got_row, want_row in zip(got.constraints + (got.normalization, got.objective),
+                                         want.constraints + (want.normalization, want.objective)):
+                assert len(got_row) == len(want_row) == got.n_blocks
+                for a, b in zip(got_row, want_row):
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape) == (np.float64, b.shape)
+                    assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+    def test_covers_zero_blocks_and_a_negative_origin(self, params):
+        table = PivotTable(params, 8, 3)
+        (p4,) = tokenize_and_parse("P4 <EOS>").monomials
+        assert not any(table.monomial_values(p4))
+        image = table.instance_arrays(tokenize_and_parse("P2 <EOS>"), 1)
+        assert image.objective[0][0, 0] < 0
 
 
 class TestAssemble:
