@@ -30,7 +30,8 @@ per pivot at the largest degree, which smaller ones slice.
 All matrix entries are exact rationals so that emission to solver files is
 deterministic at any requested precision.  A certificate is checked on their
 float64 image (InstanceArrays), which PivotTable.instance_arrays computes
-from the same distinct entries without building the Fraction blocks.
+from the same distinct entries in integers, each one correctly rounded
+division, without building a Fraction block or basis vector.
 
 compile, solve, search and report run on numpy alone.  scipy loads on a
 campaign's first BO fit or proposal, or when a pivot table falls through to
@@ -57,6 +58,7 @@ from .polys import (
     base_values_at,
     basis_enumerate,
     basis_values,
+    common_denominator,
     evaluate_basis,
 )
 
@@ -231,12 +233,13 @@ class MomentPattern:
     Entry (i, j) of u u^T is w^A (hv)^B (h+v)^C, with (A, B, C) the sum of
     the exponents of basis elements i and j, so it depends on that sum
     alone.  `pairs` holds one representative (i, j), i <= j, per distinct
-    sum, in row-major order of first appearance in the upper triangle;
-    `index[i][j]` is the position of the sum of (i, j) in `pairs`, and is
-    symmetric.
+    sum, in row-major order of first appearance in the upper triangle, and
+    `grades` the grade of each sum; `index[i][j]` is the position of the sum
+    of (i, j) in `pairs`, and is symmetric.
     """
 
     pairs: Tuple[Tuple[int, int], ...]
+    grades: Tuple[int, ...]
     index: Tuple[Tuple[int, ...], ...]
     # row i of a block, gathered from its distinct values by index[i]
     rows: Tuple[Callable[[Sequence[Fraction]], Tuple[Fraction, ...]], ...] = field(
@@ -253,6 +256,7 @@ def moment_pattern(k: int) -> MomentPattern:
     size = len(elems)
     position: Dict[Tuple[int, int, int], int] = {}
     pairs: List[Tuple[int, int]] = []
+    grades: List[int] = []
     index = [[0] * size for _ in range(size)]
     for i, ei in enumerate(elems):
         for j in range(i, size):
@@ -261,9 +265,11 @@ def moment_pattern(k: int) -> MomentPattern:
             if total not in position:
                 position[total] = len(pairs)
                 pairs.append((i, j))
+                grades.append(ei.grade + ej.grade)
             index[i][j] = index[j][i] = position[total]
     frozen = tuple(tuple(row) for row in index)
-    return MomentPattern(tuple(pairs), frozen, tuple(_row_getter(row) for row in frozen),
+    return MomentPattern(tuple(pairs), tuple(grades), frozen,
+                         tuple(_row_getter(row) for row in frozen),
                          np.array(index, dtype=np.intp).reshape(size, size))
 
 
@@ -299,23 +305,26 @@ def _zero_array(size: int) -> np.ndarray:
     return np.zeros((size, size))
 
 
-def _rank_one_array(u: Sequence[Fraction], scale: Fraction, k: int) -> np.ndarray:
-    """block_arrays([_rank_one_block(u, scale, k)])[0], without the Fraction block.
+def _rank_one_array(u: Tuple[Tuple[int, ...], int], scale: Fraction, k: int) -> np.ndarray:
+    """block_arrays([_rank_one_block(u_p, scale, k)])[0], from integers alone.
 
-    With scale = a/b and u_i = n_i/d_i, each distinct entry of the moment
-    pattern is the one integer true division (a n_i n_j) / (b d_i d_j),
-    which Python rounds correctly, as float() does the Fraction's reduced
-    numerator and denominator, so every entry has the same bits.
+    u = (n, delta) is the basis(k) vector at a point over that point's own
+    denominator: u_p = n diag(delta^-grade), n an integer vector.  With
+    scale = a/b, each distinct entry of the moment pattern is the one
+    integer true division (a n_i n_j) / (b delta^(g_i + g_j)).  Python rounds
+    it correctly whatever factor the two sides share, as float() does the
+    Fraction's reduced numerator and denominator, so every entry has the
+    same bits.
     """
+    nums, delta = u
     if scale == 0:
-        return _zero_array(len(u))
+        return _zero_array(len(nums))
     pattern = moment_pattern(k)
-    nums = [x.numerator for x in u]
-    dens = [x.denominator for x in u]
     a, b = scale.numerator, scale.denominator
     snum = [a * x for x in nums]
-    sden = [b * x for x in dens]
-    values = np.array([(snum[i] * nums[j]) / (sden[i] * dens[j]) for i, j in pattern.pairs])
+    sden = [b * delta**g for g in range(2 * k + 1)]
+    values = np.array([(snum[i] * nums[j]) / sden[g]
+                       for (i, j), g in zip(pattern.pairs, pattern.grades)])
     return values[pattern.gather]
 
 
@@ -462,24 +471,29 @@ class PivotTable:
     check.  Everything is exact.  A campaign round builds one table, on which
     the search decides and from which the winner's instance is verified.
 
-    Two views of the pivots serve the two readers:
+    Three views of the pivots serve three readers; all of them read
+    monomial_values, m(p) at every pivot:
 
-    * instance and instance_arrays read rationals: monomial_values, and
-      basis_vectors, the basis evaluation vectors u_p.  instance builds the
-      dense Fraction blocks that SDPA emission writes; instance_arrays builds
-      their float image from the same rationals, one correctly rounded
-      integer division per distinct entry, and that image is what
-      solver.check_certificate checks a winner on, independently of the
-      decision;
-    * solver.solve_exact reads integers.  D, `denominator`, is the lcm of the
-      denominators of every pivot coordinate, and (H, V, W) = D (h, v, w) are
-      integers, so integer_basis_vectors gives N_p = W^a (HV)^b (H+V)^c and
+    * instance reads rationals: basis_vectors, the basis evaluation vectors
+      u_p, in Fractions.  It builds the dense Fraction blocks that SDPA
+      emission writes;
+    * instance_arrays builds their float image, which solver.check_certificate
+      checks a winner on.  It evaluates each pivot over that pivot's own
+      denominator: delta_p is the lcm of the denominators of (h, v, w), and
+      (H', V', W') = delta_p (h, v, w) are integers, so n_p = W'^a (H'V')^b
+      (H'+V')^c and u_p = n_p diag(delta_p^-grade).  Each distinct entry is
+      one correctly rounded integer division, and no Fraction vector is
+      built.  It reads none of the rows the decision reads;
+    * solver.solve_exact reads integers over one denominator.  D,
+      `denominator`, is the lcm of the denominators of every pivot
+      coordinate, and (H, V, W) = D (h, v, w) are integers, so
+      integer_basis_vectors gives N_p = W^a (HV)^b (H+V)^c and
       u_p = N_p diag(D^-grade).  `zero_patterns[p]` has bit t - 1 set when
       P_t vanishes at pivot p (t = 1..6); since every P_t is nonnegative
       there and P7 = 1, m(p) > 0 exactly when no base polynomial in m's
       support vanishes at p (active_pivots).
 
-    The basis vectors of degree k, in either view, are computed on first use
+    The basis vectors of degree k, in each view, are computed on first use
     and kept; since basis_enumerate(k) is a prefix of basis_enumerate(k') for
     k <= k', a smaller degree slices the largest one computed so far.
     `kernels` keeps solver._block_kernel's result for each (active pivots,
@@ -500,6 +514,8 @@ class PivotTable:
         self._coords = [tuple(x.numerator * (D // x.denominator) for x in p.as_tuple())
                         for p in self.pivots]
         self._basis: Dict[int, List[Tuple[Fraction, ...]]] = {}
+        self._own_coords = [common_denominator(p.as_tuple()) for p in self.pivots]
+        self._own_basis: Dict[int, List[Tuple[int, ...]]] = {}
         self._integer_basis: Dict[int, List[Tuple[int, ...]]] = {}
         self.kernels: Dict[Tuple[Tuple[int, ...], int], Optional[List[int]]] = {}
 
@@ -534,23 +550,30 @@ class PivotTable:
         return _by_degree(self._integer_basis, k, lambda elems: [
             basis_values(elems, W, H * V, H + V) for H, V, W in self._coords])
 
-    def _blocks(self, s: Sentence, d: int, rank_one: Callable, origin: Callable,
-                zero: Callable) -> tuple:
+    def _own_basis_vectors(self, k: int) -> List[Tuple[Tuple[int, ...], int]]:
+        """(n_p, delta_p) with n_p = u_p diag(delta_p^grade) over basis_enumerate(k),
+        for every pivot p, in pivot order; delta_p is p's own denominator."""
+        vectors = _by_degree(self._own_basis, k, lambda elems: [
+            basis_values(elems, W, H * V, H + V) for _, (H, V, W) in self._own_coords])
+        return [(n, delta) for n, (delta, _) in zip(vectors, self._own_coords)]
+
+    def _blocks(self, s: Sentence, d: int, vectors: Callable[[int], list], rank_one: Callable,
+                origin: Callable, zero: Callable) -> tuple:
         """(canonical s, block dims, rows, objective, normalization) of s at degree d.
 
-        Block i of pivot p's row is rank_one(u_p, m_i(p), k_i), the objective
-        block is origin(m_i(0), dim_i) and the normalization row is the
-        objective on the designated block, zero(dim_i) elsewhere.
+        Block i of pivot p's row is rank_one(u_p, m_i(p), k_i), where u_p is
+        p's entry of vectors(k_i), the objective block is origin(m_i(0),
+        dim_i) and the normalization row is the objective on the designated
+        block, zero(dim_i) elsewhere.
         """
         canon, degrees = instance_layout(s, d)
         dims = tuple(len(basis_enumerate(k)) for k in degrees)
         objective = tuple(
             origin(self.origin_value(m), dim) for m, dim in zip(canon.monomials, dims)
         )
-        self.basis_vectors(max(degrees))  # evaluated once; the smaller degrees slice it
+        vectors(max(degrees))  # evaluated once; the smaller degrees slice it
         columns = [  # column i holds block i, m_i(p) u_p u_p^T, of each pivot's row
-            [rank_one(u, value, k)
-             for u, value in zip(self.basis_vectors(k), self.monomial_values(m))]
+            [rank_one(u, value, k) for u, value in zip(vectors(k), self.monomial_values(m))]
             for m, k in zip(canon.monomials, degrees)
         ]
         j = self.designated_block(canon)
@@ -571,7 +594,7 @@ class PivotTable:
         if n < 1:
             raise ValueError(f"dimension n must be >= 1, got {n}")
         canon, dims, rows, objective, normalization = self._blocks(
-            s, d, _rank_one_block, _origin_block, _zero_block)
+            s, d, self.basis_vectors, _rank_one_block, _origin_block, _zero_block)
         return SdpInstance(
             block_dims=dims,
             constraints=rows,
@@ -583,8 +606,10 @@ class PivotTable:
 
     def instance_arrays(self, s: Sentence, d: int) -> InstanceArrays:
         """instance_arrays(self.instance(s, n, d)), bit for bit, for any n, built
-        without the instance's Fraction blocks (_rank_one_array)."""
-        _, *blocks = self._blocks(s, d, _rank_one_array, _origin_array, _zero_array)
+        from each pivot's own integer basis vector (_rank_one_array), with no
+        Fraction block or basis vector."""
+        _, *blocks = self._blocks(s, d, self._own_basis_vectors, _rank_one_array,
+                                  _origin_array, _zero_array)
         return InstanceArrays(*blocks)
 
 

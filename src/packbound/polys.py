@@ -197,17 +197,29 @@ def make_base_polynomial(index: int, params: GeometricParams) -> Polynomial:
     raise ValueError(f"base polynomial index must be in 1..7, got {index}")
 
 
+def common_denominator(values: Iterable[Fraction]) -> Tuple[int, Tuple[int, ...]]:
+    """(d, (d x for x in values)): the values as integers over d, the lcm of their denominators."""
+    values = tuple(values)
+    d = math.lcm(*(x.denominator for x in values))
+    return d, tuple(x.numerator * (d // x.denominator) for x in values)
+
+
 def base_values_at(point: Sequence[Number], params: GeometricParams) -> Tuple[Fraction, ...]:
-    """Exact values (P1(point), ..., P7(point)); faster than expanding each P."""
-    h, v, w = (_frac(x) for x in point)
-    r2, R2 = params.r2, params.R2
+    """Exact values (P1(point), ..., P7(point)), evaluated in integers.
+
+    Over d, the lcm of the denominators of h, v, w, r^2 and R^2, all five are
+    integers, so P_t is an integer over d^deg(P_t), made one Fraction.
+    """
+    d, (h, v, w, r2, R2) = common_denominator(
+        (*(_frac(x) for x in point), params.r2, params.R2))
+    d2 = d * d
     return (
-        (h - r2) * (v - r2),
-        h + v - 2 * r2,
-        h * v - w * w,
-        h + v - 2 * w - r2,
-        (R2 - h) * (R2 - v),
-        2 * R2 - h - v,
+        Fraction((h - r2) * (v - r2), d2),
+        Fraction(h + v - 2 * r2, d),
+        Fraction(h * v - w * w, d2),
+        Fraction(h + v - 2 * w - r2, d),
+        Fraction((R2 - h) * (R2 - v), d2),
+        Fraction(2 * R2 - h - v, d),
         Fraction(1),
     )
 
@@ -259,19 +271,14 @@ def basis_values(elements: Iterable[BasisElement], w: Number, hv: Number, sig: N
     """w^a * hv^b * sig^c for each basis element, in the arithmetic of the inputs.
 
     Exact for int and Fraction inputs: integer inputs give integer values.
+    Each power of w, hv and sig up to the largest a + b + c, which bounds
+    every exponent, is computed once, with **: a Fraction power takes no gcd,
+    where a running product would take two per step.
     """
-    cache: Dict[Tuple[str, int], Number] = {}
-
-    def power(name: str, base: Number, n: int) -> Number:
-        key = (name, n)
-        if key not in cache:
-            cache[key] = base**n
-        return cache[key]
-
-    return tuple(
-        power("w", w, e.a) * power("p", hv, e.b) * power("s", sig, e.c)
-        for e in elements
-    )
+    elems = tuple(elements)
+    top = max((e.a + e.b + e.c for e in elems), default=0)
+    pw, ph, ps = ([base**n for n in range(top + 1)] for base in (w, hv, sig))
+    return tuple(pw[e.a] * ph[e.b] * ps[e.c] for e in elems)
 
 
 def evaluate_basis(elements: Iterable[BasisElement], point: Sequence[Number]) -> Tuple[Fraction, ...]:

@@ -442,9 +442,9 @@ def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
     The certificate is checked exactly before it is returned, and
     primal_blocks hold its float image.  No point is evaluated in rationals
     here: a campaign checks the winner's float image separately, with
-    check_certificate on table.instance_arrays, which reads the table's
-    rational basis vectors and monomial values, not the integer rows decided
-    on here.
+    check_certificate on table.instance_arrays, which evaluates each pivot
+    over its own denominator and reads the monomial values, not the integer
+    rows decided on here.
     """
     start = time.monotonic()
     canon, degrees = instance_layout(sentence, d)
@@ -783,27 +783,45 @@ def parse_external_output(text: str) -> SolverResult:
 
 
 def _parse_xmat(lines: Sequence[str]) -> List[np.ndarray]:
-    """Parse the brace-delimited xMat section if present, else return []."""
+    """Parse the brace-delimited xMat section if present, else return [].
+
+    A section with no opening brace, unbalanced braces, a non-numeric entry
+    or a ragged block raises FormatError at the section's first line.
+    """
     try:
         start = next(i for i, ln in enumerate(lines) if ln.strip().startswith("xMat"))
     except StopIteration:
         return []
+    lineno = start + 1
     body = []
     depth = 0
+    opened = False
     for ln in lines[start:]:
         body.append(ln)
         depth += ln.count("{") - ln.count("}")
-        if "{" in "".join(body) and depth == 0:
+        opened = opened or "{" in ln
+        if depth < 0:
+            raise FormatError("xMat section closes a brace it never opened", lineno)
+        if opened and depth == 0:
             break
+    if not opened:
+        raise FormatError("xMat section has no opening brace", lineno)
+    if depth != 0:
+        raise FormatError("xMat section is not terminated", lineno)
+
+    def numbers(text: str) -> List[float]:
+        try:
+            return [float(tok) for tok in re.split(r"[,\s]+", text.strip()) if tok]
+        except ValueError as exc:
+            raise FormatError(f"bad xMat entry: {exc}", lineno) from exc
+
     blob = " ".join(body)
     blob = blob[blob.index("{") + 1:blob.rindex("}")]
     blocks = []
     for match in re.finditer(r"\{((?:[^{}]|\{[^{}]*\})*)\}", blob):
         rows = re.findall(r"\{([^{}]*)\}", match.group(1))
-        if rows:
-            mat = [[float(tok) for tok in re.split(r"[,\s]+", row.strip()) if tok] for row in rows]
-            blocks.append(np.array(mat))
-        else:
-            vals = [float(tok) for tok in re.split(r"[,\s]+", match.group(1).strip()) if tok]
-            blocks.append(np.array([vals]))
+        mat = [numbers(row) for row in rows] if rows else [numbers(match.group(1))]
+        if len({len(row) for row in mat}) > 1:
+            raise FormatError(f"xMat block {len(blocks) + 1} has rows of unequal length", lineno)
+        blocks.append(np.array(mat))
     return blocks

@@ -601,6 +601,14 @@ class TestExternalSolverPath:
         assert rec.eq_residual is None and rec.psd_residual is None
         assert rec.objective is None and rec.bound is None
 
+    def test_external_ragged_certificate_is_a_format_error(self):
+        # the stub prints an xMat block with rows of length 2 and 1
+        cmd = f"{sys.executable} {os.path.join(FIXTURES, 'ragged_sdpa.py')}"
+        rec = play_round(GameState(), CampaignConfig(solver_cmd=cmd, **FAST)).rounds[0]
+        assert rec.status == "solve-error: FormatError"
+        assert rec.eq_residual is None and rec.psd_residual is None
+        assert rec.objective is None and rec.bound is None
+
     def test_external_round_rejects_a_false_objective(self):
         # the stub returns ADMM's honest certificate but claims objective 0.5,
         # half of it; only the objective check can reject the claim

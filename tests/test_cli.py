@@ -204,6 +204,14 @@ class TestSolve:
         assert payload["status"] == "verification-failed"
         assert payload["equality_residual"] is None and payload["psd_residual"] is None
 
+    def test_external_ragged_certificate_is_bad_input(self, capsys, tmp_path):
+        # the stub's xMat section, on its line 4, has a block with rows of length 2 and 1
+        stub = f"{sys.executable} {os.path.join(FIXTURES, 'ragged_sdpa.py')}"
+        code, out, err = run_cli(capsys, "solve", str(self.compile_p7(capsys, tmp_path)),
+                                 "--solver-cmd", stub)
+        assert code == EXIT_CONFIG and out == ""
+        assert "rows of unequal length (line 4)" in err
+
     def test_unconverged_external_prints_null_residuals(self, capsys, tmp_path):
         # SDPA reports no residuals, and nothing was claimed for the gate to check
         payload = self.solve_with_stub(capsys, tmp_path, self.compile_p7(capsys, tmp_path),

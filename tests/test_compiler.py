@@ -203,6 +203,20 @@ class TestInstanceArrays:
                     assert (a.dtype, a.shape) == (b.dtype, b.shape) == (np.float64, b.shape)
                     assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
+    def test_reads_none_of_the_decisions_rows(self, params, monkeypatch):
+        # solve_exact decides on the integer rows N_p over the common
+        # denominator D; the image must come from elsewhere
+        table = PivotTable(params, 8, 3)
+        calls = []
+        monkeypatch.setattr(PivotTable, "integer_basis_vectors",
+                            lambda *args: calls.append("integer_basis_vectors"))
+        monkeypatch.setattr(compiler, "evaluate_basis",
+                            lambda *args: calls.append("evaluate_basis"))
+        del table._coords, table.denominator  # any read of them raises AttributeError
+        image = table.instance_arrays(tokenize_and_parse("P1 <ES> P2 <*> P4 <EOS>"), 4)
+        assert calls == []
+        assert image.block_dims == (7, 7) and len(image.constraints) == table.K
+
     def test_covers_zero_blocks_and_a_negative_origin(self, params):
         table = PivotTable(params, 8, 3)
         (p4,) = tokenize_and_parse("P4 <EOS>").monomials

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from packbound.polys import (
@@ -80,6 +80,31 @@ class TestBasePolynomials:
         vals = base_values_at(point, params)
         for idx in range(1, 8):
             assert vals[idx - 1] == make_base_polynomial(idx, params).evaluate(point)
+
+
+# a coordinate over denominators that float pivots never reach (thirds,
+# sevenths) as well as dyadic and integer ones, of either sign
+COORDINATES = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 3, 7, 21, 4, 1024]))
+
+
+class TestBaseValuesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(point=st.tuples(COORDINATES, COORDINATES, COORDINATES),
+           r=st.sampled_from([1.0, 1.45, math.sqrt(2)]), gap=st.sampled_from([0.35, 1.0]))
+    @example(point=(Fraction(0), Fraction(0), Fraction(0)), r=1.45, gap=0.35)
+    @example(point=(Fraction(3), Fraction(5), Fraction(-2)), r=math.sqrt(2), gap=1.0)
+    @example(point=(Fraction(2, 3), Fraction(5, 7), Fraction(-1, 21)), r=1.45, gap=0.35)
+    def test_integer_evaluation_equals_expanded_polynomials(self, point, r, gap):
+        params = GeometricParams(r, r + gap)
+        values = base_values_at(point, params)
+        assert len(values) == 7 and all(type(val) is Fraction for val in values)
+        for t in range(1, 8):
+            assert values[t - 1] == make_base_polynomial(t, params).evaluate(point)
+
+    def test_integer_and_float_coordinates(self, params):
+        point = (3, 2.5, -1)
+        assert base_values_at(point, params) == tuple(
+            make_base_polynomial(t, params).evaluate(point) for t in range(1, 8))
 
 
 class TestRingOps:

@@ -375,6 +375,37 @@ def test_decision_digest(r, R, K, scheme, digest):
     assert decision_digest(PivotTable(GeometricParams(r, R), K, 0, scheme)) == digest
 
 
+def image_digest(table):
+    """sha256 of the shape and bytes of every block of table.instance_arrays(s, 4),
+    constraint rows, objective and normalization, for every enumerate_sentences(2, 2)
+    sentence (all of degree at most 2, so all fit d = 4)."""
+    digest = hashlib.sha256()
+    for s in enumerate_sentences(2, 2):
+        image = table.instance_arrays(s, 4)
+        for row in image.constraints + (image.objective, image.normalization):
+            for block in row:
+                digest.update(repr(block.shape).encode("ascii") + block.tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of image_digest on the PINNED_DECISIONS tables, computed when
+# instance_arrays still built the image from the table's Fraction basis
+# vectors (evaluate_basis), before it evaluated each pivot in integers.
+PINNED_IMAGES = [
+    (BOX.r_lo, 1.8, 50, "plane",
+     "67d6fc1b1bceff44d60a2c28a18e0ec333ffe8fa301c62cb66f7fbf61d8bccad"),
+    (1.5, 2.4, 50, "plane",
+     "8a0791044b18f34e22fd97ffcc57b763e74f9e78f02f0226f54c2ea8f02fc7b1"),
+    (1.45, 2.0, 12, "grid3d",
+     "8a943fa27f487295d23a7dfbb97acaa127e8ad4b7071cd919a73a7e2a096cb6d"),
+]
+
+
+@pytest.mark.parametrize("r, R, K, scheme, digest", PINNED_IMAGES)
+def test_image_digest(r, R, K, scheme, digest):
+    assert image_digest(PivotTable(GeometricParams(r, R), K, 0, scheme)) == digest
+
+
 class TestVerifyCertificate:
     def test_exact_certificate_has_zero_residuals(self):
         inst = trivial_instance()
@@ -582,6 +613,19 @@ class TestParseExternalOutput:
     def test_unknown_phase_is_conservative(self):
         text = self.fixture("sdpa_output_optimal.txt").replace("pdOPT", "pdFEAS")
         assert parse_external_output(text).status is SolverStatus.MAX_ITERATIONS
+
+    @pytest.mark.parametrize("section, message", [
+        ("xMat = { { {1.0, 2.0}, {3.0} } }", "rows of unequal length"),
+        ("xMat = { {1.0, abc} }", "bad xMat entry"),
+        ("xMat =", "no opening brace"),
+        ("xMat = { { {1.0, 0.0}, {0.0, 1.0} }", "not terminated"),
+    ])
+    def test_malformed_xmat_rejected_at_its_line(self, section, message):
+        text = self.fixture("sdpa_output_optimal.txt")
+        text = text[:text.index("xMat")] + section + "\n"
+        with pytest.raises(FormatError, match=message) as err:
+            parse_external_output(text)
+        assert err.value.line == 13
 
     def test_truncated_output_rejected(self):
         with pytest.raises(FormatError):
