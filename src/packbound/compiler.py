@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -676,14 +676,35 @@ def compute_bound(objective_value: float, params: GeometricParams, n: int) -> fl
 # SDPA sparse emission
 # ---------------------------------------------------------------------------
 
-def format_fraction(q: Fraction, digits: int = 40) -> str:
-    """Deterministic scientific-notation rendering with `digits` significant digits."""
+def _fraction_formatter(digits: int) -> Callable[[Fraction], str]:
+    """format_fraction at `digits`, with its two decimal contexts built once."""
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
-    with localcontext() as ctx:
-        ctx.prec = digits + 5
-        dec = Decimal(q.numerator) / Decimal(q.denominator)
-    return f"{dec:.{digits - 1}E}".replace("E", "e")
+
+    def context(prec: int) -> Context:
+        # every field given, so neither the thread's context nor
+        # decimal.DefaultContext can change a digit, or trap
+        return Context(prec=prec, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX,
+                       capitals=1, clamp=0, flags=[], traps=[])
+
+    divide = context(digits + 5).divide
+    round_to_digits = context(digits).plus
+    spec = f".{digits - 1}e"
+
+    def fmt(q: Fraction) -> str:
+        # exact once rounded, so format() itself never rounds
+        return format(round_to_digits(divide(*q.as_integer_ratio())), spec)
+
+    return fmt
+
+
+def format_fraction(q: Fraction, digits: int = 40) -> str:
+    """Deterministic scientific-notation rendering with `digits` significant digits.
+
+    q is divided at digits + 5 digits, then rounded half-even to `digits`,
+    each in a context of its own: the caller's decimal context plays no part.
+    """
+    return _fraction_formatter(digits)(q)
 
 
 def emit_sdpa(inst: SdpInstance, digits: int = 40) -> str:
@@ -694,8 +715,11 @@ def emit_sdpa(inst: SdpInstance, digits: int = 40) -> str:
     as "row block i j value" with 1-based block and matrix indices.  Row 0
     denotes the objective matrices; the normalization row comes last.
     Ordering is (row, block, i, j), so re-emission is byte-identical.
-    Each distinct value is formatted once per call.
+    Values are written as format_fraction writes them, in decimal contexts
+    fixed by `digits` and built once per call, and each distinct Fraction
+    is formatted once per call.
     """
+    fmt = _fraction_formatter(digits)
     K = len(inst.constraints)
     lines = [
         str(K + 1),
@@ -703,28 +727,25 @@ def emit_sdpa(inst: SdpInstance, digits: int = 40) -> str:
         " ".join(str(dim) for dim in inst.block_dims),
         " ".join(["0"] * K + ["1"]),
     ]
-    # Keyed by (numerator, denominator), which names the value as uniquely
-    # as the Fraction does: hashing a Fraction takes a modular inverse of
-    # its denominator, which costs more than formatting it.
-    texts: Dict[Tuple[int, int], str] = {}
-
-    def emit_row(row_idx: int, blocks: Tuple[FracMatrix, ...]) -> None:
-        for b, mat in enumerate(blocks):
+    rows = (inst.objective, *inst.constraints, inst.normalization)
+    # Keyed by id(): equal entries of a block share one Fraction, and the
+    # instance keeps every entry alive for the whole call.  Hashing a
+    # Fraction takes a modular inverse of its denominator.
+    distinct: Dict[int, Fraction] = {}
+    for blocks in rows:
+        for mat in blocks:
             for i, line in enumerate(mat):
-                prefix = f"{row_idx} {b + 1} {i + 1}"
-                for j in range(i, len(line)):
-                    x = line[j]
-                    if x != 0:
-                        key = (x.numerator, x.denominator)
-                        text = texts.get(key)
-                        if text is None:
-                            text = texts[key] = format_fraction(x, digits)
-                        lines.append(f"{prefix} {j + 1} {text}")
-
-    emit_row(0, inst.objective)
-    for j, row in enumerate(inst.constraints):
-        emit_row(j + 1, row)
-    emit_row(K + 1, inst.normalization)
+                upper = line[i:]
+                distinct.update(zip(map(id, upper), upper))
+    # a zero's text is "", which drops its entries
+    text_of = {key: fmt(x) if x else "" for key, x in distinct.items()}.__getitem__
+    for row_idx, blocks in enumerate(rows):
+        for b, mat in enumerate(blocks, 1):
+            size = len(mat)
+            for i, line in enumerate(mat, 1):
+                prefix = f"{row_idx} {b} {i} "
+                lines += [f"{prefix}{j} {text}" for j, text in
+                          zip(range(i, size + 1), map(text_of, map(id, line[i - 1:]))) if text]
     return "\n".join(lines) + "\n"
 
 

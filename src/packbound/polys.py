@@ -13,6 +13,7 @@ w^a * (hv)^b * (h+v)^c with a + 2b + c <= d.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,11 +51,14 @@ class GeometricParams:
         if not self.r < self.R:
             raise ValueError(f"require 0 < r < R, got r={self.r}, R={self.R}")
 
-    @property
+    # Exact squares, computed on first read and kept on the instance
+    # (cached_property writes its __dict__, which frozen leaves open).  They
+    # are not fields, so equality and hashing see r and R alone.
+    @functools.cached_property
     def r2(self) -> Fraction:
         return _frac(self.r) ** 2
 
-    @property
+    @functools.cached_property
     def R2(self) -> Fraction:
         return _frac(self.R) ** 2
 

@@ -41,6 +41,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -613,19 +614,50 @@ class FormatError(ValueError):
         self.line = line
 
 
+def _is_content(line: str) -> bool:
+    """Neither blank nor a comment (a first non-blank character * or ")."""
+    return bool(line.strip()) and not line.lstrip().startswith(("*", '"'))
+
+
+class _FiniteFloats(dict):
+    """Value token -> float, each distinct token converted once; a token
+    that is not a finite float raises ValueError and is not stored."""
+
+    def __missing__(self, token: str) -> float:
+        val = float(token)
+        if not math.isfinite(val):
+            raise ValueError(f"{token} is not finite")
+        self[token] = val
+        return val
+
+
+def _canonical_ints(lo: int, hi: int) -> Dict[str, int]:
+    return {str(k): k for k in range(lo, hi + 1)}
+
+
 def read_sdpa_instance(text: str) -> SparseSystem:
     """Parse SDPA sparse format as written by emit_sdpa (comments tolerated).
 
     Every entry must name a row in 0..n_rows (0 is the objective), a block
     in 1..n_blocks and matrix indices in 1..dim of that block, and carry a
     finite value; anything else raises FormatError with its line number.
+
+    An entry line whose four indices are in range and written as str()
+    writes them is resolved through lookup tables built from the header,
+    and each distinct value token is converted to a float once.  Every
+    other line (a comment, a blank, a wrong field count, a non-finite
+    value, an index out of range or in another form, such as 01 or +1)
+    goes through the full check of that one line, which skips it, raises,
+    or accepts it exactly as int() and float() read it.
     """
     lines = text.splitlines()
-    header: List[Tuple[int, str]] = [
-        (i + 1, ln) for i, ln in enumerate(lines)
-        if ln.strip() and not ln.lstrip().startswith(("*", '"'))
-    ]
-    if len(header) < 4:
+    header: List[Tuple[int, str]] = []
+    for lineno, line in enumerate(lines, 1):
+        if _is_content(line):
+            header.append((lineno, line))
+            if len(header) == 4:
+                break
+    else:
         raise FormatError("truncated file: missing header", len(lines))
     try:
         n_rows = int(header[0][1])
@@ -638,9 +670,11 @@ def read_sdpa_instance(text: str) -> SparseSystem:
         raise FormatError(f"expected {n_blocks} block sizes, got {len(dims)}", header[2][0])
     if len(rhs) != n_rows:
         raise FormatError(f"expected {n_rows} right-hand sides, got {len(rhs)}", header[3][0])
-    entries = []
-    for lineno, ln in header[4:]:
-        toks = ln.split()
+
+    def checked_entry(lineno: int, line: str) -> Optional[Tuple[int, int, int, int, float]]:
+        if not _is_content(line):
+            return None
+        toks = line.split()
         if len(toks) != 5:
             raise FormatError(f"expected 5 fields, got {len(toks)}", lineno)
         try:
@@ -657,7 +691,29 @@ def read_sdpa_instance(text: str) -> SparseSystem:
         dim = dims[block - 1]
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise FormatError(f"index ({i}, {j}) outside block {block} of size {dim}", lineno)
-        entries.append((row, block, i, j, val))
+        return row, block, i, j, val
+
+    start = header[3][0]  # entries follow the header's last line
+    row_of = _canonical_ints(0, n_rows)
+    block_of = {str(b): (b, dim) for b, dim in enumerate(dims, 1)}
+    # capped by the number of entry lines, which no file's header can inflate
+    index_of = _canonical_ints(1, min(max(dims, default=0), len(lines) - start))
+    values = _FiniteFloats()
+    entries = []
+    append = entries.append
+    for lineno, line in enumerate(islice(lines, start, None), start + 1):
+        try:
+            r, b, i, j, v = line.split()
+            block, dim = block_of[b]
+            i, j = index_of[i], index_of[j]
+            if i <= dim and j <= dim:
+                append((row_of[r], block, i, j, values[v]))
+                continue
+        except (KeyError, ValueError):
+            pass
+        entry = checked_entry(lineno, line)
+        if entry is not None:
+            append(entry)
     return SparseSystem(n_rows=n_rows, block_dims=dims, rhs=rhs, entries=tuple(entries))
 
 

@@ -1,10 +1,13 @@
 import hashlib
 import math
 import os
+from decimal import ROUND_DOWN, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packbound import compiler
 from packbound.campaign import CampaignConfig
@@ -27,7 +30,7 @@ from packbound.compiler import (
 )
 from packbound.grammar import tokenize_and_parse
 from packbound.polys import GeometricParams, base_values_at, basis_enumerate, evaluate_basis
-from packbound.solver import read_sdpa_instance, system_to_instance
+from packbound.solver import FormatError, SparseSystem, read_sdpa_instance, system_to_instance
 
 from conftest import monomial_value
 
@@ -374,6 +377,18 @@ class TestEmitSdpa:
         with open(golden, "r", encoding="utf-8") as fh:
             assert text == fh.read()
 
+    def test_golden_fixture_under_any_decimal_context(self, unit_params):
+        inst = self.make_instance(unit_params)
+        golden = os.path.join(FIXTURES, "golden_p7_p1_d2_k3.dat-s")
+        with open(golden, "r", encoding="utf-8") as fh:
+            expected = fh.read()
+        with localcontext() as ctx:
+            ctx.prec = 3
+            ctx.rounding = ROUND_DOWN
+            ctx.traps[Inexact] = ctx.traps[Rounded] = True
+            assert format_fraction(Fraction(2, 3), 5) == "6.6667e-1"
+            assert emit_sdpa(inst) == expected
+
     def test_reemission_identical(self, unit_params):
         inst = self.make_instance(unit_params)
         assert emit_sdpa(inst) == emit_sdpa(inst)
@@ -392,6 +407,36 @@ class TestEmitSdpa:
         keys = [(int(a), int(b), int(i), int(j)) for a, b, i, j, _ in rows]
         assert keys == sorted(keys)
         assert all(i <= j for _, _, i, j in keys)
+
+
+def format_reference(q, digits):
+    """format_fraction as first written: divide and round in the default context."""
+    with localcontext(Context()) as ctx:
+        ctx.prec = digits + 5
+        dec = Decimal(q.numerator) / Decimal(q.denominator)
+        return f"{dec:.{digits - 1}E}".replace("E", "e")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(Fraction, st.integers(-10**400, 10**400), st.integers(1, 10**400)),
+       st.integers(1, 60))
+def test_format_fraction_matches_default_context(q, digits):
+    assert format_fraction(q, digits) == format_reference(q, digits)
+
+
+@pytest.mark.parametrize("q, digits, text", [
+    (Fraction(0), 3, "0.00e+2"),                # as Decimal writes a zero
+    (Fraction(-1, 8), 2, "-1.2e-1"),             # a tie rounds to even
+    (Fraction(999_999, 10**6), 3, "1.00e+0"),    # rounding carries into the exponent
+    (Fraction(2**-1074), 1, "5e-324"),
+])
+def test_format_fraction_cases(q, digits, text):
+    assert format_fraction(q, digits) == text
+
+
+def test_format_fraction_rejects_zero_digits():
+    with pytest.raises(ValueError, match="need digits >= 1"):
+        format_fraction(Fraction(1, 3), 0)
 
 
 class TestMomentPattern:
@@ -472,6 +517,26 @@ def emit_reference(inst, digits=40):
     return "\n".join(lines) + "\n"
 
 
+def read_reference(text):
+    """The reader as first written: every line through int(), float() and range checks."""
+    lines = text.splitlines()
+    content = [(i + 1, ln) for i, ln in enumerate(lines)
+               if ln.strip() and not ln.lstrip().startswith(("*", '"'))]
+    n_rows, n_blocks = int(content[0][1]), int(content[1][1])
+    dims = tuple(abs(int(tok)) for tok in content[2][1].split())
+    rhs = tuple(float(tok) for tok in content[3][1].split())
+    assert len(dims) == n_blocks and len(rhs) == n_rows
+    entries = []
+    for lineno, ln in content[4:]:
+        row, block, i, j, val = ln.split()
+        entry = (int(row), int(block), int(i), int(j), float(val))
+        if not (math.isfinite(entry[4]) and 0 <= entry[0] <= n_rows and 1 <= entry[1] <= n_blocks
+                and 1 <= entry[2] <= dims[entry[1] - 1] and 1 <= entry[3] <= dims[entry[1] - 1]):
+            raise FormatError("bad entry", lineno)
+        entries.append(entry)
+    return SparseSystem(n_rows=n_rows, block_dims=dims, rhs=rhs, entries=tuple(entries))
+
+
 def rebuild_reference(system):
     rows = [[[[0.0] * dim for _ in range(dim)] for dim in system.block_dims]
             for _ in range(system.n_rows + 1)]
@@ -506,6 +571,7 @@ class TestAssemblyDifferential:
         text_out = emit_sdpa(inst)
         assert text_out == emit_reference(ref)
         system = read_sdpa_instance(text_out)
+        assert system == read_reference(text_out)
         assert system_to_instance(system) == rebuild_reference(system)
 
     def test_vanishing_block_is_zero_on_every_plane_pivot(self, params):
@@ -532,7 +598,9 @@ PINNED_EMISSIONS = [
 @pytest.mark.parametrize("text, d, r, R, seed, digest", PINNED_EMISSIONS)
 def test_emission_digest_at_benchmark_size(text, d, r, R, seed, digest):
     inst = assemble_sdp(tokenize_and_parse(text), GeometricParams(r, R), n=8, d=d, K=50, seed=seed)
-    assert hashlib.sha256(emit_sdpa(inst, digits=40).encode("ascii")).hexdigest() == digest
+    text = emit_sdpa(inst, digits=40)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+    assert read_sdpa_instance(text) == read_reference(text)
 
 
 def pivot_digest(pivots):

@@ -35,6 +35,12 @@ class TestGeometricParams:
         p = GeometricParams(1.0, 2.0)
         assert p.r2 == 1 and p.R2 == 4
 
+    def test_squares_computed_once(self):
+        p = GeometricParams(1.45, 2.1)
+        assert p.r2 is p.r2 and p.R2 is p.R2
+        assert p.r2 == Fraction(1.45) ** 2 and p.R2 == Fraction(2.1) ** 2
+        assert p == GeometricParams(1.45, 2.1) and hash(p) == hash(GeometricParams(1.45, 2.1))
+
     @pytest.mark.parametrize("r,R", [(2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)])
     def test_requires_increasing_positive(self, r, R):
         with pytest.raises(ValueError):

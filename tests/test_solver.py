@@ -574,6 +574,38 @@ class TestSdpaRoundTrip:
         system = read_sdpa_instance(text)
         assert system.entries[0][4] == 2.0
 
+    def test_comments_and_blanks_among_entries_skipped(self):
+        text = '2\n1\n2\n0 1\n0 1 1 1 1.0\n* note\n\n   \n  "quoted\n1 1 1 2 2.0\n'
+        system = read_sdpa_instance(text)
+        assert system.entries == ((0, 1, 1, 1, 1.0), (1, 1, 1, 2, 2.0))
+        with pytest.raises(FormatError, match="row 3 outside") as err:
+            read_sdpa_instance(text + "* again\n\n3 1 1 1 2.0\n")
+        assert err.value.line == 13
+
+    @pytest.mark.parametrize("entry, fields", [("1 1 1 1", 4), ("1 1 1 1 2.0 3.0", 6)])
+    def test_wrong_field_count_names_line(self, entry, fields):
+        text = f"2\n1\n2\n0 1\n0 1 1 1 1.0\n\n{entry}\n"
+        with pytest.raises(FormatError, match=f"expected 5 fields, got {fields}") as err:
+            read_sdpa_instance(text)
+        assert err.value.line == 7
+
+    def test_noncanonical_integers_and_repeated_values(self):
+        # int() reads 01, +1, 0_1 and 002 as in-range integers; a value
+        # token may repeat on any number of lines
+        text = "2\n1\n2\n0 1\n01 1 +1 2 2.5\n+2 01 0_1 002 2.5\n0 1 1 1 2.5\n0 1 2 2 -0.0\n"
+        system = read_sdpa_instance(text)
+        assert system.entries == ((1, 1, 1, 2, 2.5), (2, 1, 1, 2, 2.5), (0, 1, 1, 1, 2.5),
+                                  (0, 1, 2, 2, -0.0))
+        assert math.copysign(1.0, system.entries[3][4]) == -1.0
+
+    def test_indices_of_a_block_larger_than_the_file(self):
+        text = "1\n2\n1000 -3\n1\n1 1 999 1000 1.0\n1 2 3 3 2.0\n"
+        system = read_sdpa_instance(text)
+        assert system.block_dims == (1000, 3)
+        assert system.entries == ((1, 1, 999, 1000, 1.0), (1, 2, 3, 3, 2.0))
+        with pytest.raises(FormatError, match="outside block 1 of size 1000"):
+            read_sdpa_instance(text + "1 1 1 1001 1.0\n")
+
 
 class TestParseExternalOutput:
     def fixture(self, name):
