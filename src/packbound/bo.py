@@ -14,9 +14,13 @@ through LAPACK: dpotrf factors it once per likelihood evaluation, dpotrs
 solves for the posterior weights on the factor and dtrtrs gives the
 predictive variance from it (Rasmussen & Williams, GPML, Algorithm 2.1).
 
-compile, solve, search and report run on numpy alone.  scipy loads on a
-campaign's first BO fit or proposal, or when a pivot table falls through to
-the Sobol fill; this module imports it inside the functions that call it.
+Nelder-Mead (minimize) and the Sobol' candidates (packbound.qmc) are scipy's
+algorithms written out on numpy; the tests pin them to
+scipy.optimize.minimize and scipy.stats.qmc.Sobol, bit for bit.  So a
+campaign never loads scipy.optimize or scipy.stats, and its first proposal
+loads no scipy at all.  This module imports the two pieces of scipy it does
+use inside the functions that call them: scipy.linalg.lapack on the first
+fit, scipy.special on the first proposal from a fitted surrogate.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .polys import GeometricParams
+from .qmc import Sobol
 
 NOISE_FLOOR = 1e-14
 ACQUISITIONS = ("ei", "ucb", "multi")
@@ -100,11 +105,105 @@ def _clamp(x: float, limits: Tuple[float, float]) -> float:
     return min(max(x, limits[0]), limits[1])
 
 
-def minimize(*args, **kwargs):
-    # A module-level name, not a local import, so instrumentation can replace it.
-    from scipy.optimize import minimize as scipy_minimize
+@dataclass(frozen=True)
+class MinimizeResult:
+    """Best vertex, its value, and the number of function evaluations spent."""
 
-    return scipy_minimize(*args, **kwargs)
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+def minimize(fun: Callable[[np.ndarray], float], x0: np.ndarray,
+             method: str = "Nelder-Mead", options: Optional[dict] = None) -> MinimizeResult:
+    """Nelder-Mead minimization of fun from x0, step for step as
+    scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
+    with its non-adaptive coefficients, so x, fun and nfev equal scipy's to
+    the last bit (the tests pin them).
+
+    options takes maxfev (required), xatol and fatol (default 1e-4).  The
+    initial simplex scales each coordinate of x0 by 1.05 in turn (0.00025
+    for a zero one).  No evaluation is made past maxfev: a step, a shrink or
+    the initial simplex cut short keeps the values it has, untried vertices
+    at inf.  Vertices are ordered by np.argsort, whose order among ties is
+    part of the result.  A module-level name, so instrumentation can
+    replace it.
+    """
+    opts = dict(options or {})
+    if method != "Nelder-Mead" or "maxfev" not in opts or set(opts) - {"maxfev", "xatol", "fatol"}:
+        raise ValueError(f"Nelder-Mead takes options maxfev, xatol and fatol; got {method!r}, {opts}")
+    maxfev, xatol, fatol = opts["maxfev"], opts.get("xatol", 1e-4), opts.get("fatol", 1e-4)
+    nfev = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return float(fun(x.copy()))
+
+    x0 = np.array(x0, dtype=float).ravel()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # scipy sorts the initial simplex twice; np.argsort need not be stable,
+    # so the second sort may reorder tied vertices
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+
+    while nfev < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:  # inside contraction
+                xcc = 0.5 * xbar + 0.5 * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return MinimizeResult(x=sim[0], fun=np.min(fsim), nfev=nfev)
 
 
 def _ndtr(u: np.ndarray) -> np.ndarray:
@@ -492,10 +591,7 @@ def acquisition_scores(s: Surrogate, Z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _sobol_candidates(box: SearchBox, seed: int, count: int) -> np.ndarray:
-    from scipy.stats import qmc
-
-    sampler = qmc.Sobol(d=2, scramble=True, seed=seed)
-    pts = box.denormalize(sampler.random(count))
+    pts = box.denormalize(Sobol(2, seed).random(count))
     return pts[pts[:, 0] < pts[:, 1]]
 
 
@@ -510,14 +606,19 @@ def propose_next(
     """Next (r, R) to evaluate: seeded multi-start maximization of the acquisition.
 
     With no fitted data the proposal is the first point of the seeded
-    low-discrepancy sequence inside the box satisfying r < R.  Every returned
-    point lies in the box with r < R.
+    low-discrepancy sequence inside the box satisfying r < R, among its
+    first 4096 points; they are drawn 64 at a time, and a longer draw has
+    the shorter one as its prefix.  Every returned point lies in the box
+    with r < R.
     """
     if s is None:
-        pts = _sobol_candidates(box, seed, 4096)
-        if not len(pts):
-            raise ValueError(f"no feasible r < R point found in box {box}")
-        return GeometricParams(r=float(pts[0, 0]), R=float(pts[0, 1]))
+        sampler = Sobol(2, seed)
+        for _ in range(4096 // 64):
+            pts = box.denormalize(sampler.random(64))
+            feasible = pts[pts[:, 0] < pts[:, 1]]
+            if len(feasible):
+                return GeometricParams(r=float(feasible[0, 0]), R=float(feasible[0, 1]))
+        raise ValueError(f"no feasible r < R point found in box {box}")
 
     cands = _sobol_candidates(box, seed, n_candidates)
     if len(cands) == 0:

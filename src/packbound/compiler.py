@@ -33,9 +33,9 @@ float64 image (InstanceArrays), which PivotTable.instance_arrays computes
 from the same distinct entries in integers, each one correctly rounded
 division, without building a Fraction block or basis vector.
 
-compile, solve, search and report run on numpy alone.  scipy loads on a
-campaign's first BO fit or proposal, or when a pivot table falls through to
-the Sobol fill; the Sobol sampler is therefore imported only in that branch.
+compile, solve, search and report run on numpy alone.  A pivot table that
+falls through to the Sobol fill draws from packbound.qmc, which gives
+scipy.stats.qmc.Sobol's points without loading scipy.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .polys import (
     common_denominator,
     evaluate_basis,
 )
+from .qmc import Sobol
 
 FracMatrix = Tuple[Tuple[Fraction, ...], ...]
 
@@ -137,9 +138,7 @@ def _plane_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[Pi
     for i, h in enumerate(nodes):
         for v in nodes[i:]:
             yield _plane_point(h, v, params)
-    from scipy.stats import qmc
-
-    sampler = qmc.Sobol(d=2, scramble=True, seed=seed)
+    sampler = Sobol(2, seed)
     for _ in range(64):
         for x, y in sampler.random(64):
             h, v = lo + (hi - lo) * x, lo + (hi - lo) * y
@@ -160,9 +159,7 @@ def _grid3d_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[P
             half = math.sqrt(h * v)
             for w in _chebyshev_nodes(-half, half, g):
                 yield PivotPoint.make(h, v, w)
-    from scipy.stats import qmc
-
-    sampler = qmc.Sobol(d=3, scramble=True, seed=seed)
+    sampler = Sobol(3, seed)
     for _ in range(64):
         for x, y, z in sampler.random(64):
             h, v = lo + (hi - lo) * x, lo + (hi - lo) * y

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky
-from scipy.stats import norm, qmc
+from scipy.optimize import minimize as scipy_minimize
+from scipy.stats import norm
 
 from packbound import bo
 from packbound.bo import (
+    ACQUISITIONS,
     Hyperparams,
     Observation,
     SearchBox,
@@ -28,6 +30,7 @@ from packbound.bo import (
     propose_next,
 )
 from packbound.polys import GeometricParams
+from packbound.qmc import Sobol
 
 BOX = SearchBox(1.0, 2.0, 2.5, 4.0)
 
@@ -192,12 +195,29 @@ class TestProposeNext:
             assert BOX.contains(p) and p.r < p.R
 
     def test_sobol_prefix_is_stable(self):
-        # The first proposal draws 4096 points at once and takes the first
-        # feasible one; that is the first feasible point of any shorter draw.
+        # The first proposal draws 64 points at a time and takes the first
+        # feasible one; that is the first feasible point of one long draw.
         for seed in range(50):
-            short = qmc.Sobol(d=2, scramble=True, seed=seed).random(8)
-            long = qmc.Sobol(d=2, scramble=True, seed=seed).random(4096)
-            assert np.array_equal(short, long[:8])
+            long = Sobol(2, seed).random(4096)
+            assert np.array_equal(Sobol(2, seed).random(8), long[:8])
+            blocks = Sobol(2, seed)
+            assert np.array_equal(np.vstack([blocks.random(64) for _ in range(64)]), long)
+
+    @pytest.mark.parametrize("box", [BOX, SearchBox(1.0, 3.0, 2.0, 2.5),
+                                     SearchBox(1.0, 2.0, 1.0, 1.01)])
+    def test_first_proposal_is_first_feasible_of_4096(self, box):
+        # in the last box about one point in 200 is feasible, so most seeds
+        # draw more than one block
+        for seed in range(20):
+            pts = bo._sobol_candidates(box, seed, 4096)
+            p = propose_next(None, box, seed=seed)
+            assert (p.r, p.R) == (float(pts[0, 0]), float(pts[0, 1]))
+
+    def test_first_proposal_without_a_feasible_point_rejected(self):
+        box = SearchBox(1.0, 2.0, 1.0, 1.0 + 1e-9)
+        assert len(bo._sobol_candidates(box, 0, 4096)) == 0
+        with pytest.raises(ValueError, match="no feasible"):
+            propose_next(None, box, seed=0)
 
     def test_overlapping_box_filtered(self):
         box = SearchBox(1.0, 3.0, 2.0, 2.5)  # r range overlaps R range
@@ -235,6 +255,97 @@ class TestSyntheticBowl:
             early.append(dists[5])
             late.append(dists[40])
         assert np.median(late) < np.median(early)
+
+
+# ---------------------------------------------------------------------------
+# Nelder-Mead oracle: bo.minimize gives scipy's x, fun and nfev exactly.
+# ---------------------------------------------------------------------------
+
+FIT_TOLS = {"xatol": 1e-4, "fatol": 1e-8}
+PROPOSAL_TOLS = {"xatol": 1e-6, "fatol": 1e-12}
+
+
+def assert_matches_scipy(out, fun, x0, options):
+    ref = scipy_minimize(fun, x0, method="Nelder-Mead", options=options)
+    assert np.array_equal(out.x, ref.x)
+    assert out.fun == ref.fun
+    assert out.nfev == ref.nfev
+
+
+def bowl(x):
+    return float(np.sum((x - 0.3) ** 2))
+
+
+def terraces(x):
+    # flat steps: ties among vertices at every stage
+    return float(np.floor(4.0 * np.sum(x)))
+
+
+def constant(x):
+    return 1.0
+
+
+def walled(x):
+    # the 1e12 wall the fit and the proposal search return off their domain
+    if (x < -0.5).any() or (x > 1.0).any():
+        return 1e12
+    return float(np.sum(np.abs(x - 0.2)))
+
+
+class TestNelderMeadOracle:
+    @pytest.mark.parametrize("fun", [bowl, terraces, constant, walled], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("tols", [FIT_TOLS, PROPOSAL_TOLS], ids=["fit", "proposal"])
+    def test_budgets(self, fun, tols):
+        # a budget of 1 or n cuts the initial simplex short, n + 1 and n + 2
+        # stop after it and after the first reflection
+        rng = np.random.default_rng(7)
+        for n in (2, 4, 9):
+            with_zero = rng.normal(0.0, 0.5, n)
+            with_zero[1] = 0.0  # its initial vertex moves to 0.00025
+            for x0 in (rng.normal(0.0, 0.5, n), with_zero):
+                for budget in (1, n, n + 1, n + 2, 80):
+                    options = dict(tols, maxfev=budget)
+                    out = bo.minimize(fun, x0, method="Nelder-Mead", options=options)
+                    assert_matches_scipy(out, fun, x0, options)
+
+    @pytest.mark.parametrize("tols", [FIT_TOLS, PROPOSAL_TOLS], ids=["fit", "proposal"])
+    def test_stops_on_tolerances(self, tols):
+        for fun in (bowl, constant):
+            x0 = np.array([0.9, -0.4, 0.0])
+            options = dict(tols, maxfev=5000)
+            out = bo.minimize(fun, x0, method="Nelder-Mead", options=options)
+            assert out.nfev < 5000
+            assert_matches_scipy(out, fun, x0, options)
+
+    def test_fit_and_proposal_searches_match_scipy(self, monkeypatch):
+        # Stage 1 starts two of its searches with the noise at its floor, where
+        # kernel_nll is flat in that coordinate; the proposal search meets its
+        # 1e12 wall at the box edge and the r < R edge.
+        calls = []
+        original = bo.minimize
+
+        def checked(fun, x0, method, options):
+            out = original(fun, x0, method=method, options=options)
+            assert_matches_scipy(out, fun, x0, options)
+            calls.append(options["xatol"])
+            return out
+
+        monkeypatch.setattr(bo, "minimize", checked)
+        for seed, count in ((0, 2), (1, 6), (2, 12)):
+            s = fit_surrogate(sample_observations(count, seed=seed), BOX, seed=seed, n_starts=4,
+                              max_evals=80)
+            for acq in ACQUISITIONS:
+                propose_next(s, BOX, seed=seed, acquisition=acq)
+        assert calls.count(1e-4) == 3 * 5 and calls.count(1e-6) == 3 * len(ACQUISITIONS)
+
+    @pytest.mark.parametrize("method, options", [
+        ("BFGS", {"maxfev": 5}),
+        ("Nelder-Mead", {"xatol": 1e-4}),
+        ("Nelder-Mead", {"maxfev": 5, "adaptive": True}),
+    ])
+    def test_other_methods_and_options_rejected(self, method, options):
+        with pytest.raises(ValueError):
+            bo.minimize(bowl, np.zeros(2), method=method, options=options)
 
 
 # ---------------------------------------------------------------------------

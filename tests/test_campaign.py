@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -49,6 +50,12 @@ PDINF_STUB = (
     "print('   objValPrimal = +3.0000000000000000e+00')\n"
     "print('   objValDual   = +1.0000000000000000e+00')\n"
 )
+
+
+# sha256 of the round records of the seed 0 and seed 1 default campaigns,
+# timings left out and floats written with float.hex, as the scipy-backed
+# Nelder-Mead and Sobol sampler produced them.
+CAMPAIGN_RECORDS_DIGEST = "fb05efe699f95f18aedfe3f80614e731a07d6a8caae1a93c00dd5709b2845cdb"
 
 
 def make_record(round_idx, status="converged", bound=0.3, sentence="P7 <EOS>"):
@@ -438,6 +445,22 @@ class TestRunCampaign:
         state_b = run_campaign(cfg_b)
         strip = lambda r: dataclasses.replace(r, search_seconds=0.0, solve_seconds=0.0)
         assert [strip(r) for r in state_a.rounds] == [strip(r) for r in state_b.rounds]
+
+    def test_default_campaign_records_are_pinned(self, tmp_path):
+        # Proposals, pivots, searches and bounds of two shipped-default
+        # campaigns, to the last bit.  A change that moves them on purpose
+        # updates the digest and says why.
+        lines = []
+        for seed in (0, 1):
+            state = run_campaign(CampaignConfig(seed=seed, out_dir=str(tmp_path / str(seed))))
+            for rec in state.rounds:
+                fields = {k: v.hex() if isinstance(v, float) else v
+                          for k, v in dataclasses.asdict(rec).items()
+                          if k not in ("search_seconds", "solve_seconds")}
+                lines.append(json.dumps(fields, sort_keys=True))
+        assert len(lines) == 20
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == CAMPAIGN_RECORDS_DIGEST
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         four = dict(FAST)

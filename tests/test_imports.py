@@ -1,9 +1,10 @@
-"""scipy loads only where it runs.
+"""scipy loads only where it runs, and only the pieces the BO uses.
 
 Each check runs a fresh interpreter: this suite imports scipy at collection
 (test_bo.py), so an in-process look at sys.modules would prove nothing.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -18,11 +19,11 @@ loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
 
 def run_child(body):
     env = dict(os.environ, PYTHONPATH=SRC)
-    code = "import sys\n" + textwrap.dedent(body) + LOADED_SCIPY + "print(len(loaded))\n"
+    code = "import json, sys\n" + textwrap.dedent(body) + LOADED_SCIPY + "print(json.dumps(loaded))\n"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout.split()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_exact_path_loads_no_scipy():
@@ -50,7 +51,7 @@ def test_exact_path_loads_no_scipy():
                          seed=0)
         assert out.outcome.converged
     """)
-    assert loaded == 0
+    assert loaded == []
 
 
 def test_bo_loads_scipy_when_it_runs():
@@ -67,4 +68,29 @@ def test_bo_loads_scipy_when_it_runs():
         surrogate = fit_surrogate(data, box, seed=0, n_starts=2, max_evals=10)
         assert box.contains(propose_next(surrogate, box, seed=0))
     """)
-    assert loaded > 0
+    assert loaded
+
+
+def test_bo_and_sobol_fill_load_neither_optimize_nor_stats():
+    # Nelder-Mead and the Sobol sampler are the package's own; a fit, both
+    # kinds of proposal and the two pinned pivot tables that fall through to
+    # the Sobol fill load only scipy.linalg.lapack and scipy.special.
+    loaded = run_child("""
+        import math
+
+        from packbound.bo import Observation, SearchBox, fit_surrogate, propose_next
+        from packbound.compiler import generate_pivots
+        from packbound.polys import GeometricParams
+
+        box = SearchBox(1.0, 2.0, 2.5, 4.0)
+        data = [Observation(GeometricParams(r, R), r + R)
+                for r, R in ((1.1, 2.6), (1.5, 3.0), (1.9, 3.9))]
+        surrogate = fit_surrogate(data, box, seed=0, n_starts=2, max_evals=10)
+        assert box.contains(propose_next(surrogate, box, seed=0))
+        assert box.contains(propose_next(None, box, seed=0))
+        for K, scheme in ((5, "plane"), (120, "grid3d")):
+            pivots, _ = generate_pivots(GeometricParams(math.sqrt(2), 1.8), K, 0, scheme)
+            assert len(pivots) == K
+    """)
+    assert loaded
+    assert not [m for m in loaded if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "stats"])]
