@@ -3,8 +3,9 @@
 
 A thin wrapper over the campaign loop with the shipped defaults
 (dimension 8, search degree 2, final degree 4, 50 pivots, 10 rounds, each
-round's winner decided exactly, with no external solver).  Pass --out to choose the output directory; everything
-else can be overridden through the same flags as `packbound campaign`.
+round's winner decided exactly, with no external solver).  Pass --out to
+choose the output directory; everything else can be overridden through the
+same flags as `packbound campaign`.
 
     python scripts/run_desk_campaign.py --out runs/desk --seed 0
 """

@@ -23,10 +23,11 @@ resume first rewrites state.jsonl, atomically, from the records load
 accepts, so a torn final record is dropped for good.  Per-round seeds
 derive from (base seed, round index), so identical configurations replay
 identically and resumed campaigns match uninterrupted ones.  The campaign
-never runs the embedded ADMM solver, which serves the CLI and the scripts.  A config.json that still carries a retired field
-(solver_max_iterations, mcts_rollouts, mcts_restarts, solver) loads, and the
-field is ignored; a retired solver "embedded" also clears solver_cmd, which
-it made the campaign ignore, and a retired "external" still needs one.
+never runs the embedded ADMM solver, which serves the CLI and the scripts.
+A config.json that still carries a retired field (solver_max_iterations,
+mcts_rollouts, mcts_restarts, solver) loads, and the field is ignored; a
+retired solver "embedded" also clears solver_cmd, which it made the
+campaign ignore, and a retired "external" still needs one.
 """
 
 from __future__ import annotations

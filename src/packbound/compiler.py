@@ -20,18 +20,22 @@ Every block m(p) * u u^T is built from the moment pattern of its basis
 degree k (moment_pattern): entry (i, j) of u u^T is w^A (hv)^B (h+v)^C,
 where (A, B, C) is the sum of the exponents of basis elements i and j, so
 the block has one distinct value per distinct sum (252 for k = 6, against
-1275 upper-triangle entries).  Each distinct value costs one multiply of
-m(p) u_i by u_j; equal entries share one Fraction, and m(p) = 0 gives one
-shared all-zero block.  PivotTable.instance builds every instance on its
-table's pivots, evaluated once for all of them: base values once per pivot,
-when generate_pivots admits it, and once at the origin, basis vectors once
-per pivot at the largest degree, which smaller ones slice.
+1275 upper-triangle entries), and m(p) = 0 gives one shared all-zero block.
+PivotTable.instance builds every instance on its table's pivots, evaluated
+once for all of them: base values once per pivot, when generate_pivots
+admits it, and once at the origin, basis vectors once per pivot at the
+largest degree, which smaller ones slice.
 
-All matrix entries are exact rationals so that emission to solver files is
-deterministic at any requested precision.  A certificate is checked on their
-float64 image (InstanceArrays), which PivotTable.instance_arrays computes
-from the same distinct entries in integers, each one correctly rounded
-division, without building a Fraction block or basis vector.
+A basis vector is kept in integers over its pivot's own denominator delta,
+u_p = n_p diag(delta^-grade), so with m(p) = a/b each distinct value is the
+integer ratio (a n_i n_j) / (b delta^(g_i + g_j)), g the grades.
+PivotTable.instance makes it one exact Fraction, which equal entries share,
+so that emission to solver files is deterministic at any requested
+precision.  PivotTable.instance_arrays makes it one correctly rounded
+division, the float64 image (InstanceArrays) a certificate is checked on,
+without building a Fraction.  solver.solve_exact decides on a second
+integer view, the rows over one denominator common to every pivot
+(PivotTable.integer_basis_vectors), which neither of them reads.
 
 compile, solve, search and report run on numpy alone.  A pivot table that
 falls through to the Sobol fill draws from packbound.qmc, which gives
@@ -45,7 +49,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, truediv
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,7 +63,7 @@ from .polys import (
     basis_enumerate,
     basis_values,
     common_denominator,
-    evaluate_basis,
+    evaluate_basis,  # not called here; the tracer wraps it
 )
 from .qmc import Sobol
 
@@ -276,20 +280,28 @@ def _zero_block(size: int) -> FracMatrix:
     return (row,) * size
 
 
-def _rank_one_block(u: Sequence[Fraction], scale: Fraction, k: int) -> FracMatrix:
-    """scale * u u^T for u, the basis(k) vector at some point, exactly.
+def _rank_one_values(u: Tuple[Tuple[int, ...], int], scale: Fraction, k: int,
+                     ratio: Callable[[int, int], object]) -> list:
+    """The distinct entries of scale * u u^T, one per pair of moment_pattern(k).
 
-    One multiply per basis element (scale * u_i) and one per distinct entry
-    of the moment pattern; equal entries share one Fraction.
+    u = (n, delta) is the basis(k) vector at a point over that point's own
+    denominator: u_p = n diag(delta^-grade), n an integer vector.  With
+    scale = a/b, the entry of pair (i, j) is ratio(a n_i n_j, b delta^(g_i + g_j)).
     """
+    nums, delta = u
     pattern = moment_pattern(k)
-    if len(u) != len(pattern.index):
-        raise ValueError(f"basis degree {k} has {len(pattern.index)} elements, got {len(u)} values")
+    a, b = scale.numerator, scale.denominator
+    snum = [a * x for x in nums]
+    sden = [b * delta**g for g in range(2 * k + 1)]
+    return [ratio(snum[i] * nums[j], sden[g]) for (i, j), g in zip(pattern.pairs, pattern.grades)]
+
+
+def _rank_one_block(u: Tuple[Tuple[int, ...], int], scale: Fraction, k: int) -> FracMatrix:
+    """scale * u u^T, exactly: one Fraction per distinct entry, which equal entries share."""
     if scale == 0:
-        return _zero_block(len(u))
-    su = [scale * x for x in u]
-    values = [su[i] * u[j] for i, j in pattern.pairs]
-    return tuple([row(values) for row in pattern.rows])
+        return _zero_block(len(u[0]))
+    values = _rank_one_values(u, scale, k, Fraction)
+    return tuple([row(values) for row in moment_pattern(k).rows])
 
 
 def _origin_block(value: Fraction, size: int) -> FracMatrix:
@@ -303,26 +315,16 @@ def _zero_array(size: int) -> np.ndarray:
 
 
 def _rank_one_array(u: Tuple[Tuple[int, ...], int], scale: Fraction, k: int) -> np.ndarray:
-    """block_arrays([_rank_one_block(u_p, scale, k)])[0], from integers alone.
+    """block_arrays([_rank_one_block(u, scale, k)])[0], without a Fraction.
 
-    u = (n, delta) is the basis(k) vector at a point over that point's own
-    denominator: u_p = n diag(delta^-grade), n an integer vector.  With
-    scale = a/b, each distinct entry of the moment pattern is the one
-    integer true division (a n_i n_j) / (b delta^(g_i + g_j)).  Python rounds
-    it correctly whatever factor the two sides share, as float() does the
+    Each distinct entry is one integer true division.  Python rounds it
+    correctly whatever factor the two sides share, as float() does the
     Fraction's reduced numerator and denominator, so every entry has the
     same bits.
     """
-    nums, delta = u
     if scale == 0:
-        return _zero_array(len(nums))
-    pattern = moment_pattern(k)
-    a, b = scale.numerator, scale.denominator
-    snum = [a * x for x in nums]
-    sden = [b * delta**g for g in range(2 * k + 1)]
-    values = np.array([(snum[i] * nums[j]) / sden[g]
-                       for (i, j), g in zip(pattern.pairs, pattern.grades)])
-    return values[pattern.gather]
+        return _zero_array(len(u[0]))
+    return np.array(_rank_one_values(u, scale, k, truediv))[moment_pattern(k).gather]
 
 
 def _origin_array(value: Fraction, size: int) -> np.ndarray:
@@ -468,19 +470,18 @@ class PivotTable:
     check.  Everything is exact.  A campaign round builds one table, on which
     the search decides and from which the winner's instance is verified.
 
-    Three views of the pivots serve three readers; all of them read
-    monomial_values, m(p) at every pivot:
+    Two integer views of the basis evaluation vectors u_p serve two readers:
 
-    * instance reads rationals: basis_vectors, the basis evaluation vectors
-      u_p, in Fractions.  It builds the dense Fraction blocks that SDPA
-      emission writes;
-    * instance_arrays builds their float image, which solver.check_certificate
-      checks a winner on.  It evaluates each pivot over that pivot's own
-      denominator: delta_p is the lcm of the denominators of (h, v, w), and
-      (H', V', W') = delta_p (h, v, w) are integers, so n_p = W'^a (H'V')^b
-      (H'+V')^c and u_p = n_p diag(delta_p^-grade).  Each distinct entry is
-      one correctly rounded integer division, and no Fraction vector is
-      built.  It reads none of the rows the decision reads;
+    * instance and instance_arrays read basis_vectors, each pivot over its
+      own denominator: delta_p is the lcm of the denominators of (h, v, w),
+      and (H', V', W') = delta_p (h, v, w) are integers, so n_p = W'^a
+      (H'V')^b (H'+V')^c and u_p = n_p diag(delta_p^-grade).  With
+      m(p) = a/b from monomial_values, each distinct entry of a block is
+      the integer ratio (a n_i n_j) / (b delta_p^(g_i + g_j)).  instance
+      makes it one exact Fraction, for the dense blocks that SDPA emission
+      writes; instance_arrays makes it one correctly rounded float division,
+      for the image solver.check_certificate checks a winner on.  Neither
+      reads the rows the decision reads;
     * solver.solve_exact reads integers over one denominator.  D,
       `denominator`, is the lcm of the denominators of every pivot
       coordinate, and (H, V, W) = D (h, v, w) are integers, so
@@ -490,7 +491,7 @@ class PivotTable:
       there and P7 = 1, m(p) > 0 exactly when no base polynomial in m's
       support vanishes at p (active_pivots).
 
-    The basis vectors of degree k, in each view, are computed on first use
+    The vectors of degree k, in each view, are computed on first use
     and kept; since basis_enumerate(k) is a prefix of basis_enumerate(k') for
     k <= k', a smaller degree slices the largest one computed so far.
     `kernels` keeps solver._block_kernel's result for each (active pivots,
@@ -510,7 +511,6 @@ class PivotTable:
         D = self.denominator = math.lcm(*(x.denominator for p in self.pivots for x in p.as_tuple()))
         self._coords = [tuple(x.numerator * (D // x.denominator) for x in p.as_tuple())
                         for p in self.pivots]
-        self._basis: Dict[int, List[Tuple[Fraction, ...]]] = {}
         self._own_coords = [common_denominator(p.as_tuple()) for p in self.pivots]
         self._own_basis: Dict[int, List[Tuple[int, ...]]] = {}
         self._integer_basis: Dict[int, List[Tuple[int, ...]]] = {}
@@ -537,29 +537,24 @@ class PivotTable:
         """
         return next((i for i, m in enumerate(s.monomials) if self.origin_value(m) > 0), 0)
 
-    def basis_vectors(self, k: int) -> List[Tuple[Fraction, ...]]:
-        """evaluate_basis(basis_enumerate(k), p) for every pivot p, in pivot order."""
-        return _by_degree(self._basis, k, lambda elems: [
-            evaluate_basis(elems, p.as_tuple()) for p in self.pivots])
-
     def integer_basis_vectors(self, k: int) -> List[Tuple[int, ...]]:
         """N_p = u_p diag(D^grade) over basis_enumerate(k), for every pivot p, in pivot order."""
         return _by_degree(self._integer_basis, k, lambda elems: [
             basis_values(elems, W, H * V, H + V) for H, V, W in self._coords])
 
-    def _own_basis_vectors(self, k: int) -> List[Tuple[Tuple[int, ...], int]]:
+    def basis_vectors(self, k: int) -> List[Tuple[Tuple[int, ...], int]]:
         """(n_p, delta_p) with n_p = u_p diag(delta_p^grade) over basis_enumerate(k),
         for every pivot p, in pivot order; delta_p is p's own denominator."""
         vectors = _by_degree(self._own_basis, k, lambda elems: [
             basis_values(elems, W, H * V, H + V) for _, (H, V, W) in self._own_coords])
         return [(n, delta) for n, (delta, _) in zip(vectors, self._own_coords)]
 
-    def _blocks(self, s: Sentence, d: int, vectors: Callable[[int], list], rank_one: Callable,
-                origin: Callable, zero: Callable) -> tuple:
+    def _blocks(self, s: Sentence, d: int, rank_one: Callable, origin: Callable,
+                zero: Callable) -> tuple:
         """(canonical s, block dims, rows, objective, normalization) of s at degree d.
 
         Block i of pivot p's row is rank_one(u_p, m_i(p), k_i), where u_p is
-        p's entry of vectors(k_i), the objective block is origin(m_i(0),
+        p's entry of basis_vectors(k_i), the objective block is origin(m_i(0),
         dim_i) and the normalization row is the objective on the designated
         block, zero(dim_i) elsewhere.
         """
@@ -568,9 +563,10 @@ class PivotTable:
         objective = tuple(
             origin(self.origin_value(m), dim) for m, dim in zip(canon.monomials, dims)
         )
-        vectors(max(degrees))  # evaluated once; the smaller degrees slice it
+        self.basis_vectors(max(degrees))  # evaluated once; the smaller degrees slice it
         columns = [  # column i holds block i, m_i(p) u_p u_p^T, of each pivot's row
-            [rank_one(u, value, k) for u, value in zip(vectors(k), self.monomial_values(m))]
+            [rank_one(u, value, k)
+             for u, value in zip(self.basis_vectors(k), self.monomial_values(m))]
             for m, k in zip(canon.monomials, degrees)
         ]
         j = self.designated_block(canon)
@@ -591,7 +587,7 @@ class PivotTable:
         if n < 1:
             raise ValueError(f"dimension n must be >= 1, got {n}")
         canon, dims, rows, objective, normalization = self._blocks(
-            s, d, self.basis_vectors, _rank_one_block, _origin_block, _zero_block)
+            s, d, _rank_one_block, _origin_block, _zero_block)
         return SdpInstance(
             block_dims=dims,
             constraints=rows,
@@ -603,10 +599,8 @@ class PivotTable:
 
     def instance_arrays(self, s: Sentence, d: int) -> InstanceArrays:
         """instance_arrays(self.instance(s, n, d)), bit for bit, for any n, built
-        from each pivot's own integer basis vector (_rank_one_array), with no
-        Fraction block or basis vector."""
-        _, *blocks = self._blocks(s, d, self._own_basis_vectors, _rank_one_array,
-                                  _origin_array, _zero_array)
+        from the same integers (_rank_one_array), with no Fraction block."""
+        _, *blocks = self._blocks(s, d, _rank_one_array, _origin_array, _zero_array)
         return InstanceArrays(*blocks)
 
 

@@ -805,6 +805,8 @@ def parse_external_output(text: str) -> SolverResult:
     iterations = 0
     for lineno, ln in enumerate(lines, start=1):
         if "phase.value" in ln:
+            if "=" not in ln:
+                raise FormatError("unreadable phase.value: no '='", lineno)
             phase = ln.split("=", 1)[1].strip()
         elif "objValPrimal" in ln:
             try:

@@ -248,6 +248,8 @@ class TestSolve:
         pytest.param(f"{sys.executable} -c 'print(\"objValPrimal = 1\")'", id="no-phase-value"),
         pytest.param(f"{sys.executable} -c 'print(\"phase.value = pdOPT\"); "
                      "print(\"objValPrimal = nan\")'", id="nan-objective"),
+        pytest.param(f"{sys.executable} -c 'print(\"phase.value pdOPT\"); "
+                     "print(\"objValPrimal = 1\")'", id="phase-value-without-equals"),
         pytest.param("timeout", id="timeout"),  # solve_external raises TimeoutExpired
     ])
     def test_failed_external_solve_exits_2(self, capsys, tmp_path, monkeypatch, solver_cmd):

@@ -208,7 +208,8 @@ class TestInstanceArrays:
 
     def test_reads_none_of_the_decisions_rows(self, params, monkeypatch):
         # solve_exact decides on the integer rows N_p over the common
-        # denominator D; the image must come from elsewhere
+        # denominator D; the image, and the instance it is the image of,
+        # must come from elsewhere
         table = PivotTable(params, 8, 3)
         calls = []
         monkeypatch.setattr(PivotTable, "integer_basis_vectors",
@@ -216,9 +217,10 @@ class TestInstanceArrays:
         monkeypatch.setattr(compiler, "evaluate_basis",
                             lambda *args: calls.append("evaluate_basis"))
         del table._coords, table.denominator  # any read of them raises AttributeError
-        image = table.instance_arrays(tokenize_and_parse("P1 <ES> P2 <*> P4 <EOS>"), 4)
-        assert calls == []
-        assert image.block_dims == (7, 7) and len(image.constraints) == table.K
+        s = tokenize_and_parse("P1 <ES> P2 <*> P4 <EOS>")
+        for built in (table.instance_arrays(s, 4), table.instance(s, 8, 4)):
+            assert calls == []
+            assert built.block_dims == (7, 7) and len(built.constraints) == table.K
 
     def test_covers_zero_blocks_and_a_negative_origin(self, params):
         table = PivotTable(params, 8, 3)
@@ -289,12 +291,14 @@ class TestPivotTable:
     def test_matches_assembly(self, params):
         table = PivotTable(params, 12, 3)
         assert (table.pivots, table.base_values) == generate_pivots(params, 12, 3)
-        assert table.basis_vectors(4) is table.basis_vectors(4)
+        # each pivot's vector is evaluated once and kept
+        assert all(a[0] is b[0] for a, b in zip(table.basis_vectors(4), table.basis_vectors(4)))
         p1 = tokenize_and_parse("P1 <EOS>").monomials[0]
         inst = assemble_sdp(tokenize_and_parse("P7 <ES> P1 <EOS>"), params, n=8, d=4, K=12, seed=3)
-        rows = zip(inst.constraints, table.basis_vectors(4), table.basis_vectors(2),
-                   table.monomial_values(p1))
-        for (p7_block, p1_block), u4, u2, value in rows:
+        rows = zip(inst.constraints, table.pivots, table.monomial_values(p1))
+        for (p7_block, p1_block), p, value in rows:
+            u4 = evaluate_basis(basis_enumerate(4), p.as_tuple())
+            u2 = evaluate_basis(basis_enumerate(2), p.as_tuple())
             assert p7_block[0] == u4  # u[0] = 1, so the first row of u u^T is u
             assert p1_block[0] == tuple(value * x for x in u2)
 
@@ -322,7 +326,7 @@ class TestPivotTable:
     def test_instance_carries_the_table_identity_and_equals_assembly(self, params):
         table = PivotTable(params, 12, 3, "grid3d")
         assert (table.params, table.K, table.seed, table.scheme) == (params, 12, 3, "grid3d")
-        # a search evaluation at a higher degree leaves vectors that later degrees slice
+        # vectors left at a higher degree are sliced by later, smaller degrees
         table.basis_vectors(5)
         s = tokenize_and_parse("P1 <*> P7 <ES> P7 <ES> P2 <EOS>")
         inst = table.instance(s, 8, 4)

@@ -25,7 +25,7 @@ from packbound.grammar import (
     render,
     tokenize_and_parse,
 )
-from packbound.polys import GeometricParams, base_values_at
+from packbound.polys import GeometricParams, base_values_at, basis_enumerate, evaluate_basis
 from packbound.solver import (
     FormatError,
     SolverResult,
@@ -212,7 +212,7 @@ class TestIntegerRowsAgreeWithFractionRows:
             k = d - m.degree
             active = [p for p, value in enumerate(table.monomial_values(m)) if value > 0]
             assert table.active_pivots(m) == active
-            basis = table.basis_vectors(k)
+            basis = [evaluate_basis(basis_enumerate(k), p.as_tuple()) for p in table.pivots]
             expected = fraction_kernel_vector([basis[p] for p in active], len(basis[0]))
             assert _block_kernel(table, m, k) == expected
 
@@ -263,8 +263,9 @@ class TestExactSolver:
 
     def test_decisions_and_instances_read_only_the_table(self, params, monkeypatch):
         # every point value a decision or an instance reads was computed
-        # when the table was built; a decision also evaluates no basis
-        # vector and no monomial in rationals, which instances still do
+        # when the table was built; neither evaluates a basis vector in
+        # rationals, and a decision evaluates no monomial in rationals,
+        # which instances still do
         table = PivotTable(params, 20, 0)
         calls = []
 
@@ -287,8 +288,7 @@ class TestExactSolver:
             for d in (2, 4):
                 table.instance(s, 8, d)
                 solve_exact(s, d, table)
-        assert "base_values_at" not in calls
-        assert {"evaluate_basis", "monomial_values"} <= set(calls)
+        assert set(calls) == {"monomial_values"}
 
     def test_closed_form_oracle_on_plane_pivots(self):
         # On plane pivots P4 vanishes at every pivot, so a block of basis
@@ -658,6 +658,13 @@ class TestParseExternalOutput:
         with pytest.raises(FormatError, match=message) as err:
             parse_external_output(text)
         assert err.value.line == 13
+
+    def test_phase_value_without_equals_rejected_at_its_line(self):
+        text = self.fixture("sdpa_output_optimal.txt").replace(
+            "phase.value  = pdOPT", "phase.value  pdOPT")
+        with pytest.raises(FormatError, match="unreadable phase.value") as err:
+            parse_external_output(text)
+        assert err.value.line == 7
 
     def test_truncated_output_rejected(self):
         with pytest.raises(FormatError):
