@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .polys import GeometricParams
+from .polys import GeometricParams, check_float_square
 from .qmc import Sobol
 
 NOISE_FLOOR = 1e-14
@@ -75,6 +75,7 @@ class SearchBox:
             raise ValueError(f"malformed box {self}")
         if self.r_lo >= self.R_hi:
             raise ValueError(f"box {self} has no feasible point with r < R")
+        check_float_square("R_hi", self.R_hi)  # every proposal has r < R <= R_hi
 
     def contains(self, p: GeometricParams) -> bool:
         return self.r_lo <= p.r <= self.r_hi and self.R_lo <= p.R <= self.R_hi

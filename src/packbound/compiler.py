@@ -29,13 +29,16 @@ largest degree, which smaller ones slice.
 A basis vector is kept in integers over its pivot's own denominator delta,
 u_p = n_p diag(delta^-grade), so with m(p) = a/b each distinct value is the
 integer ratio (a n_i n_j) / (b delta^(g_i + g_j)), g the grades.
-PivotTable.instance makes it one exact Fraction, which equal entries share,
-so that emission to solver files is deterministic at any requested
-precision.  PivotTable.instance_arrays makes it one correctly rounded
-division, the float64 image (InstanceArrays) a certificate is checked on,
-without building a Fraction.  solver.solve_exact decides on a second
-integer view, the rows over one denominator common to every pivot
-(PivotTable.integer_basis_vectors), which neither of them reads.
+PivotTable.instance makes it one exact Fraction (polys.exact_ratio), which
+equal entries share, so that emission to solver files is deterministic at
+any requested precision.  A power-of-two denominator, which every table on
+float (r, R) has since its pivots come from float candidates, is reduced by
+a shift, any other by a gcd.  PivotTable.instance_arrays makes it one
+correctly rounded division, the float64 image (InstanceArrays) a
+certificate is checked on, without building a Fraction.
+solver.solve_exact decides on a second integer view, the rows over one
+denominator common to every pivot (PivotTable.integer_basis_vectors),
+which neither of them reads.
 
 compile, solve, search and report run on numpy alone.  A pivot table that
 falls through to the Sobol fill draws from packbound.qmc, which gives
@@ -64,6 +67,7 @@ from .polys import (
     basis_values,
     common_denominator,
     evaluate_basis,  # not called here; the tracer wraps it
+    exact_ratio,
 )
 from .qmc import Sobol
 
@@ -300,7 +304,7 @@ def _rank_one_block(u: Tuple[Tuple[int, ...], int], scale: Fraction, k: int) -> 
     """scale * u u^T, exactly: one Fraction per distinct entry, which equal entries share."""
     if scale == 0:
         return _zero_block(len(u[0]))
-    values = _rank_one_values(u, scale, k, Fraction)
+    values = _rank_one_values(u, scale, k, exact_ratio)
     return tuple([row(values) for row in moment_pattern(k).rows])
 
 
@@ -479,9 +483,10 @@ class PivotTable:
       m(p) = a/b from monomial_values, each distinct entry of a block is
       the integer ratio (a n_i n_j) / (b delta_p^(g_i + g_j)).  instance
       makes it one exact Fraction, for the dense blocks that SDPA emission
-      writes; instance_arrays makes it one correctly rounded float division,
-      for the image solver.check_certificate checks a winner on.  Neither
-      reads the rows the decision reads;
+      writes, reducing a power-of-two denominator by a shift and any other
+      by a gcd (polys.exact_ratio); instance_arrays makes it one correctly
+      rounded float division, for the image solver.check_certificate
+      checks a winner on.  Neither reads the rows the decision reads;
     * solver.solve_exact reads integers over one denominator.  D,
       `denominator`, is the lcm of the denominators of every pivot
       coordinate, and (H, V, W) = D (h, v, w) are integers, so

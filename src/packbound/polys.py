@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
@@ -32,12 +33,23 @@ def _frac(x: Number) -> Fraction:
     return Fraction(x)
 
 
+def check_float_square(name: str, x: Number) -> None:
+    """Raise ValueError naming `name` unless float(x) ** 2, a bound of the
+    pivot candidates' float grid, is a finite float."""
+    try:
+        float(x) ** 2
+    except OverflowError:
+        raise ValueError(f"{name}^2 overflows a float, got {name}={x}") from None
+
+
 @dataclass(frozen=True)
 class GeometricParams:
     """Geometric parameters (r, R) of one problem instance, with 0 < r < R.
 
-    Both are substituted numerically (as exact rationals) into the base
-    polynomials at construction time; they are never kept symbolic.
+    r^2 and R^2 must be finite as floats too, since pivot generation spans
+    [r^2, R^2] in floats.  Both are substituted numerically (as exact
+    rationals) into the base polynomials at construction time; they are
+    never kept symbolic.
     """
 
     r: float
@@ -48,6 +60,8 @@ class GeometricParams:
             raise ValueError(f"r must be positive and finite, got r={self.r}")
         if not math.isfinite(self.R):
             raise ValueError(f"R must be finite, got R={self.R}")
+        check_float_square("r", self.r)
+        check_float_square("R", self.R)
         if not self.r < self.R:
             raise ValueError(f"require 0 < r < R, got r={self.r}, R={self.R}")
 
@@ -206,6 +220,38 @@ def common_denominator(values: Iterable[Fraction]) -> Tuple[int, Tuple[int, ...]
     values = tuple(values)
     d = math.lcm(*(x.denominator for x in values))
     return d, tuple(x.numerator * (d // x.denominator) for x in values)
+
+
+class _LowestTerms:
+    """A numerator and a positive denominator already in lowest terms.
+
+    Registered as a numbers.Rational, whose contract asks exactly that, so
+    Fraction(x) copies the two as they are, without a gcd.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+
+numbers.Rational.register(_LowestTerms)
+
+
+def exact_ratio(num: int, den: int) -> Fraction:
+    """Fraction(num, den), with a power-of-two den reduced by a shift, not a gcd.
+
+    The largest power of two dividing both is 2^min(v2(num), log2(den)),
+    and what is left is in lowest terms: its numerator is odd or its
+    denominator is 1.  A zero num and any other den go through
+    Fraction(num, den).  On 400-600-bit operands this takes half the time
+    of Fraction(num, den) or less (Python 3.11); at 200 bits or fewer it
+    takes longer, so only the dense instance's entries use it.
+    """
+    if num and den > 0 and not den & (den - 1):
+        shift = min((num & -num).bit_length(), den.bit_length()) - 1
+        return Fraction(_LowestTerms(num >> shift, den >> shift))
+    return Fraction(num, den)
 
 
 def base_values_at(point: Sequence[Number], params: GeometricParams) -> Tuple[Fraction, ...]:

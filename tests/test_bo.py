@@ -55,6 +55,11 @@ class TestSearchBox:
         with pytest.raises(ValueError):
             SearchBox(*edges)
 
+    def test_overflowing_square_rejected(self):
+        # a proposal's float R ** 2 would overflow in pivot generation
+        with pytest.raises(ValueError, match=r"R_hi\^2 overflows a float"):
+            SearchBox(1.4, 1.6, 1.8, 1e200)
+
     def test_contains(self):
         assert BOX.contains(GeometricParams(1.5, 3.0))
         assert not BOX.contains(GeometricParams(0.5, 3.0))

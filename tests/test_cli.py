@@ -57,6 +57,12 @@ class TestCompile:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("r, R, name", [("1.45", "1e308", "R"), ("1e200", "1e201", "r")])
+    def test_overflowing_square_exits_2(self, capsys, r, R, name):
+        code, out, err = run_cli(capsys, "compile", "P1 <EOS>", "--r", r, "--R", R)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {name}^2 overflows a float")
+
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         path = tmp_path / "missing-dir" / "inst.dat-s"
         code, out, err = run_cli(
@@ -284,6 +290,7 @@ class TestSearch:
         ("--pivots", "0"),
         ("--pivots", "9000"),  # more than the region yields: PivotGenerationError
         ("--dim", "0"),
+        ("--R", "1e200"),  # R^2 overflows a float
     ])
     def test_bad_search_argument_exits_2(self, capsys, flag, value):
         code, out, err = run_cli(
@@ -323,6 +330,14 @@ class TestCampaign:
         cfg.write_text(json.dumps({"pivots": 0}))
         code, _, err = run_cli(capsys, "campaign", "--config", str(cfg))
         assert code == EXIT_CONFIG and "invalid config" in err
+
+    def test_overflowing_box_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "box.json"
+        cfg.write_text(json.dumps({"R_hi": 1e200}))
+        out_dir = tmp_path / "camp"
+        code, out, err = run_cli(capsys, "campaign", "--config", str(cfg), "--out", str(out_dir))
+        assert code == EXIT_CONFIG and out == "" and not out_dir.exists()
+        assert err.count("\n") == 1 and err.startswith("invalid config: R_hi^2 overflows a float")
 
     @pytest.mark.parametrize("top_level", [5, []])
     def test_non_object_config_exits_2(self, capsys, tmp_path, top_level):

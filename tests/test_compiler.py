@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from packbound import compiler
@@ -33,6 +33,7 @@ from packbound.polys import GeometricParams, base_values_at, basis_enumerate, ev
 from packbound.solver import FormatError, SparseSystem, read_sdpa_instance, system_to_instance
 
 from conftest import monomial_value
+from test_exact_ratio import check_exact_ratio
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -476,6 +477,48 @@ class TestMomentPattern:
                     assert block[i][j] is block[j][i]
 
 
+class TestExactRatio:
+    """polys.exact_ratio, the helper that builds every instance entry, against
+    Fraction(num, den); test_exact_ratio.py checks it without hypothesis."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.builds(lambda m, shift: m << shift,
+                     st.integers(-2**640, 2**640), st.integers(0, 700)),
+           st.one_of(st.integers(0, 700).map(lambda e: 1 << e), st.integers(1, 10**60)))
+    @example(0, 1)
+    @example(0, 1 << 40)
+    @example(1, 1)
+    @example(-1, 1)
+    @example(-1, 1 << 9)
+    @example(1, 1 << 600)
+    @example(-7, 1)
+    @example(3 << 500, 1 << 20)   # more trailing zeros than log2(den): an integer
+    @example(-(5 << 64), 1 << 64)
+    @example(5, 3)                # not a power of two: the gcd path
+    @example(-12, 9)
+    @example(3 << 400, 5 << 400)
+    def test_matches_fraction(self, num, den):
+        q = check_exact_ratio(num, den)
+        assert format_fraction(q) == format_fraction(Fraction(num, den))
+
+    def test_dyadic_block_takes_no_gcd(self, params, monkeypatch):
+        table = PivotTable(params, 10, 0)
+        (m,) = tokenize_and_parse("P2 <*> P6 <EOS>").monomials
+        k, p = 4, 3
+        u, scale = table.basis_vectors(k)[p], table.monomial_values(m)[p]
+        assert scale != 0 and scale.denominator & (scale.denominator - 1) == 0
+        assert u[1] & (u[1] - 1) == 0  # the pivot's own denominator is a power of two
+
+        def no_gcd(*args):
+            raise AssertionError("math.gcd called")
+
+        monkeypatch.setattr(math, "gcd", no_gcd)
+        block = compiler._rank_one_block(u, scale, k)
+        monkeypatch.undo()
+        pivot = table.pivots[p].as_tuple()
+        assert block == outer_reference(evaluate_basis(basis_enumerate(k), pivot), scale)
+
+
 # The formulation assembly, emission and parse-back had before moment
 # patterns, written out in full: scale * u_i * u_j for every entry of every
 # block, every nonzero entry formatted on its own, every parsed matrix
@@ -561,9 +604,20 @@ DIFFERENTIAL_SENTENCES = [
 ]
 
 
+# Every entry's denominator is a power of two on float (r, R), which exact_ratio
+# reduces by a shift; r = 7/5 puts 25 into it, which takes the gcd path.
+DIFFERENTIAL_CASES = [
+    pytest.param(d, text, GeometricParams(1.45, 2.0), id=f"{d}-{text}")
+    for d, text in DIFFERENTIAL_SENTENCES
+] + [
+    pytest.param(d, text, GeometricParams(Fraction(7, 5), 2.0), id=f"{d}-{text}-r=7/5")
+    for d, text in DIFFERENTIAL_SENTENCES
+]
+
+
 class TestAssemblyDifferential:
     @pytest.mark.parametrize("scheme", ["plane", "grid3d"])
-    @pytest.mark.parametrize("d, text", DIFFERENTIAL_SENTENCES)
+    @pytest.mark.parametrize("d, text, params", DIFFERENTIAL_CASES)
     def test_matches_full_outer_products(self, params, d, text, scheme):
         s = tokenize_and_parse(text)
         inst = assemble_sdp(s, params, n=8, d=d, K=10, seed=d, pivot_scheme=scheme)

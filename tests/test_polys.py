@@ -51,6 +51,16 @@ class TestGeometricParams:
         with pytest.raises(ValueError, match=f"R must be finite, got R={R}"):
             GeometricParams(1.45, R)
 
+    # pivot generation takes float(r) ** 2 and float(R) ** 2, which overflow
+    @pytest.mark.parametrize("r, R, name", [(1.45, 1e308, "R"), (1.45, 1e155, "R"),
+                                            (1e200, 1e201, "r"), (Fraction(10**200), 1e201, "r")])
+    def test_overflowing_square_named(self, r, R, name):
+        with pytest.raises(ValueError, match=rf"^{name}\^2 overflows a float, got {name}="):
+            GeometricParams(r, R)
+
+    def test_square_below_overflow_accepted(self):
+        assert GeometricParams(1.45, 1e154).R2 == Fraction(1e154) ** 2
+
 
 class TestBasePolynomials:
     def test_p7_is_one(self, params):
