@@ -6,28 +6,28 @@ runs the tree search at the cheap degree with its finalists decided at the
 final degree (every evaluation is solver.solve_exact on that table).  The
 round keeps the search's exact decision of the winner's final-degree
 instance, or, when solver_cmd is set, assembles that instance from the same
-table and hands it to the command.  Either way the result is only a claim.
-One that claims convergence is recorded as solver.check_certificate judges
-it on the instance's float image, which the table builds
-(PivotTable.instance_arrays):
-"verification-failed" when it has no finite certificate with the
-instance's block count and shapes, when the
-recomputed equality or PSD residual misses tol_eq (times 10) or tol_psd, or
-when the claimed objective is not the recomputed one within 10 * tol_eq
-(relative).  Only the gate's residuals are recorded, and the objective and
-bound only of a round that passes it.  Each (sentence, degree) is decided
-at most once a round.  Any stage failure is recorded with its status and
-the campaign continues; each round's record is appended to state.jsonl and
-flushed to disk, so a killed process loses at most the in-flight round.  A
-resume first rewrites state.jsonl, atomically, from the records load
-accepts, so a torn final record is dropped for good.  Per-round seeds
-derive from (base seed, round index), so identical configurations replay
-identically and resumed campaigns match uninterrupted ones.  The campaign
-never runs the embedded ADMM solver, which serves the CLI and the scripts.
-A config.json that still carries a retired field (solver_max_iterations,
-mcts_rollouts, mcts_restarts, solver) loads, and the field is ignored; a
-retired solver "embedded" also clears solver_cmd, which it made the
-campaign ignore, and a retired "external" still needs one.
+table, emits it as SDPA text and hands the text to the command.  Either way
+the result is only a claim, and the round records whatever
+solver.check_certificate makes of it on the instance's float image, which
+the table builds (PivotTable.instance_arrays).  A claim other than
+convergence keeps its status, with no residuals.  A claim of convergence is
+"verification-failed" when it has no finite certificate with the instance's
+block count and shapes, when the recomputed equality or PSD residual misses
+tol_eq (times 10) or tol_psd, or when the claimed objective is not the
+recomputed one within 10 * tol_eq (relative).  Only the gate's residuals are
+recorded, and the objective and bound only of a round that passes it.  Each
+(sentence, degree) is decided at most once a round.  Any stage failure is
+recorded with its status and the campaign continues; each round's record is
+appended to state.jsonl and flushed to disk, so a killed process loses at
+most the in-flight round.  A resume first rewrites state.jsonl, atomically,
+from the records load accepts, so a torn final record is dropped for
+good.  Per-round seeds derive from (base seed, round index), so identical
+configurations replay identically and resumed campaigns match uninterrupted
+ones.  The campaign never runs the embedded ADMM solver, which serves the CLI
+and the scripts.  A config.json that still carries a retired field
+(solver_max_iterations, mcts_rollouts, mcts_restarts, solver) loads, and the
+field is ignored; a retired solver "embedded" also clears solver_cmd, which
+it made the campaign ignore, and a retired "external" still needs one.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from typing import Iterable, List, Optional, get_args, get_type_hints
 import numpy as np
 
 from .bo import ACQUISITIONS, Observation, SearchBox, fit_surrogate, propose_next
-from .compiler import PIVOT_SCHEMES, PivotGenerationError, PivotTable, compute_bound
+from .compiler import (PivotGenerationError, PivotTable, check_pivot_scheme, compute_bound,
+                       emit_sdpa)
 from .compiler import assemble_sdp  # not called here; perfbench/tracing.py wraps this name
 from .grammar import render
 from .mcts import (
@@ -54,7 +55,7 @@ from .mcts import (
     run_search,
 )
 from .polys import GeometricParams
-from .solver import SolverStatus, check_certificate, check_tolerances, solve_external
+from .solver import check_certificate, check_tolerances, solve_external, split_command
 from .solver import solve_embedded, verify_certificate  # not called here; the tracer wraps them
 
 
@@ -100,9 +101,9 @@ class CampaignConfig:
     def validate(self) -> None:
         """Raise ConfigError unless every field is usable.
 
-        SearchBox checks the box, mcts.check_search_settings the search
-        settings and solver.check_tolerances the tolerances, in their own
-        wording; the checks here are the campaign's own.
+        SearchBox, mcts.check_search_settings, solver.check_tolerances,
+        compiler.check_pivot_scheme and solver.split_command (of a solver_cmd
+        that is set) check in their own wording; the rest are the campaign's.
         """
         for f in fields(self):
             value = getattr(self, f.name)
@@ -115,6 +116,9 @@ class CampaignConfig:
             check_search_settings(self.mcts_iterations, self.d_search, self.d_final,
                                   self.max_monomials, self.top_k, self.c_explore, self.eos_bias)
             check_tolerances(self.tol_eq, self.tol_psd)
+            check_pivot_scheme(self.pivot_scheme, self.R_hi)
+            if self.solver_cmd:
+                split_command(self.solver_cmd)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # numpy rejects a negative seed, but only once config.json is written
@@ -123,8 +127,6 @@ class CampaignConfig:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.pivots < 1:
             raise ConfigError(f"need at least one pivot, got {self.pivots}")
-        if self.pivot_scheme not in PIVOT_SCHEMES:
-            raise ConfigError(f"unknown pivot scheme {self.pivot_scheme!r}")
         # a NaN budget would never be exceeded; 0 is how to disable it
         if self.budget_rounds < 0 or not 0 <= self.budget_seconds < math.inf:
             raise ConfigError(
@@ -349,20 +351,17 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
         solve_start = time.monotonic()
         try:
             if config.solver_cmd:  # the dense instance is only for the SDPA file
-                res = solve_external(
-                    table.instance(out.sentence, config.dimension, config.d_final),
+                res = solve_external(emit_sdpa(
+                    table.instance(out.sentence, config.dimension, config.d_final)),
                     config.solver_cmd)
             else:
                 res = out.outcome.result  # the search's own d_final decision
-            if res.status is SolverStatus.CONVERGED:
-                status, eq_res, psd_res = check_certificate(
-                    table.instance_arrays(out.sentence, config.d_final), res,
-                    config.tol_eq, config.tol_psd)
-                if status == "converged":
-                    objective = res.objective_value
-                    bound = compute_bound(objective, params, config.dimension)
-            else:
-                status = res.status.value  # nothing verified, so no residuals recorded
+            status, eq_res, psd_res = check_certificate(
+                table.instance_arrays(out.sentence, config.d_final), res,
+                config.tol_eq, config.tol_psd)
+            if status == "converged":
+                objective = res.objective_value
+                bound = compute_bound(objective, params, config.dimension)
         except Exception as exc:
             status = f"solve-error: {type(exc).__name__}"
         solve_seconds = time.monotonic() - solve_start

@@ -12,8 +12,8 @@ invalid arguments or config, an unreadable or malformed input file, pivots
 that cannot be generated, or a failed external solve; 3 campaign halted on an
 I/O failure; 4 search failed to produce a converged sentence.  Handlers keep
 only the success path, and `main` maps every failure to its code.  `solve`
-prints a result that claims convergence as solver.check_certificate judges it,
-with the gate's residuals; any other result prints null residuals.
+prints every claim as solver.check_certificate judges it; an external solver
+reads the file it was given, byte for byte.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ import sys
 from typing import List, Optional
 
 from .campaign import CampaignConfig, CampaignIOError, ConfigError, load, run_campaign
-from .compiler import PivotGenerationError, PivotTable, assemble_sdp, emit_sdpa
+from .compiler import PivotGenerationError, PivotTable, assemble_sdp, emit_sdpa, instance_arrays
 from .grammar import render, tokenize_and_parse
 from .mcts import RewardCache, SearchFailedError, make_sdp_evaluator, run_search
 from .polys import GeometricParams
-from .solver import (SolverStatus, check_certificate, check_tolerances, read_sdpa_instance,
-                     solve_embedded, solve_external, system_to_instance)
+from .solver import (check_certificate, check_tolerances, read_sdpa_instance, solve_embedded,
+                     solve_external, split_command, system_to_instance)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve a .dat-s instance file")
     s.add_argument("instance", help="path to a .dat-s file")
     s.add_argument("--solver-cmd", default="",
-                   help="external solver command line; empty runs the embedded ADMM solver")
+                   help="external solver command line, run on the file as given; empty runs ADMM")
     s.add_argument("--tol-eq", type=float, default=1e-8)
     s.add_argument("--tol-psd", type=float, default=1e-8)
     s.add_argument("--max-iterations", type=int, default=50000)
@@ -117,16 +117,17 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        inst = system_to_instance(read_sdpa_instance(fh.read()))
+    if args.solver_cmd:
+        split_command(args.solver_cmd)  # before the file is read
+    with open(args.instance, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()  # newline="": an external solver gets the file's bytes
+    inst = instance_arrays(system_to_instance(read_sdpa_instance(text)))
     check_tolerances(args.tol_eq, args.tol_psd)  # before an external solver starts
     if args.solver_cmd:
-        res = solve_external(inst, args.solver_cmd)
+        res = solve_external(text, args.solver_cmd)
     else:
         res = solve_embedded(inst, tol_eq=args.tol_eq, max_iterations=args.max_iterations)
-    status, eq_res, psd_res = res.status.value, None, None  # nothing checked, nothing measured
-    if res.status is SolverStatus.CONVERGED:  # a claim until the gate has checked it
-        status, eq_res, psd_res = check_certificate(inst, res, args.tol_eq, args.tol_psd)
+    status, eq_res, psd_res = check_certificate(inst, res, args.tol_eq, args.tol_psd)
     print(json.dumps({
         "status": status,
         "objective": res.objective_value,

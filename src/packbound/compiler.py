@@ -175,6 +175,15 @@ def _grid3d_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[P
             yield PivotPoint.make(h, v, -half + 2 * half * z)
 
 
+def check_pivot_scheme(scheme: str, R: float) -> None:
+    """Raise ValueError unless scheme is known and, for grid3d, whose w spans
+    [-sqrt(hv), sqrt(hv)] for h, v up to R^2 in floats, (R^2)^2 is finite."""
+    if scheme not in PIVOT_SCHEMES:
+        raise ValueError(f"unknown pivot scheme {scheme!r}")
+    if scheme == "grid3d" and math.isinf(float(R) ** 2 * float(R) ** 2):
+        raise ValueError(f"grid3d pivots need (R^2)^2 finite as a float, got R={R}")
+
+
 def generate_pivots(
     params: GeometricParams,
     K: int,
@@ -200,8 +209,7 @@ def generate_pivots(
     """
     if K < 1:
         raise ValueError(f"need K >= 1 pivots, got {K}")
-    if scheme not in PIVOT_SCHEMES:
-        raise ValueError(f"unknown pivot scheme {scheme!r}")
+    check_pivot_scheme(scheme, params.R)
     candidates = _plane_candidates if scheme == "plane" else _grid3d_candidates
     picked: List[PivotPoint] = []
     picked_values: List[Tuple[Fraction, ...]] = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .campaign import GameState
@@ -60,13 +59,13 @@ class ReferenceSet:
 def novelty_fraction(s: Sentence, ref: ReferenceSet) -> float:
     """Percentage of the sentence's monomials absent from the reference set.
 
-    Rounded to one decimal, half away from zero.  An empty reference set
-    makes every monomial novel (100.0).
+    Rounded to one decimal, half away from zero, in integers: no decimal
+    context plays a part.  An empty reference set makes every monomial novel (100.0).
     """
     canon = s.canonical()
     novel = sum(1 for m in canon.monomials if m not in ref)
-    pct = Decimal(100 * novel) / Decimal(len(canon.monomials))
-    return float(pct.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    n = len(canon.monomials)
+    return (2000 * novel + n) // (2 * n) / 10
 
 
 def degree_histogram(states: Sequence[GameState]) -> List[Tuple[int, int]]:

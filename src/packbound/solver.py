@@ -6,12 +6,11 @@ block is rank one with nonnegative pivot values, so feasibility,
 boundedness and the optimum (always 1) follow from fraction-free
 elimination on each block's active pivot rows, taken as the table's integer
 rows, and the rank-one certificate is checked exactly.
-The tree search uses it for every evaluation.  The ADMM solver below handles
-any instance, such as a .dat-s file read back by the CLI, and serves the
-scripts.
+The tree search uses it for every evaluation.  The ADMM solver below reads
+any instance's float image, as the gate does, and serves the CLI and scripts.
 
-Every solver returns a SolverResult, which holds only what the solver claims:
-a status, an objective and the primal blocks.  No solver reports a residual.
+Every solver returns a SolverResult, which holds only what the solver claims.
+No solver reports a residual or a time.
 
 The embedded solver is a first-order operator-splitting scheme (ADMM):
 alternate between projection onto the affine subspace of the equality rows
@@ -19,14 +18,14 @@ alternate between projection onto the affine subspace of the equality rows
 and projection onto the PSD cone per block (symmetric eigendecomposition
 with negative eigenvalues clipped), with a scaled dual update carrying the
 objective.  It works in float64 and targets desk-scale instances; larger or
-higher-precision runs go through file emission to an external SDPA-family
-solver (solve_external), whose text output is parsed here as well.
+higher-precision runs go to an external SDPA-family solver (solve_external)
+as SDPA text, and its text output is parsed here as well.
 
 Certificate verification recomputes every trace, the eigenvalue floors and
 the objective directly from the instance data, as its float64 image
-(compiler.InstanceArrays).  check_certificate is the one acceptance gate for
-a result that claims convergence, whichever solver produced it, and the only
-source of residuals that are recorded or printed.
+(compiler.InstanceArrays).  check_certificate is the one gate for every
+claim, whichever solver made it, and the only source of the statuses and
+residuals that are recorded or printed.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import re
 import shlex
 import subprocess
 import tempfile
-import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -46,8 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .compiler import (InstanceArrays, PivotTable, SdpInstance, emit_sdpa, instance_arrays,
-                       instance_layout)
+from .compiler import InstanceArrays, PivotTable, SdpInstance, instance_arrays, instance_layout
 from .compiler import block_arrays  # not called here; perfbench/tracing.py wraps this name
 from .grammar import Monomial, Sentence
 from .polys import basis_enumerate
@@ -65,16 +62,15 @@ class SolverStatus(str, Enum):
 class SolverResult:
     """What one solve claims: a status, an objective and the primal blocks.
 
-    Nothing here is checked.  check_certificate measures a claim of
-    convergence against the instance; primal_blocks is empty when the solver
-    returned no certificate.
+    Nothing here is checked.  check_certificate turns any claim into a
+    status and residuals; primal_blocks is empty when the solver returned no
+    certificate.  A caller that wants a solve's time measures it.
     """
 
     status: SolverStatus
     objective_value: float
     primal_blocks: List[np.ndarray]
     iterations: int
-    wall_time: float
     message: str = ""
 
 
@@ -96,23 +92,25 @@ def check_tolerances(*tolerances: float) -> None:
                          f"{', '.join(map(str, tolerances))}")
 
 
-def _stack_rows(inst: SdpInstance) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[slice]]:
-    """Flatten instance rows and objective, as compiler.instance_arrays, into a dense system.
+def _as_arrays(inst: Union[SdpInstance, InstanceArrays]) -> InstanceArrays:
+    return inst if isinstance(inst, InstanceArrays) else instance_arrays(inst)
+
+
+def _stack_rows(inst: Union[SdpInstance, InstanceArrays]
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[slice]]:
+    """Flatten the instance's float image (rows and objective) into a dense system.
 
     Returns (M, b, c, block_slices) where each equality row of the instance
     becomes one row of M over the concatenated flattened blocks, and the
     normalization row comes last with right-hand side 1.  Every row is kept,
     zero rows included; solve_embedded drops those.
     """
-    arrays = instance_arrays(inst)
+    arrays = _as_arrays(inst)
     dims = arrays.block_dims
-    offsets = []
-    pos = 0
+    slices, total = [], 0
     for dim in dims:
-        offsets.append(pos)
-        pos += dim * dim
-    total = pos
-    slices = [slice(off, off + dim * dim) for off, dim in zip(offsets, dims)]
+        slices.append(slice(total, total + dim * dim))
+        total += dim * dim
 
     def flatten(blocks: Sequence[np.ndarray]) -> np.ndarray:
         vec = np.zeros(total)
@@ -202,12 +200,13 @@ def _facial_rows(
 
 
 def solve_embedded(
-    inst: SdpInstance,
+    inst: Union[SdpInstance, InstanceArrays],
     tol_eq: float = 1e-8,
     max_iterations: int = 50000,
 ) -> SolverResult:
     """Minimize sum_i Tr(X_i^T C_i) over the instance's equality rows and PSD cone.
 
+    It reads the instance's float image, as verify_certificate does.
     Deterministic given (instance, settings).  The equality residual of the
     iterates (each row scaled by 1 + its Frobenius norm) is the stopping rule
     alone: convergence is claimed when it reaches tol_eq while successive
@@ -224,20 +223,13 @@ def solve_embedded(
     check_tolerances(tol_eq)
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
-    start = time.monotonic()
     M, b, c, slices = _stack_rows(inst)
     dims = inst.block_dims
     norms_orig = np.linalg.norm(M, axis=1)
 
     def result(status, z, iterations, message=""):
-        return SolverResult(
-            status=status,
-            objective_value=float(c @ z),
-            primal_blocks=[z[sl].reshape(dim, dim) for sl, dim in zip(slices, dims)],
-            iterations=iterations,
-            wall_time=time.monotonic() - start,
-            message=message,
-        )
+        blocks = [z[sl].reshape(dim, dim) for sl, dim in zip(slices, dims)]
+        return SolverResult(status, float(c @ z), blocks, iterations, message)
 
     def eq_residual(z: np.ndarray) -> float:
         return float(np.max(np.abs((M @ z - b) / (1.0 + norms_orig))))
@@ -447,19 +439,11 @@ def solve_exact(sentence: Sentence, d: int, table: PivotTable) -> SolverResult:
     over its own denominator and reads the monomial values, not the integer
     rows decided on here.
     """
-    start = time.monotonic()
     canon, degrees = instance_layout(sentence, d)
     monomials = canon.monomials
 
     def result(status, message, objective=math.nan, blocks=()):
-        return SolverResult(
-            status=status,
-            objective_value=objective,
-            primal_blocks=list(blocks),
-            iterations=0,
-            wall_time=time.monotonic() - start,
-            message=message,
-        )
+        return SolverResult(status, objective, list(blocks), 0, message)
 
     j = table.designated_block(canon)
     label = f"block {j} ({monomials[j].render()})"
@@ -498,10 +482,6 @@ class VerificationReport:
     equality_residual: float
     psd_residual: float
     objective_recomputed: float
-
-
-def _as_arrays(inst: Union[SdpInstance, InstanceArrays]) -> InstanceArrays:
-    return inst if isinstance(inst, InstanceArrays) else instance_arrays(inst)
 
 
 def _shape_error(arrays: InstanceArrays, res: SolverResult) -> Optional[str]:
@@ -565,19 +545,22 @@ def verify_certificate(inst: Union[SdpInstance, InstanceArrays],
 def check_certificate(inst: Union[SdpInstance, InstanceArrays], res: SolverResult,
                       tol_eq: float, tol_psd: float
                       ) -> Tuple[str, Optional[float], Optional[float]]:
-    """(status, eq_residual, psd_residual) of a result that claims convergence, checked on inst.
+    """(status, eq_residual, psd_residual) to record for any solver's claim, checked on inst.
 
-    verify_certificate recomputes both residuals and the objective from the
-    instance's float image.  The status is "converged" when the equality
-    residual is at most 10 * tol_eq, the PSD residual at least -tol_psd and
-    the claimed objective within 10 * tol_eq * (1 + |recomputed|) of the
-    recomputed one, and "verification-failed" otherwise; each comparison
-    fails on a NaN.  It fails with residuals None when there is no
-    certificate, when its blocks do not match the instance's in count or
-    shape, when a block holds a non-finite entry, or when a recomputed value
-    is not finite.
+    After the tolerance check, a claim other than convergence keeps its
+    status, with residuals None.  For one of convergence, verify_certificate
+    recomputes both residuals and the objective from the instance's float
+    image.  The status is "converged" when the equality residual is at most
+    10 * tol_eq, the PSD residual at least -tol_psd and the claimed objective
+    within 10 * tol_eq * (1 + |recomputed|) of the recomputed one, and
+    "verification-failed" otherwise; each comparison fails on a NaN.  It
+    fails with residuals None when there is no certificate, when its blocks
+    do not match the instance's in count or shape, when a block holds a
+    non-finite entry, or when a recomputed value is not finite.
     """
     check_tolerances(tol_eq, tol_psd)
+    if res.status is not SolverStatus.CONVERGED:
+        return res.status.value, None, None
     if not res.primal_blocks or not all(np.isfinite(mat).all() for mat in res.primal_blocks):
         return "verification-failed", None, None
     arrays = _as_arrays(inst)
@@ -759,19 +742,32 @@ def system_to_instance(sys: SparseSystem) -> SdpInstance:
 # External solver: invocation and output parsing
 # ---------------------------------------------------------------------------
 
-def solve_external(inst: SdpInstance, solver_cmd: str) -> SolverResult:
-    """Emit the instance (40 digits), run solver_cmd on it and parse its output.
+def split_command(solver_cmd: str) -> List[str]:
+    """shlex.split(solver_cmd); ValueError, naming the command, when its quotes do
+    not balance or it names no program (whether that exists is the run's matter)."""
+    try:
+        argv = shlex.split(solver_cmd)
+    except ValueError as exc:
+        raise ValueError(f"cannot split solver command {solver_cmd!r}: {exc}") from None
+    if not argv:
+        raise ValueError(f"solver command {solver_cmd!r} names no program")
+    return argv
 
-    The command receives the .dat-s path as its final argument.  A nonzero
-    exit code raises subprocess.CalledProcessError, and a run longer than
-    EXTERNAL_TIMEOUT_S subprocess.TimeoutExpired.  The result is a claim.
+
+def solve_external(sdpa_text: str, solver_cmd: str) -> SolverResult:
+    """Write sdpa_text, as given, to a .dat-s file, run solver_cmd on it and parse its output.
+
+    The command (split_command) receives the path as its final argument.  A
+    nonzero exit code raises subprocess.CalledProcessError, and a run longer
+    than EXTERNAL_TIMEOUT_S subprocess.TimeoutExpired.  The result is a claim.
     """
-    with tempfile.NamedTemporaryFile("w", suffix=".dat-s", delete=False) as fh:
-        fh.write(emit_sdpa(inst))
+    argv = split_command(solver_cmd)
+    with tempfile.NamedTemporaryFile("w", newline="", suffix=".dat-s", delete=False) as fh:
+        fh.write(sdpa_text)
         path = fh.name
     try:
         proc = subprocess.run(
-            shlex.split(solver_cmd) + [path],
+            argv + [path],
             capture_output=True, text=True, timeout=EXTERNAL_TIMEOUT_S, check=True,
         )
         return parse_external_output(proc.stdout)
@@ -829,15 +825,9 @@ def parse_external_output(text: str) -> SolverResult:
         missing = "phase.value" if phase is None else "objValPrimal"
         raise FormatError(f"missing {missing}; output truncated?", len(lines))
     blocks = _parse_xmat(lines)
-    return SolverResult(
-        status=_PHASE_MAP.get(phase, SolverStatus.MAX_ITERATIONS),
-        objective_value=primal,
-        primal_blocks=blocks,
-        iterations=iterations,
-        wall_time=0.0,
-        message=f"external phase {phase}"
-        + (f"; duality gap {gap!r}" if gap is not None else ""),
-    )
+    message = f"external phase {phase}" + (f"; duality gap {gap!r}" if gap is not None else "")
+    return SolverResult(_PHASE_MAP.get(phase, SolverStatus.MAX_ITERATIONS), primal, blocks,
+                        iterations, message)
 
 
 def _parse_xmat(lines: Sequence[str]) -> List[np.ndarray]:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from packbound.campaign import (
     play_round,
     run_campaign,
 )
-from packbound.compiler import assemble_sdp, make_instance
+from packbound.compiler import assemble_sdp, emit_sdpa, make_instance
 from packbound.grammar import render, tokenize_and_parse
 from packbound.polys import GeometricParams
 from packbound.solver import (
@@ -129,6 +130,9 @@ class TestConfig:
         {"d_search": 5, "d_final": 4},
         {"pivots": 0},
         {"solver_cmd": ["sdpa", "-pt", "0"]},  # a command is one string, split by shlex
+        {"solver_cmd": '"unbalanced'},  # every round would record solve-error: ValueError
+        {"solver_cmd": "   "},  # splits to no program; the .dat-s file itself would run
+        {"pivot_scheme": "grid3d", "R_hi": 1e78},  # (R^2)^2 overflows the grid3d candidates
         {"acquisition": "entropy"},
         {"budget_rounds": -1},
         {"budget_seconds": -1.0},
@@ -175,6 +179,22 @@ class TestConfig:
         (name,) = bad
         with pytest.raises(ConfigError, match=f"^{name} must be >= "):
             dataclasses.replace(CampaignConfig(), **bad).validate()
+
+    @pytest.mark.parametrize("solver_cmd, reason", [
+        ('"unbalanced', "cannot split solver command '\"unbalanced'"),
+        ("   ", "solver command '   ' names no program"),
+    ])
+    def test_validation_names_the_solver_command(self, solver_cmd, reason):
+        with pytest.raises(ConfigError, match=f"^{re.escape(reason)}"):
+            dataclasses.replace(CampaignConfig(), solver_cmd=solver_cmd).validate()
+
+    @pytest.mark.parametrize("fine", [
+        {"solver_cmd": "fake-sdpa --digits 40"},  # a missing program fails in the round
+        {"solver_cmd": "sdpa -pt '0'"},
+        {"pivot_scheme": "grid3d", "R_hi": 1e76},
+    ])
+    def test_validation_accepts(self, fine):
+        dataclasses.replace(CampaignConfig(), **fine).validate()
 
     def test_int_accepted_for_float_field(self):
         dataclasses.replace(
@@ -422,7 +442,7 @@ class TestPlayRound:
         # residual is 0 and only the PSD gate can reject it
         inst = make_instance([2], [], [[[1.0, 0.0], [0.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]]])
         tol_eq, tol_psd = CampaignConfig.tol_eq, CampaignConfig.tol_psd
-        good = SolverResult(SolverStatus.CONVERGED, 1.0, [np.diag([1.0, 0.0])], 0, 0.0)
+        good = SolverResult(SolverStatus.CONVERGED, 1.0, [np.diag([1.0, 0.0])], 0)
         bad = dataclasses.replace(good, primal_blocks=[np.diag([1.0, -1e-6])])
         assert check_certificate(inst, good, tol_eq, tol_psd) == ("converged", 0.0, 0.0)
         status, eq_res, psd_res = check_certificate(inst, bad, tol_eq, tol_psd)
@@ -579,7 +599,7 @@ class TestExternalSolverPath:
     def test_fake_solver_round_trip(self, params):
         inst = assemble_sdp(tokenize_and_parse("P7 <EOS>"), params, n=8, d=2, K=5, seed=0)
         cmd = f"{sys.executable} {os.path.join(FIXTURES, 'fake_sdpa.py')}"
-        res = solve_external(inst, cmd)
+        res = solve_external(emit_sdpa(inst), cmd)
         assert res.status is SolverStatus.CONVERGED
         assert res.objective_value == 1.0
         assert [b.shape for b in res.primal_blocks] == [(7, 7)]
@@ -595,7 +615,7 @@ class TestExternalSolverPath:
             n=config.dimension, d=config.d_final, K=config.pivots, seed=rec.seed,
         )
         identity = SolverResult(SolverStatus.CONVERGED, 1.0,
-                                [np.eye(dim) for dim in inst.block_dims], 7, 0.0)
+                                [np.eye(dim) for dim in inst.block_dims], 7)
         assert rec.status == "verification-failed"
         assert rec.eq_residual == verify_certificate(inst, identity).equality_residual
         assert rec.eq_residual > 10 * config.tol_eq
@@ -675,6 +695,13 @@ class TestExternalSolverPath:
         config = CampaignConfig(solver_cmd=f"{sys.executable} {stub}", **FAST)
         rec = play_round(GameState(), config).rounds[0]
         assert rec.status == "solve-error: CalledProcessError"
+        assert rec.objective is None and rec.bound is None
+
+    def test_external_missing_program_is_a_solve_error(self):
+        # the config check is syntactic: a command that splits passes it
+        config = CampaignConfig(solver_cmd=os.path.join(FIXTURES, "no-such-solver"), **FAST)
+        rec = play_round(GameState(), config).rounds[0]
+        assert rec.status == "solve-error: FileNotFoundError"
         assert rec.objective is None and rec.bound is None
 
     def test_external_timeout_is_a_solve_error(self, tmp_path, monkeypatch):

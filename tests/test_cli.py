@@ -248,6 +248,31 @@ class TestSolve:
         assert code == EXIT_CONFIG and out == ""
         assert err.count("\n") == 1 and err.startswith("error: tolerances")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_external_solver_reads_the_given_file(self, capsys, tmp_path, newline):
+        # 40-digit entries such as 4.4205062499999994584...e+0 do not survive
+        # a round trip through float64, so only the given bytes will do
+        compiled = self.compile(capsys, tmp_path, "P7 <ES> P1 <EOS>", degree=2, pivots=3)
+        path = tmp_path / "given.dat-s"
+        path.write_bytes(compiled.read_bytes().replace(b"\n", newline.encode()))
+        copy = tmp_path / "copy.dat-s"
+        stub = f"{sys.executable} {os.path.join(FIXTURES, 'copy_sdpa.py')} {copy}"
+        code, out, _ = run_cli(capsys, "solve", str(path), "--solver-cmd", stub)
+        assert code == EXIT_OK
+        assert strict_json(out)["status"] == "infeasible-detected"
+        assert copy.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("solver_cmd, reason", [
+        ("   ", "error: solver command '   ' names no program"),
+        ('"unbalanced', "error: cannot split solver command '\"unbalanced'"),
+    ])
+    def test_unsplittable_solver_cmd_exits_2(self, capsys, tmp_path, solver_cmd, reason):
+        # checked before the file is read, so a missing file is not what it reports
+        code, out, err = run_cli(capsys, "solve", str(tmp_path / "missing.dat-s"),
+                                 "--solver-cmd", solver_cmd)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith(reason)
+
     @pytest.mark.parametrize("solver_cmd", [
         pytest.param(os.path.join(FIXTURES, "no-such-solver"), id="missing-binary"),
         pytest.param(f"{sys.executable} -c 'import sys; sys.exit(3)'", id="nonzero-exit"),
@@ -330,6 +355,24 @@ class TestCampaign:
         cfg.write_text(json.dumps({"pivots": 0}))
         code, _, err = run_cli(capsys, "campaign", "--config", str(cfg))
         assert code == EXIT_CONFIG and "invalid config" in err
+
+    @pytest.mark.parametrize("solver_cmd", ["   ", '"unbalanced'])
+    def test_unsplittable_solver_cmd_exits_2(self, capsys, tmp_path, solver_cmd):
+        # rejected before any round fits, searches or writes anything
+        out_dir = tmp_path / "camp"
+        code, out, err = run_cli(capsys, "campaign", "--budget-rounds", "2",
+                                 "--solver-cmd", solver_cmd, "--out", str(out_dir))
+        assert code == EXIT_CONFIG and out == "" and not out_dir.exists()
+        assert err.count("\n") == 1 and err.startswith("invalid config: ")
+        assert repr(solver_cmd) in err
+
+    def test_grid3d_with_an_overflowing_box_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "grid3d.json"
+        cfg.write_text(json.dumps({"pivot_scheme": "grid3d", "R_hi": 1e78}))
+        code, out, err = run_cli(capsys, "campaign", "--config", str(cfg),
+                                 "--out", str(tmp_path / "camp"))
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("invalid config: grid3d pivots need")
 
     def test_overflowing_box_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "box.json"

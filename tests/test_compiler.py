@@ -111,6 +111,13 @@ class TestGeneratePivots:
         with pytest.raises(ValueError):
             generate_pivots(params, 3, seed=0, scheme="cubic")
 
+    def test_grid3d_rejects_an_R_whose_fourth_power_overflows(self):
+        # h * v reaches R^4, whose square root spans w; past the float range
+        # the w nodes would be NaN
+        with pytest.raises(ValueError, match=r"^grid3d pivots need \(R\^2\)\^2 .* R=1e\+78$"):
+            PivotTable(GeometricParams(1.45, 1e78), 10, 0, "grid3d")
+        assert len(PivotTable(GeometricParams(1.45, 1e76), 10, 0, "grid3d").pivots) == 10
+
     def test_exhaustion_reports_found_count(self, params):
         with pytest.raises(PivotGenerationError) as err:
             generate_pivots(params, 9000, seed=0)

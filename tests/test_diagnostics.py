@@ -1,4 +1,7 @@
 import os
+from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Inexact, Rounded, localcontext
+
+import pytest
 
 from packbound.campaign import GameState, RoundRecord
 from packbound.diagnostics import (
@@ -57,6 +60,21 @@ class TestNovelty:
             [Monomial((0, 1, 0, 0, 0, 0, 0)), Monomial((0, 0, 0, 1, 0, 0, 0))]
         )
         assert novelty_fraction(s, ref) == 33.3
+
+    @pytest.mark.parametrize("context", [
+        {},
+        {"prec": 3, "rounding": ROUND_DOWN},  # 100 / 7 would be cut to 14.2
+        {"prec": 2},  # 14.3 has three digits: quantize would raise InvalidOperation
+        {"rounding": ROUND_HALF_EVEN, "traps": [Inexact, Rounded]},
+    ])
+    def test_caller_decimal_context_plays_no_part(self, context):
+        # 1 novel monomial of 7 is 14.285...%
+        s = tokenize_and_parse("P1 <ES> P2 <ES> P3 <ES> P4 <ES> P5 <ES> P6 <ES> P1 <*> P2 <EOS>")
+        (novel,) = tokenize_and_parse("P1 <*> P2 <EOS>").canonical().monomials
+        known = [m for m in s.canonical().monomials if m != novel]
+        assert len(s.canonical().monomials) == 7 and len(known) == 6
+        with localcontext(**context):
+            assert novelty_fraction(s, ReferenceSet.from_monomials(known)) == 14.3
 
     def test_padding_is_ignored(self):
         s = tokenize_and_parse("P1 <*> P7 <EOS>")

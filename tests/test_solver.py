@@ -105,6 +105,18 @@ class TestEmbeddedSolver:
             assert res.objective_value == first.objective_value
             assert block_bytes(res) == block_bytes(first)
 
+    def test_reads_the_table_image_as_it_reads_the_instance(self, params):
+        # solve_embedded converts an SdpInstance to the float image the
+        # table builds directly, so both inputs give the same bits
+        s = tokenize_and_parse("P7 <ES> P1 <EOS>")
+        table = PivotTable(params, 20, 0)
+        from_instance = solve_embedded(table.instance(s, 8, 2))
+        from_image = solve_embedded(table.instance_arrays(s, 2))
+        assert from_image.status is from_instance.status is SolverStatus.CONVERGED
+        assert from_image.iterations == from_instance.iterations
+        assert from_image.objective_value == from_instance.objective_value
+        assert block_bytes(from_image) == block_bytes(from_instance)
+
     def test_infeasible_instance_detected(self, params):
         # a single degree-d monomial has a 1x1 block pinned to zero by the
         # rows but to a positive value by the normalization
@@ -411,7 +423,7 @@ class TestVerifyCertificate:
         inst = trivial_instance()
         res = SolverResult(
             status=SolverStatus.CONVERGED, objective_value=1.0,
-            primal_blocks=[np.array([[1.0]])], iterations=1, wall_time=0.0,
+            primal_blocks=[np.array([[1.0]])], iterations=1,
         )
         report = verify_certificate(inst, res)
         assert report.equality_residual == 0.0
@@ -422,7 +434,7 @@ class TestVerifyCertificate:
         inst = trivial_instance()
         res = SolverResult(
             status=SolverStatus.CONVERGED, objective_value=1.0,
-            primal_blocks=[np.array([[1.0 + 1e-6]])], iterations=1, wall_time=0.0,
+            primal_blocks=[np.array([[1.0 + 1e-6]])], iterations=1,
         )
         report = verify_certificate(inst, res)
         # row value 1 + 1e-6 against rhs 1, scaled by 1 + ||N||_F = 2
@@ -436,7 +448,7 @@ class TestVerifyCertificate:
         blocks = [0.5 * (B + B.T) for B in blocks]
         res = SolverResult(
             status=SolverStatus.MAX_ITERATIONS, objective_value=0.0,
-            primal_blocks=blocks, iterations=0, wall_time=0.0,
+            primal_blocks=blocks, iterations=0,
         )
         report = verify_certificate(inst, res)
         expected = 0.0
@@ -459,7 +471,7 @@ class TestVerifyCertificate:
         inst = trivial_instance()
         res = SolverResult(
             status=SolverStatus.CONVERGED, objective_value=1.0,
-            primal_blocks=[np.array([[1.0]]), np.array([[1.0]])], iterations=1, wall_time=0.0,
+            primal_blocks=[np.array([[1.0]]), np.array([[1.0]])], iterations=1,
         )
         with pytest.raises(ValueError, match="block count"):
             verify_certificate(inst, res)
@@ -473,7 +485,7 @@ class TestVerifyCertificate:
     ])
     def test_gate_checks_the_claimed_objective(self, claimed, status):
         # the certificate is exact; only the objective it claims is at issue
-        res = SolverResult(SolverStatus.CONVERGED, claimed, [np.array([[1.0]])], 1, 0.0)
+        res = SolverResult(SolverStatus.CONVERGED, claimed, [np.array([[1.0]])], 1)
         assert check_certificate(trivial_instance(), res, 1e-8, 1e-8) == (status, 0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -483,13 +495,13 @@ class TestVerifyCertificate:
         inst = assemble_sdp(tokenize_and_parse("P7 <EOS>"), params, n=8, d=d, K=4, seed=0)
         blocks = [np.eye(dim) for dim in inst.block_dims]
         blocks[0][0, -1] = bad
-        res = SolverResult(SolverStatus.CONVERGED, 1.0, blocks, 1, 0.0)
+        res = SolverResult(SolverStatus.CONVERGED, 1.0, blocks, 1)
         assert check_certificate(inst, res, 1e-8, 1e-8) == ("verification-failed", None, None)
 
     def test_overflowing_certificate_fails_without_residuals(self):
         # finite entries whose recomputed row values overflow to inf
         ones = [[[1.0, 1.0], [1.0, 1.0]]]
-        res = SolverResult(SolverStatus.CONVERGED, 1.0, [np.full((2, 2), 1e308)], 1, 0.0)
+        res = SolverResult(SolverStatus.CONVERGED, 1.0, [np.full((2, 2), 1e308)], 1)
         with np.errstate(over="ignore", invalid="ignore"):
             status = check_certificate(make_instance([2], [], ones, ones), res, 1e-8, 1e-8)
         assert status == ("verification-failed", None, None)
@@ -501,7 +513,7 @@ class TestVerifyCertificate:
             tokenize_and_parse("P6 <EOS>"), 8, d)
         assert inst.block_dims == ((3,) if d == 2 else (13,))
         res = SolverResult(SolverStatus.CONVERGED, 1.0,
-                           [np.full((k, k), 1.7e308) for k in inst.block_dims], 1, 0.0)
+                           [np.full((k, k), 1.7e308) for k in inst.block_dims], 1)
         with np.errstate(over="ignore", invalid="ignore"):
             status = check_certificate(inst, res, 1e-8, 1e-8)
         assert status == ("verification-failed", None, None)
@@ -511,9 +523,23 @@ class TestVerifyCertificate:
                                                  (1e-8, -1.0)])
     def test_gate_rejects_bad_tolerances(self, tol_eq, tol_psd):
         # an infinite tolerance would pass any certificate
-        res = SolverResult(SolverStatus.CONVERGED, 1.0, [np.array([[1.0]])], 1, 0.0)
+        res = SolverResult(SolverStatus.CONVERGED, 1.0, [np.array([[1.0]])], 1)
         with pytest.raises(ValueError, match="^tolerances must be positive and finite"):
             check_certificate(trivial_instance(), res, tol_eq, tol_psd)
+
+    @pytest.mark.parametrize("status", [s for s in SolverStatus if s is not SolverStatus.CONVERGED])
+    @pytest.mark.parametrize("blocks", [[], [np.array([[1.0]])], [np.array([[math.nan]])]],
+                             ids=["no-blocks", "exact-blocks", "nan-block"])
+    def test_gate_records_any_other_claim_as_it_stands(self, status, blocks):
+        # nothing was claimed to check, so the claim's own status and no residuals
+        res = SolverResult(status, 1.0, blocks, 3)
+        assert check_certificate(trivial_instance(), res, 1e-8, 1e-8) == (status.value, None, None)
+
+    @pytest.mark.parametrize("status", [s for s in SolverStatus if s is not SolverStatus.CONVERGED])
+    def test_gate_checks_tolerances_whatever_the_claim(self, status):
+        res = SolverResult(status, 1.0, [], 0)
+        with pytest.raises(ValueError, match="^tolerances must be positive and finite"):
+            check_certificate(trivial_instance(), res, 1e-8, math.inf)
 
 
 class TestSdpaRoundTrip:
