@@ -19,15 +19,17 @@ recorded, and the objective and bound only of a round that passes it.  Each
 (sentence, degree) is decided at most once a round.  Any stage failure is
 recorded with its status and the campaign continues; each round's record is
 appended to state.jsonl and flushed to disk, so a killed process loses at
-most the in-flight round.  A resume first rewrites state.jsonl, atomically,
-from the records load accepts, so a torn final record is dropped for
-good.  Per-round seeds derive from (base seed, round index), so identical
-configurations replay identically and resumed campaigns match uninterrupted
-ones.  The campaign never runs the embedded ADMM solver, which serves the CLI
-and the scripts.  A config.json that still carries a retired field
-(solver_max_iterations, mcts_rollouts, mcts_restarts, solver) loads, and the
-field is ignored; a retired solver "embedded" also clears solver_cmd, which
-it made the campaign ignore, and a retired "external" still needs one.
+most the in-flight round.  A resume refuses a config that differs from the
+campaign's config.json in anything but its budgets and out_dir.  It then
+rewrites state.jsonl, atomically, from the records load accepts, so a torn
+final record is dropped for good.  Per-round seeds derive from (base seed,
+round index), so identical configurations replay identically and resumed
+campaigns match uninterrupted ones.  The campaign never runs the embedded
+ADMM solver, which serves the CLI and the scripts.  A config.json that still
+carries a retired field (solver_max_iterations, mcts_rollouts, mcts_restarts,
+solver) loads, and the field is ignored; a retired solver "embedded" also
+clears solver_cmd, which it made the campaign ignore, and a retired
+"external" still needs one.
 """
 
 from __future__ import annotations
@@ -381,12 +383,25 @@ def run_campaign(
     resume: bool = False,
     progress: bool = False,
 ) -> GameState:
-    """Play rounds until the round or wall-clock budget is hit, flushing each round."""
+    """Play rounds until the round or wall-clock budget is hit, flushing each round.
+
+    A resume raises ConfigError, naming each field, when config differs from
+    the campaign's config.json in more than its budgets and out_dir.
+    """
     config.validate()
     state_path = os.path.join(config.out_dir, "state.jsonl")
+    config_path = os.path.join(config.out_dir, "config.json")
+    if resume and os.path.exists(config_path):  # the rounds played ran on its settings
+        started, now = asdict(CampaignConfig.from_file(config_path)), asdict(config)
+        changed = [f"{name} {started[name]!r} -> {value!r}" for name, value in now.items()
+                   if value != started[name]
+                   and name not in ("budget_rounds", "budget_seconds", "out_dir")]
+        if changed:
+            raise ConfigError(f"cannot resume {config_path} with other settings: "
+                              f"{', '.join(changed)}; only the budgets and out_dir may change")
     try:
         os.makedirs(config.out_dir, exist_ok=True)
-        config.to_file(os.path.join(config.out_dir, "config.json"))
+        config.to_file(config_path)
     except OSError as exc:
         raise CampaignIOError(f"cannot prepare output directory {config.out_dir}: {exc}") from exc
 

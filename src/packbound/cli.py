@@ -26,7 +26,7 @@ import sys
 from typing import List, Optional
 
 from .campaign import CampaignConfig, CampaignIOError, ConfigError, load, run_campaign
-from .compiler import PivotGenerationError, PivotTable, assemble_sdp, emit_sdpa, instance_arrays
+from .compiler import PivotGenerationError, PivotTable, assemble_sdp, emit_sdpa
 from .grammar import render, tokenize_and_parse
 from .mcts import RewardCache, SearchFailedError, make_sdp_evaluator, run_search
 from .polys import GeometricParams
@@ -121,7 +121,7 @@ def _cmd_solve(args) -> int:
         split_command(args.solver_cmd)  # before the file is read
     with open(args.instance, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()  # newline="": an external solver gets the file's bytes
-    inst = instance_arrays(system_to_instance(read_sdpa_instance(text)))
+    inst = system_to_instance(read_sdpa_instance(text))
     check_tolerances(args.tol_eq, args.tol_psd)  # before an external solver starts
     if args.solver_cmd:
         res = solve_external(text, args.solver_cmd)

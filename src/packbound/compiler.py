@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
 from fractions import Fraction
-from operator import itemgetter, truediv
+from operator import truediv
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,26 +72,11 @@ from .polys import (
 from .qmc import Sobol
 
 FracMatrix = Tuple[Tuple[Fraction, ...], ...]
+Pivot = Tuple[Fraction, Fraction, Fraction]  # an (h, v, w) point, stored exactly
 
 ORIGIN = (Fraction(0), Fraction(0), Fraction(0))
 
 PIVOT_SCHEMES = ("plane", "grid3d")
-
-
-@dataclass(frozen=True)
-class PivotPoint:
-    """A numeric (h, v, w) point, stored exactly."""
-
-    h: Fraction
-    v: Fraction
-    w: Fraction
-
-    @classmethod
-    def make(cls, h: Number, v: Number, w: Number) -> "PivotPoint":
-        return cls(_frac(h), _frac(v), _frac(w))
-
-    def as_tuple(self) -> Tuple[Fraction, Fraction, Fraction]:
-        return (self.h, self.v, self.w)
 
 
 class PivotGenerationError(RuntimeError):
@@ -127,16 +112,15 @@ def _chebyshev_nodes(lo: float, hi: float, count: int) -> List[float]:
     return [mid + half * math.cos(math.pi * k / (count - 1)) for k in range(count - 1, -1, -1)]
 
 
-def _plane_point(h: float, v: float, params: GeometricParams) -> PivotPoint:
+def _plane_point(h: float, v: float, params: GeometricParams) -> Pivot:
     # w chosen so the degree-1 base polynomial h + v - 2w - r^2 vanishes;
     # constraining pivots to this slice leaves each block one admissible
     # free direction, which keeps assembled instances feasible.
     h_q, v_q = _frac(h), _frac(v)
-    w_q = (h_q + v_q - params.r2) / 2
-    return PivotPoint(h_q, v_q, w_q)
+    return h_q, v_q, (h_q + v_q - params.r2) / 2
 
 
-def _plane_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[PivotPoint]:
+def _plane_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[Pivot]:
     """Chebyshev grid over pairs h <= v on the plane slice, then a Sobol fill on it."""
     lo, hi = float(params.r) ** 2, float(params.R) ** 2
     g = 3
@@ -155,7 +139,7 @@ def _plane_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[Pi
             yield _plane_point(h, v, params)
 
 
-def _grid3d_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[PivotPoint]:
+def _grid3d_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[Pivot]:
     """Chebyshev grid in h, v and w over [-sqrt(hv), sqrt(hv)], then a Sobol fill."""
     lo, hi = float(params.r) ** 2, float(params.R) ** 2
     g = 3
@@ -166,13 +150,13 @@ def _grid3d_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[P
         for v in nodes:
             half = math.sqrt(h * v)
             for w in _chebyshev_nodes(-half, half, g):
-                yield PivotPoint.make(h, v, w)
+                yield _frac(h), _frac(v), _frac(w)
     sampler = Sobol(3, seed)
     for _ in range(64):
         for x, y, z in sampler.random(64):
             h, v = lo + (hi - lo) * x, lo + (hi - lo) * y
             half = math.sqrt(h * v)
-            yield PivotPoint.make(h, v, -half + 2 * half * z)
+            yield _frac(h), _frac(v), _frac(-half + 2 * half * z)
 
 
 def check_pivot_scheme(scheme: str, R: float) -> None:
@@ -189,11 +173,12 @@ def generate_pivots(
     K: int,
     seed: int,
     scheme: str = "plane",
-) -> Tuple[List[PivotPoint], List[Tuple[Fraction, ...]]]:
+) -> Tuple[List[Pivot], List[Tuple[Fraction, ...]]]:
     """Exactly K distinct admissible pivot points, deterministic in all inputs.
 
-    Returns (pivots, base_values): the points and base_values_at at each, as
-    admission computed it; each distinct candidate is evaluated once.
+    Returns (pivots, base_values): the points, each an exact (h, v, w) tuple
+    of Fractions, and base_values_at at each, as admission computed it; each
+    distinct candidate is evaluated once.
 
     Schemes:
       * "plane" (default): Chebyshev grid over ordered pairs r^2 <= h <= v <= R^2
@@ -211,15 +196,14 @@ def generate_pivots(
         raise ValueError(f"need K >= 1 pivots, got {K}")
     check_pivot_scheme(scheme, params.R)
     candidates = _plane_candidates if scheme == "plane" else _grid3d_candidates
-    picked: List[PivotPoint] = []
+    picked: List[Pivot] = []
     picked_values: List[Tuple[Fraction, ...]] = []
     seen = set()
     for p in candidates(params, K, seed):
-        key = p.as_tuple()
-        if key in seen:
+        if p in seen:
             continue
-        seen.add(key)
-        values = base_values_at(key, params)
+        seen.add(p)
+        values = base_values_at(p, params)
         if in_region(values):
             picked.append(p)
             picked_values.append(values)
@@ -232,13 +216,6 @@ def generate_pivots(
 # Block construction
 # ---------------------------------------------------------------------------
 
-def _row_getter(row: Tuple[int, ...]) -> Callable[[Sequence[Fraction]], Tuple[Fraction, ...]]:
-    if len(row) == 1:
-        (t,) = row
-        return lambda values: (values[t],)
-    return itemgetter(*row)
-
-
 @dataclass(frozen=True)
 class MomentPattern:
     """Where the distinct entries of u u^T sit, for u over basis(k).
@@ -247,18 +224,13 @@ class MomentPattern:
     the exponents of basis elements i and j, so it depends on that sum
     alone.  `pairs` holds one representative (i, j), i <= j, per distinct
     sum, in row-major order of first appearance in the upper triangle, and
-    `grades` the grade of each sum; `index[i][j]` is the position of the sum
-    of (i, j) in `pairs`, and is symmetric.
+    `grades` the grade of each sum.  `gather`, a symmetric np.intp array,
+    holds at [i, j] the position of the sum of (i, j) in `pairs`, so
+    values[gather] is the block of an array of its distinct values.
     """
 
     pairs: Tuple[Tuple[int, int], ...]
     grades: Tuple[int, ...]
-    index: Tuple[Tuple[int, ...], ...]
-    # row i of a block, gathered from its distinct values by index[i]
-    rows: Tuple[Callable[[Sequence[Fraction]], Tuple[Fraction, ...]], ...] = field(
-        repr=False, compare=False
-    )
-    # index as an integer array, which gathers a float block from its distinct values
     gather: np.ndarray = field(repr=False, compare=False)
 
 
@@ -280,10 +252,7 @@ def moment_pattern(k: int) -> MomentPattern:
                 pairs.append((i, j))
                 grades.append(ei.grade + ej.grade)
             index[i][j] = index[j][i] = position[total]
-    frozen = tuple(tuple(row) for row in index)
-    return MomentPattern(tuple(pairs), tuple(grades), frozen,
-                         tuple(_row_getter(row) for row in frozen),
-                         np.array(index, dtype=np.intp).reshape(size, size))
+    return MomentPattern(tuple(pairs), tuple(grades), np.array(index, dtype=np.intp))
 
 
 @functools.lru_cache(maxsize=None)
@@ -292,28 +261,30 @@ def _zero_block(size: int) -> FracMatrix:
     return (row,) * size
 
 
-def _rank_one_values(u: Tuple[Tuple[int, ...], int], scale: Fraction, k: int,
-                     ratio: Callable[[int, int], object]) -> list:
-    """The distinct entries of scale * u u^T, one per pair of moment_pattern(k).
+def _rank_one(u: Tuple[Tuple[int, ...], int], scale: Fraction, k: int,
+              ratio: Callable[[int, int], object], dtype: type) -> np.ndarray:
+    """scale * u u^T as an array of dtype, one ratio per distinct entry.
 
     u = (n, delta) is the basis(k) vector at a point over that point's own
     denominator: u_p = n diag(delta^-grade), n an integer vector.  With
-    scale = a/b, the entry of pair (i, j) is ratio(a n_i n_j, b delta^(g_i + g_j)).
+    scale = a/b, the entry of pair (i, j) of moment_pattern(k) is
+    ratio(a n_i n_j, b delta^(g_i + g_j)), which the pattern's gather places.
     """
     nums, delta = u
     pattern = moment_pattern(k)
     a, b = scale.numerator, scale.denominator
     snum = [a * x for x in nums]
     sden = [b * delta**g for g in range(2 * k + 1)]
-    return [ratio(snum[i] * nums[j], sden[g]) for (i, j), g in zip(pattern.pairs, pattern.grades)]
+    values = [ratio(snum[i] * nums[j], sden[g])
+              for (i, j), g in zip(pattern.pairs, pattern.grades)]
+    return np.array(values, dtype=dtype)[pattern.gather]
 
 
 def _rank_one_block(u: Tuple[Tuple[int, ...], int], scale: Fraction, k: int) -> FracMatrix:
     """scale * u u^T, exactly: one Fraction per distinct entry, which equal entries share."""
     if scale == 0:
         return _zero_block(len(u[0]))
-    values = _rank_one_values(u, scale, k, exact_ratio)
-    return tuple([row(values) for row in moment_pattern(k).rows])
+    return tuple(map(tuple, _rank_one(u, scale, k, exact_ratio, object).tolist()))
 
 
 def _origin_block(value: Fraction, size: int) -> FracMatrix:
@@ -336,7 +307,7 @@ def _rank_one_array(u: Tuple[Tuple[int, ...], int], scale: Fraction, k: int) -> 
     """
     if scale == 0:
         return _zero_array(len(u[0]))
-    return np.array(_rank_one_values(u, scale, k, truediv))[moment_pattern(k).gather]
+    return _rank_one(u, scale, k, truediv, float)
 
 
 def _origin_array(value: Fraction, size: int) -> np.ndarray:
@@ -401,8 +372,9 @@ class InstanceArrays:
 
     Each entry is its Fraction correctly rounded (block_arrays).  It is what
     solver.verify_certificate and the ADMM row system read.  instance_arrays
-    converts an instance, and PivotTable.instance_arrays builds the image of
-    PivotTable.instance without its Fraction blocks.
+    converts an instance, PivotTable.instance_arrays builds the image of
+    PivotTable.instance without its Fraction blocks, and
+    solver.system_to_instance reads one from a parsed SDPA file.
     """
 
     block_dims: Tuple[int, ...]
@@ -413,6 +385,10 @@ class InstanceArrays:
     @property
     def n_blocks(self) -> int:
         return len(self.block_dims)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.constraints) + 1
 
 
 def instance_arrays(inst: SdpInstance) -> InstanceArrays:
@@ -477,10 +453,11 @@ class PivotTable:
     """The pivots of (params, K, seed, scheme), kept as attributes, and their instances.
 
     Every point value an instance or an exact decision reads comes from the
-    table.  Building it makes one generate_pivots call, whose base values it
-    keeps, one base_values_at call, at the origin, and the pivots' region
-    check.  Everything is exact.  A campaign round builds one table, on which
-    the search decides and from which the winner's instance is verified.
+    table.  Building it makes one generate_pivots call, whose pivots, each
+    an (h, v, w) tuple of Fractions, and base values it keeps, one
+    base_values_at call, at the origin, and the pivots' region check.
+    Everything is exact.  A campaign round builds one table, on which the
+    search decides and from which the winner's instance is verified.
 
     Two integer views of the basis evaluation vectors u_p serve two readers:
 
@@ -521,10 +498,9 @@ class PivotTable:
         self.zero_patterns = tuple(
             sum(1 << t for t, v in enumerate(values[:6]) if v == 0) for values in self.base_values
         )
-        D = self.denominator = math.lcm(*(x.denominator for p in self.pivots for x in p.as_tuple()))
-        self._coords = [tuple(x.numerator * (D // x.denominator) for x in p.as_tuple())
-                        for p in self.pivots]
-        self._own_coords = [common_denominator(p.as_tuple()) for p in self.pivots]
+        D = self.denominator = math.lcm(*(x.denominator for p in self.pivots for x in p))
+        self._coords = [tuple(x.numerator * (D // x.denominator) for x in p) for p in self.pivots]
+        self._own_coords = [common_denominator(p) for p in self.pivots]
         self._own_basis: Dict[int, List[Tuple[int, ...]]] = {}
         self._integer_basis: Dict[int, List[Tuple[int, ...]]] = {}
         self.kernels: Dict[Tuple[Tuple[int, ...], int], Optional[List[int]]] = {}
@@ -754,5 +730,7 @@ def emit_sdpa(inst: SdpInstance, digits: int = 40) -> str:
 
 
 def block_arrays(blocks: Sequence[FracMatrix]) -> List[np.ndarray]:
-    """Blocks as float64 numpy arrays (the embedded solver's working precision)."""
-    return [np.array([[float(x) for x in row] for row in mat], dtype=float) for mat in blocks]
+    """Blocks as float64 numpy arrays (the embedded solver's working precision),
+    each of shape (dim, dim), a 0x0 block included."""
+    return [np.array([[float(x) for x in row] for row in mat], dtype=float)
+            .reshape(len(mat), len(mat)) for mat in blocks]

@@ -38,7 +38,6 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -700,12 +699,14 @@ def read_sdpa_instance(text: str) -> SparseSystem:
     return SparseSystem(n_rows=n_rows, block_dims=dims, rhs=rhs, entries=tuple(entries))
 
 
-def system_to_instance(sys: SparseSystem) -> SdpInstance:
-    """Reconstruct an SdpInstance from a parsed sparse system.
+def system_to_instance(sys: SparseSystem) -> InstanceArrays:
+    """The float64 image of a parsed sparse system, as the gate and ADMM read it.
 
     The last row is taken as the normalization row (the emitter's layout);
-    its right-hand side must be 1.  Each distinct parsed value becomes a
-    Fraction once, and every absent entry is one shared zero.
+    its right-hand side must be 1.  Each entry is written at (i, j) and
+    (j, i), a later duplicate over an earlier one, and every absent entry is
+    zero.  A parsed -0.0 is stored as 0.0, so the image is
+    compiler.instance_arrays of the instance of the file's values, bit for bit.
     """
     if sys.n_rows < 1:
         raise ValueError("need at least the normalization row")
@@ -713,28 +714,15 @@ def system_to_instance(sys: SparseSystem) -> SdpInstance:
         raise ValueError("expected right-hand sides of K zeros then 1")
 
     dims = tuple(int(dim) for dim in sys.block_dims)
-    zero = Fraction(0)
-    exact: Dict[float, Fraction] = {}
-    rows = [  # index 0 = objective
-        [[[zero] * dim for _ in range(dim)] for dim in dims]
-        for _ in range(sys.n_rows + 1)
-    ]
+    rows = [[np.zeros((dim, dim)) for dim in dims] for _ in range(sys.n_rows + 1)]  # 0 = objective
     for row, block, i, j, val in sys.entries:
-        q = exact.get(val)
-        if q is None:
-            q = exact[val] = Fraction(val)
         mat = rows[row][block - 1]
-        mat[i - 1][j - 1] = q
-        mat[j - 1][i - 1] = q
-
-    def frozen(blocks):
-        return tuple(tuple(map(tuple, mat)) for mat in blocks)
-
-    return SdpInstance(
+        mat[i - 1, j - 1] = mat[j - 1, i - 1] = val + 0.0
+    return InstanceArrays(
         block_dims=dims,
-        constraints=tuple(frozen(blocks) for blocks in rows[1:-1]),
-        objective=frozen(rows[0]),
-        normalization=frozen(rows[-1]),
+        constraints=tuple(map(tuple, rows[1:-1])),
+        objective=tuple(rows[0]),
+        normalization=tuple(rows[-1]),
     )
 
 

@@ -498,6 +498,16 @@ class TestRunCampaign:
         strip = lambda r: dataclasses.replace(r, search_seconds=0.0, solve_seconds=0.0)
         assert [strip(r) for r in resumed.rounds] == [strip(r) for r in full.rounds]
 
+    def test_resume_with_another_seed_raises(self, tmp_path):
+        cfg = CampaignConfig(seed=33, out_dir=str(tmp_path / "s"), **FAST)
+        run_campaign(cfg)
+        state = (tmp_path / "s" / "state.jsonl").read_text()
+        changed = dataclasses.replace(cfg, seed=34, budget_rounds=3)
+        with pytest.raises(ConfigError, match="seed 33 -> 34; only the budgets and out_dir may"):
+            run_campaign(changed, resume=True)
+        assert (tmp_path / "s" / "state.jsonl").read_text() == state
+        assert CampaignConfig.from_file(str(tmp_path / "s" / "config.json")) == cfg
+
     def test_state_file_is_append_only(self, tmp_path):
         two = dict(FAST)
         cfg = CampaignConfig(seed=7, out_dir=str(tmp_path / "ap"), **two)

@@ -116,6 +116,16 @@ class TestSolve:
         assert payload["status"] in ("infeasible-detected", "max_iterations")
         assert payload["equality_residual"] is None and payload["psd_residual"] is None
 
+    def test_zero_size_block_is_solved_and_checked(self, capsys, tmp_path):
+        # block 2 is 0x0: minimize X11 subject to X11 = 1 over 2x2 PSD X
+        path = tmp_path / "zero.dat-s"
+        path.write_text("1\n2\n2 0\n1\n0 1 1 1 1.0\n1 1 1 1 1.0\n")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == EXIT_OK and err == ""
+        payload = strict_json(out)
+        assert payload["status"] == "converged"
+        assert abs(payload["objective"] - 1.0) < 1e-6
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "/nonexistent.dat-s")
         assert code == EXIT_CONFIG
@@ -420,6 +430,20 @@ class TestCampaign:
         )
         assert code == EXIT_CONFIG and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "'r' at line 1" in err
+
+    def test_resume_with_another_dimension_exits_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "camp"
+        flags = ["--pivots", "20", "--seed", "5", "--out", str(out_dir), "--quiet"]
+        run_cli(capsys, "campaign", "--budget-rounds", "1", *flags)
+        config = (out_dir / "config.json").read_text()
+        state = (out_dir / "state.jsonl").read_text()
+        code, out, err = run_cli(capsys, "campaign", "--resume", "--budget-rounds", "2",
+                                 "--dim", "4", *flags)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("invalid config: ")
+        assert "dimension 8 -> 4" in err
+        assert (out_dir / "config.json").read_text() == config
+        assert (out_dir / "state.jsonl").read_text() == state
 
     def test_infinite_eos_bias_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

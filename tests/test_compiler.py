@@ -15,7 +15,6 @@ from packbound.compiler import (
     ORIGIN,
     PIVOT_SCHEMES,
     PivotGenerationError,
-    PivotPoint,
     PivotTable,
     SdpInstance,
     assemble_sdp,
@@ -61,8 +60,8 @@ def nonnegative(values):
 
 def fixed_table(monkeypatch, params, *points):
     """A PivotTable whose pivots are the given (h, v, w) points."""
-    pivots = [PivotPoint.make(*point) for point in points]
-    values = [base_values_at(p.as_tuple(), params) for p in pivots]
+    pivots = [tuple(map(Fraction, point)) for point in points]
+    values = [base_values_at(p, params) for p in pivots]
     monkeypatch.setattr(compiler, "generate_pivots", lambda *args, **kwargs: (pivots, values))
     return PivotTable(params, len(pivots), 0)
 
@@ -85,7 +84,7 @@ class TestGeneratePivots:
     def test_single_pivot_in_region(self, unit_params):
         pts, values = generate_pivots(unit_params, 1, seed=0)
         assert len(pts) == len(values) == 1
-        assert values[0] == base_values_at(pts[0].as_tuple(), unit_params)
+        assert values[0] == base_values_at(pts[0], unit_params)
         assert nonnegative(values[0])
 
     def test_deterministic(self, params):
@@ -96,12 +95,14 @@ class TestGeneratePivots:
     @pytest.mark.parametrize("scheme", ["plane", "grid3d"])
     def test_points_distinct_admissible_and_boxed(self, params, scheme):
         pts, values = generate_pivots(params, 40, seed=1, scheme=scheme)
-        assert len(set(p.as_tuple() for p in pts)) == len(values) == 40
+        assert len(set(pts)) == len(values) == 40
         r2, R2 = params.r2, params.R2
         for p, vals in zip(pts, values):
-            assert vals == base_values_at(p.as_tuple(), params)
+            assert all(type(x) is Fraction for x in p)
+            assert vals == base_values_at(p, params)
             assert nonnegative(vals)
-            assert r2 <= p.h <= R2 and r2 <= p.v <= R2
+            h, v, _ = p
+            assert r2 <= h <= R2 and r2 <= v <= R2
 
     def test_k_must_be_positive(self, params):
         with pytest.raises(ValueError):
@@ -305,8 +306,8 @@ class TestPivotTable:
         inst = assemble_sdp(tokenize_and_parse("P7 <ES> P1 <EOS>"), params, n=8, d=4, K=12, seed=3)
         rows = zip(inst.constraints, table.pivots, table.monomial_values(p1))
         for (p7_block, p1_block), p, value in rows:
-            u4 = evaluate_basis(basis_enumerate(4), p.as_tuple())
-            u2 = evaluate_basis(basis_enumerate(2), p.as_tuple())
+            u4 = evaluate_basis(basis_enumerate(4), p)
+            u2 = evaluate_basis(basis_enumerate(2), p)
             assert p7_block[0] == u4  # u[0] = 1, so the first row of u u^T is u
             assert p1_block[0] == tuple(value * x for x in u2)
 
@@ -464,13 +465,14 @@ class TestMomentPattern:
         size = len(elems)
         assert len(pattern.pairs) == distinct
         assert len({total(i, j) for i, j in pattern.pairs}) == distinct
-        assert len(pattern.index) == size and all(len(row) == size for row in pattern.index)
+        gather = pattern.gather
+        assert gather.shape == (size, size) and gather.dtype == np.intp
         for t, (i, j) in enumerate(pattern.pairs):
-            assert i <= j and pattern.index[i][j] == t
+            assert i <= j and gather[i, j] == t
         for i in range(size):
             for j in range(size):
-                assert pattern.index[i][j] == pattern.index[j][i]
-                assert total(i, j) == total(*pattern.pairs[pattern.index[i][j]])
+                assert gather[i, j] == gather[j, i]
+                assert total(i, j) == total(*pattern.pairs[gather[i, j]])
 
     def test_cached_per_degree(self):
         assert moment_pattern(3) is moment_pattern(3)
@@ -522,7 +524,7 @@ class TestExactRatio:
         monkeypatch.setattr(math, "gcd", no_gcd)
         block = compiler._rank_one_block(u, scale, k)
         monkeypatch.undo()
-        pivot = table.pivots[p].as_tuple()
+        pivot = table.pivots[p]
         assert block == outer_reference(evaluate_basis(basis_enumerate(k), pivot), scale)
 
 
@@ -548,7 +550,7 @@ def assemble_reference(s, params, d, K, seed, scheme):
     return SdpInstance(
         block_dims=tuple(len(basis_enumerate(d - m.degree)) for m in canon.monomials),
         constraints=tuple(
-            tuple(block(m, p.as_tuple()) for m in canon.monomials)
+            tuple(block(m, p) for m in canon.monomials)
             for p in generate_pivots(params, K, seed, scheme=scheme)[0]
         ),
         objective=tuple(block(m, ORIGIN) for m in canon.monomials),
@@ -600,6 +602,12 @@ def rebuild_reference(system):
     return make_instance(system.block_dims, rows[1:-1], rows[0], rows[-1])
 
 
+def image_bytes(image):
+    """An InstanceArrays as its block dims and every block's shape, dtype and bytes."""
+    rows = (image.objective, *image.constraints, image.normalization)
+    return image.block_dims, [[(a.shape, a.dtype, a.tobytes()) for a in row] for row in rows]
+
+
 DIFFERENTIAL_SENTENCES = [
     (0, "P7 <EOS>"),
     (1, "P7 <ES> P2 <EOS>"),
@@ -637,7 +645,25 @@ class TestAssemblyDifferential:
         assert text_out == emit_reference(ref)
         system = read_sdpa_instance(text_out)
         assert system == read_reference(text_out)
-        assert system_to_instance(system) == rebuild_reference(system)
+        assert image_bytes(system_to_instance(system)) == image_bytes(
+            instance_arrays(rebuild_reference(system)))
+
+    def test_hand_written_file_reads_as_the_reference_image(self):
+        # a -0.0, an entry below the diagonal and a duplicate, the last of which wins
+        text = ("2\n2\n2 1\n0 1\n"
+                "0 1 1 1 -0.0\n"
+                "0 2 1 1 4.5\n"
+                "1 1 2 1 -2.25\n"
+                "1 1 2 2 1e-3\n"
+                "1 1 2 2 7.0\n"
+                "2 1 1 1 1.0\n")
+        system = read_sdpa_instance(text)
+        image = system_to_instance(system)
+        assert image_bytes(image) == image_bytes(instance_arrays(rebuild_reference(system)))
+        assert image.n_rows == system.n_rows == 2
+        assert math.copysign(1.0, image.objective[0][0, 0]) == 1.0
+        assert image.constraints[0][0].tolist() == [[0.0, -2.25], [-2.25, 7.0]]
+        assert image.objective[1].tolist() == [[4.5]]
 
     def test_vanishing_block_is_zero_on_every_plane_pivot(self, params):
         s = tokenize_and_parse("P7 <ES> P4 <EOS>")
@@ -669,7 +695,7 @@ def test_emission_digest_at_benchmark_size(text, d, r, R, seed, digest):
 
 
 def pivot_digest(pivots):
-    text = "\n".join(f"{p.h} {p.v} {p.w}" for p in pivots)
+    text = "\n".join(f"{h} {v} {w}" for h, v, w in pivots)
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 

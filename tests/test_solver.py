@@ -12,7 +12,6 @@ from packbound.campaign import CampaignConfig
 from packbound import compiler
 from packbound.compiler import (
     ORIGIN,
-    PivotPoint,
     PivotTable,
     assemble_sdp,
     emit_sdpa,
@@ -224,7 +223,7 @@ class TestIntegerRowsAgreeWithFractionRows:
             k = d - m.degree
             active = [p for p, value in enumerate(table.monomial_values(m)) if value > 0]
             assert table.active_pivots(m) == active
-            basis = [evaluate_basis(basis_enumerate(k), p.as_tuple()) for p in table.pivots]
+            basis = [evaluate_basis(basis_enumerate(k), p) for p in table.pivots]
             expected = fraction_kernel_vector([basis[p] for p in active], len(basis[0]))
             assert _block_kernel(table, m, k) == expected
 
@@ -267,8 +266,8 @@ class TestExactSolver:
     def test_pivot_outside_the_region_rejected(self, params, monkeypatch):
         # the decision needs m(p) >= 0 at every pivot, so the table checks
         # its pivots when it is built; the origin lies outside the region
-        outside = [PivotPoint.make(2.5, 3, 0.5), PivotPoint.make(0, 0, 0)]
-        values = [base_values_at(p.as_tuple(), params) for p in outside]
+        outside = [(Fraction(5, 2), Fraction(3), Fraction(1, 2)), ORIGIN]
+        values = [base_values_at(p, params) for p in outside]
         monkeypatch.setattr(compiler, "generate_pivots", lambda *args, **kwargs: (outside, values))
         with pytest.raises(ValueError, match="outside the region"):
             PivotTable(params, 2, 0)
@@ -540,6 +539,15 @@ class TestVerifyCertificate:
         res = SolverResult(status, 1.0, [], 0)
         with pytest.raises(ValueError, match="^tolerances must be positive and finite"):
             check_certificate(trivial_instance(), res, 1e-8, math.inf)
+
+    def test_zero_size_block_is_checked(self):
+        # a 0x0 block keeps its (0, 0) shape in the image, so its traces are 0
+        inst = make_instance([1, 0], [], [[[1.0]], []], [[[1.0]], []])
+        res = solve_embedded(inst)
+        assert res.status is SolverStatus.CONVERGED
+        assert [mat.shape for mat in res.primal_blocks] == [(1, 1), (0, 0)]
+        status, eq_res, psd_res = check_certificate(inst, res, 1e-8, 1e-8)
+        assert status == "converged" and eq_res <= 1e-7 and psd_res == 0.0
 
 
 class TestSdpaRoundTrip:
