@@ -23,8 +23,8 @@ the block has one distinct value per distinct sum (252 for k = 6, against
 1275 upper-triangle entries), and m(p) = 0 gives one shared all-zero block.
 PivotTable.instance builds every instance on its table's pivots, evaluated
 once for all of them: base values once per pivot, when generate_pivots
-admits it, and once at the origin, basis vectors once per pivot at the
-largest degree, which smaller ones slice.
+admits it, and once at the origin, and basis vectors once per pivot and
+degree.
 
 A basis vector is kept in integers over its pivot's own denominator delta,
 u_p = n_p diag(delta^-grade), so with m(p) = a/b each distinct value is the
@@ -105,9 +105,7 @@ def _monomial_value(values: Sequence[Fraction], m: Monomial) -> Fraction:
 
 
 def _chebyshev_nodes(lo: float, hi: float, count: int) -> List[float]:
-    """Chebyshev points of the second kind on [lo, hi], endpoints included."""
-    if count == 1:
-        return [(lo + hi) / 2.0]
+    """Chebyshev points of the second kind on [lo, hi], endpoints included (count >= 2)."""
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     return [mid + half * math.cos(math.pi * k / (count - 1)) for k in range(count - 1, -1, -1)]
 
@@ -433,22 +431,6 @@ def make_instance(
     )
 
 
-def _by_degree(memo: Dict[int, list], k: int, evaluate: Callable[[tuple], list]) -> list:
-    """memo[k], one vector per pivot over basis_enumerate(k), computed on first use.
-
-    A degree below the largest one in memo slices its vectors; any other is
-    evaluated (evaluate maps the basis elements to the per-pivot vectors).
-    """
-    if k not in memo:
-        top = max(memo, default=-1)
-        if k < top:
-            size = len(basis_enumerate(k))
-            memo[k] = [u[:size] for u in memo[top]]
-        else:
-            memo[k] = evaluate(basis_enumerate(k))
-    return memo[k]
-
-
 class PivotTable:
     """The pivots of (params, K, seed, scheme), kept as attributes, and their instances.
 
@@ -481,9 +463,8 @@ class PivotTable:
       there and P7 = 1, m(p) > 0 exactly when no base polynomial in m's
       support vanishes at p (active_pivots).
 
-    The vectors of degree k, in each view, are computed on first use
-    and kept; since basis_enumerate(k) is a prefix of basis_enumerate(k') for
-    k <= k', a smaller degree slices the largest one computed so far.
+    The vectors of degree k, in each view, are computed on first use and
+    kept.
     `kernels` keeps solver._block_kernel's result for each (active pivots,
     k), which every monomial with that active set shares.
     """
@@ -528,15 +509,20 @@ class PivotTable:
 
     def integer_basis_vectors(self, k: int) -> List[Tuple[int, ...]]:
         """N_p = u_p diag(D^grade) over basis_enumerate(k), for every pivot p, in pivot order."""
-        return _by_degree(self._integer_basis, k, lambda elems: [
-            basis_values(elems, W, H * V, H + V) for H, V, W in self._coords])
+        if k not in self._integer_basis:
+            elems = basis_enumerate(k)
+            self._integer_basis[k] = [basis_values(elems, W, H * V, H + V)
+                                      for H, V, W in self._coords]
+        return self._integer_basis[k]
 
     def basis_vectors(self, k: int) -> List[Tuple[Tuple[int, ...], int]]:
         """(n_p, delta_p) with n_p = u_p diag(delta_p^grade) over basis_enumerate(k),
         for every pivot p, in pivot order; delta_p is p's own denominator."""
-        vectors = _by_degree(self._own_basis, k, lambda elems: [
-            basis_values(elems, W, H * V, H + V) for _, (H, V, W) in self._own_coords])
-        return [(n, delta) for n, (delta, _) in zip(vectors, self._own_coords)]
+        if k not in self._own_basis:
+            elems = basis_enumerate(k)
+            self._own_basis[k] = [basis_values(elems, W, H * V, H + V)
+                                  for _, (H, V, W) in self._own_coords]
+        return [(n, delta) for n, (delta, _) in zip(self._own_basis[k], self._own_coords)]
 
     def _blocks(self, s: Sentence, d: int, rank_one: Callable, origin: Callable,
                 zero: Callable) -> tuple:
@@ -552,7 +538,6 @@ class PivotTable:
         objective = tuple(
             origin(self.origin_value(m), dim) for m, dim in zip(canon.monomials, dims)
         )
-        self.basis_vectors(max(degrees))  # evaluated once; the smaller degrees slice it
         columns = [  # column i holds block i, m_i(p) u_p u_p^T, of each pivot's row
             [rank_one(u, value, k)
              for u, value in zip(self.basis_vectors(k), self.monomial_values(m))]

@@ -43,12 +43,6 @@ class ReferenceSet:
                 found.extend(sentence.monomials)
         return cls.from_monomials(found)
 
-    def to_file(self, path: str) -> None:
-        rendered = sorted(m.render() for m in self.monomials)
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in rendered:
-                fh.write(line + "\n")
-
     def __contains__(self, m: Monomial) -> bool:
         return m.canonical() in self.monomials
 

@@ -97,19 +97,8 @@ class Polynomial:
     # ---- constructors ----
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
     def constant(cls, c: Number) -> "Polynomial":
         return cls({(0, 0, 0): c})
-
-    @classmethod
-    def variable(cls, name: str) -> "Polynomial":
-        idx = {"h": 0, "v": 1, "w": 2}[name]
-        expo = [0, 0, 0]
-        expo[idx] = 1
-        return cls({tuple(expo): 1})
 
     # ---- ring operations ----
 
@@ -118,9 +107,6 @@ class Polynomial:
         for expo, coeff in other.terms.items():
             out[expo] = out.get(expo, Fraction(0)) + coeff
         return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out: Dict[Exponent, Fraction] = {}
@@ -133,14 +119,6 @@ class Polynomial:
     def scale(self, factor: Number) -> "Polynomial":
         q = _frac(factor)
         return Polynomial({e: c * q for e, c in self.terms.items()})
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        result = Polynomial.constant(1)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):

@@ -483,17 +483,6 @@ class VerificationReport:
     objective_recomputed: float
 
 
-def _shape_error(arrays: InstanceArrays, res: SolverResult) -> Optional[str]:
-    """Why the result's blocks do not fit the instance's, or None when they do."""
-    if len(res.primal_blocks) != arrays.n_blocks:
-        return (f"block count mismatch: result has {len(res.primal_blocks)}, "
-                f"instance has {arrays.n_blocks}")
-    for mat, dim in zip(res.primal_blocks, arrays.block_dims):
-        if mat.shape != (dim, dim):
-            return f"block shape mismatch: {mat.shape} vs ({dim}, {dim})"
-    return None
-
-
 def verify_certificate(inst: Union[SdpInstance, InstanceArrays],
                        res: SolverResult) -> VerificationReport:
     """Recompute all traces, eigenvalue floors and the objective from scratch.
@@ -502,15 +491,21 @@ def verify_certificate(inst: Union[SdpInstance, InstanceArrays],
     (an SdpInstance is converted by compiler.instance_arrays), not on the
     solver's stacked representation, so a bug in the solve path cannot
     silently corrupt the report.  Each row's residual is scaled by 1 + its
-    Frobenius norm, as in ADMM's stopping rule.  A result whose blocks do not
-    fit the instance's raises ValueError.  Blocks must be finite
-    (check_certificate sees to it): eigvalsh may raise LinAlgError on a
-    non-finite block.
+    Frobenius norm, as in ADMM's stopping rule.  It raises ValueError for a
+    certificate it cannot check: one with no blocks, with a block count or a
+    block shape other than the instance's, or with a non-finite entry.
     """
     arrays = _as_arrays(inst)
-    problem = _shape_error(arrays, res)
-    if problem is not None:
-        raise ValueError(problem)
+    if not res.primal_blocks:
+        raise ValueError("the result has no certificate blocks")
+    if len(res.primal_blocks) != arrays.n_blocks:
+        raise ValueError(f"block count mismatch: result has {len(res.primal_blocks)}, "
+                         f"instance has {arrays.n_blocks}")
+    for mat, dim in zip(res.primal_blocks, arrays.block_dims):
+        if mat.shape != (dim, dim):
+            raise ValueError(f"block shape mismatch: {mat.shape} vs ({dim}, {dim})")
+        if not np.isfinite(mat).all():
+            raise ValueError("the certificate has a non-finite entry")
 
     def row_value_and_norm(blocks: Sequence[np.ndarray]) -> Tuple[float, float]:
         value = 0.0
@@ -553,19 +548,16 @@ def check_certificate(inst: Union[SdpInstance, InstanceArrays], res: SolverResul
     10 * tol_eq, the PSD residual at least -tol_psd and the claimed objective
     within 10 * tol_eq * (1 + |recomputed|) of the recomputed one, and
     "verification-failed" otherwise; each comparison fails on a NaN.  It
-    fails with residuals None when there is no certificate, when its blocks
-    do not match the instance's in count or shape, when a block holds a
-    non-finite entry, or when a recomputed value is not finite.
+    fails with residuals None when verify_certificate refuses the
+    certificate (ValueError) or when a recomputed value is not finite.
     """
     check_tolerances(tol_eq, tol_psd)
     if res.status is not SolverStatus.CONVERGED:
         return res.status.value, None, None
-    if not res.primal_blocks or not all(np.isfinite(mat).all() for mat in res.primal_blocks):
+    try:
+        report = verify_certificate(inst, res)
+    except ValueError:
         return "verification-failed", None, None
-    arrays = _as_arrays(inst)
-    if _shape_error(arrays, res) is not None:
-        return "verification-failed", None, None
-    report = verify_certificate(arrays, res)
     eq_res, psd_res, objective = (report.equality_residual, report.psd_residual,
                                   report.objective_recomputed)
     if not all(map(math.isfinite, (eq_res, psd_res, objective))):
@@ -743,14 +735,16 @@ def split_command(solver_cmd: str) -> List[str]:
 
 
 def solve_external(sdpa_text: str, solver_cmd: str) -> SolverResult:
-    """Write sdpa_text, as given, to a .dat-s file, run solver_cmd on it and parse its output.
+    """Write sdpa_text, as given and in UTF-8, to a .dat-s file, run solver_cmd on it
+    and parse its output.
 
     The command (split_command) receives the path as its final argument.  A
     nonzero exit code raises subprocess.CalledProcessError, and a run longer
     than EXTERNAL_TIMEOUT_S subprocess.TimeoutExpired.  The result is a claim.
     """
     argv = split_command(solver_cmd)
-    with tempfile.NamedTemporaryFile("w", newline="", suffix=".dat-s", delete=False) as fh:
+    with tempfile.NamedTemporaryFile("w", encoding="utf-8", newline="", suffix=".dat-s",
+                                     delete=False) as fh:
         fh.write(sdpa_text)
         path = fh.name
     try:

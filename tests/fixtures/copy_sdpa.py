@@ -12,7 +12,10 @@ import sys
 
 
 def main() -> int:
-    shutil.copyfile(sys.argv[-1], sys.argv[-2])
+    if len(sys.argv) != 3:
+        print("usage: copy_sdpa.py COPY INSTANCE", file=sys.stderr)
+        return 2
+    shutil.copyfile(sys.argv[2], sys.argv[1])
     print("phase.value  = pdINF")
     print("   objValPrimal = +0.0000000000000000e+00")
     return 0

@@ -5,11 +5,13 @@ import sys
 
 import pytest
 
+import packbound
 from packbound.cli import EXIT_CONFIG, EXIT_OK, EXIT_SEARCH, main
 
 from conftest import strict_json
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(packbound.__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +273,43 @@ class TestSolve:
         assert code == EXIT_OK
         assert strict_json(out)["status"] == "infeasible-detected"
         assert copy.read_bytes() == path.read_bytes()
+
+    def test_external_solver_reads_utf8_under_the_c_locale(self, capsys, tmp_path):
+        # the temporary file is UTF-8, whatever the locale's encoding
+        compiled = self.compile(capsys, tmp_path, "P7 <ES> P1 <EOS>", degree=2, pivots=3)
+        path = tmp_path / "given.dat-s"
+        path.write_bytes("* \u00e9t\u00e9\n".encode("utf-8") + compiled.read_bytes())
+        copy = tmp_path / "copy.dat-s"
+        stub = f"{sys.executable} {os.path.join(FIXTURES, 'copy_sdpa.py')} {copy}"
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "packbound", "solve", str(path), "--solver-cmd", stub],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert strict_json(proc.stdout)["status"] == "infeasible-detected"
+        assert copy.read_bytes() == path.read_bytes()
+
+    def test_right_hand_sides_outside_the_layout_exit_2(self, capsys, tmp_path):
+        # a homogeneous row with right-hand side 1: not K zeros then 1
+        path = tmp_path / "inst.dat-s"
+        path.write_text("2\n1\n1\n1 1\n0 1 1 1 1.0\n2 1 1 1 1.0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == EXIT_CONFIG and out == ""
+        assert err == "error: expected right-hand sides of K zeros then 1\n"
+
+    def test_copy_stub_refuses_one_argument(self, tmp_path):
+        # with one argument it would copy its own path onto itself
+        stub = tmp_path / "copy_sdpa.py"
+        with open(os.path.join(FIXTURES, "copy_sdpa.py"), "rb") as fh:
+            before = fh.read()
+        stub.write_bytes(before)
+        proc = subprocess.run([sys.executable, str(stub), str(stub)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stderr.startswith("usage: ")
+        assert stub.read_bytes() == before
 
     @pytest.mark.parametrize("solver_cmd, reason", [
         ("   ", "error: solver command '   ' names no program"),

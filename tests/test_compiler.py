@@ -335,7 +335,7 @@ class TestPivotTable:
     def test_instance_carries_the_table_identity_and_equals_assembly(self, params):
         table = PivotTable(params, 12, 3, "grid3d")
         assert (table.params, table.K, table.seed, table.scheme) == (params, 12, 3, "grid3d")
-        # vectors left at a higher degree are sliced by later, smaller degrees
+        # vectors kept at a higher degree leave the smaller degrees' blocks unchanged
         table.basis_vectors(5)
         s = tokenize_and_parse("P1 <*> P7 <ES> P7 <ES> P2 <EOS>")
         inst = table.instance(s, 8, 4)
@@ -377,6 +377,17 @@ class TestComputeBound:
         # is pi^4 / 384 times r_lo^8 / 16 > 1, rounded upward
         bound = compute_bound(1.0, GeometricParams(CampaignConfig().r_lo, 2.0), 8)
         assert Fraction(bound) >= (PI_100 + Fraction(1, 10**100)) ** 4 / 384
+
+
+class TestMakeInstance:
+    @pytest.mark.parametrize("objective, message", [
+        ([[[1.0]], [[1.0]]], "objective: expected 1 blocks, got 2"),
+        ([[[1.0, 0.0], [0.0]]], r"objective: block shape mismatch \(expected 2x2\)"),
+    ], ids=["block-count", "block-shape"])
+    def test_misshapen_blocks_rejected(self, objective, message):
+        normalization = [[[1.0, 0.0], [0.0, 0.0]]]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_instance([2], [], objective, normalization)
 
 
 class TestEmitSdpa:

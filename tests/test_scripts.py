@@ -1,6 +1,5 @@
 """The runnable scripts under scripts/ start, finish and print their result."""
 
-import json
 import os
 import re
 import subprocess
@@ -35,13 +34,3 @@ def test_sweep_degree_prints_the_bound():
     assert float(found.group(1)) == pytest.approx(1.0, abs=1e-6)
     assert float(found.group(2)) == pytest.approx(0.3098077673, rel=1e-6)
 
-
-def test_run_desk_campaign_plays_a_round(tmp_path):
-    out = tmp_path / "desk"
-    proc = run_script("run_desk_campaign.py", "--budget-rounds", "1", "--pivots", "20",
-                      "--quiet", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    summary = json.loads(proc.stdout)
-    assert summary["rounds"] == 1
-    assert summary["best_bound"] is not None
-    assert len((out / "state.jsonl").read_text().splitlines()) == 1

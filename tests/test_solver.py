@@ -29,6 +29,7 @@ from packbound.solver import (
     FormatError,
     SolverResult,
     SolverStatus,
+    SparseSystem,
     check_certificate,
     parse_external_output,
     read_sdpa_instance,
@@ -582,6 +583,24 @@ class TestSdpaRoundTrip:
         with pytest.raises(FormatError):
             read_sdpa_instance("2\n1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("x\n1\n1\n1\n", r"^bad header: .* \(line 1\)$"),
+        ("1\n1\n1 2\n1\n", r"^expected 1 block sizes, got 2 \(line 3\)$"),
+        ("2\n1\n1\n1\n", r"^expected 2 right-hand sides, got 1 \(line 4\)$"),
+    ], ids=["non-integer", "block-sizes", "right-hand-sides"])
+    def test_bad_header_names_line(self, text, message):
+        with pytest.raises(FormatError, match=message):
+            read_sdpa_instance(text)
+
+    @pytest.mark.parametrize("system, message", [
+        (SparseSystem(0, (1,), (), ()), "need at least the normalization row"),
+        (SparseSystem(2, (1,), (1.0, 1.0), ()), "expected right-hand sides of K zeros then 1"),
+        (SparseSystem(2, (1,), (0.0, 2.0), ()), "expected right-hand sides of K zeros then 1"),
+    ], ids=["no-rows", "nonzero-homogeneous", "normalization-not-1"])
+    def test_system_outside_the_emitters_layout_rejected(self, system, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            system_to_instance(system)
+
     def test_malformed_entry_names_line(self):
         text = "1\n1\n1\n1\n0 1 1 1 not-a-number\n"
         with pytest.raises(FormatError) as err:
@@ -685,6 +704,7 @@ class TestParseExternalOutput:
         ("xMat = { {1.0, abc} }", "bad xMat entry"),
         ("xMat =", "no opening brace"),
         ("xMat = { { {1.0, 0.0}, {0.0, 1.0} }", "not terminated"),
+        ("xMat = }\n{ {1.0} }", "closes a brace it never opened"),
     ])
     def test_malformed_xmat_rejected_at_its_line(self, section, message):
         text = self.fixture("sdpa_output_optimal.txt")
@@ -692,6 +712,11 @@ class TestParseExternalOutput:
         with pytest.raises(FormatError, match=message) as err:
             parse_external_output(text)
         assert err.value.line == 13
+
+    def test_unreadable_objective_rejected_at_its_line(self):
+        text = "phase.value  = pdOPT\n   objValPrimal = abc\n"
+        with pytest.raises(FormatError, match=r"^unreadable objValPrimal: .* \(line 2\)$"):
+            parse_external_output(text)
 
     def test_phase_value_without_equals_rejected_at_its_line(self):
         text = self.fixture("sdpa_output_optimal.txt").replace(
