@@ -20,7 +20,7 @@ Every block m(p) * u u^T is built from the moment pattern of its basis
 degree k (moment_pattern): entry (i, j) of u u^T is w^A (hv)^B (h+v)^C,
 where (A, B, C) is the sum of the exponents of basis elements i and j, so
 the block has one distinct value per distinct sum (252 for k = 6, against
-1275 upper-triangle entries), and m(p) = 0 gives one shared all-zero block.
+1275 upper-triangle entries), and m(p) = 0 gives the zero block.
 PivotTable.instance builds every instance on its table's pivots, evaluated
 once for all of them: base values once per pivot, when generate_pivots
 admits it, and once at the origin, and basis vectors once per pivot and
@@ -28,17 +28,19 @@ degree.
 
 A basis vector is kept in integers over its pivot's own denominator delta,
 u_p = n_p diag(delta^-grade), so with m(p) = a/b each distinct value is the
-integer ratio (a n_i n_j) / (b delta^(g_i + g_j)), g the grades.
-PivotTable.instance makes it one exact Fraction (polys.exact_ratio), which
-equal entries share, so that emission to solver files is deterministic at
-any requested precision.  A power-of-two denominator, which every table on
-float (r, R) has since its pivots come from float candidates, is reduced by
-a shift, any other by a gcd.  PivotTable.instance_arrays makes it one
-correctly rounded division, the float64 image (InstanceArrays) a
-certificate is checked on, without building a Fraction.
-solver.solve_exact decides on a second integer view, the rows over one
-denominator common to every pivot (PivotTable.integer_basis_vectors),
-which neither of them reads.
+integer ratio (a n_i n_j) / (b delta^(g_i + g_j)), g the grades; at the
+origin u = e_0 over delta = 1.  One routine (_rank_one) builds every block
+of both builders from these integers, and they differ only in the
+division.  PivotTable.instance makes each value one exact Fraction
+(polys.exact_ratio), which equal entries share, so that emission to solver
+files is deterministic at any requested precision.  A power-of-two
+denominator, which every table on float (r, R) has since its pivots come
+from float candidates, is reduced by a shift, any other by a gcd.
+PivotTable.instance_arrays makes it one correctly rounded division, the
+float64 image (InstanceArrays) a certificate is checked on, without
+building a Fraction.  solver.solve_exact decides on a second integer view,
+the rows over one denominator common to every pivot
+(PivotTable.integer_basis_vectors), which neither of them reads.
 
 compile, solve, search and report run on numpy alone.  A pivot table that
 falls through to the Sobol fill draws from packbound.qmc, which gives
@@ -253,66 +255,30 @@ def moment_pattern(k: int) -> MomentPattern:
     return MomentPattern(tuple(pairs), tuple(grades), np.array(index, dtype=np.intp))
 
 
-@functools.lru_cache(maxsize=None)
-def _zero_block(size: int) -> FracMatrix:
-    row = (Fraction(0),) * size
-    return (row,) * size
-
-
 def _rank_one(u: Tuple[Tuple[int, ...], int], scale: Fraction, k: int,
-              ratio: Callable[[int, int], object], dtype: type) -> np.ndarray:
-    """scale * u u^T as an array of dtype, one ratio per distinct entry.
+              ratio: Callable[[int, int], object], zero: object) -> np.ndarray:
+    """scale * u u^T, one ratio per distinct nonzero entry, as an array of zero's type.
 
     u = (n, delta) is the basis(k) vector at a point over that point's own
     denominator: u_p = n diag(delta^-grade), n an integer vector.  With
     scale = a/b, the entry of pair (i, j) of moment_pattern(k) is
-    ratio(a n_i n_j, b delta^(g_i + g_j)), which the pattern's gather places.
+    ratio(a n_i n_j, b delta^(g_i + g_j)), which the pattern's gather
+    places; a zero numerator gives `zero`, so a zero scale gives the zero
+    block.
     """
     nums, delta = u
     pattern = moment_pattern(k)
     a, b = scale.numerator, scale.denominator
     snum = [a * x for x in nums]
     sden = [b * delta**g for g in range(2 * k + 1)]
-    values = [ratio(snum[i] * nums[j], sden[g])
-              for (i, j), g in zip(pattern.pairs, pattern.grades)]
-    return np.array(values, dtype=dtype)[pattern.gather]
+    products = (snum[i] * nums[j] for i, j in pattern.pairs)
+    values = [ratio(x, sden[g]) if x else zero for x, g in zip(products, pattern.grades)]
+    return np.array(values, dtype=type(zero))[pattern.gather]
 
 
-def _rank_one_block(u: Tuple[Tuple[int, ...], int], scale: Fraction, k: int) -> FracMatrix:
-    """scale * u u^T, exactly: one Fraction per distinct entry, which equal entries share."""
-    if scale == 0:
-        return _zero_block(len(u[0]))
-    return tuple(map(tuple, _rank_one(u, scale, k, exact_ratio, object).tolist()))
-
-
-def _origin_block(value: Fraction, size: int) -> FracMatrix:
-    """value * e_0 e_0^T: a block m(0) u u^T at the origin, where u = e_0."""
-    zero = _zero_block(size)
-    return zero if value == 0 else ((value,) + zero[0][1:],) + zero[1:]
-
-
-def _zero_array(size: int) -> np.ndarray:
-    return np.zeros((size, size))
-
-
-def _rank_one_array(u: Tuple[Tuple[int, ...], int], scale: Fraction, k: int) -> np.ndarray:
-    """block_arrays([_rank_one_block(u, scale, k)])[0], without a Fraction.
-
-    Each distinct entry is one integer true division.  Python rounds it
-    correctly whatever factor the two sides share, as float() does the
-    Fraction's reduced numerator and denominator, so every entry has the
-    same bits.
-    """
-    if scale == 0:
-        return _zero_array(len(u[0]))
-    return _rank_one(u, scale, k, truediv, float)
-
-
-def _origin_array(value: Fraction, size: int) -> np.ndarray:
-    """block_arrays([_origin_block(value, size)])[0]."""
-    out = _zero_array(size)
-    out[0, 0] = float(value)
-    return out
+def _exact_block(u: Tuple[Tuple[int, ...], int], scale: Fraction, k: int) -> FracMatrix:
+    """scale * u u^T in exact Fractions, which equal entries share, as tuples."""
+    return tuple(map(tuple, _rank_one(u, scale, k, exact_ratio, Fraction(0)).tolist()))
 
 
 def instance_layout(s: Sentence, d: int) -> Tuple[Sentence, Tuple[int, ...]]:
@@ -448,12 +414,14 @@ class PivotTable:
       and (H', V', W') = delta_p (h, v, w) are integers, so n_p = W'^a
       (H'V')^b (H'+V')^c and u_p = n_p diag(delta_p^-grade).  With
       m(p) = a/b from monomial_values, each distinct entry of a block is
-      the integer ratio (a n_i n_j) / (b delta_p^(g_i + g_j)).  instance
-      makes it one exact Fraction, for the dense blocks that SDPA emission
-      writes, reducing a power-of-two denominator by a shift and any other
-      by a gcd (polys.exact_ratio); instance_arrays makes it one correctly
-      rounded float division, for the image solver.check_certificate
-      checks a winner on.  Neither reads the rows the decision reads;
+      the integer ratio (a n_i n_j) / (b delta_p^(g_i + g_j)).  Both build
+      every block through _rank_one and differ only in the division:
+      instance makes it one exact Fraction, for the dense blocks that SDPA
+      emission writes, reducing a power-of-two denominator by a shift and
+      any other by a gcd (polys.exact_ratio); instance_arrays makes it one
+      correctly rounded float division, for the image
+      solver.check_certificate checks a winner on.  Neither reads the rows
+      the decision reads;
     * solver.solve_exact reads integers over one denominator.  D,
       `denominator`, is the lcm of the denominators of every pivot
       coordinate, and (H, V, W) = D (h, v, w) are integers, so
@@ -482,7 +450,7 @@ class PivotTable:
         D = self.denominator = math.lcm(*(x.denominator for p in self.pivots for x in p))
         self._coords = [tuple(x.numerator * (D // x.denominator) for x in p) for p in self.pivots]
         self._own_coords = [common_denominator(p) for p in self.pivots]
-        self._own_basis: Dict[int, List[Tuple[int, ...]]] = {}
+        self._own_basis: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
         self._integer_basis: Dict[int, List[Tuple[int, ...]]] = {}
         self.kernels: Dict[Tuple[Tuple[int, ...], int], Optional[List[int]]] = {}
 
@@ -520,33 +488,32 @@ class PivotTable:
         for every pivot p, in pivot order; delta_p is p's own denominator."""
         if k not in self._own_basis:
             elems = basis_enumerate(k)
-            self._own_basis[k] = [basis_values(elems, W, H * V, H + V)
-                                  for _, (H, V, W) in self._own_coords]
-        return [(n, delta) for n, (delta, _) in zip(self._own_basis[k], self._own_coords)]
+            self._own_basis[k] = [(basis_values(elems, W, H * V, H + V), delta)
+                                  for delta, (H, V, W) in self._own_coords]
+        return self._own_basis[k]
 
-    def _blocks(self, s: Sentence, d: int, rank_one: Callable, origin: Callable,
-                zero: Callable) -> tuple:
+    def _blocks(self, s: Sentence, d: int, block: Callable) -> tuple:
         """(canonical s, block dims, rows, objective, normalization) of s at degree d.
 
-        Block i of pivot p's row is rank_one(u_p, m_i(p), k_i), where u_p is
-        p's entry of basis_vectors(k_i), the objective block is origin(m_i(0),
-        dim_i) and the normalization row is the objective on the designated
-        block, zero(dim_i) elsewhere.
+        Every block is block(u, scale, k_i) = scale * u u^T over basis(k_i):
+        in pivot p's row, u is p's entry of basis_vectors(k_i) and scale is
+        m_i(p); in the objective, u is the basis vector at the origin, e_0
+        over denominator 1, and scale is m_i(0).  The normalization row is
+        the objective on the designated block and scale 0 elsewhere.
         """
         canon, degrees = instance_layout(s, d)
-        dims = tuple(len(basis_enumerate(k)) for k in degrees)
-        objective = tuple(
-            origin(self.origin_value(m), dim) for m, dim in zip(canon.monomials, dims)
-        )
+        origin = [(basis_values(basis_enumerate(k), 0, 0, 0), 1) for k in degrees]
+        objective = tuple(block(u, self.origin_value(m), k)
+                          for m, k, u in zip(canon.monomials, degrees, origin))
         columns = [  # column i holds block i, m_i(p) u_p u_p^T, of each pivot's row
-            [rank_one(u, value, k)
+            [block(u, value, k)
              for u, value in zip(self.basis_vectors(k), self.monomial_values(m))]
             for m, k in zip(canon.monomials, degrees)
         ]
         j = self.designated_block(canon)
-        normalization = tuple(
-            block if i == j else zero(dim) for i, (block, dim) in enumerate(zip(objective, dims))
-        )
+        normalization = tuple(C if i == j else block(u, Fraction(0), k)
+                              for i, (C, k, u) in enumerate(zip(objective, degrees, origin)))
+        dims = tuple(len(n) for n, _ in origin)
         return canon, dims, tuple(zip(*columns)), objective, normalization
 
     def instance(self, s: Sentence, n: int, d: int) -> SdpInstance:
@@ -560,8 +527,7 @@ class PivotTable:
         """
         if n < 1:
             raise ValueError(f"dimension n must be >= 1, got {n}")
-        canon, dims, rows, objective, normalization = self._blocks(
-            s, d, _rank_one_block, _origin_block, _zero_block)
+        canon, dims, rows, objective, normalization = self._blocks(s, d, _exact_block)
         return SdpInstance(
             block_dims=dims,
             constraints=rows,
@@ -573,8 +539,14 @@ class PivotTable:
 
     def instance_arrays(self, s: Sentence, d: int) -> InstanceArrays:
         """instance_arrays(self.instance(s, n, d)), bit for bit, for any n, built
-        from the same integers (_rank_one_array), with no Fraction block."""
-        _, *blocks = self._blocks(s, d, _rank_one_array, _origin_array, _zero_array)
+        from the same integers, with no Fraction block.
+
+        Each distinct entry is one integer true division.  Python rounds it
+        correctly whatever factor the two sides share, as float() does the
+        Fraction's reduced numerator and denominator, so every entry has the
+        same bits.
+        """
+        _, *blocks = self._blocks(s, d, functools.partial(_rank_one, ratio=truediv, zero=0.0))
         return InstanceArrays(*blocks)
 
 

@@ -612,9 +612,11 @@ def _canonical_ints(lo: int, hi: int) -> Dict[str, int]:
 def read_sdpa_instance(text: str) -> SparseSystem:
     """Parse SDPA sparse format as written by emit_sdpa (comments tolerated).
 
-    Every entry must name a row in 0..n_rows (0 is the objective), a block
-    in 1..n_blocks and matrix indices in 1..dim of that block, and carry a
-    finite value; anything else raises FormatError with its line number.
+    Every block size must be nonnegative: a dense block, as emit_sdpa writes
+    it, not a diagonal one.  Every entry must name a row in 0..n_rows (0 is
+    the objective), a block in 1..n_blocks and matrix indices in 1..dim of
+    that block, and carry a finite value; anything else raises FormatError
+    with its line number.
 
     An entry line whose four indices are in range and written as str()
     writes them is resolved through lookup tables built from the header,
@@ -636,12 +638,16 @@ def read_sdpa_instance(text: str) -> SparseSystem:
     try:
         n_rows = int(header[0][1])
         n_blocks = int(header[1][1])
-        dims = tuple(abs(int(tok)) for tok in header[2][1].split())
+        dims = tuple(int(tok) for tok in header[2][1].split())
         rhs = tuple(float(tok) for tok in header[3][1].split())
     except ValueError as exc:
         raise FormatError(f"bad header: {exc}", header[0][0]) from exc
     if len(dims) != n_blocks:
         raise FormatError(f"expected {n_blocks} block sizes, got {len(dims)}", header[2][0])
+    for b, dim in enumerate(dims, 1):
+        if dim < 0:  # SDPA's diagonal (LP) block, which emit_sdpa never writes
+            raise FormatError(f"block {b} has size {dim}, a diagonal block; only dense "
+                              f"blocks are read", header[2][0])
     if len(rhs) != n_rows:
         raise FormatError(f"expected {n_rows} right-hand sides, got {len(rhs)}", header[3][0])
 
@@ -738,9 +744,11 @@ def solve_external(sdpa_text: str, solver_cmd: str) -> SolverResult:
     """Write sdpa_text, as given and in UTF-8, to a .dat-s file, run solver_cmd on it
     and parse its output.
 
-    The command (split_command) receives the path as its final argument.  A
-    nonzero exit code raises subprocess.CalledProcessError, and a run longer
-    than EXTERNAL_TIMEOUT_S subprocess.TimeoutExpired.  The result is a claim.
+    The command (split_command) receives the path as its final argument,
+    and its output is decoded as UTF-8 whatever the locale, a byte that is
+    not UTF-8 as U+FFFD.  A nonzero exit code raises
+    subprocess.CalledProcessError, and a run longer than EXTERNAL_TIMEOUT_S
+    subprocess.TimeoutExpired.  The result is a claim.
     """
     argv = split_command(solver_cmd)
     with tempfile.NamedTemporaryFile("w", encoding="utf-8", newline="", suffix=".dat-s",
@@ -750,7 +758,8 @@ def solve_external(sdpa_text: str, solver_cmd: str) -> SolverResult:
     try:
         proc = subprocess.run(
             argv + [path],
-            capture_output=True, text=True, timeout=EXTERNAL_TIMEOUT_S, check=True,
+            capture_output=True, encoding="utf-8", errors="replace",
+            timeout=EXTERNAL_TIMEOUT_S, check=True,
         )
         return parse_external_output(proc.stdout)
     finally:

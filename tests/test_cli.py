@@ -281,16 +281,36 @@ class TestSolve:
         path.write_bytes("* \u00e9t\u00e9\n".encode("utf-8") + compiled.read_bytes())
         copy = tmp_path / "copy.dat-s"
         stub = f"{sys.executable} {os.path.join(FIXTURES, 'copy_sdpa.py')} {copy}"
-        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run(
-            [sys.executable, "-m", "packbound", "solve", str(path), "--solver-cmd", stub],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = self.solve_in_the_c_locale(path, stub)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert strict_json(proc.stdout)["status"] == "infeasible-detected"
         assert copy.read_bytes() == path.read_bytes()
+
+    def test_external_solver_output_decoded_as_utf8_under_the_c_locale(self, capsys, tmp_path):
+        path = self.compile_p7(capsys, tmp_path)
+        stub = tmp_path / "accented_sdpa.py"
+        stub.write_text(
+            "import sys\n"
+            "sys.stdout.buffer.write('* solver r\\u00e9sum\\u00e9\\n'.encode('utf-8'))\n"
+            "sys.stdout.buffer.write(b'phase.value  = pdINF\\n'\n"
+            "                        b'   objValPrimal = +3.0000000000000000e+00\\n'\n"
+            "                        b'   objValDual   = +1.0000000000000000e+00\\n')\n",
+            encoding="utf-8",
+        )
+        proc = self.solve_in_the_c_locale(path, f"{sys.executable} {stub}")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert strict_json(proc.stdout)["status"] == "infeasible-detected"
+
+    @staticmethod
+    def solve_in_the_c_locale(path, solver_cmd):
+        """`packbound solve` in a fresh process whose locale encoding is ASCII."""
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        return subprocess.run(
+            [sys.executable, "-m", "packbound", "solve", str(path), "--solver-cmd", solver_cmd],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
 
     def test_right_hand_sides_outside_the_layout_exit_2(self, capsys, tmp_path):
         # a homogeneous row with right-hand side 1: not K zeros then 1

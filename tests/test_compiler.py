@@ -533,7 +533,7 @@ class TestExactRatio:
             raise AssertionError("math.gcd called")
 
         monkeypatch.setattr(math, "gcd", no_gcd)
-        block = compiler._rank_one_block(u, scale, k)
+        block = compiler._exact_block(u, scale, k)
         monkeypatch.undo()
         pivot = table.pivots[p]
         assert block == outer_reference(evaluate_basis(basis_enumerate(k), pivot), scale)

@@ -587,7 +587,10 @@ class TestSdpaRoundTrip:
         ("x\n1\n1\n1\n", r"^bad header: .* \(line 1\)$"),
         ("1\n1\n1 2\n1\n", r"^expected 1 block sizes, got 2 \(line 3\)$"),
         ("2\n1\n1\n1\n", r"^expected 2 right-hand sides, got 1 \(line 4\)$"),
-    ], ids=["non-integer", "block-sizes", "right-hand-sides"])
+        # a diagonal block, whose off-diagonal entry the file nonetheless sets
+        ("2\n2\n1 -2\n0 1\n0 1 1 1 1.0\n2 2 1 2 0.5\n",
+         r"^block 2 has size -2, a diagonal block; only dense blocks are read \(line 3\)$"),
+    ], ids=["non-integer", "block-sizes", "right-hand-sides", "negative-block-size"])
     def test_bad_header_names_line(self, text, message):
         with pytest.raises(FormatError, match=message):
             read_sdpa_instance(text)
@@ -652,7 +655,7 @@ class TestSdpaRoundTrip:
         assert math.copysign(1.0, system.entries[3][4]) == -1.0
 
     def test_indices_of_a_block_larger_than_the_file(self):
-        text = "1\n2\n1000 -3\n1\n1 1 999 1000 1.0\n1 2 3 3 2.0\n"
+        text = "1\n2\n1000 3\n1\n1 1 999 1000 1.0\n1 2 3 3 2.0\n"
         system = read_sdpa_instance(text)
         assert system.block_dims == (1000, 3)
         assert system.entries == ((1, 1, 999, 1000, 1.0), (1, 2, 3, 3, 2.0))
