@@ -21,6 +21,15 @@ campaign never loads scipy.optimize or scipy.stats, and its first proposal
 loads no scipy at all.  This module imports the two pieces of scipy it does
 use inside the functions that call them: scipy.linalg.lapack on the first
 fit, scipy.special on the first proposal from a fitted surrogate.
+
+A fit evaluates the likelihood thousands of times on kernel matrices of
+order ten or less, where numpy's Python-level wrappers (np.sum, np.max,
+np.argsort, np.mean, np.clip) cost more than the arithmetic.  So the code
+run per evaluation calls the ndarray methods and ufuncs those wrappers call,
+x.sum() for np.sum(x) and so on, and decodes a hyperparameter vector with
+one clip-and-exp over per-entry limits.  These are the same ufuncs and
+reductions on the same values in the same order, so no bit of a fit or a
+proposal moves; tests pin both.
 """
 
 from __future__ import annotations
@@ -39,12 +48,11 @@ NOISE_FLOOR = 1e-14
 ACQUISITIONS = ("ei", "ucb", "multi")
 UCB_KAPPA = 2.0  # confidence-bound width, in posterior standard deviations
 
-# Clip limits of the log-hyperparameters decoded by Hyperparams.from_vector.
-_LOG_LENGTHSCALE = (math.log(1e-2), math.log(1e2))
-_LOG_SIGNAL_VAR = (math.log(1e-6), math.log(1e4))
-_LOG_NOISE_VAR = (math.log(NOISE_FLOOR), math.log(1e-2))
-_LOG_WARP = (math.log(0.1), math.log(10.0))
-_LOG_POWER = (math.log(0.25), math.log(4.0))
+# Clip limits of each entry of a log-hyperparameter vector, in to_vector's
+# order: two lengthscales, signal and noise variance, two warp_a, two warp_b
+# and the output power.
+_LOG_LO = np.array([math.log(x) for x in (1e-2, 1e-2, 1e-6, NOISE_FLOOR, 0.1, 0.1, 0.1, 0.1, 0.25)])
+_LOG_HI = np.array([math.log(x) for x in (1e2, 1e2, 1e4, 1e-2, 10.0, 10.0, 10.0, 10.0, 4.0)])
 _SQRT_2PI = np.sqrt(2 * np.pi)
 
 
@@ -102,10 +110,6 @@ def _matern52(scaled_dist: np.ndarray) -> np.ndarray:
     return (1.0 + t + t * t / 3.0) * np.exp(-t)
 
 
-def _clamp(x: float, limits: Tuple[float, float]) -> float:
-    return min(max(x, limits[0]), limits[1])
-
-
 @dataclass(frozen=True)
 class MinimizeResult:
     """Best vertex, its value, and the number of function evaluations spent."""
@@ -130,7 +134,7 @@ def minimize(fun: Callable[[np.ndarray], float], x0: np.ndarray,
     initial simplex scales each coordinate of x0 by 1.05 in turn (0.00025
     for a zero one).  No evaluation is made past maxfev: a step, a shrink or
     the initial simplex cut short keeps the values it has, untried vertices
-    at inf.  Vertices are ordered by np.argsort, whose order among ties is
+    at inf.  Vertices are ordered by argsort, whose order among ties is
     part of the result.  A module-level name, so instrumentation can
     replace it.
     """
@@ -161,16 +165,16 @@ def minimize(fun: Callable[[np.ndarray], float], x0: np.ndarray,
             fsim[k] = f(sim[k])
     except _BudgetSpent:
         pass
-    # scipy sorts the initial simplex twice; np.argsort need not be stable,
-    # so the second sort may reorder tied vertices
+    # scipy sorts the initial simplex twice; argsort need not be stable, so
+    # the second sort may reorder tied vertices
     for _ in range(2):
-        order = np.argsort(fsim)
+        order = fsim.argsort()
         sim, fsim = sim[order], fsim[order]
 
     while nfev < maxfev:
         try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (abs(sim[1:] - sim[0]).max() <= xatol
+                    and abs(fsim[0] - fsim[1:]).max() <= fatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
@@ -202,9 +206,9 @@ def minimize(fun: Callable[[np.ndarray], float], x0: np.ndarray,
                     fsim[j] = f(sim[j])
         except _BudgetSpent:
             pass
-        order = np.argsort(fsim)
+        order = fsim.argsort()
         sim, fsim = sim[order], fsim[order]
-    return MinimizeResult(x=sim[0], fun=np.min(fsim), nfev=nfev)
+    return MinimizeResult(x=sim[0], fun=fsim.min(), nfev=nfev)
 
 
 def _ndtr(u: np.ndarray) -> np.ndarray:
@@ -240,22 +244,16 @@ class Hyperparams:
 
     @staticmethod
     def from_vector(vec: np.ndarray) -> "Hyperparams":
-        v = np.asarray(vec, dtype=float)
-        ls, sig, noise = _kernel_from_vector(v)
-        wa = np.exp(np.minimum(np.maximum(v[4:6], _LOG_WARP[0]), _LOG_WARP[1]))
-        wb = np.exp(np.minimum(np.maximum(v[6:8], _LOG_WARP[0]), _LOG_WARP[1]))
-        power = float(np.exp(_clamp(v[8], _LOG_POWER)))
-        return Hyperparams(ls, sig, noise, wa, wb, power)
+        e = np.exp(np.minimum(np.maximum(np.asarray(vec, dtype=float), _LOG_LO), _LOG_HI))
+        return Hyperparams(e[0:2], float(e[2]), float(e[3]), e[4:6], e[6:8], float(e[8]))
 
 
 def _kernel_from_vector(v: np.ndarray) -> Tuple[np.ndarray, float, float]:
-    """Lengthscales, signal and noise variance from the first four entries of
-    a hyperparameter vector; Hyperparams.from_vector and stage 1 of
-    fit_surrogate both decode them here."""
-    ls = np.exp(np.minimum(np.maximum(v[0:2], _LOG_LENGTHSCALE[0]), _LOG_LENGTHSCALE[1]))
-    sig = float(np.exp(_clamp(v[2], _LOG_SIGNAL_VAR)))
-    noise = float(np.exp(_clamp(v[3], _LOG_NOISE_VAR)))
-    return ls, sig, noise
+    """Lengthscales, signal and noise variance from the four kernel entries
+    of a hyperparameter vector, decoded as Hyperparams.from_vector decodes
+    them; stage 1 of fit_surrogate searches over these four alone."""
+    e = np.exp(np.minimum(np.maximum(v, _LOG_LO[:4]), _LOG_HI[:4]))
+    return e[0:2], float(e[2]), float(e[3])
 
 
 def _default_hyperparams() -> Hyperparams:
@@ -307,7 +305,7 @@ def _factor_solve(K: np.ndarray, resid: np.ndarray) -> Tuple[np.ndarray, np.ndar
     alpha, _ = dpotrs(chol, resid, lower=True)
     nll = float(
         0.5 * resid @ alpha
-        + np.sum(np.log(np.diag(chol)))
+        + np.log(chol.diagonal()).sum()
         + 0.5 * len(resid) * math.log(2 * math.pi)
     )
     return chol, alpha, nll
@@ -328,7 +326,7 @@ def _likelihood(
     """
     Xn = _kumaraswamy(Zn, hyper.warp_a, hyper.warp_b)
     yw = np.sign(t) * np.abs(t) ** hyper.power
-    mean_w = float(np.mean(yw))
+    mean_w = float(yw.mean())
     K = _kernel(Xn, Xn, hyper)
     noisy = K.diagonal() + max(hyper.noise_var, NOISE_FLOOR)
     resid = yw - mean_w
@@ -375,11 +373,11 @@ class Surrogate:
         # L^-1 Ks^T on the lower factor; dtrtrs would report only a zero on
         # the factor's diagonal, which a successful dpotrf does not leave.
         half, _ = dtrtrs(self.chol, Ks.T, lower=True, overwrite_b=True)
-        var = self.hyper.signal_var - np.sum(half * half, axis=0)
+        var = self.hyper.signal_var - (half * half).sum(axis=0)
         return mu, np.sqrt(np.maximum(var, 0.0))
 
     def best_warped(self) -> float:
-        return float(np.min(self.yw))
+        return float(self.yw.min())
 
     def posterior(self, x: GeometricParams) -> Tuple[float, float]:
         """(mu, sigma) at x in original output units; x must lie in the box.

@@ -5,7 +5,8 @@ designated-block normalization) are decided exactly by solve_exact: every
 block is rank one with nonnegative pivot values, so feasibility,
 boundedness and the optimum (always 1) follow from fraction-free
 elimination on each block's active pivot rows, taken as the table's integer
-rows, and the rank-one certificate is checked exactly.
+rows (on the rows that span them modulo a prime, the result checked against
+every row), and the rank-one certificate is checked exactly.
 The tree search uses it for every evaluation.  The ADMM solver below reads
 any instance's float image, as the gate does, and serves the CLI and scripts.
 
@@ -335,18 +336,43 @@ def solve_embedded(
 # Exact decision of the assembled instances
 # ---------------------------------------------------------------------------
 
-def _kernel_vector(rows: Sequence[Sequence[int]], dim: int) -> Optional[List[int]]:
-    """The primitive integer q with row . q = 0 for every row and q[0] > 0, or None.
+# The prime _kernel_vector screens its rows modulo: below 2^31, so a product
+# of two residues stays below 2^62 and fits an int64.
+SCREEN_PRIME = 2**31 - 1
 
-    None means e_0 lies in the span of the rows.  Fraction-free elimination
-    on the integer rows, with the columns taken in the order 1, ..., dim - 1,
-    0: column 0 holds a pivot exactly when e_0 is in the span; otherwise
-    q[0] = 1 (before clearing denominators), the other free coordinates are 0
-    and back substitution, scaled to stay in integers, gives the pivot
-    coordinates.  Scaling a column moves no pivot column, so q depends on the
-    row span alone, up to that scaling.  The returned q is checked against
-    every row.
+
+def _spanning_rows(rows: Sequence[Sequence[int]], dim: int) -> List[int]:
+    """Indices of rows, at most dim of them, that span every row modulo SCREEN_PRIME.
+
+    Gauss-Jordan elimination on int64 residues, one pivot row per step: the
+    pivot row is scaled to a leading 1 and its multiples are subtracted from
+    the others, with every entry reduced below the prime after each step, so
+    no product exceeds 2^62.  The picked rows are independent modulo the
+    prime, hence over the rationals; a row that reduces to zero modulo the
+    prime may still lie outside their rational span.
     """
+    p = SCREEN_PRIME
+    res = np.array([[x % p for x in row] for row in rows], dtype=np.int64).reshape(len(rows), dim)
+    picked: List[int] = []
+    unpicked = np.ones(len(rows), dtype=bool)
+    for c in range(dim):
+        nonzero = np.flatnonzero(unpicked & (res[:, c] != 0))
+        if not len(nonzero):
+            continue
+        i = int(nonzero[0])
+        unpicked[i] = False
+        pivot = res[i] * pow(int(res[i, c]), -1, p) % p
+        factors = res[:, c].copy()
+        factors[i] = 0
+        res -= factors[:, None] * pivot
+        res %= p
+        res[i] = pivot
+        picked.append(i)
+    return sorted(picked)
+
+
+def _eliminate(rows: Sequence[Sequence[int]], dim: int) -> Optional[List[int]]:
+    """_kernel_vector's q from rows alone, unchecked; None when e_0 is in their span."""
     order = list(range(1, dim)) + [0]
     echelon: Dict[int, List[int]] = {}  # pivot position -> row, in column order
     for row in rows:
@@ -378,9 +404,42 @@ def _kernel_vector(rows: Sequence[Sequence[int]], dim: int) -> Optional[List[int
     out = [0] * dim
     for pos, c in enumerate(order):
         out[c] = q[pos] // g
-    if any(sum(a * b for a, b in zip(row, out)) for row in rows):
-        raise RuntimeError("kernel vector fails its own rows")
     return out
+
+
+def _kernel_vector(rows: Sequence[Sequence[int]], dim: int) -> Optional[List[int]]:
+    """The primitive integer q with row . q = 0 for every row and q[0] > 0, or None.
+
+    None means e_0 lies in the span of the rows.  Fraction-free elimination
+    on the integer rows, with the columns taken in the order 1, ..., dim - 1,
+    0: column 0 holds a pivot exactly when e_0 is in the span; otherwise
+    q[0] = 1 (before clearing denominators), the other free coordinates are 0
+    and back substitution, scaled to stay in integers, gives the pivot
+    coordinates.  Scaling a column moves no pivot column, so q depends on the
+    row span alone, up to that scaling.
+
+    Most rows lie in the span of the others, so the elimination runs first
+    on the at most dim rows that _spanning_rows picks modulo SCREEN_PRIME.
+    If e_0 is in their span it is in that of all rows: None.  Otherwise
+    their q is kept only if it is exactly orthogonal to every row, and then
+    it is the q of all rows.  Pivot columns can only grow with the span, so
+    q, which is 0 on every column but 0 that holds no pivot of the subset's
+    span, is 0 on every such column of the full span, and the full span has
+    one null vector of that shape with q[0] = 1.  A row the screen missed
+    (in the picked rows' span modulo the prime, not over the rationals) can
+    fail the check, and the elimination then runs again on all rows: the
+    screen can cost time, never change the result.  The returned q is
+    checked against every row.
+    """
+    def fails(q: Optional[List[int]]) -> bool:
+        return q is not None and any(sum(a * b for a, b in zip(row, q)) for row in rows)
+
+    q = _eliminate([rows[i] for i in _spanning_rows(rows, dim)], dim)
+    if fails(q):
+        q = _eliminate(rows, dim)
+        if fails(q):
+            raise RuntimeError("kernel vector fails its own rows")
+    return q
 
 
 def _block_kernel(table: PivotTable, m: Monomial, k: int) -> Optional[List[int]]:

@@ -34,8 +34,10 @@ from packbound.solver import (
     parse_external_output,
     read_sdpa_instance,
     solve_embedded,
+    SCREEN_PRIME,
     _block_kernel,
     _kernel_vector,
+    _spanning_rows,
     solve_exact,
     system_to_instance,
     verify_certificate,
@@ -168,6 +170,49 @@ class TestKernelVector:
         else:
             assert q[0] > 0 and math.gcd(*q) == 1
             assert all(sum(u * x for u, x in zip(row, q)) == 0 for row in rows)
+
+    # A multiple of the screening prime is zero modulo it but not over the
+    # rationals, so the screen leaves its row out; the exact check on every
+    # row and the elimination on all rows must put it back.
+    @pytest.mark.parametrize("rows", [
+        [[0, 1, 0], [SCREEN_PRIME, 0, SCREEN_PRIME]],            # q moves: (1, 0, -1)
+        [[0, 1, 0], [3 * SCREEN_PRIME, 0, 0]],                   # e_0 enters the span
+        [[1, 1, 2], [1 + SCREEN_PRIME, 1, 2], [0, 5, 1]],        # congruent to row 0
+    ])
+    def test_row_the_screen_misses_still_counts(self, rows):
+        assert len(_spanning_rows(rows, 3)) < len(rows)
+        assert _kernel_vector(rows, 3) == fraction_kernel_vector(rows, 3)
+
+    def test_screen_agrees_with_full_elimination(self):
+        # combinations of a few random rows, some shifted by multiples of the prime
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            dim = int(rng.integers(2, 9))
+            base = [[int(x) for x in rng.integers(-9, 10, dim)]
+                    for _ in range(int(rng.integers(1, dim + 1)))]
+            rows = []
+            for _ in range(int(rng.integers(1, 12))):
+                row = [sum(int(c) * b[j] for c, b in zip(rng.integers(-3, 4, len(base)), base))
+                       for j in range(dim)]
+                if rng.random() < 0.3:
+                    row[int(rng.integers(dim))] += int(rng.integers(1, 4)) * SCREEN_PRIME
+                rows.append(row)
+            assert _kernel_vector(rows, dim) == fraction_kernel_vector(rows, dim)
+
+    def test_residues_near_the_prime_at_dim_100(self):
+        # 40 independent rows, every entry within 64 below the prime, and 40
+        # sums of pairs of them: an int64 product or sum of residues that is
+        # not reduced at once overflows, and the screen then picks other than
+        # the 40 rows that span them all.
+        dim, rank = 100, 40
+        rng = np.random.default_rng(5)
+        base = [[SCREEN_PRIME - int(t) for t in rng.integers(1, 64, dim)] for _ in range(rank)]
+        rows = base + [[x + y for x, y in zip(base[i], base[(7 * i + 1) % rank])]
+                       for i in range(rank)]
+        assert _spanning_rows(rows, dim) == list(range(rank))
+        q = _kernel_vector(rows, dim)
+        assert q == fraction_kernel_vector(rows, dim)
+        assert q is not None and q[0] > 0
 
 
 def fraction_kernel_vector(rows, dim):
