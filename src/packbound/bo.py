@@ -18,9 +18,11 @@ Nelder-Mead (minimize) and the Sobol' candidates (packbound.qmc) are scipy's
 algorithms written out on numpy; the tests pin them to
 scipy.optimize.minimize and scipy.stats.qmc.Sobol, bit for bit.  So a
 campaign never loads scipy.optimize or scipy.stats, and its first proposal
-loads no scipy at all.  This module imports the two pieces of scipy it does
-use inside the functions that call them: scipy.linalg.lapack on the first
-fit, scipy.special on the first proposal from a fitted surrogate.
+loads no scipy at all.  The four scipy routines this module does call are
+looked up through _scipy, which imports each on its first use and keeps it:
+scipy.linalg.lapack on the first fit, scipy.special on the first proposal
+from a fitted surrogate.  A later call is one attribute lookup, with no
+import statement run per likelihood evaluation.
 
 A fit evaluates the likelihood thousands of times on kernel matrices of
 order ten or less, where numpy's Python-level wrappers (np.sum, np.max,
@@ -34,6 +36,7 @@ proposal moves; tests pin both.
 
 from __future__ import annotations
 
+import importlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -211,10 +214,23 @@ def minimize(fun: Callable[[np.ndarray], float], x0: np.ndarray,
     return MinimizeResult(x=sim[0], fun=fsim.min(), nfev=nfev)
 
 
-def _ndtr(u: np.ndarray) -> np.ndarray:
-    from scipy.special import ndtr
+class _LazyScipy:
+    """dpotrf, dpotrs, dtrtrs and ndtr, each imported on first attribute
+    access and then kept as an instance attribute, which later lookups find
+    without calling __getattr__."""
 
-    return ndtr(u)
+    _MODULES = {"dpotrf": "scipy.linalg.lapack", "dpotrs": "scipy.linalg.lapack",
+                "dtrtrs": "scipy.linalg.lapack", "ndtr": "scipy.special"}
+
+    def __getattr__(self, name: str):
+        if name not in self._MODULES:
+            raise AttributeError(name)
+        routine = getattr(importlib.import_module(self._MODULES[name]), name)
+        setattr(self, name, routine)
+        return routine
+
+
+_scipy = _LazyScipy()
 
 
 def _norm_pdf(u: np.ndarray) -> np.ndarray:
@@ -295,14 +311,12 @@ def _factor_solve(K: np.ndarray, resid: np.ndarray) -> Tuple[np.ndarray, np.ndar
     factor (dpotrs); K itself is left as it was.  Raises
     np.linalg.LinAlgError when K is not numerically positive definite.
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
-    chol, info = dpotrf(K, lower=True)
+    chol, info = _scipy.dpotrf(K, lower=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"matrix is not positive definite (dpotrf info {info})")
     # dpotrs reports only malformed arguments, which a factor of K and a
     # vector of K's order are not.
-    alpha, _ = dpotrs(chol, resid, lower=True)
+    alpha, _ = _scipy.dpotrs(chol, resid, lower=True)
     nll = float(
         0.5 * resid @ alpha
         + np.log(chol.diagonal()).sum()
@@ -365,14 +379,12 @@ class Surrogate:
 
     def predict_warped(self, Z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior mean and stddev in warped output space, at normalized inputs."""
-        from scipy.linalg.lapack import dtrtrs
-
         Zw = _kumaraswamy(np.atleast_2d(Z), self.hyper.warp_a, self.hyper.warp_b)
         Ks = _kernel(Zw, self.Xn, self.hyper)
         mu = self.mean_w + Ks @ self.alpha
         # L^-1 Ks^T on the lower factor; dtrtrs would report only a zero on
         # the factor's diagonal, which a successful dpotrf does not leave.
-        half, _ = dtrtrs(self.chol, Ks.T, lower=True, overwrite_b=True)
+        half, _ = _scipy.dtrtrs(self.chol, Ks.T, lower=True, overwrite_b=True)
         var = self.hyper.signal_var - (half * half).sum(axis=0)
         return mu, np.sqrt(np.maximum(var, 0.0))
 
@@ -517,7 +529,7 @@ def expected_improvement(s: Surrogate, Z: np.ndarray) -> np.ndarray:
     out = np.maximum(gap, 0.0)
     positive = sd > 0
     u = gap[positive] / sd[positive]
-    out[positive] = gap[positive] * _ndtr(u) + sd[positive] * _norm_pdf(u)
+    out[positive] = gap[positive] * _scipy.ndtr(u) + sd[positive] * _norm_pdf(u)
     return np.maximum(out, 0.0)
 
 
@@ -540,7 +552,7 @@ def log_expected_improvement(s: Surrogate, Z: np.ndarray) -> np.ndarray:
     vals = np.empty_like(u)
     near = u > -10.0
     un = u[near]
-    h = _norm_pdf(un) + un * _ndtr(un)
+    h = _norm_pdf(un) + un * _scipy.ndtr(un)
     vals[near] = np.log(np.maximum(h, 1e-300))
     far = ~near
     uf = u[far]
@@ -560,7 +572,7 @@ def probability_of_improvement(s: Surrogate, Z: np.ndarray) -> np.ndarray:
     best = s.best_warped()
     out = (best - mu > 0).astype(float)
     positive = sd > 0
-    out[positive] = _ndtr((best - mu[positive]) / sd[positive])
+    out[positive] = _scipy.ndtr((best - mu[positive]) / sd[positive])
     return out
 
 

@@ -35,7 +35,11 @@ division.  PivotTable.instance makes each value one exact Fraction
 (polys.exact_ratio), which equal entries share, so that emission to solver
 files is deterministic at any requested precision.  A power-of-two
 denominator, which every table on float (r, R) has since its pivots come
-from float candidates, is reduced by a shift, any other by a gcd.
+from float candidates, is reduced by a shift and the reduced pair set on
+the Fraction's slots, with no constructor call; any other is reduced by a
+gcd.  emit_sdpa formats each distinct Fraction once per call, flattens
+each block's upper triangle once and builds each block's "block i j "
+labels once, for all rows.
 PivotTable.instance_arrays makes it one correctly rounded division, the
 float64 image (InstanceArrays) a certificate is checked on, without
 building a Fraction.  solver.solve_exact decides on a second integer view,
@@ -417,8 +421,9 @@ class PivotTable:
       the integer ratio (a n_i n_j) / (b delta_p^(g_i + g_j)).  Both build
       every block through _rank_one and differ only in the division:
       instance makes it one exact Fraction, for the dense blocks that SDPA
-      emission writes, reducing a power-of-two denominator by a shift and
-      any other by a gcd (polys.exact_ratio); instance_arrays makes it one
+      emission writes, reducing a power-of-two denominator by a shift,
+      with no constructor call, and any other by a gcd
+      (polys.exact_ratio); instance_arrays makes it one
       correctly rounded float division, for the image
       solver.check_certificate checks a winner on.  Neither reads the rows
       the decision reads;
@@ -654,7 +659,10 @@ def emit_sdpa(inst: SdpInstance, digits: int = 40) -> str:
     Ordering is (row, block, i, j), so re-emission is byte-identical.
     Values are written as format_fraction writes them, in decimal contexts
     fixed by `digits` and built once per call, and each distinct Fraction
-    is formatted once per call.
+    is formatted once per call.  Each block's upper triangle is flattened
+    once, row-major, and each block's "block i j " labels are built once,
+    in the same order, for all rows; a line is its row, its label and its
+    value's text.
     """
     fmt = _fraction_formatter(digits)
     K = len(inst.constraints)
@@ -664,25 +672,24 @@ def emit_sdpa(inst: SdpInstance, digits: int = 40) -> str:
         " ".join(str(dim) for dim in inst.block_dims),
         " ".join(["0"] * K + ["1"]),
     ]
-    rows = (inst.objective, *inst.constraints, inst.normalization)
+    labels = [[f"{b} {i} {j} " for i in range(1, dim + 1) for j in range(i, dim + 1)]
+              for b, dim in enumerate(inst.block_dims, 1)]
+    rows = [[[x for i, line in enumerate(mat) for x in line[i:]] for mat in blocks]
+            for blocks in (inst.objective, *inst.constraints, inst.normalization)]
     # Keyed by id(): equal entries of a block share one Fraction, and the
     # instance keeps every entry alive for the whole call.  Hashing a
     # Fraction takes a modular inverse of its denominator.
     distinct: Dict[int, Fraction] = {}
     for blocks in rows:
-        for mat in blocks:
-            for i, line in enumerate(mat):
-                upper = line[i:]
-                distinct.update(zip(map(id, upper), upper))
+        for upper in blocks:
+            distinct.update(zip(map(id, upper), upper))
     # a zero's text is "", which drops its entries
     text_of = {key: fmt(x) if x else "" for key, x in distinct.items()}.__getitem__
     for row_idx, blocks in enumerate(rows):
-        for b, mat in enumerate(blocks, 1):
-            size = len(mat)
-            for i, line in enumerate(mat, 1):
-                prefix = f"{row_idx} {b} {i} "
-                lines += [f"{prefix}{j} {text}" for j, text in
-                          zip(range(i, size + 1), map(text_of, map(id, line[i - 1:]))) if text]
+        head = f"{row_idx} "
+        for block_labels, upper in zip(labels, blocks):
+            lines += [head + label + text for label, text in
+                      zip(block_labels, map(text_of, map(id, upper))) if text]
     return "\n".join(lines) + "\n"
 
 

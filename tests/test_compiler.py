@@ -432,6 +432,36 @@ class TestEmitSdpa:
         assert keys == sorted(keys)
         assert all(i <= j for _, _, i, j in keys)
 
+    def test_matches_reference_emitter_off_the_benchmark_layouts(self):
+        # A 0x0, a 1x1 and an 11x11 block (two-digit indices), equal entries
+        # that are separate objects (Fraction(x) copies a Fraction), negative
+        # entries, zeros inside a block and an all-zero row.
+        values = (Fraction(-3, 8), Fraction(5, 7), Fraction(0), Fraction(2), -1.25,
+                  Fraction(1, 3), Fraction(-10**30, 3**40))
+
+        def big(row):
+            mat = [[None] * 11 for _ in range(11)]
+            for i in range(11):
+                for j in range(i, 11):
+                    x = values[(3 * i + 5 * j + row) % len(values)]
+                    mat[i][j], mat[j][i] = Fraction(x), Fraction(x)
+            return mat
+
+        zeros = [[0] * 11 for _ in range(11)]
+        inst = make_instance([0, 1, 11],
+                             [[[], [[0]], zeros], [[], [[-2]], big(1)]],
+                             [[], [[Fraction(7, 2)]], big(0)],
+                             [[], [[1]], big(2)])
+        upper = [x for i, line in enumerate(inst.objective[2]) for x in line[i:]]
+        assert len(set(map(id, upper))) == len(upper) > len(set(upper))
+        for digits in (40, 7, 1):
+            text = emit_sdpa(inst, digits)
+            assert text == emit_reference(inst, digits)
+            lines = text.splitlines()
+            assert lines[2] == "0 1 11" and lines[3] == "0 0 1"
+            assert not [ln for ln in lines[4:] if ln.startswith("1 ")]
+            assert f"2 3 10 11 {format_fraction(Fraction(5, 7), digits)}" in lines
+
 
 def format_reference(q, digits):
     """format_fraction as first written: divide and round in the default context."""
