@@ -59,6 +59,11 @@ PDINF_STUB = (
 CAMPAIGN_RECORDS_DIGEST = "fb05efe699f95f18aedfe3f80614e731a07d6a8caae1a93c00dd5709b2845cdb"
 # The same over the 100 rounds of the seed 0 to 9 default campaigns.
 TEN_CAMPAIGN_RECORDS_DIGEST = "540d4160afe4531b749c36447278a1154653a76d6b4ca556ac700cd7a9582b97"
+# The same over the seed 0 default campaign under the other two acquisitions.
+OTHER_ACQUISITION_RECORDS_DIGESTS = {
+    "multi": "77554af5f9c8ed08b8b589aa519960e71748ab11cca62fc77fcabc5423df22df",
+    "ucb": "e2f8dc341c5e6da795850ee3332308d2b209c6af9b7dd6889a845f1befe0aa85",
+}
 
 
 def make_record(round_idx, status="converged", bound=0.3, sentence="P7 <EOS>"):
@@ -485,6 +490,19 @@ class TestRunCampaign:
         assert digest == CAMPAIGN_RECORDS_DIGEST
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == TEN_CAMPAIGN_RECORDS_DIGEST
+
+    @pytest.mark.parametrize("acquisition", sorted(OTHER_ACQUISITION_RECORDS_DIGESTS))
+    def test_other_acquisition_records_are_pinned(self, tmp_path, acquisition):
+        # The digests above pin "ei" only; these pin the proposals of the
+        # confidence bound and the rank-aggregated mode in a campaign.
+        state = run_campaign(CampaignConfig(acquisition=acquisition, out_dir=str(tmp_path)))
+        lines = [json.dumps({k: v.hex() if isinstance(v, float) else v
+                             for k, v in dataclasses.asdict(rec).items()
+                             if k not in ("search_seconds", "solve_seconds")}, sort_keys=True)
+                 for rec in state.rounds]
+        assert len(lines) == 10
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == OTHER_ACQUISITION_RECORDS_DIGESTS[acquisition]
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         four = dict(FAST)
