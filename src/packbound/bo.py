@@ -9,6 +9,8 @@ Bounds are minimized, so all acquisition math is written for minimization:
 expected improvement by default, a confidence-bound alternative, and a
 rank-aggregated multi-acquisition mode (an approximation of multi-objective
 acquisition ensembles, and labelled as such in reports).
+A proposal scores its candidates once, then refines the best with one
+Nelder-Mead search under "ei" and "ucb" and with none under "multi".
 All GP linear algebra runs on one Cholesky factor of the kernel matrix,
 through LAPACK: dpotrf factors it once per likelihood evaluation, dpotrs
 solves for the posterior weights on the factor and dtrtrs gives the
@@ -73,7 +75,8 @@ class Observation:
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Axis-aligned box for (r, R) proposals; points must satisfy r < R."""
+    """Axis-aligned box for (r, R) proposals, whose points must be feasible.
+    An array of points holds (r, R) in its last axis, as the corners lo and hi do."""
 
     r_lo: float
     r_hi: float
@@ -84,23 +87,31 @@ class SearchBox:
         # an infinite edge would make normalize divide by an infinite span
         if not (0 < self.r_lo <= self.r_hi < math.inf and 0 < self.R_lo <= self.R_hi < math.inf):
             raise ValueError(f"malformed box {self}")
-        if self.r_lo >= self.R_hi:
-            raise ValueError(f"box {self} has no feasible point with r < R")
+        if not self.feasible(np.array([self.r_lo, self.R_hi])):
+            raise ValueError(f"box {self} holds no point with r < R")
         check_float_square("R_hi", self.R_hi)  # every proposal has r < R <= R_hi
+
+    @property
+    def lo(self) -> np.ndarray:
+        return np.array([self.r_lo, self.R_lo])
+
+    @property
+    def hi(self) -> np.ndarray:
+        return np.array([self.r_hi, self.R_hi])
+
+    def feasible(self, X: np.ndarray) -> np.ndarray:
+        """The rule r < R, at one point or at each of an array of points."""
+        return X[..., 0] < X[..., 1]
 
     def contains(self, p: GeometricParams) -> bool:
         return self.r_lo <= p.r <= self.r_hi and self.R_lo <= p.R <= self.R_hi
 
     def normalize(self, X: np.ndarray) -> np.ndarray:
-        lo = np.array([self.r_lo, self.R_lo])
-        hi = np.array([self.r_hi, self.R_hi])
-        span = np.where(hi > lo, hi - lo, 1.0)
-        return (X - lo) / span
+        lo, hi = self.lo, self.hi
+        return (X - lo) / np.where(hi > lo, hi - lo, 1.0)
 
     def denormalize(self, Z: np.ndarray) -> np.ndarray:
-        lo = np.array([self.r_lo, self.R_lo])
-        hi = np.array([self.r_hi, self.R_hi])
-        return lo + Z * (hi - lo)
+        return self.lo + Z * (self.hi - self.lo)
 
 
 def _kumaraswamy(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -419,17 +430,15 @@ def _posterior(data: Sequence[Observation], box: SearchBox, hyper: Hyperparams,
 def _dedupe(data: Sequence[Observation]) -> List[Observation]:
     by_x: dict = {}
     for obs in data:
-        key = (obs.x.r, obs.x.R)
-        if key in by_x and by_x[key].y != obs.y:
+        kept = by_x.setdefault(obs.x, obs)
+        if kept.y != obs.y:
             warnings.warn(
-                f"duplicate input ({key[0]}, {key[1]}) with conflicting values "
-                f"{by_x[key].y} and {obs.y}; keeping the smaller",
+                f"duplicate input ({obs.x.r}, {obs.x.R}) with conflicting values "
+                f"{kept.y} and {obs.y}; keeping the smaller",
                 stacklevel=3,
             )
-            if obs.y < by_x[key].y:
-                by_x[key] = obs
-        elif key not in by_x:
-            by_x[key] = obs
+            if obs.y < kept.y:
+                by_x[obs.x] = obs
     return list(by_x.values())
 
 
@@ -602,8 +611,14 @@ def acquisition_scores(s: Surrogate, Z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _sobol_candidates(box: SearchBox, seed: int, count: int) -> np.ndarray:
-    pts = box.denormalize(Sobol(2, seed).random(count))
-    return pts[pts[:, 0] < pts[:, 1]]
+    """The feasible points among the box's first count Sobol' points, else
+    among its first 64 * count; ValueError if neither draw holds one."""
+    for n in (count, 64 * count):
+        pts = box.denormalize(Sobol(2, seed).random(n))
+        pts = pts[box.feasible(pts)]
+        if len(pts):
+            return pts
+    raise ValueError(f"no feasible r < R point found in box {box}")
 
 
 def propose_next(
@@ -614,60 +629,45 @@ def propose_next(
     n_candidates: int = 256,
     refine_evals: int = 60,
 ) -> GeometricParams:
-    """Next (r, R) to evaluate: seeded multi-start maximization of the acquisition.
+    """Next (r, R) to evaluate: the top-scoring candidate, refined by search.
 
-    With no fitted data the proposal is the first point of the seeded
-    low-discrepancy sequence inside the box satisfying r < R, among its
-    first 4096 points; they are drawn 64 at a time, and a longer draw has
-    the shorter one as its prefix.  Every returned point lies in the box
-    with r < R.
+    With no data it is the first feasible one of the box's first 4096 seeded
+    Sobol' points.  Otherwise the feasible ones of its first n_candidates and
+    seeded jitter around the best observation are scored once, and under
+    "ei" and "ucb" a Nelder-Mead search of refine_evals evaluations from the
+    top one replaces it if no worse.  "multi" runs none: one point ranked
+    among one scores 0.0 everywhere.  Every proposal is feasible and in the box.
     """
     if s is None:
-        sampler = Sobol(2, seed)
-        for _ in range(4096 // 64):
-            pts = box.denormalize(sampler.random(64))
-            feasible = pts[pts[:, 0] < pts[:, 1]]
-            if len(feasible):
-                return GeometricParams(r=float(feasible[0, 0]), R=float(feasible[0, 1]))
-        raise ValueError(f"no feasible r < R point found in box {box}")
+        pt = _sobol_candidates(box, seed, 64)[0]
+        return GeometricParams(r=float(pt[0]), R=float(pt[1]))
 
     cands = _sobol_candidates(box, seed, n_candidates)
-    if len(cands) == 0:
-        cands = _sobol_candidates(box, seed, 64 * n_candidates)
-        if len(cands) == 0:
-            raise ValueError(f"no feasible r < R point found in box {box}")
     # The improvement peak near the incumbent narrows as data accumulate, so
     # space-filling candidates alone can miss it; add seeded jitter around
     # the best observed point at several scales.
-    best_obs = min(s.data, key=lambda o: o.y)
+    best = min(s.data, key=lambda o: o.y).x
     rng = np.random.default_rng(seed)
-    around = np.array([best_obs.x.r, best_obs.x.R]) + np.concatenate([
-        scale * rng.standard_normal((8, 2))
-        for scale in (0.2, 0.05, 0.01)
-    ]) * np.array([box.r_hi - box.r_lo, box.R_hi - box.R_lo])
-    around[:, 0] = np.clip(around[:, 0], box.r_lo, box.r_hi)
-    around[:, 1] = np.clip(around[:, 1], box.R_lo, box.R_hi)
-    around = around[around[:, 0] < around[:, 1]]
+    jitter = np.concatenate([scale * rng.standard_normal((8, 2)) for scale in (0.2, 0.05, 0.01)])
+    around = np.clip(np.array([best.r, best.R]) + jitter * (box.hi - box.lo), box.lo, box.hi)
+    around = around[box.feasible(around)]
     if len(around):
         cands = np.vstack([cands, around])
     Z = box.normalize(cands)
     scores = acquisition_scores(s, Z, acquisition)
     top = int(np.argmax(scores))
-
-    def neg_acq(z: np.ndarray) -> float:
-        if (z < 0.0).any() or (z > 1.0).any():
-            return 1e12
-        pt = box.denormalize(z[None, :])[0]
-        if not pt[0] < pt[1]:
-            return 1e12
-        return -float(acquisition_scores(s, z[None, :], acquisition)[0])
-
-    out = minimize(neg_acq, Z[top], method="Nelder-Mead",
-                   options={"maxfev": refine_evals, "xatol": 1e-6, "fatol": 1e-12})
     choice = Z[top]
-    if out.fun <= -scores[top] and neg_acq(out.x) < 1e12:
-        choice = out.x
-    pt = box.denormalize(np.clip(choice, 0.0, 1.0)[None, :])[0]
-    if not pt[0] < pt[1]:
+    if acquisition != "multi":
+        def neg_acq(z: np.ndarray) -> float:
+            if (z < 0.0).any() or (z > 1.0).any() or not box.feasible(box.denormalize(z)):
+                return 1e12
+            return -float(acquisition_scores(s, z[None, :], acquisition)[0])
+
+        out = minimize(neg_acq, choice, method="Nelder-Mead",
+                       options={"maxfev": refine_evals, "xatol": 1e-6, "fatol": 1e-12})
+        if out.fun <= -scores[top] and out.fun < 1e12:
+            choice = out.x
+    pt = box.denormalize(np.clip(choice, 0.0, 1.0))
+    if not box.feasible(pt):
         pt = cands[top]
     return GeometricParams(r=float(pt[0]), R=float(pt[1]))

@@ -663,6 +663,14 @@ def emit_sdpa(inst: SdpInstance, digits: int = 40) -> str:
     once, row-major, and each block's "block i j " labels are built once,
     in the same order, for all rows; a line is its row, its label and its
     value's text.
+
+    Known fault, not yet fixed: SDPA's primal is min c.x subject to
+    sum_i F_i x_i - F_0 PSD, and its dual max F_0 . Y subject to
+    F_i . Y = c_i, Y PSD.  This layout writes our minimization as that
+    dual, so a real SDPA would maximize it and return the certificate as
+    yMat, while solver.parse_external_output reads xMat.  Such a run fails
+    check_certificate as verification-failed; it never yields an unsound
+    bound.  No run against an SDPA binary has checked this.
     """
     fmt = _fraction_formatter(digits)
     K = len(inst.constraints)

@@ -843,6 +843,12 @@ def parse_external_output(text: str) -> SolverResult:
     else becomes max_iterations.  The duality gap |objValPrimal -
     objValDual|, when both are printed, is named in the message; it is not a
     residual of the instance's rows, which check_certificate computes.
+
+    Known fault, not yet fixed: compiler.emit_sdpa poses our minimization as
+    SDPA's dual (max F_0 . Y), whose certificate a real SDPA prints as yMat,
+    not xMat.  Until the two agree, such a run fails check_certificate as
+    verification-failed, never an unsound bound.  No run against an SDPA
+    binary has checked this.
     """
     lines = text.splitlines()
     phase: Optional[str] = None

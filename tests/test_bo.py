@@ -65,6 +65,11 @@ class TestSearchBox:
         assert BOX.contains(GeometricParams(1.5, 3.0))
         assert not BOX.contains(GeometricParams(0.5, 3.0))
 
+    def test_feasible_on_one_point_and_on_an_array(self):
+        pts = np.array([[1.5, 2.5], [2.5, 2.5], [3.0, 2.5]])
+        assert BOX.feasible(pts).tolist() == [True, False, False]
+        assert [bool(BOX.feasible(p)) for p in pts] == [True, False, False]
+
 
 class TestFit:
     def test_single_observation_interpolates(self):
@@ -220,8 +225,10 @@ class TestProposeNext:
             assert (p.r, p.R) == (float(pts[0, 0]), float(pts[0, 1]))
 
     def test_first_proposal_without_a_feasible_point_rejected(self):
+        # neither the first 64 points nor the first 4096 hold r < R
         box = SearchBox(1.0, 2.0, 1.0, 1.0 + 1e-9)
-        assert len(bo._sobol_candidates(box, 0, 4096)) == 0
+        with pytest.raises(ValueError, match="no feasible"):
+            bo._sobol_candidates(box, 0, 64)
         with pytest.raises(ValueError, match="no feasible"):
             propose_next(None, box, seed=0)
 
@@ -230,6 +237,28 @@ class TestProposeNext:
         for seed in range(20):
             p = propose_next(None, box, seed=seed)
             assert p.r < p.R
+
+    def test_multi_proposes_its_top_candidate_without_a_search(self, monkeypatch):
+        # one point ranked among one scores 0.0 wherever it lies, so a search
+        # from the top candidate could not move it
+        s = fit_surrogate(sample_observations(9, seed=3), BOX, seed=3)
+        scored = []
+
+        def recording(s, Z, kind):
+            scored.append((Z, acquisition_scores(s, Z, kind)))
+            return scored[-1][1]
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a proposal under multi ran a search")
+
+        monkeypatch.setattr(bo, "acquisition_scores", recording)
+        monkeypatch.setattr(bo, "minimize", no_search)
+        for seed in range(10):
+            scored.clear()
+            p = propose_next(s, BOX, seed=seed, acquisition="multi")
+            [(Z, scores)] = scored
+            assert (p.r, p.R) == tuple(BOX.denormalize(Z[np.argmax(scores)]))
+            assert all(acquisition_scores(s, z[None, :], "multi")[0] == 0.0 for z in Z)
 
     @pytest.mark.parametrize("acq", ["ei", "ucb", "multi"])
     def test_acquisition_modes_propose(self, acq):
@@ -361,7 +390,8 @@ class TestNelderMeadOracle:
     def test_fit_and_proposal_searches_match_scipy(self, monkeypatch):
         # Stage 1 starts two of its searches with the noise at its floor, where
         # kernel_nll is flat in that coordinate; the proposal search meets its
-        # 1e12 wall at the box edge and the r < R edge.
+        # 1e12 wall at the box edge and the r < R edge.  "multi" runs no
+        # proposal search.
         calls = []
         original = bo.minimize
 
@@ -377,7 +407,7 @@ class TestNelderMeadOracle:
                               max_evals=80)
             for acq in ACQUISITIONS:
                 propose_next(s, BOX, seed=seed, acquisition=acq)
-        assert calls.count(1e-4) == 3 * 5 and calls.count(1e-6) == 3 * len(ACQUISITIONS)
+        assert calls.count(1e-4) == 3 * 5 and calls.count(1e-6) == 3 * 2
 
     @pytest.mark.parametrize("method, options", [
         ("BFGS", {"maxfev": 5}),
