@@ -16,9 +16,14 @@ through LAPACK: dpotrf factors it once per likelihood evaluation, dpotrs
 solves for the posterior weights on the factor and dtrtrs gives the
 predictive variance from it (Rasmussen & Williams, GPML, Algorithm 2.1).
 
-Nelder-Mead (minimize) and the Sobol' candidates (packbound.qmc) are scipy's
+Nelder-Mead and the Sobol' candidates (packbound.qmc) are scipy's
 algorithms written out on numpy; the tests pin them to
-scipy.optimize.minimize and scipy.stats.qmc.Sobol, bit for bit.  So a
+scipy.optimize.minimize and scipy.stats.qmc.Sobol, bit for bit.
+Nelder-Mead is written once, as a generator that yields each point to
+evaluate (_nelder_mead).  minimize drives one search on a function of one
+point; _minimize_lockstep drives the fit's stage-1 searches together, all
+their pending points evaluated in one call of a batched likelihood, and
+gives each search the result minimize would.  So a
 campaign never loads scipy.optimize or scipy.stats, and its first proposal
 loads no scipy at all.  The four scipy routines this module does call are
 looked up through _scipy, which imports each on its first use and keeps it:
@@ -26,14 +31,15 @@ scipy.linalg.lapack on the first fit, scipy.special on the first proposal
 from a fitted surrogate.  A later call is one attribute lookup, with no
 import statement run per likelihood evaluation.
 
-A fit evaluates the likelihood thousands of times on kernel matrices of
-order ten or less, where numpy's Python-level wrappers (np.sum, np.max,
-np.argsort, np.mean, np.clip) cost more than the arithmetic.  So the code
-run per evaluation calls the ndarray methods and ufuncs those wrappers call,
-x.sum() for np.sum(x) and so on, and decodes a hyperparameter vector with
-one clip-and-exp over per-entry limits.  These are the same ufuncs and
-reductions on the same values in the same order, so no bit of a fit or a
-proposal moves; tests pin both.
+A fit evaluates the likelihood hundreds of times on kernel matrices of
+order ten or less, where the cost of a numpy call, not its arithmetic,
+dominates.  So the code run per evaluation calls the ndarray methods and
+ufuncs numpy's Python-level wrappers call, x.sum() for np.sum(x) and so on,
+and decodes a hyperparameter vector with one clip-and-exp over per-entry
+limits; stage 1 decodes its starts' points and builds their kernel
+matrices as one stacked array, then factors each on its own.  These are
+the same ufuncs and reductions on the same values in the same order, so no
+bit of a fit or a proposal moves; tests pin both.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import importlib
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +65,10 @@ UCB_KAPPA = 2.0  # confidence-bound width, in posterior standard deviations
 _LOG_LO = np.array([math.log(x) for x in (1e-2, 1e-2, 1e-6, NOISE_FLOOR, 0.1, 0.1, 0.1, 0.1, 0.25)])
 _LOG_HI = np.array([math.log(x) for x in (1e2, 1e2, 1e4, 1e-2, 10.0, 10.0, 10.0, 10.0, 4.0)])
 _SQRT_2PI = np.sqrt(2 * np.pi)
+# Entries of one stacked array of stage-1 kernel matrices.  Past about 128
+# KiB a stack costs more per matrix than one matrix at a time (measured on a
+# 2-vCPU x86-64 host, numpy 2.4), so larger kernels are stacked fewer at once.
+_STACK_ENTRIES = 16384
 
 
 @dataclass(frozen=True)
@@ -137,33 +147,19 @@ class _BudgetSpent(Exception):
     pass
 
 
-def minimize(fun: Callable[[np.ndarray], float], x0: np.ndarray,
-             method: str = "Nelder-Mead", options: Optional[dict] = None) -> MinimizeResult:
-    """Nelder-Mead minimization of fun from x0, step for step as
-    scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
-    with its non-adaptive coefficients, so x, fun and nfev equal scipy's to
-    the last bit (the tests pin them).
-
-    options takes maxfev (required), xatol and fatol (default 1e-4).  The
-    initial simplex scales each coordinate of x0 by 1.05 in turn (0.00025
-    for a zero one).  No evaluation is made past maxfev: a step, a shrink or
-    the initial simplex cut short keeps the values it has, untried vertices
-    at inf.  Vertices are ordered by argsort, whose order among ties is
-    part of the result.  A module-level name, so instrumentation can
-    replace it.
-    """
-    opts = dict(options or {})
-    if method != "Nelder-Mead" or "maxfev" not in opts or set(opts) - {"maxfev", "xatol", "fatol"}:
-        raise ValueError(f"Nelder-Mead takes options maxfev, xatol and fatol; got {method!r}, {opts}")
-    maxfev, xatol, fatol = opts["maxfev"], opts.get("xatol", 1e-4), opts.get("fatol", 1e-4)
+def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float
+                 ) -> Generator[np.ndarray, float, MinimizeResult]:
+    """Nelder-Mead from x0 as a generator: it yields a copy of each point to
+    evaluate, is sent that point's value, and returns the MinimizeResult.
+    minimize and _minimize_lockstep drive it; see minimize for the method."""
     nfev = 0
 
-    def f(x: np.ndarray) -> float:
+    def f(x: np.ndarray) -> Generator[np.ndarray, float, float]:
         nonlocal nfev
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return float(fun(x.copy()))
+        return float((yield x.copy()))
 
     x0 = np.array(x0, dtype=float).ravel()
     n = len(x0)
@@ -176,7 +172,7 @@ def minimize(fun: Callable[[np.ndarray], float], x0: np.ndarray,
     fsim = np.full(n + 1, np.inf)
     try:
         for k in range(n + 1):
-            fsim[k] = f(sim[k])
+            fsim[k] = yield from f(sim[k])
     except _BudgetSpent:
         pass
     # scipy sorts the initial simplex twice; argsort need not be stable, so
@@ -192,24 +188,24 @@ def minimize(fun: Callable[[np.ndarray], float], x0: np.ndarray,
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
+            fxr = yield from f(xr)
             shrink = False
             if fxr < fsim[0]:
                 xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
+                fxe = yield from f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             elif fxr < fsim[-1]:  # outside contraction
                 xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
+                fxc = yield from f(xc)
                 if fxc <= fxr:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     shrink = True
             else:  # inside contraction
                 xcc = 0.5 * xbar + 0.5 * sim[-1]
-                fxcc = f(xcc)
+                fxcc = yield from f(xcc)
                 if fxcc < fsim[-1]:
                     sim[-1], fsim[-1] = xcc, fxcc
                 else:
@@ -217,12 +213,65 @@ def minimize(fun: Callable[[np.ndarray], float], x0: np.ndarray,
             if shrink:
                 for j in range(1, n + 1):
                     sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
+                    fsim[j] = yield from f(sim[j])
         except _BudgetSpent:
             pass
         order = fsim.argsort()
         sim, fsim = sim[order], fsim[order]
     return MinimizeResult(x=sim[0], fun=fsim.min(), nfev=nfev)
+
+
+def minimize(fun: Callable[[np.ndarray], float], x0: np.ndarray,
+             method: str = "Nelder-Mead", options: Optional[dict] = None) -> MinimizeResult:
+    """Nelder-Mead minimization of fun from x0, step for step as
+    scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
+    with its non-adaptive coefficients, so x, fun and nfev equal scipy's to
+    the last bit (the tests pin them).
+
+    options takes maxfev (required), xatol and fatol (default 1e-4).  The
+    initial simplex scales each coordinate of x0 by 1.05 in turn (0.00025
+    for a zero one).  No evaluation is made past maxfev: a step, a shrink or
+    the initial simplex cut short keeps the values it has, untried vertices
+    at inf.  Vertices are ordered by argsort, whose order among ties is
+    part of the result.  A module-level name, so instrumentation can
+    replace it for the searches that call it: the fit's stage 2 and the
+    proposal search.  The fit's stage 1 runs _minimize_lockstep instead.
+    """
+    opts = dict(options or {})
+    if method != "Nelder-Mead" or "maxfev" not in opts or set(opts) - {"maxfev", "xatol", "fatol"}:
+        raise ValueError(f"Nelder-Mead takes options maxfev, xatol and fatol; got {method!r}, {opts}")
+    search = _nelder_mead(x0, opts["maxfev"], opts.get("xatol", 1e-4), opts.get("fatol", 1e-4))
+    value = None  # sending None starts the generator
+    while True:
+        try:
+            x = search.send(value)
+        except StopIteration as stop:
+            return stop.value
+        value = fun(x)
+
+
+def _minimize_lockstep(batch_fun: Callable[[np.ndarray], np.ndarray], starts: Sequence[np.ndarray],
+                       maxfev: int, xatol: float, fatol: float) -> List[MinimizeResult]:
+    """One Nelder-Mead search from each start, all advanced together.
+
+    Each step evaluates the next point of every unfinished search in one
+    call of batch_fun, which maps an (S, n) array of points to their S
+    values; a search that has finished drops out.  Result i equals
+    minimize(f, starts[i], options={"maxfev": maxfev, "xatol": xatol,
+    "fatol": fatol}) for the f that batch_fun evaluates row by row.
+    """
+    searches = [_nelder_mead(x0, maxfev, xatol, fatol) for x0 in starts]
+    results: List[Optional[MinimizeResult]] = [None] * len(searches)
+    sent = dict.fromkeys(range(len(searches)))  # None starts a generator
+    while sent:
+        points = {}
+        for i, value in sent.items():
+            try:
+                points[i] = searches[i].send(value)
+            except StopIteration as stop:
+                results[i] = stop.value
+        sent = dict(zip(points, batch_fun(np.array(list(points.values()))))) if points else {}
+    return results  # type: ignore[return-value]
 
 
 class _LazyScipy:
@@ -275,12 +324,13 @@ class Hyperparams:
         return Hyperparams(e[0:2], float(e[2]), float(e[3]), e[4:6], e[6:8], float(e[8]))
 
 
-def _kernel_from_vector(v: np.ndarray) -> Tuple[np.ndarray, float, float]:
-    """Lengthscales, signal and noise variance from the four kernel entries
-    of a hyperparameter vector, decoded as Hyperparams.from_vector decodes
-    them; stage 1 of fit_surrogate searches over these four alone."""
-    e = np.exp(np.minimum(np.maximum(v, _LOG_LO[:4]), _LOG_HI[:4]))
-    return e[0:2], float(e[2]), float(e[3])
+def _kernels_from_vectors(V: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lengthscales (S, 2), signal and noise variances (S,) from an (S, 4)
+    array of the four kernel entries of hyperparameter vectors, each row
+    decoded as Hyperparams.from_vector decodes it; stage 1 of fit_surrogate
+    searches over these four alone."""
+    e = np.exp(np.minimum(np.maximum(V, _LOG_LO[:4]), _LOG_HI[:4]))
+    return e[:, 0:2], e[:, 2], e[:, 3]
 
 
 def _default_hyperparams() -> Hyperparams:
@@ -427,6 +477,40 @@ def _posterior(data: Sequence[Observation], box: SearchBox, hyper: Hyperparams,
     return Surrogate(tuple(data), box, hyper, Xn, loc, spread, yw, mean_w, chol, alpha, nll)
 
 
+def _stage_one_nll(Xn: np.ndarray, resid: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Stage 1's likelihood: the NLL at each row of an (S, 4) array of kernel
+    entries, with the warps at identity, so the warped inputs Xn and the
+    centred outputs resid are fixed.
+
+    The pairwise squared input differences are computed once.  Each call
+    decodes the rows and builds their kernel matrices as one stacked array,
+    with the same ufuncs in the same order as for a single row, then factors
+    and solves each with _factor_solve; a kernel matrix that does not factor
+    scores 1e12.  A stack holds at most _STACK_ENTRIES matrix entries, so
+    large kernels are built a few rows, or one row, at a time.
+    """
+    sq0 = (Xn[:, None, 0] - Xn[None, :, 0]) ** 2
+    sq1 = (Xn[:, None, 1] - Xn[None, :, 1]) ** 2
+    diag_step = len(resid) + 1
+    rows = max(1, _STACK_ENTRIES // len(resid) ** 2)
+
+    def kernel_nll(V: np.ndarray) -> np.ndarray:
+        out = np.empty(len(V))
+        for lo in range(0, len(V), rows):
+            ls, sig, noise = _kernels_from_vectors(V[lo:lo + rows])
+            ls2 = (ls**2)[:, :, None, None]
+            K = sig[:, None, None] * _matern52(np.sqrt(sq0 / ls2[:, 0] + sq1 / ls2[:, 1]))
+            K.reshape(len(K), -1)[:, ::diag_step] += (np.maximum(noise, NOISE_FLOOR) + 1e-14)[:, None]
+            for s, Ks in enumerate(K, lo):
+                try:
+                    out[s] = _factor_solve(Ks, resid)[-1]
+                except np.linalg.LinAlgError:
+                    out[s] = 1e12
+        return out
+
+    return kernel_nll
+
+
 def _dedupe(data: Sequence[Observation]) -> List[Observation]:
     by_x: dict = {}
     for obs in data:
@@ -477,27 +561,10 @@ def fit_surrogate(
 
     # Stage 1: kernel hyperparameters only (lengthscales, signal, noise) with
     # the warps held at identity; the reduced search is far more reliable at
-    # small evaluation budgets than the joint nine-dimensional one.  The
-    # pairwise input differences and the standardized outputs are constant
-    # here, so the likelihood is evaluated on precomputed tensors, and only
-    # the four kernel hyperparameters are decoded per evaluation.
+    # small evaluation budgets than the joint nine-dimensional one.  Its
+    # n_starts searches run in lockstep on one batched likelihood.
     kernel_idx = np.arange(4)
-    X_fixed = base.Xn
-    sq0 = (X_fixed[:, None, 0] - X_fixed[None, :, 0]) ** 2
-    sq1 = (X_fixed[:, None, 1] - X_fixed[None, :, 1]) ** 2
-    resid_fixed = base.yw - base.mean_w
-    diag_step = len(resid_fixed) + 1
-
-    def kernel_nll(sub: np.ndarray) -> float:
-        ls, sig, noise = _kernel_from_vector(sub)
-        ls2 = ls**2
-        K = sig * _matern52(np.sqrt(sq0 / ls2[0] + sq1 / ls2[1]))
-        K.flat[::diag_step] += max(noise, NOISE_FLOOR) + 1e-14
-        try:
-            return _factor_solve(K, resid_fixed)[-1]
-        except np.linalg.LinAlgError:
-            return 1e12
-
+    kernel_nll = _stage_one_nll(base.Xn, base.yw - base.mean_w)
     structured = [
         x0[kernel_idx],
         np.array([math.log(0.15), math.log(0.15), 0.0, math.log(NOISE_FLOOR)]),
@@ -507,10 +574,8 @@ def fit_surrogate(
         x0[kernel_idx] + rng.uniform(-1.5, 1.5, size=4)
         for _ in range(max(0, n_starts - len(structured)))
     ]
-    best_sub, best_val = starts[0], kernel_nll(starts[0])
-    for s in starts:
-        out = minimize(kernel_nll, s, method="Nelder-Mead",
-                       options={"maxfev": max_evals, "xatol": 1e-4, "fatol": 1e-8})
+    best_sub, best_val = starts[0], kernel_nll(starts[0][None])[0]
+    for out in _minimize_lockstep(kernel_nll, starts, max_evals, 1e-4, 1e-8):
         if out.fun < best_val - 1e-12:
             best_val, best_sub = out.fun, out.x
     best_vec = x0.copy()

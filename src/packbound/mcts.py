@@ -6,12 +6,16 @@ loop (UCB selection, single-child expansion, rollout evaluation,
 backpropagation) is deterministic given the seed; rollouts complete a prefix
 by seeded uniform draws with a configurable bias toward terminating once a
 monomial is complete, and every completed sentence is scored by the
-evaluator the caller passes in.  The search knows nothing else about how a
-sentence is scored; make_sdp_evaluator builds the one the campaign and the
-CLI use, which decides the sentence's SDP exactly with solver.solve_exact on
-one pivot table and caches its outcomes by (canonical sentence, degree), so
-permuted factor orders and constant padding share solver calls.  Visit
-statistics live on the token-prefix tree itself.
+evaluator the caller passes in.  A rollout token is drawn with one
+rng.random() against a cumulative distribution kept per (legal-token set,
+eos_bias) and built as Generator.choice builds it, so the draws, and the
+generator's state after them, are those rng.choice(p=weights) gives.  The
+search knows nothing else about how a sentence is scored;
+make_sdp_evaluator builds the one the campaign and the CLI use, which
+decides the sentence's SDP exactly with solver.solve_exact on one pivot
+table and caches its outcomes by (canonical sentence, degree), so permuted
+factor orders and constant padding share solver calls.  Visit statistics
+live on the token-prefix tree itself.
 
 Single-writer tree: rollout evaluations may be expensive but are issued
 sequentially, keeping runs reproducible.
@@ -21,8 +25,10 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,11 +115,14 @@ def make_sdp_evaluator(table: PivotTable, n: int, cache: RewardCache) -> Evaluat
     solver.solve_exact decides it in exact arithmetic on the table, so a
     converged outcome has objective exactly 1 and a checked rank-one
     certificate.  A failed decision becomes an "error: ..." outcome.
+    compute_bound runs once per distinct objective value; its result
+    depends on nothing else that varies here.
     Outcomes are stored in cache, which must serve this evaluator alone.
     Raises ValueError for a dimension n < 1.
     """
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
+    bounds: Dict[float, float] = {}  # compute_bound at each objective value met
 
     def evaluate(s: Sentence, d: int) -> EvalOutcome:
         canon = s.canonical()
@@ -125,7 +134,10 @@ def make_sdp_evaluator(table: PivotTable, n: int, cache: RewardCache) -> Evaluat
         try:
             res = solve_exact(canon, d, table)
             converged = res.status is SolverStatus.CONVERGED
-            bound = compute_bound(res.objective_value, table.params, n) if converged else math.inf
+            bound = bounds.get(res.objective_value) if converged else math.inf
+            if bound is None:
+                bound = bounds[res.objective_value] = compute_bound(
+                    res.objective_value, table.params, n)
             outcome = EvalOutcome(text, d, converged, res.objective_value, bound,
                                   res.status.value, res)
         except Exception as exc:  # failed compiles become penalty rewards
@@ -226,13 +238,27 @@ def rollout_completion(
     """
     tokens = list(state)
     while not (tokens and tokens[-1] is Token.EOS):
-        legal = sorted(legal_next_tokens(tokens, caps.degree_cap, caps.max_monomials))
-        weights = np.array(
-            [eos_bias if t is Token.EOS else 1.0 for t in legal], dtype=float
-        )
-        weights /= weights.sum()
-        tokens.append(legal[int(rng.choice(len(legal), p=weights))])
+        legal = frozenset(legal_next_tokens(tokens, caps.degree_cap, caps.max_monomials))
+        ordered, cdf = _draw_table(legal, eos_bias)
+        tokens.append(ordered[bisect_right(cdf, rng.random())])
     return prefix_sentence(analyze_prefix(tokens))
+
+
+@lru_cache(maxsize=None)  # a few legal-token sets per eos_bias in use
+def _draw_table(legal: FrozenSet[Token], eos_bias: float) -> Tuple[Tuple[Token, ...], Tuple[float, ...]]:
+    """The legal tokens in token order and the cumulative distribution of a
+    rollout's draw among them, built as Generator.choice(p=weights) builds
+    it: weights normalized, cumsum, divided by its last entry.  So
+    ordered[bisect_right(cdf, rng.random())] takes the same draw from the
+    stream as rng.choice(len(ordered), p=weights) and picks the same token."""
+    if not 0 <= eos_bias < math.inf:
+        raise ValueError(f"need eos_bias finite and >= 0, got {eos_bias}")
+    ordered = tuple(sorted(legal))
+    weights = np.array([eos_bias if t is Token.EOS else 1.0 for t in ordered], dtype=float)
+    weights /= weights.sum()
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return ordered, tuple(cdf.tolist())
 
 
 def simulate_rollout(

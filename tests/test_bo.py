@@ -17,11 +17,13 @@ from packbound.bo import (
     _default_hyperparams,
     _factor_solve,
     _kernel,
-    _kernel_from_vector,
+    _kernels_from_vectors,
     _kumaraswamy,
     _likelihood,
+    _minimize_lockstep,
     _posterior,
     _standardize,
+    _stage_one_nll,
     acquisition_scores,
     confidence_bound,
     expected_improvement,
@@ -389,11 +391,12 @@ class TestNelderMeadOracle:
 
     def test_fit_and_proposal_searches_match_scipy(self, monkeypatch):
         # Stage 1 starts two of its searches with the noise at its floor, where
-        # kernel_nll is flat in that coordinate; the proposal search meets its
-        # 1e12 wall at the box edge and the r < R edge.  "multi" runs no
-        # proposal search.
+        # its likelihood is flat in that coordinate; the proposal search meets
+        # its 1e12 wall at the box edge and the r < R edge.  Stage 1's searches
+        # run in lockstep, stage 2 and the proposal search through
+        # bo.minimize.  "multi" runs no proposal search.
         calls = []
-        original = bo.minimize
+        original, original_lockstep = bo.minimize, bo._minimize_lockstep
 
         def checked(fun, x0, method, options):
             out = original(fun, x0, method=method, options=options)
@@ -401,13 +404,55 @@ class TestNelderMeadOracle:
             calls.append(options["xatol"])
             return out
 
+        def checked_lockstep(batch_fun, starts, maxfev, xatol, fatol):
+            results = original_lockstep(batch_fun, starts, maxfev, xatol, fatol)
+            options = {"maxfev": maxfev, "xatol": xatol, "fatol": fatol}
+            for out, x0 in zip(results, starts):
+                assert_matches_scipy(out, lambda x: batch_fun(x[None])[0], x0, options)
+                calls.append(("stage 1", xatol))
+            return results
+
         monkeypatch.setattr(bo, "minimize", checked)
+        monkeypatch.setattr(bo, "_minimize_lockstep", checked_lockstep)
         for seed, count in ((0, 2), (1, 6), (2, 12)):
             s = fit_surrogate(sample_observations(count, seed=seed), BOX, seed=seed, n_starts=4,
                               max_evals=80)
             for acq in ACQUISITIONS:
                 propose_next(s, BOX, seed=seed, acquisition=acq)
-        assert calls.count(1e-4) == 3 * 5 and calls.count(1e-6) == 3 * 2
+        assert calls.count(("stage 1", 1e-4)) == 3 * 4
+        assert calls.count(1e-4) == 3 and calls.count(1e-6) == 3 * 2
+
+    @pytest.mark.parametrize("fun", [bowl, terraces, constant, walled], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("tols", [FIT_TOLS, PROPOSAL_TOLS], ids=["fit", "proposal"])
+    def test_lockstep_equals_one_search_per_start(self, fun, tols):
+        # Starts near and far from a minimum, and on a terrace, finish at
+        # different steps; each result must be what a search of its own gives.
+        rng = np.random.default_rng(11)
+        batches, finished_apart = [], 0
+
+        def batch_fun(X):
+            batches.append(len(X))
+            return np.array([fun(x) for x in X])
+
+        for n in (2, 4, 9):
+            with_zero = rng.normal(0.0, 0.5, n)
+            with_zero[1] = 0.0
+            starts = [rng.normal(0.0, 0.5, n), with_zero, np.full(n, 0.3), np.full(n, 0.2),
+                      np.full(n, 0.01), rng.normal(0.0, 2.0, n)]
+            for budget in (1, n, n + 1, n + 2, 80, 400):
+                batches.clear()
+                results = _minimize_lockstep(batch_fun, starts, budget, **tols)
+                assert len(results) == len(starts)
+                assert sum(batches) == sum(out.nfev for out in results)
+                assert batches[0] == len(starts) and max(batches) == len(starts)
+                options = dict(tols, maxfev=budget)
+                for out, x0 in zip(results, starts):
+                    one = bo.minimize(fun, x0, method="Nelder-Mead", options=options)
+                    assert np.array_equal(out.x, one.x)
+                    assert out.fun == one.fun and out.nfev == one.nfev
+                    assert_matches_scipy(out, fun, x0, options)
+                finished_apart += len({out.nfev for out in results}) > 1
+        assert finished_apart >= 2
 
     @pytest.mark.parametrize("method, options", [
         ("BFGS", {"maxfev": 5}),
@@ -593,13 +638,14 @@ class TestLikelihoodExactness:
                 assert getattr(got, name) == getattr(ref, name)
 
     def test_stage_one_decoding_equals_from_vector(self):
-        # stage 1 decodes the four kernel entries alone
-        for v in _hyper_vectors():
-            ls, sig, noise = _kernel_from_vector(v[:4])
+        # stage 1 decodes the four kernel entries alone, a batch of rows at once
+        vecs = _hyper_vectors()
+        ls, sig, noise = _kernels_from_vectors(np.array([v[:4] for v in vecs]))
+        for i, v in enumerate(vecs):
             full = Hyperparams.from_vector(v)
-            assert np.array_equal(ls, full.lengthscales)
-            assert type(sig) is float and sig == full.signal_var
-            assert type(noise) is float and noise == full.noise_var
+            assert np.array_equal(ls[i], full.lengthscales)
+            assert sig[i] == full.signal_var
+            assert noise[i] == full.noise_var
 
     def test_factor_helper_rejects_indefinite_matrix(self):
         K = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -642,17 +688,59 @@ class TestLikelihoodExactness:
             assert helper == pytest.approx(_general_solve_nll(data, BOX, hyper), rel=1e-9)
 
     def test_stage_two_search_runs_through_module_minimize(self, monkeypatch):
-        # Instrumentation counts likelihood evaluations by replacing bo.minimize.
-        calls = []
-        original = bo.minimize
+        # Instrumentation counts likelihood evaluations by replacing bo.minimize,
+        # which stage 2 calls; stage 1 runs its starts in one lockstep search.
+        calls, lockstep = [], []
+        original, original_lockstep = bo.minimize, bo._minimize_lockstep
 
         def counting(*args, **kwargs):
             calls.append(args[0])
             return original(*args, **kwargs)
 
+        def counting_lockstep(batch_fun, starts, maxfev, xatol, fatol):
+            results = original_lockstep(batch_fun, starts, maxfev, xatol, fatol)
+            options = {"maxfev": maxfev, "xatol": xatol, "fatol": fatol}
+            for out, x0 in zip(results, starts):
+                assert_matches_scipy(out, lambda x: batch_fun(x[None])[0], x0, options)
+            lockstep.append(len(starts))
+            return results
+
         monkeypatch.setattr(bo, "minimize", counting)
+        monkeypatch.setattr(bo, "_minimize_lockstep", counting_lockstep)
         fit_surrogate(sample_observations(6, seed=1), BOX, seed=0, n_starts=2, max_evals=10)
-        assert len(calls) == 3  # two stage-1 starts and the stage-2 refinement
+        assert len(calls) == 1  # the stage-2 refinement
+        assert lockstep == [2]  # the two stage-1 starts
+
+    def test_stage_one_batch_equals_rows_one_at_a_time(self):
+        # The lockstep batch gives each row the NLL it gets alone, including
+        # the 1e12 of a kernel that does not factor beside rows that do: with
+        # the largest lengthscales and signal and the noise at its floor, two
+        # inputs 1e-12 apart make the kernel matrix singular in float64.
+        singular = np.array([60.0, 60.0, 60.0, -60.0])
+        for count, seed in ((2, 0), (6, 1), (12, 8), (45, 2)):  # 45 + 1: stacks of 7 rows
+            data = sample_observations(count, seed=seed)
+            twin = data[0].x
+            data.append(Observation(GeometricParams(twin.r + 1e-12, twin.R), data[0].y + 0.5))
+            standardized = _standardize(data, BOX)
+            base = _posterior(data, BOX, _default_hyperparams(), standardized)
+            kernel_nll = _stage_one_nll(base.Xn, base.yw - base.mean_w)
+            vecs = _hyper_vectors() + [np.concatenate([singular, np.zeros(5)])]
+            V = np.array([v[:4] for v in vecs])
+            batch = kernel_nll(V)
+            alone = [kernel_nll(V[i:i + 1])[0] for i in range(len(V))]
+            assert np.array_equal(batch, alone)
+            assert batch[-1] == 1e12 and (batch < 1e12).any()
+            Zn, t, _, _ = standardized
+            for v, nll in zip(vecs, batch):
+                hyper = Hyperparams.from_vector(v)
+                hyper.warp_a = hyper.warp_b = np.ones(2)
+                hyper.power = 1.0
+                try:
+                    ref = _likelihood(Zn, t, hyper)[-1]
+                except RuntimeError:
+                    continue
+                if nll < 1e12:
+                    assert nll == pytest.approx(ref, rel=1e-6, abs=1e-6)
 
 
 def test_predict_warped_matches_general_solves():

@@ -1,14 +1,17 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import re
 import sys
+import types
 
 import numpy as np
 import pytest
 
 import packbound
+from packbound import campaign
 from packbound.campaign import (
     CampaignConfig,
     ConfigError,
@@ -547,7 +550,12 @@ class TestRunCampaign:
                      "novelty.csv", "degrees.csv", "trace.csv"):
             assert (tmp_path / "o" / name).exists()
 
-    def test_wall_clock_budget(self, tmp_path):
+    def test_wall_clock_budget(self, tmp_path, monkeypatch):
+        # A round that starts within the budget may be played, so the clock
+        # advances a whole second on every reading: the first check is late.
+        clock = itertools.count()
+        monkeypatch.setattr(campaign, "time", types.SimpleNamespace(
+            monotonic=lambda: float(next(clock))))
         cfg = dataclasses.replace(
             CampaignConfig(seed=3, out_dir=str(tmp_path / "w"), **FAST),
             budget_rounds=50, budget_seconds=1e-6,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from packbound.compiler import PivotTable
 from packbound.grammar import (
     P_TOKENS,
     Token,
+    analyze_prefix,
     enumerate_sentences,
     legal_next_tokens,
+    prefix_sentence,
     render,
     tokenize,
     tokenize_and_parse,
 )
+from packbound import mcts
 from packbound.mcts import (
     EvalOutcome,
     RewardCache,
@@ -354,6 +358,93 @@ def test_untried_tokens_are_the_legal_tokens(degree_cap, max_monomials):
             assert Token.STAR in legal, state
             after_p += 1
     assert after_p > 1000
+
+
+def reachable_legal_sets(degree_cap, max_monomials):
+    """Every token set legal_next_tokens returns on a legal prefix under the
+    caps.  The set and every later one depend on the prefix only through
+    its segment count, open-segment degree, whether a segment is open and
+    whether a P token ends it, so one prefix of each such kind is expanded."""
+    sets, seen, frontier = set(), set(), [()]
+    while frontier:
+        expanded = []
+        for prefix in frontier:
+            state = analyze_prefix(prefix)
+            kind = (state.segment_count, state.current_degree(), state.current is None,
+                    state.after_p, state.terminal)
+            if kind in seen:
+                continue
+            seen.add(kind)
+            legal = legal_next_tokens(prefix, degree_cap, max_monomials)
+            if legal:
+                sets.add(frozenset(legal))
+            expanded.extend(prefix + (t,) for t in legal)
+        frontier = expanded
+    return sets
+
+
+def choice_rollout(state, caps, rng, eos_bias):
+    """A rollout drawn by Generator.choice over a fresh weight array per token."""
+    tokens = list(state)
+    while not (tokens and tokens[-1] is Token.EOS):
+        legal = sorted(legal_next_tokens(tokens, caps.degree_cap, caps.max_monomials))
+        weights = np.array([eos_bias if t is Token.EOS else 1.0 for t in legal])
+        weights /= weights.sum()
+        tokens.append(legal[int(rng.choice(len(legal), p=weights))])
+    return prefix_sentence(analyze_prefix(tokens))
+
+
+@pytest.mark.parametrize("degree_cap, max_monomials", [(2, 8), (4, 3)])
+@pytest.mark.parametrize("eos_bias", [2.0, 0.5])
+def test_rollout_draw_equals_generator_choice(degree_cap, max_monomials, eos_bias):
+    sets = reachable_legal_sets(degree_cap, max_monomials)
+    assert len(sets) >= 5
+    for k, legal in enumerate(sorted(sets, key=sorted)):
+        ordered, cdf = mcts._draw_table(legal, eos_bias)
+        assert list(ordered) == sorted(legal)
+        weights = np.array([eos_bias if t is Token.EOS else 1.0 for t in ordered])
+        weights /= weights.sum()
+        ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+        for _ in range(1000):
+            assert bisect_right(cdf, ours.random()) == theirs.choice(len(ordered), p=weights)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("eos_bias", [2.0, 0.5])
+def test_rollouts_equal_choice_rollouts(eos_bias):
+    caps = SearchCaps(4, 3)
+    prefixes = [p for p in legal_prefixes(4, 3, 3) if not (p and p[-1] is Token.EOS)]
+    for seed, prefix in enumerate(prefixes):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert (rollout_completion(prefix, caps, ours, eos_bias)
+                    == choice_rollout(prefix, caps, theirs, eos_bias))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("eos_bias", [-1.0, math.nan, math.inf])
+def test_rollout_rejects_invalid_eos_bias(eos_bias):
+    # weights Generator.choice refuses (negative or NaN probabilities)
+    with pytest.raises(ValueError, match="eos_bias"):
+        rollout_completion(tuple(tokenize("P1")), CAPS, np.random.default_rng(0), eos_bias)
+
+
+def test_evaluator_computes_each_bound_once(params, monkeypatch):
+    bounds = []
+
+    def counted(objective, p, n):
+        bounds.append(objective)
+        return original(objective, p, n)
+
+    original = mcts.compute_bound
+    monkeypatch.setattr(mcts, "compute_bound", counted)
+    evaluate = make_sdp_evaluator(PivotTable(params, 30, 0), 8, RewardCache())
+    outcomes = [evaluate(s, 2) for s in enumerate_sentences(2, 2)]
+    converged = [o for o in outcomes if o.converged]
+    assert len(converged) > 1
+    assert sorted(bounds) == sorted({o.objective for o in converged})
+    for o in converged:
+        assert o.bound == original(o.objective, params, 8)
 
 
 def search_digest(seed, capsys):
