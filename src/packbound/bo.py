@@ -36,8 +36,8 @@ order ten or less, where the cost of a numpy call, not its arithmetic,
 dominates.  So the code run per evaluation calls the ndarray methods and
 ufuncs numpy's Python-level wrappers call, x.sum() for np.sum(x) and so on,
 and decodes a hyperparameter vector with one clip-and-exp over per-entry
-limits; stage 1 decodes its starts' points and builds their kernel
-matrices as one stacked array, then factors each on its own.  These are
+limits; stage 1 decodes its starts' points together and builds their
+kernel matrices as stacked arrays, then factors each on its own.  These are
 the same ufuncs and reductions on the same values in the same order, so no
 bit of a fit or a proposal moves; tests pin both.
 """
@@ -65,9 +65,12 @@ UCB_KAPPA = 2.0  # confidence-bound width, in posterior standard deviations
 _LOG_LO = np.array([math.log(x) for x in (1e-2, 1e-2, 1e-6, NOISE_FLOOR, 0.1, 0.1, 0.1, 0.1, 0.25)])
 _LOG_HI = np.array([math.log(x) for x in (1e2, 1e2, 1e4, 1e-2, 10.0, 10.0, 10.0, 10.0, 4.0)])
 _SQRT_2PI = np.sqrt(2 * np.pi)
-# Entries of one stacked array of stage-1 kernel matrices.  Past about 128
-# KiB a stack costs more per matrix than one matrix at a time (measured on a
-# 2-vCPU x86-64 host, numpy 2.4), so larger kernels are stacked fewer at once.
+# Entries of one stacked array of stage-1 kernel matrices: 128 KiB of
+# float64, glibc malloc's default mmap threshold.  A larger temporary is
+# mapped afresh on every evaluation and pays its page faults each time.  Four
+# order-80 kernels in one stack took 1.5 to 1.8 times as long as two stacks
+# of two, but no longer once MALLOC_MMAP_THRESHOLD_ was raised; with no cap
+# the perfbench bo-loop took 27% longer (2-vCPU x86-64 host, numpy 2.4).
 _STACK_ENTRIES = 16384
 
 
@@ -154,12 +157,13 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float
     minimize and _minimize_lockstep drive it; see minimize for the method."""
     nfev = 0
 
-    def f(x: np.ndarray) -> Generator[np.ndarray, float, float]:
+    def point(x: np.ndarray) -> np.ndarray:
+        """A copy of x to yield, counted against the budget."""
         nonlocal nfev
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return float((yield x.copy()))
+        return x.copy()
 
     x0 = np.array(x0, dtype=float).ravel()
     n = len(x0)
@@ -172,7 +176,7 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float
     fsim = np.full(n + 1, np.inf)
     try:
         for k in range(n + 1):
-            fsim[k] = yield from f(sim[k])
+            fsim[k] = float((yield point(sim[k])))
     except _BudgetSpent:
         pass
     # scipy sorts the initial simplex twice; argsort need not be stable, so
@@ -188,24 +192,24 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
-            fxr = yield from f(xr)
+            fxr = float((yield point(xr)))
             shrink = False
             if fxr < fsim[0]:
                 xe = 3 * xbar - 2 * sim[-1]
-                fxe = yield from f(xe)
+                fxe = float((yield point(xe)))
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             elif fxr < fsim[-1]:  # outside contraction
                 xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = yield from f(xc)
+                fxc = float((yield point(xc)))
                 if fxc <= fxr:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     shrink = True
             else:  # inside contraction
                 xcc = 0.5 * xbar + 0.5 * sim[-1]
-                fxcc = yield from f(xcc)
+                fxcc = float((yield point(xcc)))
                 if fxcc < fsim[-1]:
                     sim[-1], fsim[-1] = xcc, fxcc
                 else:
@@ -213,7 +217,7 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float
             if shrink:
                 for j in range(1, n + 1):
                     sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = yield from f(sim[j])
+                    fsim[j] = float((yield point(sim[j])))
         except _BudgetSpent:
             pass
         order = fsim.argsort()
@@ -483,11 +487,12 @@ def _stage_one_nll(Xn: np.ndarray, resid: np.ndarray) -> Callable[[np.ndarray], 
     centred outputs resid are fixed.
 
     The pairwise squared input differences are computed once.  Each call
-    decodes the rows and builds their kernel matrices as one stacked array,
+    decodes the rows and builds their kernel matrices as stacked arrays,
     with the same ufuncs in the same order as for a single row, then factors
     and solves each with _factor_solve; a kernel matrix that does not factor
-    scores 1e12.  A stack holds at most _STACK_ENTRIES matrix entries, so
-    large kernels are built a few rows, or one row, at a time.
+    scores 1e12.  A stack holds at most _STACK_ENTRIES matrix entries: up
+    to order 64 all of fit_surrogate's four default starts, from order 91
+    one row.
     """
     sq0 = (Xn[:, None, 0] - Xn[None, :, 0]) ** 2
     sq1 = (Xn[:, None, 1] - Xn[None, :, 1]) ** 2
@@ -495,12 +500,15 @@ def _stage_one_nll(Xn: np.ndarray, resid: np.ndarray) -> Callable[[np.ndarray], 
     rows = max(1, _STACK_ENTRIES // len(resid) ** 2)
 
     def kernel_nll(V: np.ndarray) -> np.ndarray:
+        ls, sig, noise = _kernels_from_vectors(V)
+        ls2 = (ls**2)[:, :, None, None]
+        sig = sig[:, None, None]
+        diag = (np.maximum(noise, NOISE_FLOOR) + 1e-14)[:, None]
         out = np.empty(len(V))
         for lo in range(0, len(V), rows):
-            ls, sig, noise = _kernels_from_vectors(V[lo:lo + rows])
-            ls2 = (ls**2)[:, :, None, None]
-            K = sig[:, None, None] * _matern52(np.sqrt(sq0 / ls2[:, 0] + sq1 / ls2[:, 1]))
-            K.reshape(len(K), -1)[:, ::diag_step] += (np.maximum(noise, NOISE_FLOOR) + 1e-14)[:, None]
+            part = slice(lo, lo + rows)
+            K = sig[part] * _matern52(np.sqrt(sq0 / ls2[part, 0] + sq1 / ls2[part, 1]))
+            K.reshape(len(K), -1)[:, ::diag_step] += diag[part]
             for s, Ks in enumerate(K, lo):
                 try:
                     out[s] = _factor_solve(Ks, resid)[-1]

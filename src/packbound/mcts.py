@@ -115,14 +115,11 @@ def make_sdp_evaluator(table: PivotTable, n: int, cache: RewardCache) -> Evaluat
     solver.solve_exact decides it in exact arithmetic on the table, so a
     converged outcome has objective exactly 1 and a checked rank-one
     certificate.  A failed decision becomes an "error: ..." outcome.
-    compute_bound runs once per distinct objective value; its result
-    depends on nothing else that varies here.
     Outcomes are stored in cache, which must serve this evaluator alone.
     Raises ValueError for a dimension n < 1.
     """
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
-    bounds: Dict[float, float] = {}  # compute_bound at each objective value met
 
     def evaluate(s: Sentence, d: int) -> EvalOutcome:
         canon = s.canonical()
@@ -134,10 +131,7 @@ def make_sdp_evaluator(table: PivotTable, n: int, cache: RewardCache) -> Evaluat
         try:
             res = solve_exact(canon, d, table)
             converged = res.status is SolverStatus.CONVERGED
-            bound = bounds.get(res.objective_value) if converged else math.inf
-            if bound is None:
-                bound = bounds[res.objective_value] = compute_bound(
-                    res.objective_value, table.params, n)
+            bound = compute_bound(res.objective_value, table.params, n) if converged else math.inf
             outcome = EvalOutcome(text, d, converged, res.objective_value, bound,
                                   res.status.value, res)
         except Exception as exc:  # failed compiles become penalty rewards
@@ -251,8 +245,7 @@ def _draw_table(legal: FrozenSet[Token], eos_bias: float) -> Tuple[Tuple[Token, 
     it: weights normalized, cumsum, divided by its last entry.  So
     ordered[bisect_right(cdf, rng.random())] takes the same draw from the
     stream as rng.choice(len(ordered), p=weights) and picks the same token."""
-    if not 0 <= eos_bias < math.inf:
-        raise ValueError(f"need eos_bias finite and >= 0, got {eos_bias}")
+    _check_eos_bias(eos_bias)
     ordered = tuple(sorted(legal))
     weights = np.array([eos_bias if t is Token.EOS else 1.0 for t in ordered], dtype=float)
     weights /= weights.sum()
@@ -356,8 +349,13 @@ def check_search_settings(iterations: int, d_search: int, d_final: int, max_mono
         )
     if not 0 <= c_explore < math.inf:  # 0 is pure exploitation
         raise ValueError(f"need c_explore finite and >= 0, got {c_explore}")
-    # <*> is always legal, so a rollout ends only by <EOS>; an infinite
-    # weight would make the draw probabilities NaN
+    _check_eos_bias(eos_bias)
+
+
+def _check_eos_bias(eos_bias: float) -> None:
+    """Raise ValueError unless eos_bias is finite and > 0: <*> is always
+    legal, so a rollout ends only by <EOS>, and an infinite weight would
+    make the draw probabilities NaN."""
     if not 0 < eos_bias < math.inf:
         raise ValueError(f"need eos_bias finite and > 0, got {eos_bias}")
 

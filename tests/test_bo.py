@@ -627,6 +627,27 @@ def _hyper_vectors(seed=0):
     return vecs
 
 
+def _one_row_kernel_nll(Xn, resid):
+    """Stage 1's likelihood of one kernel vector at a time: decode it, build
+    one (n, n) Matern matrix with scalar factors, add the noise along its
+    diagonal, factor and solve.  The oracle for the batched _stage_one_nll."""
+    sq0 = (Xn[:, None, 0] - Xn[None, :, 0]) ** 2
+    sq1 = (Xn[:, None, 1] - Xn[None, :, 1]) ** 2
+    diag_step = len(resid) + 1
+
+    def kernel_nll(sub):
+        e = np.exp(np.minimum(np.maximum(sub, bo._LOG_LO[:4]), bo._LOG_HI[:4]))
+        ls2, sig, noise = e[0:2] ** 2, float(e[2]), float(e[3])
+        K = sig * bo._matern52(np.sqrt(sq0 / ls2[0] + sq1 / ls2[1]))
+        K.flat[::diag_step] += max(noise, bo.NOISE_FLOOR) + 1e-14
+        try:
+            return _factor_solve(K, resid)[-1]
+        except np.linalg.LinAlgError:
+            return 1e12
+
+    return kernel_nll
+
+
 class TestLikelihoodExactness:
     def test_from_vector_equals_clip_decoding(self):
         for v in _hyper_vectors():
@@ -712,23 +733,27 @@ class TestLikelihoodExactness:
         assert lockstep == [2]  # the two stage-1 starts
 
     def test_stage_one_batch_equals_rows_one_at_a_time(self):
-        # The lockstep batch gives each row the NLL it gets alone, including
-        # the 1e12 of a kernel that does not factor beside rows that do: with
-        # the largest lengthscales and signal and the noise at its floor, two
-        # inputs 1e-12 apart make the kernel matrix singular in float64.
+        # The lockstep batch gives each row the NLL the one-row oracle gives
+        # it, bit for bit, at 3 to 100 points (one stack of four rows up to
+        # 64 points, one row a stack from 91), including the 1e12 of a kernel
+        # that does not factor beside rows that do: with the largest
+        # lengthscales and signal and the noise at its floor, two inputs
+        # 1e-12 apart make the kernel matrix singular in float64.
         singular = np.array([60.0, 60.0, 60.0, -60.0])
-        for count, seed in ((2, 0), (6, 1), (12, 8), (45, 2)):  # 45 + 1: stacks of 7 rows
+        for count, seed in ((2, 0), (9, 1), (45, 2), (99, 3)):
             data = sample_observations(count, seed=seed)
             twin = data[0].x
             data.append(Observation(GeometricParams(twin.r + 1e-12, twin.R), data[0].y + 0.5))
             standardized = _standardize(data, BOX)
             base = _posterior(data, BOX, _default_hyperparams(), standardized)
-            kernel_nll = _stage_one_nll(base.Xn, base.yw - base.mean_w)
+            resid = base.yw - base.mean_w
+            kernel_nll = _stage_one_nll(base.Xn, resid)
+            one_row = _one_row_kernel_nll(base.Xn, resid)
             vecs = _hyper_vectors() + [np.concatenate([singular, np.zeros(5)])]
             V = np.array([v[:4] for v in vecs])
+            for rows in (V, V[:4], V[-4:], V[:1]):  # a fit's batches hold bo_starts rows
+                assert np.array_equal(kernel_nll(rows), [one_row(v) for v in rows])
             batch = kernel_nll(V)
-            alone = [kernel_nll(V[i:i + 1])[0] for i in range(len(V))]
-            assert np.array_equal(batch, alone)
             assert batch[-1] == 1e12 and (batch < 1e12).any()
             Zn, t, _, _ = standardized
             for v, nll in zip(vecs, batch):
