@@ -20,12 +20,12 @@ Nelder-Mead and the Sobol' candidates (packbound.qmc) are scipy's
 algorithms written out on numpy; the tests pin them to
 scipy.optimize.minimize and scipy.stats.qmc.Sobol, bit for bit.
 Nelder-Mead is written once, as a generator that yields each point to
-evaluate (_nelder_mead).  minimize drives one search on a function of one
-point; _minimize_lockstep drives the fit's stage-1 searches together, all
-their pending points evaluated in one call of a batched likelihood, and
-gives each search the result minimize would.  So a
-campaign never loads scipy.optimize or scipy.stats, and its first proposal
-loads no scipy at all.  The four scipy routines this module does call are
+evaluate (_nelder_mead), and driven by one loop, _minimize_lockstep, which
+advances several searches together and evaluates all their pending points
+in one call.  The fit's stage 1 runs its starts through it on a batched
+likelihood; minimize(fun, x0, maxfev, xatol, fatol) runs it on one start
+for the fit's stage 2 and the proposal search.  So a campaign never loads
+scipy.optimize or scipy.stats, and its first proposal loads no scipy at all.  The four scipy routines this module does call are
 looked up through _scipy, which imports each on its first use and keeps it:
 scipy.linalg.lapack on the first fit, scipy.special on the first proposal
 from a fitted surrogate.  A later call is one attribute lookup, with no
@@ -187,9 +187,11 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float
 
     while nfev < maxfev:
         try:
-            if (abs(sim[1:] - sim[0]).max() <= xatol
-                    and abs(fsim[0] - fsim[1:]).max() <= fatol):
-                break
+            if abs(sim[1:] - sim[0]).max() <= xatol:
+                with np.errstate(invalid="ignore"):  # inf - inf: nan <= fatol is False, as in scipy
+                    spread = abs(fsim[0] - fsim[1:]).max()
+                if spread <= fatol:
+                    break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
             fxr = float((yield point(xr)))
@@ -225,56 +227,51 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float
     return MinimizeResult(x=sim[0], fun=fsim.min(), nfev=nfev)
 
 
-def minimize(fun: Callable[[np.ndarray], float], x0: np.ndarray,
-             method: str = "Nelder-Mead", options: Optional[dict] = None) -> MinimizeResult:
+def minimize(fun: Callable[[np.ndarray], float], x0: np.ndarray, maxfev: int,
+             xatol: float = 1e-4, fatol: float = 1e-4) -> MinimizeResult:
     """Nelder-Mead minimization of fun from x0, step for step as
-    scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
-    with its non-adaptive coefficients, so x, fun and nfev equal scipy's to
-    the last bit (the tests pin them).
+    scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options={"maxfev":
+    maxfev, "xatol": xatol, "fatol": fatol}) with its non-adaptive
+    coefficients, so x, fun and nfev equal scipy's to the last bit (the tests
+    pin them).  It is _minimize_lockstep run on the one start x0.
 
-    options takes maxfev (required), xatol and fatol (default 1e-4).  The
-    initial simplex scales each coordinate of x0 by 1.05 in turn (0.00025
+    The initial simplex scales each coordinate of x0 by 1.05 in turn (0.00025
     for a zero one).  No evaluation is made past maxfev: a step, a shrink or
     the initial simplex cut short keeps the values it has, untried vertices
     at inf.  Vertices are ordered by argsort, whose order among ties is
     part of the result.  A module-level name, so instrumentation can
     replace it for the searches that call it: the fit's stage 2 and the
-    proposal search.  The fit's stage 1 runs _minimize_lockstep instead.
+    proposal search.  The fit's stage 1 runs _minimize_lockstep directly.
     """
-    opts = dict(options or {})
-    if method != "Nelder-Mead" or "maxfev" not in opts or set(opts) - {"maxfev", "xatol", "fatol"}:
-        raise ValueError(f"Nelder-Mead takes options maxfev, xatol and fatol; got {method!r}, {opts}")
-    search = _nelder_mead(x0, opts["maxfev"], opts.get("xatol", 1e-4), opts.get("fatol", 1e-4))
-    value = None  # sending None starts the generator
-    while True:
-        try:
-            x = search.send(value)
-        except StopIteration as stop:
-            return stop.value
-        value = fun(x)
+    return _minimize_lockstep(lambda X: [fun(x) for x in X], [x0], maxfev, xatol, fatol)[0]
 
 
-def _minimize_lockstep(batch_fun: Callable[[np.ndarray], np.ndarray], starts: Sequence[np.ndarray],
-                       maxfev: int, xatol: float, fatol: float) -> List[MinimizeResult]:
+def _minimize_lockstep(batch_fun: Callable[[np.ndarray], Sequence[float]],
+                       starts: Sequence[np.ndarray], maxfev: int, xatol: float,
+                       fatol: float) -> List[MinimizeResult]:
     """One Nelder-Mead search from each start, all advanced together.
 
     Each step evaluates the next point of every unfinished search in one
     call of batch_fun, which maps an (S, n) array of points to their S
     values; a search that has finished drops out.  Result i equals
-    minimize(f, starts[i], options={"maxfev": maxfev, "xatol": xatol,
-    "fatol": fatol}) for the f that batch_fun evaluates row by row.
+    minimize(f, starts[i], maxfev, xatol, fatol) for the f that batch_fun
+    evaluates row by row.
     """
     searches = [_nelder_mead(x0, maxfev, xatol, fatol) for x0 in starts]
     results: List[Optional[MinimizeResult]] = [None] * len(searches)
-    sent = dict.fromkeys(range(len(searches)))  # None starts a generator
-    while sent:
-        points = {}
-        for i, value in sent.items():
+    live = list(range(len(searches)))
+    values: Sequence[Optional[float]] = [None] * len(searches)  # None starts a generator
+    while live:
+        pending, points = [], []
+        for i, value in zip(live, values):
             try:
-                points[i] = searches[i].send(value)
+                points.append(searches[i].send(value))
+                pending.append(i)
             except StopIteration as stop:
                 results[i] = stop.value
-        sent = dict(zip(points, batch_fun(np.array(list(points.values()))))) if points else {}
+        live = pending
+        if points:
+            values = batch_fun(np.array(points))
     return results  # type: ignore[return-value]
 
 
@@ -591,8 +588,7 @@ def fit_surrogate(
     best_val = objective(best_vec)
 
     # Stage 2: joint refinement including warps, kept only if it helps.
-    out = minimize(objective, best_vec, method="Nelder-Mead",
-                   options={"maxfev": max_evals, "xatol": 1e-4, "fatol": 1e-8})
+    out = minimize(objective, best_vec, max_evals, 1e-4, 1e-8)
     if out.fun < best_val - 1e-12:
         best_val, best_vec = out.fun, out.x
 
@@ -736,8 +732,7 @@ def propose_next(
                 return 1e12
             return -float(acquisition_scores(s, z[None, :], acquisition)[0])
 
-        out = minimize(neg_acq, choice, method="Nelder-Mead",
-                       options={"maxfev": refine_evals, "xatol": 1e-6, "fatol": 1e-12})
+        out = minimize(neg_acq, choice, refine_evals, 1e-6, 1e-12)
         if out.fun <= -scores[top] and out.fun < 1e12:
             choice = out.x
     pt = box.denormalize(np.clip(choice, 0.0, 1.0))

@@ -44,8 +44,8 @@ from typing import Iterable, List, Optional, get_args, get_type_hints
 import numpy as np
 
 from .bo import ACQUISITIONS, Observation, SearchBox, fit_surrogate, propose_next
-from .compiler import (PivotGenerationError, PivotTable, check_pivot_scheme, compute_bound,
-                       emit_sdpa)
+from .compiler import (PivotGenerationError, PivotTable, check_default_bound, check_pivot_scheme,
+                       compute_bound, emit_sdpa)
 from .compiler import assemble_sdp  # not called here; perfbench/tracing.py wraps this name
 from .grammar import render
 from .mcts import (
@@ -103,9 +103,10 @@ class CampaignConfig:
     def validate(self) -> None:
         """Raise ConfigError unless every field is usable.
 
-        SearchBox, mcts.check_search_settings, solver.check_tolerances,
-        compiler.check_pivot_scheme and solver.split_command (of a solver_cmd
-        that is set) check in their own wording; the rest are the campaign's.
+        SearchBox, compiler.check_default_bound, mcts.check_search_settings,
+        solver.check_tolerances, compiler.check_pivot_scheme and
+        solver.split_command (of a solver_cmd that is set) check in their own
+        wording; the rest are the campaign's.
         """
         for f in fields(self):
             value = getattr(self, f.name)
@@ -115,6 +116,7 @@ class CampaignConfig:
                 raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
         try:
             self.box  # SearchBox owns the box rule
+            check_default_bound(self.r_lo, self.dimension)  # every proposal has r >= r_lo
             check_search_settings(self.mcts_iterations, self.d_search, self.d_final,
                                   self.max_monomials, self.top_k, self.c_explore, self.eos_bias)
             check_tolerances(self.tol_eq, self.tol_psd)

@@ -614,6 +614,24 @@ def compute_bound(objective_value: float, params: GeometricParams, n: int) -> fl
     return _round_up(max(rest * s for s in _half_ball_volume_bounds(n)))
 
 
+def check_default_bound(r: float, n: int) -> None:
+    """Raise ValueError unless V_n(1/2) * r^n, the bound of every converged
+    default-game decision (objective exactly 1), is at or above the densest
+    packing in dimension n: it needs 1 <= n <= 8 and r^2 >= 2, with r^2
+    computed exactly from r's float.
+
+    At r = sqrt(2) the bound is the E8 density pi^4/384 in dimension 8, and
+    above the Cohn-Elkies upper bounds in dimensions 5 to 7 (above 1 up to
+    4); in dimension 9 it is the density of Lambda_9, not known to be
+    optimal, and in dimensions 12 and 16 it lies below the densities of K12
+    and Lambda_16.
+    """
+    if not 1 <= n <= 8:
+        raise ValueError(f"a default-game bound V_n(1/2) r^n needs dimension n from 1 to 8, got {n}")
+    if Fraction(r) ** 2 < 2:
+        raise ValueError(f"a default-game bound V_n(1/2) r^n needs r^2 >= 2, got r={r}")
+
+
 # ---------------------------------------------------------------------------
 # SDPA sparse emission
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compiler import PivotTable, compute_bound
+from .compiler import PivotTable, check_default_bound, compute_bound
 from .compiler import assemble_sdp  # not called here; perfbench/tracing.py wraps this name
 from .grammar import (
     Sentence,
@@ -116,10 +116,10 @@ def make_sdp_evaluator(table: PivotTable, n: int, cache: RewardCache) -> Evaluat
     converged outcome has objective exactly 1 and a checked rank-one
     certificate.  A failed decision becomes an "error: ..." outcome.
     Outcomes are stored in cache, which must serve this evaluator alone.
-    Raises ValueError for a dimension n < 1.
+    Raises ValueError where such a bound can fall below the truth
+    (compiler.check_default_bound).
     """
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
+    check_default_bound(table.params.r, n)
 
     def evaluate(s: Sentence, d: int) -> EvalOutcome:
         canon = s.canonical()

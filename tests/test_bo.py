@@ -377,7 +377,7 @@ class TestNelderMeadOracle:
             for x0 in (rng.normal(0.0, 0.5, n), with_zero):
                 for budget in (1, n, n + 1, n + 2, 80):
                     options = dict(tols, maxfev=budget)
-                    out = bo.minimize(fun, x0, method="Nelder-Mead", options=options)
+                    out = bo.minimize(fun, x0, **options)
                     assert_matches_scipy(out, fun, x0, options)
 
     @pytest.mark.parametrize("tols", [FIT_TOLS, PROPOSAL_TOLS], ids=["fit", "proposal"])
@@ -385,7 +385,7 @@ class TestNelderMeadOracle:
         for fun in (bowl, constant):
             x0 = np.array([0.9, -0.4, 0.0])
             options = dict(tols, maxfev=5000)
-            out = bo.minimize(fun, x0, method="Nelder-Mead", options=options)
+            out = bo.minimize(fun, x0, **options)
             assert out.nfev < 5000
             assert_matches_scipy(out, fun, x0, options)
 
@@ -394,14 +394,15 @@ class TestNelderMeadOracle:
         # its likelihood is flat in that coordinate; the proposal search meets
         # its 1e12 wall at the box edge and the r < R edge.  Stage 1's searches
         # run in lockstep, stage 2 and the proposal search through
-        # bo.minimize.  "multi" runs no proposal search.
+        # bo.minimize, which runs the lockstep driver on one start.  "multi"
+        # runs no proposal search.
         calls = []
         original, original_lockstep = bo.minimize, bo._minimize_lockstep
 
-        def checked(fun, x0, method, options):
-            out = original(fun, x0, method=method, options=options)
-            assert_matches_scipy(out, fun, x0, options)
-            calls.append(options["xatol"])
+        def checked(fun, x0, maxfev, xatol, fatol):
+            out = original(fun, x0, maxfev, xatol, fatol)
+            assert_matches_scipy(out, fun, x0, {"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+            calls.append(xatol)
             return out
 
         def checked_lockstep(batch_fun, starts, maxfev, xatol, fatol):
@@ -409,7 +410,7 @@ class TestNelderMeadOracle:
             options = {"maxfev": maxfev, "xatol": xatol, "fatol": fatol}
             for out, x0 in zip(results, starts):
                 assert_matches_scipy(out, lambda x: batch_fun(x[None])[0], x0, options)
-                calls.append(("stage 1", xatol))
+                calls.append(("lockstep", len(starts), xatol))
             return results
 
         monkeypatch.setattr(bo, "minimize", checked)
@@ -419,8 +420,9 @@ class TestNelderMeadOracle:
                               max_evals=80)
             for acq in ACQUISITIONS:
                 propose_next(s, BOX, seed=seed, acquisition=acq)
-        assert calls.count(("stage 1", 1e-4)) == 3 * 4
-        assert calls.count(1e-4) == 3 and calls.count(1e-6) == 3 * 2
+        assert calls.count(("lockstep", 4, 1e-4)) == 3 * 4  # stage 1
+        assert calls.count(1e-4) == calls.count(("lockstep", 1, 1e-4)) == 3  # stage 2
+        assert calls.count(1e-6) == calls.count(("lockstep", 1, 1e-6)) == 3 * 2  # proposals
 
     @pytest.mark.parametrize("fun", [bowl, terraces, constant, walled], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("tols", [FIT_TOLS, PROPOSAL_TOLS], ids=["fit", "proposal"])
@@ -447,21 +449,29 @@ class TestNelderMeadOracle:
                 assert batches[0] == len(starts) and max(batches) == len(starts)
                 options = dict(tols, maxfev=budget)
                 for out, x0 in zip(results, starts):
-                    one = bo.minimize(fun, x0, method="Nelder-Mead", options=options)
+                    one = bo.minimize(fun, x0, **options)
                     assert np.array_equal(out.x, one.x)
                     assert out.fun == one.fun and out.nfev == one.nfev
                     assert_matches_scipy(out, fun, x0, options)
                 finished_apart += len({out.nfev for out in results}) > 1
         assert finished_apart >= 2
 
-    @pytest.mark.parametrize("method, options", [
-        ("BFGS", {"maxfev": 5}),
-        ("Nelder-Mead", {"xatol": 1e-4}),
-        ("Nelder-Mead", {"maxfev": 5, "adaptive": True}),
-    ])
-    def test_other_methods_and_options_rejected(self, method, options):
-        with pytest.raises(ValueError):
-            bo.minimize(bowl, np.zeros(2), method=method, options=options)
+    @pytest.mark.parametrize("tols", [FIT_TOLS, PROPOSAL_TOLS], ids=["fit", "proposal"])
+    def test_simplex_of_inf_values(self, tols):
+        # An infeasible start shrinks its simplex to a point with every vertex
+        # at inf, where the spread of values is inf - inf = nan, so the search
+        # never stops on its tolerances; the wall is finite only far from x0,
+        # so the search never leaves the inf region.
+        def far_wall(x):
+            return float(np.sum(x * x)) if np.abs(x).max() > 10.0 else np.inf
+
+        for fun in (lambda x: np.inf, far_wall):
+            for x0 in (np.array([1.0, 2.0]), np.array([0.5, 0.0, -0.5])):
+                options = dict(tols, maxfev=2000)
+                out = bo.minimize(fun, x0, **options)
+                assert out.fun == np.inf and out.nfev == 2000
+                with np.errstate(invalid="ignore"):
+                    assert_matches_scipy(out, fun, x0, options)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +720,8 @@ class TestLikelihoodExactness:
 
     def test_stage_two_search_runs_through_module_minimize(self, monkeypatch):
         # Instrumentation counts likelihood evaluations by replacing bo.minimize,
-        # which stage 2 calls; stage 1 runs its starts in one lockstep search.
+        # which stage 2 calls; stage 1 runs its starts in one lockstep search,
+        # and minimize runs the lockstep driver on its one start.
         calls, lockstep = [], []
         original, original_lockstep = bo.minimize, bo._minimize_lockstep
 
@@ -730,7 +741,7 @@ class TestLikelihoodExactness:
         monkeypatch.setattr(bo, "_minimize_lockstep", counting_lockstep)
         fit_surrogate(sample_observations(6, seed=1), BOX, seed=0, n_starts=2, max_evals=10)
         assert len(calls) == 1  # the stage-2 refinement
-        assert lockstep == [2]  # the two stage-1 starts
+        assert lockstep == [2, 1]  # the two stage-1 starts, then stage 2's one through minimize
 
     def test_stage_one_batch_equals_rows_one_at_a_time(self):
         # The lockstep batch gives each row the NLL the one-row oracle gives

@@ -157,6 +157,8 @@ class TestConfig:
         {"eos_bias": float("nan")},
         {"eos_bias": float("inf")},  # draw probabilities would be NaN
         {"dimension": 8.5},  # every round would fail inside the evaluator
+        {"dimension": 24},  # objective 1 would give a bound below the Leech lattice's density
+        {"r_lo": 1.2},  # objective 1 would give a bound below pi^4/384
         {"pivots": 20.0},  # state.jsonl would record K as a float
         {"seed": 1.5},
         {"budget_rounds": 2.5},  # would play 3 rounds
@@ -208,7 +210,7 @@ class TestConfig:
 
     def test_int_accepted_for_float_field(self):
         dataclasses.replace(
-            CampaignConfig(), r_lo=1, r_hi=2, budget_seconds=0, c_explore=0  # 0: pure exploitation
+            CampaignConfig(), r_lo=2, r_hi=2, budget_seconds=0, c_explore=0  # 0: pure exploitation
         ).validate()
 
     @pytest.mark.parametrize("top_level", [5, [], "config", None])

@@ -393,6 +393,17 @@ class TestSearch:
         assert code == EXIT_CONFIG and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("args, rule", [
+        (("--dim", "24", "--r", "1.5"), "dimension n from 1 to 8, got 24"),
+        (("--r", "1.2"), "r^2 >= 2, got r=1.2"),
+    ])
+    def test_bound_below_the_truth_exits_2(self, capsys, args, rule):
+        # objective 1 gives the bound V_n(1/2) r^n: 1.9e-6 in dimension 24 at
+        # r = 1.5, and 0.068 < pi^4/384 in dimension 8 at r = 1.2
+        code, out, err = run_cli(capsys, "search", "--R", "2.0", "--iterations", "6", *args)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and rule in err
+
     def test_hopeless_search_exits_4(self, capsys, monkeypatch):
         import packbound.cli as cli_mod
         from packbound.mcts import SearchFailedError

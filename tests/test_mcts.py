@@ -334,6 +334,21 @@ class TestRunSearch:
         with pytest.raises(ValueError, match="dimension n"):
             make_sdp_evaluator(PivotTable(params, 5, 0), 0, RewardCache())
 
+    @pytest.mark.parametrize("r, n, rule", [
+        (1.4142135623730949, 8, r"r\^2 >= 2"),  # the float below sqrt(2)'s: r^2 < 2 exactly
+        (1.2, 8, r"r\^2 >= 2"),
+        (1.5, 9, "dimension n from 1 to 8"),
+        (1.5, 24, "dimension n from 1 to 8"),
+    ])
+    def test_evaluator_refuses_a_bound_below_the_truth(self, r, n, rule):
+        table = PivotTable(GeometricParams(r, 2.0), 5, 0)
+        with pytest.raises(ValueError, match=rule):
+            make_sdp_evaluator(table, n, RewardCache())
+
+    def test_evaluator_accepts_root_two(self):
+        # the float nearest sqrt(2) lies above it, so its exact square is above 2
+        make_sdp_evaluator(PivotTable(GeometricParams(2**0.5, 2.0), 5, 0), 8, RewardCache())
+
 
 def legal_prefixes(degree_cap, max_monomials, max_length):
     """Every legal token prefix of at most max_length tokens, the empty one included."""

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -34,3 +35,23 @@ def test_sweep_degree_prints_the_bound():
     assert float(found.group(1)) == pytest.approx(1.0, abs=1e-6)
     assert float(found.group(2)) == pytest.approx(0.3098077673, rel=1e-6)
 
+
+
+def test_sweep_degree_bound_at_root_two_is_at_least_e8():
+    # ADMM's objective at d = 3 and 4 sits below 1 by its tolerance; the
+    # printed bound is the exact decision's, read back in full, and never
+    # below pi^4/384 (checked against a rational above pi)
+    proc = run_script("sweep_degree.py", "--r", repr(2**0.5), "--R", "2.0",
+                      "--degrees", "2", "3", "4")
+    assert proc.returncode == 0, proc.stderr
+    bounds = re.findall(r"bound=(\S+)", proc.stdout)
+    assert len(bounds) == 2, proc.stdout
+    pi_hi = Fraction("3.14159265358979323846264338328")
+    assert all(Fraction(float(b)) >= pi_hi**4 / 384 for b in bounds)
+
+
+@pytest.mark.parametrize("args", [("--r", "1.2"), ("--dim", "9")])
+def test_sweep_degree_refuses_a_bound_below_the_truth(args):
+    proc = run_script("sweep_degree.py", "--degrees", "2", *args)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "default-game bound" in proc.stderr
