@@ -152,18 +152,19 @@ class _BudgetSpent(Exception):
 
 def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float
                  ) -> Generator[np.ndarray, float, MinimizeResult]:
-    """Nelder-Mead from x0 as a generator: it yields a copy of each point to
-    evaluate, is sent that point's value, and returns the MinimizeResult.
-    minimize and _minimize_lockstep drive it; see minimize for the method."""
+    """Nelder-Mead from x0 as a generator: it yields each point to evaluate,
+    is sent that point's value, and returns the MinimizeResult.  A yielded
+    point may be a row of the simplex, so the caller copies it before
+    sending; _minimize_lockstep drives it, see minimize for the method."""
     nfev = 0
 
     def point(x: np.ndarray) -> np.ndarray:
-        """A copy of x to yield, counted against the budget."""
+        """x, counted against the budget."""
         nonlocal nfev
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return x.copy()
+        return x
 
     x0 = np.array(x0, dtype=float).ravel()
     n = len(x0)
@@ -243,7 +244,8 @@ def minimize(fun: Callable[[np.ndarray], float], x0: np.ndarray, maxfev: int,
     replace it for the searches that call it: the fit's stage 2 and the
     proposal search.  The fit's stage 1 runs _minimize_lockstep directly.
     """
-    return _minimize_lockstep(lambda X: [fun(x) for x in X], [x0], maxfev, xatol, fatol)[0]
+    # one start, so each batch is the single row X[0]
+    return _minimize_lockstep(lambda X: (fun(X[0]),), [x0], maxfev, xatol, fatol)[0]
 
 
 def _minimize_lockstep(batch_fun: Callable[[np.ndarray], Sequence[float]],
@@ -253,7 +255,8 @@ def _minimize_lockstep(batch_fun: Callable[[np.ndarray], Sequence[float]],
 
     Each step evaluates the next point of every unfinished search in one
     call of batch_fun, which maps an (S, n) array of points to their S
-    values; a search that has finished drops out.  Result i equals
+    values; a search that has finished drops out.  The points are copied
+    into that array before any search moves on.  Result i equals
     minimize(f, starts[i], maxfev, xatol, fatol) for the f that batch_fun
     evaluates row by row.
     """

@@ -617,8 +617,8 @@ def compute_bound(objective_value: float, params: GeometricParams, n: int) -> fl
 def check_default_bound(r: float, n: int) -> None:
     """Raise ValueError unless V_n(1/2) * r^n, the bound of every converged
     default-game decision (objective exactly 1), is at or above the densest
-    packing in dimension n: it needs 1 <= n <= 8 and r^2 >= 2, with r^2
-    computed exactly from r's float.
+    packing in dimension n: it needs 1 <= n <= 8 and a finite r > 0 with
+    r^2 >= 2, r^2 computed exactly from r's float.
 
     At r = sqrt(2) the bound is the E8 density pi^4/384 in dimension 8, and
     above the Cohn-Elkies upper bounds in dimensions 5 to 7 (above 1 up to
@@ -628,8 +628,8 @@ def check_default_bound(r: float, n: int) -> None:
     """
     if not 1 <= n <= 8:
         raise ValueError(f"a default-game bound V_n(1/2) r^n needs dimension n from 1 to 8, got {n}")
-    if Fraction(r) ** 2 < 2:
-        raise ValueError(f"a default-game bound V_n(1/2) r^n needs r^2 >= 2, got r={r}")
+    if not (math.isfinite(r) and r > 0) or Fraction(r) ** 2 < 2:
+        raise ValueError(f"a default-game bound V_n(1/2) r^n needs a finite r > 0 with r^2 >= 2, got r={r}")
 
 
 # ---------------------------------------------------------------------------

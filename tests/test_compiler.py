@@ -19,6 +19,7 @@ from packbound.compiler import (
     SdpInstance,
     assemble_sdp,
     block_arrays,
+    check_default_bound,
     compute_bound,
     emit_sdpa,
     format_fraction,
@@ -377,6 +378,17 @@ class TestComputeBound:
         # is pi^4 / 384 times r_lo^8 / 16 > 1, rounded upward
         bound = compute_bound(1.0, GeometricParams(CampaignConfig().r_lo, 2.0), 8)
         assert Fraction(bound) >= (PI_100 + Fraction(1, 10**100)) ** 4 / 384
+
+
+class TestCheckDefaultBound:
+    @pytest.mark.parametrize("r", [-1.5, -2.0, math.inf, -math.inf, math.nan, 0.0, 1.4142135623730949])
+    def test_refuses_r_outside_the_rule(self, r):
+        with pytest.raises(ValueError, match=r"r\^2 >= 2"):
+            check_default_bound(r, 8)
+
+    @pytest.mark.parametrize("r", [2**0.5, 1.5, 2.6])
+    def test_accepts_r_at_or_above_root_two(self, r):
+        check_default_bound(r, 8)
 
 
 class TestMakeInstance:

@@ -50,7 +50,8 @@ def test_sweep_degree_bound_at_root_two_is_at_least_e8():
     assert all(Fraction(float(b)) >= pi_hi**4 / 384 for b in bounds)
 
 
-@pytest.mark.parametrize("args", [("--r", "1.2"), ("--dim", "9")])
+@pytest.mark.parametrize("args", [("--r", "1.2"), ("--r", "-1.5"), ("--r", "inf"), ("--r", "nan"),
+                                  ("--dim", "9")])
 def test_sweep_degree_refuses_a_bound_below_the_truth(args):
     proc = run_script("sweep_degree.py", "--degrees", "2", *args)
     assert proc.returncode == 2 and proc.stdout == ""
