@@ -602,18 +602,6 @@ def fit_surrogate(
 # Acquisition functions (all written for minimization)
 # ---------------------------------------------------------------------------
 
-def expected_improvement(s: Surrogate, Z: np.ndarray) -> np.ndarray:
-    """EI over the current best observed value, in warped output space; >= 0."""
-    mu, sd = s.predict_warped(Z)
-    best = s.best_warped()
-    gap = best - mu
-    out = np.maximum(gap, 0.0)
-    positive = sd > 0
-    u = gap[positive] / sd[positive]
-    out[positive] = gap[positive] * _scipy.ndtr(u) + sd[positive] * _norm_pdf(u)
-    return np.maximum(out, 0.0)
-
-
 def log_expected_improvement(s: Surrogate, Z: np.ndarray) -> np.ndarray:
     """log EI, stable where EI underflows; used for ranking proposals.
 

@@ -15,21 +15,23 @@ convergence keeps its status, with no residuals.  A claim of convergence is
 block count and shapes, when the recomputed equality or PSD residual misses
 tol_eq (times 10) or tol_psd, or when the claimed objective is not the
 recomputed one within 10 * tol_eq (relative).  Only the gate's residuals are
-recorded, and the objective and bound only of a round that passes it.  Each
-(sentence, degree) is decided at most once a round.  Any stage failure is
-recorded with its status and the campaign continues; each round's record is
-appended to state.jsonl and flushed to disk, so a killed process loses at
-most the in-flight round.  A resume refuses a config that differs from the
-campaign's config.json in anything but its budgets and out_dir.  It then
-rewrites state.jsonl, atomically, from the records load accepts, so a torn
-final record is dropped for good.  Per-round seeds derive from (base seed,
-round index), so identical configurations replay identically and resumed
-campaigns match uninterrupted ones.  The campaign never runs the embedded
-ADMM solver, which serves the CLI and the scripts.  A config.json that still
-carries a retired field (solver_max_iterations, mcts_rollouts, mcts_restarts,
-solver) loads, and the field is ignored; a retired solver "embedded" also
-clears solver_cmd, which it made the campaign ignore, and a retired
-"external" still needs one.
+recorded, and the objective and bound only of a round that passes it.  Those
+two come from the search's exact decision, never from an external claim,
+which the gate's slack lets fall below that objective and so the bound below
+the truth.  Each (sentence, degree) is decided at most once a round.  Any
+stage failure is recorded with its status and the campaign continues; each
+round's record is appended to state.jsonl and flushed to disk, so a killed
+process loses at most the in-flight round.  A resume refuses a config that
+differs from the campaign's config.json in anything but its budgets and
+out_dir.  It then rewrites state.jsonl, atomically, from the records load
+accepts, so a torn final record is dropped for good.  Per-round seeds derive
+from (base seed, round index), so identical configurations replay
+identically and resumed campaigns match uninterrupted ones.  The campaign
+never runs the embedded ADMM solver, which serves the CLI and the scripts.
+A config.json that still carries a retired field (solver_max_iterations,
+mcts_rollouts, mcts_restarts, solver) loads, and the field is ignored; a
+retired solver "embedded" also clears solver_cmd, which it made the campaign
+ignore, and a retired "external" still needs one.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from .bo import ACQUISITIONS, Observation, SearchBox, fit_surrogate, propose_next
 from .compiler import (PivotGenerationError, PivotTable, check_default_bound, check_pivot_scheme,
-                       compute_bound, emit_sdpa)
+                       emit_sdpa)
 from .compiler import assemble_sdp  # not called here; perfbench/tracing.py wraps this name
 from .grammar import render
 from .mcts import (
@@ -363,9 +365,8 @@ def play_round(state: GameState, config: CampaignConfig) -> GameState:
             status, eq_res, psd_res = check_certificate(
                 table.instance_arrays(out.sentence, config.d_final), res,
                 config.tol_eq, config.tol_psd)
-            if status == "converged":
-                objective = res.objective_value
-                bound = compute_bound(objective, params, config.dimension)
+            if status == "converged":  # the search's exact decision, not a claim
+                objective, bound = out.outcome.objective, out.outcome.bound
         except Exception as exc:
             status = f"solve-error: {type(exc).__name__}"
         solve_seconds = time.monotonic() - solve_start

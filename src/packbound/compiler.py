@@ -22,9 +22,12 @@ where (A, B, C) is the sum of the exponents of basis elements i and j, so
 the block has one distinct value per distinct sum (252 for k = 6, against
 1275 upper-triangle entries), and m(p) = 0 gives the zero block.
 PivotTable.instance builds every instance on its table's pivots, evaluated
-once for all of them: base values once per pivot, when generate_pivots
-admits it, and once at the origin, and basis vectors once per pivot and
-degree.
+once for all of them: base values once per admitted pivot and once at the
+origin, and basis vectors once per pivot and degree.  generate_pivots
+admits a float candidate on integers, over one denominator per candidate,
+and only an admitted one becomes a Fraction triple with base values, so a
+rejected candidate builds no Fraction.  Basis vectors are integer running
+products (polys.basis_values).
 
 A basis vector is kept in integers over its pivot's own denominator delta,
 u_p = n_p diag(delta^-grade), so with m(p) = a/b each distinct value is the
@@ -97,8 +100,9 @@ class PivotGenerationError(RuntimeError):
 
 
 def in_region(values: Sequence[Fraction]) -> bool:
-    """True iff the base values (P1, ..., P7) at a point have P1..P6 all >= 0."""
-    return all(val >= 0 for val in values[:6])
+    """True iff the base values (P1, ..., P7) at a point have P1..P6 all >= 0,
+    read off their numerators' signs."""
+    return all(val.numerator >= 0 for val in values[:6])
 
 
 def _monomial_value(values: Sequence[Fraction], m: Monomial) -> Fraction:
@@ -116,16 +120,14 @@ def _chebyshev_nodes(lo: float, hi: float, count: int) -> List[float]:
     return [mid + half * math.cos(math.pi * k / (count - 1)) for k in range(count - 1, -1, -1)]
 
 
-def _plane_point(h: float, v: float, params: GeometricParams) -> Pivot:
-    # w chosen so the degree-1 base polynomial h + v - 2w - r^2 vanishes;
-    # constraining pivots to this slice leaves each block one admissible
-    # free direction, which keeps assembled instances feasible.
-    h_q, v_q = _frac(h), _frac(v)
-    return h_q, v_q, (h_q + v_q - params.r2) / 2
+def _plane_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[Tuple[float, ...]]:
+    """(h, v) float pairs, h <= v: a Chebyshev grid, then a Sobol fill.
 
-
-def _plane_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[Pivot]:
-    """Chebyshev grid over pairs h <= v on the plane slice, then a Sobol fill on it."""
+    Each pair stands for the point (h, v, (h + v - r^2)/2) of the plane slice
+    where the degree-1 base polynomial h + v - 2w - r^2 vanishes;
+    constraining pivots to this slice leaves each block one admissible free
+    direction, which keeps assembled instances feasible.
+    """
     lo, hi = float(params.r) ** 2, float(params.R) ** 2
     g = 3
     while g * (g + 1) // 2 < 2 * K and g < 64:
@@ -133,18 +135,17 @@ def _plane_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[Pi
     nodes = _chebyshev_nodes(lo, hi, g)
     for i, h in enumerate(nodes):
         for v in nodes[i:]:
-            yield _plane_point(h, v, params)
+            yield h, v
     sampler = Sobol(2, seed)
     for _ in range(64):
-        for x, y in sampler.random(64):
+        for x, y in sampler.random(64).tolist():
             h, v = lo + (hi - lo) * x, lo + (hi - lo) * y
-            if h > v:
-                h, v = v, h
-            yield _plane_point(h, v, params)
+            yield (v, h) if h > v else (h, v)
 
 
-def _grid3d_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[Pivot]:
-    """Chebyshev grid in h, v and w over [-sqrt(hv), sqrt(hv)], then a Sobol fill."""
+def _grid3d_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[Tuple[float, ...]]:
+    """(h, v, w) float triples: a Chebyshev grid in h, v and w over
+    [-sqrt(hv), sqrt(hv)], then a Sobol fill."""
     lo, hi = float(params.r) ** 2, float(params.R) ** 2
     g = 3
     while g * g * g < 2 * K and g < 32:
@@ -154,13 +155,13 @@ def _grid3d_candidates(params: GeometricParams, K: int, seed: int) -> Iterator[P
         for v in nodes:
             half = math.sqrt(h * v)
             for w in _chebyshev_nodes(-half, half, g):
-                yield _frac(h), _frac(v), _frac(w)
+                yield h, v, w
     sampler = Sobol(3, seed)
     for _ in range(64):
-        for x, y, z in sampler.random(64):
+        for x, y, z in sampler.random(64).tolist():
             h, v = lo + (hi - lo) * x, lo + (hi - lo) * y
             half = math.sqrt(h * v)
-            yield _frac(h), _frac(v), _frac(-half + 2 * half * z)
+            yield h, v, -half + 2 * half * z
 
 
 def check_pivot_scheme(scheme: str, R: float) -> None:
@@ -181,8 +182,17 @@ def generate_pivots(
     """Exactly K distinct admissible pivot points, deterministic in all inputs.
 
     Returns (pivots, base_values): the points, each an exact (h, v, w) tuple
-    of Fractions, and base_values_at at each, as admission computed it; each
-    distinct candidate is evaluated once.
+    of Fractions, and base_values_at at each.
+
+    Candidates come as float tuples, and a repeated one is skipped: a float
+    is the exact value of its Fraction, so this is the same as skipping a
+    repeated Fraction triple.  Admission runs on integers.  Over
+    d = 2 lcm(the candidate's float denominators, den r^2, den R^2),
+    h, v, r^2 and R^2 are even integers H, V, r2, R2, so the plane's
+    w = (h + v - r^2)/2 is the integer W = (H + V - r2)/2 over d too, and
+    P1..P6 are integers over d or d^2.  A candidate is admitted when those
+    six numerators are nonnegative.  Only then is it made a Fraction triple,
+    and only then is base_values_at evaluated, once, on it.
 
     Schemes:
       * "plane" (default): Chebyshev grid over ordered pairs r^2 <= h <= v <= R^2
@@ -199,7 +209,10 @@ def generate_pivots(
     if K < 1:
         raise ValueError(f"need K >= 1 pivots, got {K}")
     check_pivot_scheme(scheme, params.R)
-    candidates = _plane_candidates if scheme == "plane" else _grid3d_candidates
+    plane = scheme == "plane"
+    candidates = _plane_candidates if plane else _grid3d_candidates
+    (r2_num, r2_den), (R2_num, R2_den) = params.r2.as_integer_ratio(), params.R2.as_integer_ratio()
+    params_den = math.lcm(r2_den, R2_den)
     picked: List[Pivot] = []
     picked_values: List[Tuple[Fraction, ...]] = []
     seen = set()
@@ -207,10 +220,16 @@ def generate_pivots(
         if p in seen:
             continue
         seen.add(p)
-        values = base_values_at(p, params)
-        if in_region(values):
-            picked.append(p)
-            picked_values.append(values)
+        ratios = [x.as_integer_ratio() for x in p]
+        d = 2 * math.lcm(params_den, *(den for _, den in ratios))
+        r2, R2 = r2_num * (d // r2_den), R2_num * (d // R2_den)
+        H, V, *rest = [num * (d // den) for num, den in ratios]
+        W = (H + V - r2) // 2 if plane else rest[0]
+        if ((H - r2) * (V - r2) >= 0 and H + V >= 2 * r2 and H * V >= W * W
+                and H + V - 2 * W >= r2 and (R2 - H) * (R2 - V) >= 0 and 2 * R2 >= H + V):
+            point = (exact_ratio(H, d), exact_ratio(V, d), exact_ratio(W, d))
+            picked.append(point)
+            picked_values.append(base_values_at(point, params))
             if len(picked) == K:
                 return picked, picked_values
     raise PivotGenerationError(K, len(picked))
@@ -407,9 +426,11 @@ class PivotTable:
     Every point value an instance or an exact decision reads comes from the
     table.  Building it makes one generate_pivots call, whose pivots, each
     an (h, v, w) tuple of Fractions, and base values it keeps, one
-    base_values_at call, at the origin, and the pivots' region check.
-    Everything is exact.  A campaign round builds one table, on which the
-    search decides and from which the winner's instance is verified.
+    base_values_at call, at the origin, and the pivots' region check.  So a
+    table evaluates base values K + 1 times, once per pivot and once at the
+    origin.  Everything is exact.  A campaign round builds one table, on
+    which the search decides and from which the winner's instance is
+    verified.
 
     Two integer views of the basis evaluation vectors u_p serve two readers:
 
@@ -431,13 +452,14 @@ class PivotTable:
       `denominator`, is the lcm of the denominators of every pivot
       coordinate, and (H, V, W) = D (h, v, w) are integers, so
       integer_basis_vectors gives N_p = W^a (HV)^b (H+V)^c and
-      u_p = N_p diag(D^-grade).  `zero_patterns[p]` has bit t - 1 set when
+      u_p = N_p diag(D^-grade).  Both views are polys.basis_values, on
+      integers.  `zero_patterns[p]` has bit t - 1 set when
       P_t vanishes at pivot p (t = 1..6); since every P_t is nonnegative
       there and P7 = 1, m(p) > 0 exactly when no base polynomial in m's
       support vanishes at p (active_pivots).
 
-    The vectors of degree k, in each view, are computed on first use and
-    kept.
+    The vectors of degree k, in each view, and a monomial's value at the
+    origin (origin_value) are computed on first use and kept.
     `kernels` keeps solver._block_kernel's result for each (active pivots,
     k), which every monomial with that active set shares.
     """
@@ -457,6 +479,7 @@ class PivotTable:
         self._own_coords = [common_denominator(p) for p in self.pivots]
         self._own_basis: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
         self._integer_basis: Dict[int, List[Tuple[int, ...]]] = {}
+        self._origin_values: Dict[Monomial, Fraction] = {}
         self.kernels: Dict[Tuple[Tuple[int, ...], int], Optional[List[int]]] = {}
 
     def monomial_values(self, m: Monomial) -> List[Fraction]:
@@ -469,8 +492,10 @@ class PivotTable:
         return [i for i, zeros in enumerate(self.zero_patterns) if not zeros & support]
 
     def origin_value(self, m: Monomial) -> Fraction:
-        """m(0, 0, 0)."""
-        return _monomial_value(self.origin, m)
+        """m(0, 0, 0), computed on first use and kept."""
+        if m not in self._origin_values:
+            self._origin_values[m] = _monomial_value(self.origin, m)
+        return self._origin_values[m]
 
     def designated_block(self, s: Sentence) -> int:
         """The block of s that carries the normalization row.
@@ -483,8 +508,7 @@ class PivotTable:
     def integer_basis_vectors(self, k: int) -> List[Tuple[int, ...]]:
         """N_p = u_p diag(D^grade) over basis_enumerate(k), for every pivot p, in pivot order."""
         if k not in self._integer_basis:
-            elems = basis_enumerate(k)
-            self._integer_basis[k] = [basis_values(elems, W, H * V, H + V)
+            self._integer_basis[k] = [basis_values(k, W, H * V, H + V)
                                       for H, V, W in self._coords]
         return self._integer_basis[k]
 
@@ -492,8 +516,7 @@ class PivotTable:
         """(n_p, delta_p) with n_p = u_p diag(delta_p^grade) over basis_enumerate(k),
         for every pivot p, in pivot order; delta_p is p's own denominator."""
         if k not in self._own_basis:
-            elems = basis_enumerate(k)
-            self._own_basis[k] = [(basis_values(elems, W, H * V, H + V), delta)
+            self._own_basis[k] = [(basis_values(k, W, H * V, H + V), delta)
                                   for delta, (H, V, W) in self._own_coords]
         return self._own_basis[k]
 
@@ -507,7 +530,7 @@ class PivotTable:
         the objective on the designated block and scale 0 elsewhere.
         """
         canon, degrees = instance_layout(s, d)
-        origin = [(basis_values(basis_enumerate(k), 0, 0, 0), 1) for k in degrees]
+        origin = [(basis_values(k, 0, 0, 0), 1) for k in degrees]
         objective = tuple(block(u, self.origin_value(m), k)
                           for m, k, u in zip(canon.monomials, degrees, origin))
         columns = [  # column i holds block i, m_i(p) u_p u_p^T, of each pivot's row

@@ -305,17 +305,6 @@ class SearchOutcome:
     wall_time: float
 
 
-def audit_counts(root: SearchNode) -> bool:
-    """Count conservation: N equals children's N plus evaluations ending here."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.N != sum(c.N for c in node.children.values()) + node.self_evals:
-            return False
-        stack.extend(node.children.values())
-    return True
-
-
 def dump_tree(root: SearchNode, path: str) -> None:
     """One node per line: token prefix, visit count, value sum (debug aid).
 

@@ -17,7 +17,9 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from itertools import accumulate, repeat
+from operator import mul
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, int, int]
 Number = Union[int, float, Fraction]
@@ -223,18 +225,19 @@ def base_values_at(point: Sequence[Number], params: GeometricParams) -> Tuple[Fr
     """Exact values (P1(point), ..., P7(point)), evaluated in integers.
 
     Over d, the lcm of the denominators of h, v, w, r^2 and R^2, all five are
-    integers, so P_t is an integer over d^deg(P_t), made one Fraction.
+    integers, so P_t is an integer over d^deg(P_t), made one Fraction by
+    exact_ratio: with float coordinates and float (r, R), d is a power of two.
     """
     d, (h, v, w, r2, R2) = common_denominator(
         (*(_frac(x) for x in point), params.r2, params.R2))
     d2 = d * d
     return (
-        Fraction((h - r2) * (v - r2), d2),
-        Fraction(h + v - 2 * r2, d),
-        Fraction(h * v - w * w, d2),
-        Fraction(h + v - 2 * w - r2, d),
-        Fraction((R2 - h) * (R2 - v), d2),
-        Fraction(2 * R2 - h - v, d),
+        exact_ratio((h - r2) * (v - r2), d2),
+        exact_ratio(h + v - 2 * r2, d),
+        exact_ratio(h * v - w * w, d2),
+        exact_ratio(h + v - 2 * w - r2, d),
+        exact_ratio((R2 - h) * (R2 - v), d2),
+        exact_ratio(2 * R2 - h - v, d),
         Fraction(1),
     )
 
@@ -252,6 +255,7 @@ class BasisElement:
         return self.a + 2 * self.b + self.c
 
 
+@functools.lru_cache(maxsize=None)
 def basis_enumerate(d: int) -> Tuple[BasisElement, ...]:
     """All (a, b, c) with a + 2b + c <= d, in the frozen graded order.
 
@@ -259,7 +263,7 @@ def basis_enumerate(d: int) -> Tuple[BasisElement, ...]:
     b.  c is determined by (grade, a, b) within a grade, so the key is total.
     The grade-major order makes basis_enumerate(d1) a prefix of
     basis_enumerate(d2) whenever d1 <= d2, which downstream block nesting
-    relies on.
+    relies on.  The tuple is built once per d.
     """
     if d < 0:
         raise ValueError(f"basis degree must be nonnegative, got {d}")
@@ -282,21 +286,29 @@ def basis_to_poly(e: BasisElement) -> Polynomial:
     return Polynomial(terms)
 
 
-def basis_values(elements: Iterable[BasisElement], w: Number, hv: Number, sig: Number) -> tuple:
-    """w^a * hv^b * sig^c for each basis element, in the arithmetic of the inputs.
+@functools.lru_cache(maxsize=None)
+def _basis_exponents(k: int) -> Tuple[Exponent, ...]:
+    """(a, b, c) of each element of basis_enumerate(k), in its order."""
+    return tuple((e.a, e.b, e.c) for e in basis_enumerate(k))
 
-    Exact for int and Fraction inputs: integer inputs give integer values.
-    Each power of w, hv and sig up to the largest a + b + c, which bounds
-    every exponent, is computed once, with **: a Fraction power takes no gcd,
-    where a running product would take two per step.
+
+def _powers(x: int, top: int) -> List[int]:
+    """[1, x, x^2, ..., x^top], each power the running product of the last."""
+    return list(accumulate(repeat(x, top), mul, initial=1))
+
+
+def basis_values(k: int, w: int, hv: int, sig: int) -> Tuple[int, ...]:
+    """w^a * hv^b * sig^c for each element of basis_enumerate(k), on integers.
+
+    Each power of w, hv and sig is a running product, up to k, k // 2 and k,
+    which bound a, b and c; the exponents are read from a tuple kept per k.
     """
-    elems = tuple(elements)
-    top = max((e.a + e.b + e.c for e in elems), default=0)
-    pw, ph, ps = ([base**n for n in range(top + 1)] for base in (w, hv, sig))
-    return tuple(pw[e.a] * ph[e.b] * ps[e.c] for e in elems)
+    pw, ph, ps = _powers(w, k), _powers(hv, k // 2), _powers(sig, k)
+    return tuple([pw[a] * ph[b] * ps[c] for a, b, c in _basis_exponents(k)])
 
 
 def evaluate_basis(elements: Iterable[BasisElement], point: Sequence[Number]) -> Tuple[Fraction, ...]:
     """Exact values of basis elements at a point, via powers of (w, hv, h+v)."""
     h, v, w = (_frac(x) for x in point)
-    return basis_values(elements, w, h * v, h + v)
+    hv, sig = h * v, h + v
+    return tuple(w**e.a * hv**e.b * sig**e.c for e in elements)

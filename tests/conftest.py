@@ -2,9 +2,12 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
+from packbound.bo import _norm_pdf
 from packbound.grammar import CONSTANT_MONOMIAL, Monomial, Sentence
 from packbound.polys import BASE_DEGREES, GeometricParams, Polynomial, make_base_polynomial
 
@@ -23,6 +26,33 @@ def monomial_value(m, point, params):
     """m at the point, from the expanded base polynomials of the Polynomial ring."""
     return math.prod((make_base_polynomial(k, params).evaluate(point) ** e
                       for k, e in enumerate(m.alpha, start=1)), start=Fraction(1))
+
+
+def expected_improvement(s, Z):
+    """EI over the surrogate's best observed value, in warped output space; >= 0.
+
+    An oracle: the BO ranks proposals by bo.log_expected_improvement, which
+    stays finite where this underflows.
+    """
+    mu, sd = s.predict_warped(Z)
+    gap = s.best_warped() - mu
+    out = np.maximum(gap, 0.0)
+    positive = sd > 0
+    u = gap[positive] / sd[positive]
+    out[positive] = gap[positive] * ndtr(u) + sd[positive] * _norm_pdf(u)
+    return np.maximum(out, 0.0)
+
+
+def audit_counts(root):
+    """Count conservation in a search tree: each node's N is its children's N
+    plus the evaluations that ended at it."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.N != sum(c.N for c in node.children.values()) + node.self_evals:
+            return False
+        stack.extend(node.children.values())
+    return True
 
 
 def strict_json(text):

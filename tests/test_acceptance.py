@@ -18,7 +18,7 @@ import zlib
 import numpy as np
 import pytest
 
-from packbound.bo import Observation, SearchBox, fit_surrogate, expected_improvement, propose_next
+from packbound.bo import Observation, SearchBox, fit_surrogate, propose_next
 from packbound.campaign import CampaignConfig, GameState, load, persist, run_campaign
 from packbound.compiler import (
     PivotTable,
@@ -39,7 +39,7 @@ from packbound.grammar import (
     render,
     tokenize_and_parse,
 )
-from packbound.mcts import EvalOutcome, audit_counts, run_search
+from packbound.mcts import EvalOutcome, run_search
 from packbound.polys import (
     BASE_DEGREES,
     GeometricParams,
@@ -49,7 +49,7 @@ from packbound.polys import (
 )
 from packbound.solver import SolverStatus, solve_embedded, verify_certificate
 
-from conftest import block_bytes
+from conftest import audit_counts, block_bytes, expected_improvement
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 PARAMS = GeometricParams(r=1.45, R=2.0)

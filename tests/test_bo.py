@@ -26,7 +26,6 @@ from packbound.bo import (
     _stage_one_nll,
     acquisition_scores,
     confidence_bound,
-    expected_improvement,
     fit_surrogate,
     log_expected_improvement,
     probability_of_improvement,
@@ -34,6 +33,8 @@ from packbound.bo import (
 )
 from packbound.polys import GeometricParams
 from packbound.qmc import Sobol
+
+from conftest import expected_improvement
 
 BOX = SearchBox(1.0, 2.0, 2.5, 4.0)
 

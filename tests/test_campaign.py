@@ -23,7 +23,7 @@ from packbound.campaign import (
     play_round,
     run_campaign,
 )
-from packbound.compiler import assemble_sdp, emit_sdpa, make_instance
+from packbound.compiler import assemble_sdp, compute_bound, emit_sdpa, make_instance
 from packbound.grammar import render, tokenize_and_parse
 from packbound.polys import GeometricParams
 from packbound.solver import (
@@ -703,6 +703,16 @@ class TestExternalSolverPath:
         assert rec.status == "verification-failed"
         assert rec.eq_residual <= 10 * config.tol_eq and rec.psd_residual >= -config.tol_psd
         assert rec.objective is None and rec.bound is None
+
+    def test_external_round_takes_its_bound_from_the_exact_decision(self):
+        # the stub claims an objective below 1 that the gate's slack accepts;
+        # a bound from that claim would fall below the certified one
+        cmd = f"{sys.executable} {os.path.join(FIXTURES, 'slack_objective_sdpa.py')}"
+        config = CampaignConfig(solver_cmd=cmd, d_final=2, **FAST)
+        rec = play_round(GameState(), config).rounds[0]
+        assert rec.status == "converged"
+        assert rec.objective == 1.0
+        assert rec.bound == compute_bound(1.0, GeometricParams(rec.r, rec.R), config.dimension)
 
     def test_unconverged_external_round_records_no_residuals(self, tmp_path):
         stub = tmp_path / "infeasible_sdpa.py"

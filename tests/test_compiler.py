@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 from decimal import ROUND_DOWN, Context, Decimal, Inexact, Rounded, localcontext
@@ -771,3 +772,100 @@ PINNED_PIVOTS = [
 def test_pivot_digest(r, R, K, scheme, digest):
     pivots, _ = generate_pivots(GeometricParams(r, R), K, 0, scheme)
     assert pivot_digest(pivots) == digest
+
+
+def reference_pivots(params, K, seed, scheme):
+    """generate_pivots on Fractions: each candidate made an exact (h, v, w)
+    triple, the plane's w = (h + v - r^2)/2, a repeated triple skipped and
+    the rest admitted when P1..P6 of base_values_at(...) are >= 0; the
+    pivots and base values, or ("exhausted", found)."""
+    plane = scheme == "plane"
+    candidates = compiler._plane_candidates if plane else compiler._grid3d_candidates
+    picked, values, seen = [], [], set()
+    for candidate in candidates(params, K, seed):
+        p = tuple(map(Fraction, candidate))
+        if plane:
+            p += ((p[0] + p[1] - params.r2) / 2,)
+        if p in seen:
+            continue
+        seen.add(p)
+        vals = base_values_at(p, params)
+        if nonnegative(vals):
+            picked.append(p)
+            values.append(vals)
+            if len(picked) == K:
+                return picked, values
+    return "exhausted", len(picked)
+
+
+def shipped_pivots(params, K, seed, scheme):
+    """generate_pivots(...), or ("exhausted", found) when it runs out."""
+    try:
+        return generate_pivots(params, K, seed, scheme)
+    except PivotGenerationError as err:
+        assert err.requested == K
+        return "exhausted", err.found
+
+
+def random_boxes(seed, count):
+    """(r, R) pairs, half inside the default campaign box and half outside it."""
+    config = CampaignConfig()
+    rng = np.random.default_rng(seed)
+    boxes = [(float(rng.uniform(config.r_lo, config.r_hi)),
+              float(rng.uniform(config.R_lo, config.R_hi))) for _ in range(count // 2)]
+    for _ in range(count - count // 2):
+        r = float(rng.uniform(0.2, 4.0))
+        boxes.append((r, r * float(rng.uniform(1.01, 3.0))))
+    return boxes
+
+
+class TestPivotOracle:
+    """generate_pivots admits on integers; the Fraction loop it replaced is the oracle."""
+
+    @pytest.mark.parametrize("scheme", PIVOT_SCHEMES)
+    @pytest.mark.parametrize("r, R", [(1.45, 2.0), (Fraction(7, 5), 2.0),
+                                      (Fraction(7, 5), Fraction(11, 5)), *random_boxes(17, 8)])
+    @pytest.mark.parametrize("K, seed", [(1, 0), (50, 3)])
+    def test_equals_the_fraction_loop(self, r, R, K, seed, scheme):
+        params = GeometricParams(r, R)
+        shipped = shipped_pivots(params, K, seed, scheme)
+        assert shipped == reference_pivots(params, K, seed, scheme)
+        if shipped[0] != "exhausted":
+            assert all(type(x) is Fraction for p in shipped[0] for x in p)
+
+    @pytest.mark.parametrize("scheme, K", [("plane", 5), ("plane", 2000), ("grid3d", 120)])
+    def test_equals_the_fraction_loop_into_the_sobol_fill(self, monkeypatch, scheme, K):
+        draws = []
+
+        class RecordingSobol(compiler.Sobol):
+            def random(self, n):
+                draws.append(n)
+                return super().random(n)
+
+        monkeypatch.setattr(compiler, "Sobol", RecordingSobol)
+        params = GeometricParams(math.sqrt(2), 1.8)
+        shipped = shipped_pivots(params, K, 0, scheme)
+        assert draws  # the grid alone did not supply K pivots
+        assert shipped[0] != "exhausted"
+        assert shipped == reference_pivots(params, K, 0, scheme)
+
+    @pytest.mark.parametrize("scheme", PIVOT_SCHEMES)
+    def test_repeated_candidates_are_skipped_as_fraction_triples(self, monkeypatch, params,
+                                                                 scheme):
+        # no shipped candidate stream repeats a point, so this one is made to,
+        # in grid3d with w = 0.0 and w = -0.0 too, one Fraction triple
+        name = "_plane_candidates" if scheme == "plane" else "_grid3d_candidates"
+        stream = list(itertools.islice(getattr(compiler, name)(params, 6, 0), 8))
+        if scheme == "grid3d":
+            h, v, _ = stream[0]
+            stream[1:1] = [(h, v, 0.0), (h, v, -0.0)]
+        repeated = stream[:4] + stream[:2] + stream[4:] + stream
+        monkeypatch.setattr(compiler, name, lambda *args: iter(repeated))
+        shipped = shipped_pivots(params, 6, 0, scheme)
+        assert shipped[0] != "exhausted" and len(set(shipped[0])) == 6
+        assert shipped == reference_pivots(params, 6, 0, scheme)
+
+    def test_exhaustion_found_count_is_unchanged(self, params):
+        shipped = shipped_pivots(params, 9000, 0, "plane")
+        assert shipped[0] == "exhausted"
+        assert shipped == reference_pivots(params, 9000, 0, "plane")

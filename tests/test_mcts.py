@@ -31,7 +31,6 @@ from packbound.mcts import (
     SearchCaps,
     SearchFailedError,
     SearchNode,
-    audit_counts,
     backpropagate,
     expand_node,
     make_sdp_evaluator,
@@ -41,6 +40,8 @@ from packbound.mcts import (
     simulate_rollout,
 )
 from packbound.polys import GeometricParams
+
+from conftest import audit_counts
 
 CAPS = SearchCaps(degree_cap=2, max_monomials=2)
 

@@ -13,9 +13,11 @@ from packbound.polys import (
     base_values_at,
     basis_enumerate,
     basis_to_poly,
+    basis_values,
     evaluate_basis,
     make_base_polynomial,
 )
+from packbound.compiler import PivotTable
 
 from conftest import polynomials
 
@@ -238,3 +240,44 @@ class TestBasis:
         values = evaluate_basis(elems, point)
         for e, val in zip(elems, values):
             assert val == basis_to_poly(e).evaluate(point)
+
+
+def power_values(k, w, hv, sig):
+    """w^a hv^b sig^c over basis_enumerate(k), each power taken with **."""
+    return tuple(w**e.a * hv**e.b * sig**e.c for e in basis_enumerate(k))
+
+
+class TestBasisValues:
+    TABLES = [(1.45, 2.0, "plane"), (1.45, 2.0, "grid3d"), (Fraction(7, 5), 2.0, "plane")]
+
+    @pytest.mark.parametrize("r, R, scheme", TABLES)
+    def test_table_rows_equal_powers(self, r, R, scheme):
+        table = PivotTable(GeometricParams(r, R), 50, 0, scheme)
+        D = table.denominator
+        for k in range(7):
+            common, own = table.integer_basis_vectors(k), table.basis_vectors(k)
+            for p, row, (nums, delta) in zip(table.pivots, common, own):
+                H, V, W = (int(x * D) for x in p)
+                assert row == basis_values(k, W, H * V, H + V) == power_values(k, W, H * V, H + V)
+                assert all(type(x) is int for x in row)
+                h, v, w = (int(x * delta) for x in p)
+                assert nums == power_values(k, w, h * v, h + v)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_origin_is_e0(self, k):
+        values = basis_values(k, 0, 0, 0)
+        assert values == power_values(k, 0, 0, 0) == (1,) + (0,) * (len(basis_enumerate(k)) - 1)
+
+    @pytest.mark.parametrize("k", range(7))
+    @pytest.mark.parametrize("point", [
+        (Fraction(5, 2), Fraction(3), Fraction(-7, 3)),
+        (Fraction(49, 25), Fraction(4), Fraction(1, 7)),
+        (1.45, 2.0, -0.3),
+    ])
+    def test_evaluate_basis_is_exact(self, k, point):
+        elems = basis_enumerate(k)
+        values = evaluate_basis(elems, point)
+        assert all(type(x) is Fraction for x in values)
+        exact = tuple(Fraction(x) for x in point)
+        assert values == tuple(basis_to_poly(e).evaluate(exact) for e in elems)
+
