@@ -22,12 +22,13 @@ where (A, B, C) is the sum of the exponents of basis elements i and j, so
 the block has one distinct value per distinct sum (252 for k = 6, against
 1275 upper-triangle entries), and m(p) = 0 gives the zero block.
 PivotTable.instance builds every instance on its table's pivots, evaluated
-once for all of them: base values once per admitted pivot and once at the
-origin, and basis vectors once per pivot and degree.  generate_pivots
-admits a float candidate on integers, over one denominator per candidate,
-and only an admitted one becomes a Fraction triple with base values, so a
-rejected candidate builds no Fraction.  Basis vectors are integer running
-products (polys.basis_values).
+once for all of them: basis vectors once per pivot and degree, and base
+values once per admitted pivot, from the numerators of P1..P6 it was
+admitted on; the table evaluates base values itself only at the origin.
+generate_pivots admits a float candidate on integers, over one denominator
+per candidate (polys.base_numerators), and only an admitted one becomes a
+Fraction triple with base values, so a rejected candidate builds no
+Fraction.  Basis vectors are integer running products (polys.basis_values).
 
 A basis vector is kept in integers over its pivot's own denominator delta,
 u_p = n_p diag(delta^-grade), so with m(p) = a/b each distinct value is the
@@ -71,7 +72,9 @@ from .polys import (
     GeometricParams,
     Number,
     _frac,
+    base_numerators,
     base_values_at,
+    base_values_from,
     basis_enumerate,
     basis_values,
     common_denominator,
@@ -97,12 +100,6 @@ class PivotGenerationError(RuntimeError):
         )
         self.requested = requested
         self.found = found
-
-
-def in_region(values: Sequence[Fraction]) -> bool:
-    """True iff the base values (P1, ..., P7) at a point have P1..P6 all >= 0,
-    read off their numerators' signs."""
-    return all(val.numerator >= 0 for val in values[:6])
 
 
 def _monomial_value(values: Sequence[Fraction], m: Monomial) -> Fraction:
@@ -182,7 +179,7 @@ def generate_pivots(
     """Exactly K distinct admissible pivot points, deterministic in all inputs.
 
     Returns (pivots, base_values): the points, each an exact (h, v, w) tuple
-    of Fractions, and base_values_at at each.
+    of Fractions, and (P1, ..., P7) at each, equal to base_values_at there.
 
     Candidates come as float tuples, and a repeated one is skipped: a float
     is the exact value of its Fraction, so this is the same as skipping a
@@ -190,9 +187,10 @@ def generate_pivots(
     d = 2 lcm(the candidate's float denominators, den r^2, den R^2),
     h, v, r^2 and R^2 are even integers H, V, r2, R2, so the plane's
     w = (h + v - r^2)/2 is the integer W = (H + V - r2)/2 over d too, and
-    P1..P6 are integers over d or d^2.  A candidate is admitted when those
-    six numerators are nonnegative.  Only then is it made a Fraction triple,
-    and only then is base_values_at evaluated, once, on it.
+    P1..P6 are integers over d or d^2 (polys.base_numerators).  A candidate
+    is admitted when those six numerators are nonnegative.  Only then is it
+    made a Fraction triple, and its base values are those numerators over
+    d and d^2 (polys.base_values_from), with no second evaluation.
 
     Schemes:
       * "plane" (default): Chebyshev grid over ordered pairs r^2 <= h <= v <= R^2
@@ -225,11 +223,10 @@ def generate_pivots(
         r2, R2 = r2_num * (d // r2_den), R2_num * (d // R2_den)
         H, V, *rest = [num * (d // den) for num, den in ratios]
         W = (H + V - r2) // 2 if plane else rest[0]
-        if ((H - r2) * (V - r2) >= 0 and H + V >= 2 * r2 and H * V >= W * W
-                and H + V - 2 * W >= r2 and (R2 - H) * (R2 - V) >= 0 and 2 * R2 >= H + V):
-            point = (exact_ratio(H, d), exact_ratio(V, d), exact_ratio(W, d))
-            picked.append(point)
-            picked_values.append(base_values_at(point, params))
+        numerators = base_numerators(H, V, W, r2, R2)
+        if min(numerators) >= 0:
+            picked.append((exact_ratio(H, d), exact_ratio(V, d), exact_ratio(W, d)))
+            picked_values.append(base_values_from(numerators, d))
             if len(picked) == K:
                 return picked, picked_values
     raise PivotGenerationError(K, len(picked))
@@ -426,11 +423,11 @@ class PivotTable:
     Every point value an instance or an exact decision reads comes from the
     table.  Building it makes one generate_pivots call, whose pivots, each
     an (h, v, w) tuple of Fractions, and base values it keeps, one
-    base_values_at call, at the origin, and the pivots' region check.  So a
-    table evaluates base values K + 1 times, once per pivot and once at the
-    origin.  Everything is exact.  A campaign round builds one table, on
-    which the search decides and from which the winner's instance is
-    verified.
+    base_values_at call, at the origin, and the pivots' region check.  The
+    pivots' base values come from the numerators admission read, so a table
+    evaluates base values itself only at the origin.  Everything is exact.
+    A campaign round builds one table, on which the search decides and from
+    which the winner's instance is verified.
 
     Two integer views of the basis evaluation vectors u_p serve two readers:
 
@@ -468,7 +465,7 @@ class PivotTable:
         self.params, self.K, self.seed, self.scheme = params, K, seed, scheme
         self.pivots, self.base_values = generate_pivots(params, K, seed, scheme=scheme)
         # solver.solve_exact's argument needs m(p) >= 0 for every monomial m
-        if not all(map(in_region, self.base_values)):
+        if any(val.numerator < 0 for values in self.base_values for val in values[:6]):
             raise ValueError("a pivot lies outside the region where P1..P6 are nonnegative")
         self.origin = base_values_at(ORIGIN, params)
         self.zero_patterns = tuple(

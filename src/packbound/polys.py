@@ -7,8 +7,9 @@ dyadic rationals, so converting incoming float data to Fraction is exact
 and nothing in this module ever rounds.
 
 The module also provides the seven base polynomials used to assemble
-certificate monomials, and the graded basis of (h, v)-symmetric polynomials
-w^a * (hv)^b * (h+v)^c with a + 2b + c <= d.
+certificate monomials, the integer numerators of P1..P6 that pivot
+admission and base_values_at both read, and the graded basis of
+(h, v)-symmetric polynomials w^a * (hv)^b * (h+v)^c with a + 2b + c <= d.
 """
 
 from __future__ import annotations
@@ -194,6 +195,15 @@ def make_base_polynomial(index: int, params: GeometricParams) -> Polynomial:
     raise ValueError(f"base polynomial index must be in 1..7, got {index}")
 
 
+def base_numerators(h: int, v: int, w: int, r2: int, R2: int) -> Tuple[int, ...]:
+    """The numerators of P1..P6 at (h, v, w), r^2 and R^2, all five integers
+    over one denominator d: P_t is the t-th over d^deg(P_t) (BASE_DEGREES),
+    so the point lies in the region where P1..P6 are nonnegative exactly
+    when all six are >= 0."""
+    return ((h - r2) * (v - r2), h + v - 2 * r2, h * v - w * w,
+            h + v - 2 * w - r2, (R2 - h) * (R2 - v), 2 * R2 - h - v)
+
+
 def common_denominator(values: Iterable[Fraction]) -> Tuple[int, Tuple[int, ...]]:
     """(d, (d x for x in values)): the values as integers over d, the lcm of their denominators."""
     values = tuple(values)
@@ -221,25 +231,17 @@ def exact_ratio(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
-def base_values_at(point: Sequence[Number], params: GeometricParams) -> Tuple[Fraction, ...]:
-    """Exact values (P1(point), ..., P7(point)), evaluated in integers.
+def base_values_from(numerators: Sequence[int], d: int) -> Tuple[Fraction, ...]:
+    """(P1, ..., P7) from base_numerators over d, each made one Fraction by exact_ratio."""
+    return (*map(exact_ratio, numerators, (d**k for k in BASE_DEGREES[:6])), Fraction(1))
 
-    Over d, the lcm of the denominators of h, v, w, r^2 and R^2, all five are
-    integers, so P_t is an integer over d^deg(P_t), made one Fraction by
-    exact_ratio: with float coordinates and float (r, R), d is a power of two.
-    """
-    d, (h, v, w, r2, R2) = common_denominator(
-        (*(_frac(x) for x in point), params.r2, params.R2))
-    d2 = d * d
-    return (
-        exact_ratio((h - r2) * (v - r2), d2),
-        exact_ratio(h + v - 2 * r2, d),
-        exact_ratio(h * v - w * w, d2),
-        exact_ratio(h + v - 2 * w - r2, d),
-        exact_ratio((R2 - h) * (R2 - v), d2),
-        exact_ratio(2 * R2 - h - v, d),
-        Fraction(1),
-    )
+
+def base_values_at(point: Sequence[Number], params: GeometricParams) -> Tuple[Fraction, ...]:
+    """Exact values (P1(point), ..., P7(point)), evaluated in integers over d,
+    the lcm of the denominators of h, v, w, r^2 and R^2: with float
+    coordinates and float (r, R), d is a power of two."""
+    d, ints = common_denominator((*(_frac(x) for x in point), params.r2, params.R2))
+    return base_values_from(base_numerators(*ints), d)
 
 
 @dataclass(frozen=True)

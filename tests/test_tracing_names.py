@@ -33,8 +33,8 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
 
 def test_tracer_sees_the_pivot_table(monkeypatch):
     # a table that bypassed the module globals would zero the per-layer
-    # pivot metrics; at (1.45, 2.0) the first 50 candidates are all admitted,
-    # so base_values_at runs K + 1 times
+    # pivot metrics; admission's numerators give the pivots' base values, so
+    # base_values_at runs once, at the origin
     monkeypatch.syspath_prepend(PERFBENCH)
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer()
@@ -45,4 +45,4 @@ def test_tracer_sees_the_pivot_table(monkeypatch):
         tracer.close()
     layers = [span[0] for span in tracer.spans]
     assert layers.count("compiler.generate_pivots") == 1
-    assert layers.count("polys.base_values_at") == 51
+    assert layers.count("polys.base_values_at") == 1
